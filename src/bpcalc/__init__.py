@@ -8,7 +8,7 @@ verification experiments.
 """
 
 from .bernstein import (
-    Atom, BernsteinFunction, LevyMeasure, OrthantDensity, QuadratureError,
+    Atom, BernsteinFunction, LevyMeasure, QuadratureError,
     RadialDensity, catalog_ids, check_absolute_monotonicity, cone_combine,
     diagonal_lift, direct_sum, eval_psi, eval_via_levy, fractional_power,
     linear, log1m, poisson,
@@ -38,7 +38,7 @@ from .spectra import (
 __all__ = [
     "Atom", "BernsteinFunction", "CatalogGapError", "DiagonalRayModel",
     "HolomorphyReport", "JointSpectrumResult", "LevyMeasure", "MappingReport",
-    "MappingRow", "MomentReport", "OperatorTuple", "OrthantDensity",
+    "MappingRow", "MomentReport", "OperatorTuple",
     "QuadratureError", "RadialDensity", "SpectralData", "SpectrumPoint",
     "SubordinatorFamily", "adjoint", "apply_psi", "apply_psi_spectral",
     "boundedness_experiment", "catalog_ids", "check_absolute_monotonicity",

@@ -1,9 +1,9 @@
 """Radial quadrature against structurally represented measures.
 
-Every measure density in this package is either a 1-D profile m(r) dr pushed
-forward along a ray r -> r*w (axis supports are the special case w = e_j), or
-a bounded full-orthant density in low dimension.  Integrals of a scalar- or
-matrix-valued integrand f against such parts share one strategy:
+Every measure density in this package is a 1-D profile m(r) dr pushed
+forward along a ray r -> r*w (axis supports are the special case w = e_j).
+Integrals of a scalar- or matrix-valued integrand f against such parts share
+one strategy:
 
   * below a cut ``eps`` the contribution is replaced by an analytic lump
     (f(0) times an exact partial mass when one is known, otherwise zero for
@@ -17,7 +17,10 @@ matrix-valued integrand f against such parts share one strategy:
 
 The caller supplies the analytic ingredients (Lipschitz coefficient at the
 origin, sup bound, decay rate, settle value); this module assembles them into
-a value plus a certified error estimate.
+a value plus a certified error estimate.  ``integrate_measure`` applies that
+to a whole measure, atoms plus parts: psi(s), psi(A), the factorization
+cofactors W_j, the density families of g_t(A) and int min(|u|, 1) dmu all go
+through it.
 """
 
 from __future__ import annotations
@@ -210,6 +213,34 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
         value = value + f_settle * float(part.tail_mass(R))
 
     return value, err_total
+
+
+def integrate_measure(base, measure, atom_term, part_setup, tol):
+    """base + sum_atoms mass * atom_term(location) + sum_parts int f dpart.
+
+    ``part_setup(part)`` returns (f, kwargs of integrate_radial other than
+    tol), or None when the part contributes nothing.  Each part gets
+    ``tol / len(parts)``; QuadratureError is raised when the summed error
+    estimate exceeds 4 * tol.
+    """
+    value = base
+    for a in measure.atoms:
+        value = value + a.mass * atom_term(a.location)
+    parts = measure.parts
+    err_total = 0.0
+    for p in parts:
+        setup = part_setup(p)
+        if setup is None:
+            continue
+        f, kw = setup
+        val, err = integrate_radial(f, p, tol=tol / len(parts), **kw)
+        value = value + val
+        err_total += err
+    if err_total > 4.0 * tol:
+        raise QuadratureError(
+            "measure quadrature did not converge (achieved %.3g, wanted %.3g)"
+            % (err_total, tol), error_estimate=err_total)
+    return value
 
 
 def integrate_orthant(part, f, *, f_sup, tol=1e-9, r_cap=1e5):

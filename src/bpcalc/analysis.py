@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .bernstein import BernsteinFunction, eval_psi
-from .calculus import apply_psi, apply_psi_spectral
+from .calculus import _psi_matrix
 from .semigroup import (DiagonalRayModel, OperatorTuple,
                         fourier_translation_model, semigroup_apply)
 
@@ -69,10 +69,7 @@ def moment_check(psi: BernsteinFunction, A: OperatorTuple, x) -> MomentReport:
     zero_face = bool(np.any(norms == 0.0))
     arg = -norms / (A.n * nx)
     psi_val = float(np.real(eval_psi(psi, arg)))
-    if A.spectral is not None:
-        lhs = float(np.linalg.norm(apply_psi_spectral(psi, A) @ x))
-    else:
-        lhs = float(np.linalg.norm(apply_psi(psi, A) @ x))
+    lhs = float(np.linalg.norm(_psi_matrix(psi, A) @ x))
     rhs = -A.n * K * M ** (A.n - 1) * psi_val * nx
     if rhs > 0.0:
         ratio = lhs / rhs
@@ -228,8 +225,5 @@ def convergence_experiment(psi_sequence, A: OperatorTuple, x,
             raise ValueError("sequence is not pointwise decaying on the spot grid")
     out = []
     for psi in psi_sequence:
-        if A.spectral is not None:
-            out.append(float(np.linalg.norm(apply_psi_spectral(psi, A) @ x)))
-        else:
-            out.append(float(np.linalg.norm(apply_psi(psi, A) @ x)))
+        out.append(float(np.linalg.norm(_psi_matrix(psi, A) @ x)))
     return np.array(out)

@@ -23,10 +23,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import exp1, gamma as gamma_fn
 
-from ._integrate import QuadratureError, expm1c, integrate_orthant, integrate_radial
+from ._integrate import QuadratureError, expm1c, integrate_measure
 
 __all__ = [
-    "Atom", "RadialDensity", "OrthantDensity", "LevyMeasure",
+    "Atom", "RadialDensity", "LevyMeasure",
     "BernsteinFunction", "MonotonicityReport",
     "fractional_power", "poisson", "log1m", "linear",
     "cone_combine", "direct_sum", "diagonal_lift",
@@ -148,29 +148,6 @@ class RadialDensity:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class OrthantDensity:
-    """Full-orthant density m(u) du, bounded near the origin, n = 2 only.
-
-    Covers the remaining support descriptor admitted by the measure type;
-    the built-in catalog only produces axis and ray supports, so this class
-    exists for custom measures and is deliberately restricted to densities
-    without an origin singularity.
-    """
-
-    n: int
-    density: Callable[[np.ndarray], float]
-    bound_near_zero: float
-    axis_tail: tuple
-    total_mass: Optional[float] = None
-    hints: tuple = ()
-    support: str = "orthant"
-
-    def __post_init__(self):
-        if self.n != 2:
-            raise NotImplementedError("orthant densities implemented for n = 2 only")
-
-
 class LevyMeasure:
     """Structural jump measure: atoms plus parametric density parts."""
 
@@ -182,8 +159,10 @@ class LevyMeasure:
             if len(a.location) != self.n:
                 raise DimensionMismatchError("atom dimension mismatch")
         for p in self.parts:
-            dim = len(p.direction) if isinstance(p, RadialDensity) else p.n
-            if dim != self.n:
+            if not isinstance(p, RadialDensity):
+                raise TypeError("density parts must be RadialDensity, got %s"
+                                % type(p).__name__)
+            if len(p.direction) != self.n:
                 raise DimensionMismatchError("density part dimension mismatch")
 
     def is_empty(self) -> bool:
@@ -200,35 +179,26 @@ class LevyMeasure:
 
     def min_integral(self, tol: float = 1e-9) -> float:
         """int min(|u|, 1) dmu, the convergence functional of the triple."""
-        total = sum(a.mass * min(float(np.linalg.norm(a.location)), 1.0)
-                    for a in self.atoms)
-        for p in self.parts:
-            if isinstance(p, RadialDensity):
-                wnorm = float(np.linalg.norm(p.direction))
-                # min(w*r, 1) is exactly 1 past the split, so the settled
-                # remainder carries zero residual
-                val, _ = integrate_radial(
-                    lambda r, _w=wnorm: min(_w * r, 1.0), p,
-                    f_zero=0.0, f_lipschitz=wnorm, f_sup=1.0,
-                    f_settle=1.0, f_decay=0.0, f_far_coeff=0.0, tol=tol)
-                total += float(np.real(val))
-            else:
-                val, _ = integrate_orthant(
-                    p, lambda u: min(float(np.linalg.norm(u)), 1.0),
-                    f_sup=1.0, tol=tol)
-                total += float(np.real(val))
-        return total
+        def part_setup(p):
+            wnorm = float(np.linalg.norm(p.direction))
+            # min(w*r, 1) is exactly 1 past the split, so the settled
+            # remainder carries zero residual
+            return (lambda r: min(wnorm * r, 1.0),
+                    dict(f_zero=0.0, f_lipschitz=wnorm, f_sup=1.0,
+                         f_settle=1.0, f_decay=0.0, f_far_coeff=0.0))
+
+        total = integrate_measure(
+            0.0, self, lambda loc: min(float(np.linalg.norm(loc)), 1.0),
+            part_setup, tol)
+        return float(np.real(total))
 
     def mass_outside(self, delta: float) -> float:
         """Upper bound on mu(|u| > delta); finite for every delta > 0."""
         total = sum(a.mass for a in self.atoms
                     if float(np.linalg.norm(a.location)) > delta)
         for p in self.parts:
-            if isinstance(p, RadialDensity):
-                wnorm = float(np.linalg.norm(p.direction))
-                total += float(p.tail_mass(delta / wnorm))
-            else:
-                total += float(p.axis_tail[0](delta / 2) + p.axis_tail[1](delta / 2))
+            wnorm = float(np.linalg.norm(p.direction))
+            total += float(p.tail_mass(delta / wnorm))
         return total
 
 
@@ -312,37 +282,22 @@ def eval_via_levy(psi: BernsteinFunction, s, tol: float = 1e-9):
     such points raise QuadratureError rather than return a value.
     """
     sv = _check_argument(psi, s)
-    value = complex(psi.c0) + complex(np.dot(psi.c1, sv))
-    for a in psi.measure.atoms:
-        value += a.mass * complex(expm1c(np.dot(sv, a.location)))
-    parts = psi.measure.parts
-    err_total = 0.0
-    if parts:
-        part_tol = tol / len(parts)
-        for p in parts:
-            if isinstance(p, RadialDensity):
-                z = complex(np.dot(sv, p.direction))
-                if z == 0:
-                    continue
-                # |e^{zr} - 1| <= |z| r near 0 and <= 2 globally (Re z <= 0);
-                # e^{zr} -> 0 at rate Re z when Re z < 0, so the integrand
-                # settles to -1.
-                val, err = integrate_radial(
-                    lambda r, _z=z: complex(expm1c(_z * r)), p,
-                    f_zero=0.0, f_lipschitz=abs(z), f_sup=2.0,
-                    f_settle=-1.0, f_decay=max(0.0, -z.real), f_far_coeff=1.0,
-                    f_over_r=lambda r, _z=z: _z if r < 1e-250 else complex(expm1c(_z * r)) / r,
-                    tol=part_tol)
-            else:
-                val, err = integrate_orthant(
-                    p, lambda u, _s=sv: complex(expm1c(np.dot(_s, u))),
-                    f_sup=2.0, tol=part_tol)
-            value += val
-            err_total += err
-    if err_total > 4.0 * tol:
-        raise QuadratureError(
-            "representation quadrature did not converge (achieved %.3g, wanted %.3g)"
-            % (err_total, tol), error_estimate=err_total)
+
+    def part_setup(p):
+        z = complex(np.dot(sv, p.direction))
+        if z == 0:
+            return None
+        # |e^{zr} - 1| <= |z| r near 0 and <= 2 globally (Re z <= 0);
+        # e^{zr} -> 0 at rate Re z when Re z < 0, so the integrand
+        # settles to -1.
+        return (lambda r: complex(expm1c(z * r)),
+                dict(f_zero=0.0, f_lipschitz=abs(z), f_sup=2.0,
+                     f_settle=-1.0, f_decay=max(0.0, -z.real), f_far_coeff=1.0,
+                     f_over_r=lambda r: z if r < 1e-250 else complex(expm1c(z * r)) / r))
+
+    value = integrate_measure(
+        complex(psi.c0) + complex(np.dot(psi.c1, sv)), psi.measure,
+        lambda loc: complex(expm1c(np.dot(sv, loc))), part_setup, tol)
     return _maybe_real(value, sv)
 
 
@@ -442,8 +397,7 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
     c0 = sum(a * p.c0 for a, p in live)
     c1 = sum(a * p.c1 for a, p in live)
     atoms = [Atom(at.location, a * at.mass) for a, p in live for at in p.measure.atoms]
-    parts = [pt.scaled(a) if isinstance(pt, RadialDensity) else _scale_orthant(pt, a)
-             for a, p in live for pt in p.measure.parts]
+    parts = [pt.scaled(a) for a, p in live for pt in p.measure.parts]
 
     closed = None
     if all(p.closed_form is not None for _, p in live):
@@ -466,17 +420,6 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
         params={"coefficients": tuple(a for a, _ in live)},
         children=tuple(p for _, p in live),
         partials_finite=finite, bounded=bounded)
-
-
-def _scale_orthant(p: OrthantDensity, a: float) -> OrthantDensity:
-    dens = p.density
-    t0, t1 = p.axis_tail
-    return OrthantDensity(
-        n=p.n, density=lambda u, _d=dens: a * _d(u),
-        bound_near_zero=a * p.bound_near_zero,
-        axis_tail=(lambda R, _t=t0: a * _t(R), lambda R, _t=t1: a * _t(R)),
-        total_mass=None if p.total_mass is None else a * p.total_mass,
-        hints=p.hints)
 
 
 def direct_sum(psi1: BernsteinFunction, psi2: BernsteinFunction) -> BernsteinFunction:

@@ -6,18 +6,16 @@ subordinated family g_t(A) integrates T(u) against the closed-form measures
 nu_t where the catalog has them.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm, schur
-from scipy.special import erf, erfc, gammainc, gammaincc, gammaln
+from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, xlogy
 
-from ._integrate import (QuadratureError, composite_gauss, expm1c,
-                         integrate_orthant, integrate_radial)
-from .bernstein import BernsteinFunction, RadialDensity, eval_psi
+from ._integrate import composite_gauss, expm1c, integrate_measure
+from .bernstein import BernsteinFunction, LevyMeasure, RadialDensity, eval_psi
 from .semigroup import OperatorTuple, make_tuple, semigroup_apply
 
 __all__ = [
@@ -121,14 +119,26 @@ def _envelope(A: OperatorTuple, w):
         return rho0, 1.0
     # ||e^{r(D+N)}|| <= e^{rho0 r} sum_{k<d} (r ||N||)^k / k!; absorb the
     # polynomial factor into half the decay rate (its peaks sit below
-    # (d-1)/half, so the grid covers the sup)
+    # (d-1)/half, so the grid covers the sup).  The series is summed in log
+    # space, since its terms leave the float range from d ~ 120 on; xlogy
+    # makes the k = 0 term 0 * log 0 = 0 at r = 0.
     half = -0.5 * rho0
     grid = np.linspace(0.0, 4.0 * (A.d + 1) / half, 4096)
-    vals = np.zeros_like(grid)
-    for k in range(A.d):
-        vals += (grid * nrmN) ** k / math.factorial(k)
-    far = float(np.max(vals * np.exp(-half * grid))) * 1.05
+    k = np.arange(A.d)[:, None]
+    log_terms = xlogy(k, grid * nrmN) - gammaln(k + 1.0)
+    log_vals = np.logaddexp.reduce(log_terms, axis=0) - half * grid
+    far = float(np.exp(np.max(log_vals))) * 1.05
     return rho0 * 0.5, far
+
+
+def _ray_setup(A: OperatorTuple, w):
+    """(||sum_j w_j A_j||, prod M_j, rho, far) for the ray r -> r*w, where
+    (rho, far) is the certified envelope of _envelope."""
+    B_nrm = float(np.linalg.norm(
+        sum(w[j] * A.generators[j] for j in range(A.n)), 2))
+    m_prod = float(np.prod(A.bounds))
+    rho, far = _envelope(A, w)
+    return B_nrm, m_prod, rho, far
 
 
 # ---------------------------------------------------------------------------
@@ -141,49 +151,27 @@ def apply_psi(psi: BernsteinFunction, A: OperatorTuple, tol: float = 1e-9):
         raise ValueError("function arity and tuple size differ")
     d = A.d
     eye = np.eye(d, dtype=complex)
-    result = complex(psi.c0) * eye
+    base = complex(psi.c0) * eye
     for j in range(A.n):
         if psi.c1[j] != 0.0:
-            result = result + psi.c1[j] * A.generators[j]
+            base = base + psi.c1[j] * A.generators[j]
 
-    m_prod = float(np.prod(A.bounds))
-    err_total = 0.0
-    for a in psi.measure.atoms:
-        loc = np.asarray(a.location, dtype=float)
-        _, delta, _ = _direction_evaluators(A, loc)
-        result = result + a.mass * delta(1.0)
+    def part_setup(p):
+        w = p.direction
+        B_nrm, m_prod, rho, far = _ray_setup(A, w)
+        if B_nrm == 0.0:
+            return None
+        _, delta, ratio = _direction_evaluators(A, w)
+        kw = dict(f_zero=np.zeros((d, d), dtype=complex),
+                  f_lipschitz=B_nrm * m_prod, f_sup=m_prod + 1.0,
+                  f_over_r=ratio)
+        if rho < 0.0:
+            kw.update(f_settle=-eye, f_decay=-rho, f_far_coeff=far)
+        return delta, kw
 
-    parts = psi.measure.parts
-    if parts:
-        part_tol = tol / len(parts)
-        for p in parts:
-            if isinstance(p, RadialDensity):
-                w = p.direction
-                T, delta, ratio = _direction_evaluators(A, w)
-                B_nrm = float(np.linalg.norm(
-                    sum(w[j] * A.generators[j] for j in range(A.n)), 2))
-                if B_nrm == 0.0:
-                    continue
-                rho, far = _envelope(A, w)
-                kw = dict(f_zero=np.zeros((d, d), dtype=complex),
-                          f_lipschitz=B_nrm * m_prod,
-                          f_sup=m_prod + 1.0,
-                          f_over_r=ratio, tol=part_tol)
-                if rho < 0.0:
-                    kw.update(f_settle=-eye, f_decay=-rho, f_far_coeff=far)
-                val, err = integrate_radial(delta, p, **kw)
-            else:
-                def f(u):
-                    _, dlt, _ = _direction_evaluators(A, u)
-                    return dlt(1.0)
-                val, err = integrate_orthant(p, f, f_sup=m_prod + 1.0, tol=part_tol)
-            result = result + val
-            err_total += err
-    if err_total > 4.0 * tol:
-        raise QuadratureError(
-            "operator quadrature did not converge (achieved %.3g, wanted %.3g)"
-            % (err_total, tol), error_estimate=err_total)
-    return result
+    return integrate_measure(base, psi.measure,
+                             lambda loc: _direction_evaluators(A, loc)[1](1.0),
+                             part_setup, tol)
 
 
 def apply_psi_spectral(psi: BernsteinFunction, A: OperatorTuple):
@@ -195,6 +183,14 @@ def apply_psi_spectral(psi: BernsteinFunction, A: OperatorTuple):
     vals = np.array([complex(eval_psi(psi, row)) for row in A.spectral.joint])
     P = A.spectral.basis
     return (P * vals) @ np.linalg.inv(P)
+
+
+def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):
+    """psi(A) by the spectral route when A carries spectral data, else by
+    quadrature (apply_psi at its default tolerance)."""
+    if A.spectral is not None:
+        return apply_psi_spectral(psi, A)
+    return apply_psi(psi, A)
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +327,18 @@ def _subordinated_family(fam: SubordinatorFamily, psi, A: OperatorTuple,
             out = out + mass * semigroup_apply(A, loc)
         return out
     if fam.kind == "density":
-        part = fam.density_at(t)
-        w = part.direction
-        T, _, _ = _direction_evaluators(A, w)
-        B_nrm = float(np.linalg.norm(
-            sum(w[j] * A.generators[j] for j in range(A.n)), 2))
-        m_prod = float(np.prod(A.bounds))
-        rho, far = _envelope(A, w)
-        kw = dict(f_zero=np.eye(d, dtype=complex),
-                  f_lipschitz=max(B_nrm, 1e-300) * m_prod,
-                  f_sup=m_prod, tol=tol)
-        if rho < 0.0:
-            kw.update(f_settle=np.zeros((d, d), dtype=complex),
-                      f_decay=-rho, f_far_coeff=far)
-        val, err = integrate_radial(T, part, **kw)
-        if err > 4.0 * tol:
-            raise QuadratureError(
-                "subordination quadrature did not converge (achieved %.3g)"
-                % err, error_estimate=err)
-        return val
+        def part_setup(p):
+            B_nrm, m_prod, rho, far = _ray_setup(A, p.direction)
+            T, _, _ = _direction_evaluators(A, p.direction)
+            kw = dict(f_zero=np.eye(d, dtype=complex),
+                      f_lipschitz=max(B_nrm, 1e-300) * m_prod, f_sup=m_prod)
+            if rho < 0.0:
+                kw.update(f_settle=np.zeros((d, d), dtype=complex),
+                          f_decay=-rho, f_far_coeff=far)
+            return T, kw
+
+        nu_t = LevyMeasure(A.n, parts=[fam.density_at(t)])
+        return integrate_measure(0.0, nu_t, None, part_setup, tol)
     if fam.kind == "product":
         m = fam.split
         left = _subordinated_family(fam.children[0], psi.children[0],
@@ -414,10 +403,7 @@ def generator_limit_check(psi: BernsteinFunction, A: OperatorTuple, x,
                           t_sequence, tol: float = 1e-11) -> np.ndarray:
     """Residuals ||(g_t(A)x - x)/t - psi(A)x|| along a sequence t -> 0."""
     x = np.asarray(x, dtype=complex)
-    if A.spectral is not None:
-        psi_x = apply_psi_spectral(psi, A) @ x
-    else:
-        psi_x = apply_psi(psi, A) @ x
+    psi_x = _psi_matrix(psi, A) @ x
     out = []
     for t in t_sequence:
         if t <= 0:
@@ -543,7 +529,6 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
     if np.any(lam.real >= 0):
         raise ValueError("w_operator requires Re lambda_j < 0")
     d = A.d
-    W = psi.c1[j] * np.eye(d, dtype=complex)
     m_prod = float(np.prod(A.bounds))
     make = _w_integrand(A, lam, j)
     envs = _axis_envelopes(A)
@@ -554,47 +539,25 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
         parts += [w[k] * lam[k].real for k in range(j + 1, A.n)]
         return -sum(parts)
 
-    err_total = 0.0
-    for a in psi.measure.atoms:
-        loc = np.asarray(a.location, dtype=float)
-        F, _ = make(loc)
-        W = W + a.mass * F(1.0)
+    def part_setup(p):
+        w = p.direction
+        if w[j] == 0.0:
+            return None
+        F, F_over_r = make(w)
+        gamma = tail_rate(w)
+        kw = dict(f_zero=np.zeros((d, d), dtype=complex),
+                  f_lipschitz=w[j] * m_prod,
+                  f_sup=m_prod / (-lam[j].real),
+                  f_over_r=F_over_r)
+        if gamma > 1e-12:
+            far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
+                * 2.0 / (np.e * gamma)
+            kw.update(f_settle=np.zeros((d, d), dtype=complex),
+                      f_decay=0.5 * gamma, f_far_coeff=far)
+        return F, kw
 
-    parts = psi.measure.parts
-    if parts:
-        part_tol = tol / len(parts)
-        for p in parts:
-            if not isinstance(p, RadialDensity):
-                def f(u):
-                    F, _ = make(u)
-                    return F(1.0)
-                val, err = integrate_orthant(
-                    p, f, f_sup=m_prod / (-lam[j].real), tol=part_tol)
-                W = W + val
-                err_total += err
-                continue
-            w = p.direction
-            if w[j] == 0.0:
-                continue
-            F, F_over_r = make(w)
-            gamma = tail_rate(w)
-            kw = dict(f_zero=np.zeros((d, d), dtype=complex),
-                      f_lipschitz=w[j] * m_prod,
-                      f_sup=m_prod / (-lam[j].real),
-                      f_over_r=F_over_r, tol=part_tol)
-            if gamma > 1e-12:
-                far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
-                    * 2.0 / (np.e * gamma)
-                kw.update(f_settle=np.zeros((d, d), dtype=complex),
-                          f_decay=0.5 * gamma, f_far_coeff=far)
-            val, err = integrate_radial(F, p, **kw)
-            W = W + val
-            err_total += err
-    if err_total > 4.0 * tol:
-        raise QuadratureError(
-            "proof-operator quadrature did not converge (achieved %.3g)"
-            % err_total, error_estimate=err_total)
-    return W
+    return integrate_measure(psi.c1[j] * np.eye(d, dtype=complex), psi.measure,
+                             lambda loc: make(loc)[0](1.0), part_setup, tol)
 
 
 def w_operator_bound(psi: BernsteinFunction, A: OperatorTuple, lam, j: int) -> float:

@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -861,10 +860,10 @@ def run(config: ScenarioConfig, seed: Optional[int] = None,
         tol: Optional[float] = None, progress=None) -> RunReport:
     """Execute every experiment; deterministic given (config, seed).
 
-    Experiments run on a small worker pool; results keep config order.
-    Operator construction failures become FAIL rows in each referencing
-    experiment, module errors become ERROR rows, and partial results are
-    always retained.
+    Experiments run one after another in config order.  Operator
+    construction failures become FAIL rows in each referencing experiment,
+    module errors become ERROR rows, and partial results are always
+    retained.
     """
     run_seed = config.seed if seed is None else int(seed)
     run_tol = config.tol if tol is None else float(tol)
@@ -879,19 +878,12 @@ def run(config: ScenarioConfig, seed: Optional[int] = None,
             ops[spec["id"]] = _BuildFailure(str(exc))
     specs = list(config.experiment_specs)
     results = []
-    if specs:
-        workers = min(4, len(specs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_experiment, config, spec, i, ops,
-                                   run_seed, run_tol)
-                       for i, spec in enumerate(specs)]
-            for i, fut in enumerate(futures):
-                res = fut.result()
-                if progress is not None:
-                    progress("[%d/%d] %s: %s (%.2fs)"
-                             % (i + 1, len(specs), res.name, res.verdict,
-                                res.wall))
-                results.append(res)
+    for i, spec in enumerate(specs):
+        res = _run_experiment(config, spec, i, ops, run_seed, run_tol)
+        if progress is not None:
+            progress("[%d/%d] %s: %s (%.2fs)"
+                     % (i + 1, len(specs), res.name, res.verdict, res.wall))
+        results.append(res)
     return RunReport(seed=run_seed, tol=run_tol, experiments=tuple(results),
                      wall=time.perf_counter() - start)
 

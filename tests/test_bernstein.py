@@ -194,6 +194,8 @@ class TestDomainValidation:
             B.Atom(np.array([0.0]), 1.0)
         with pytest.raises(ValueError):
             B.Atom(np.array([1.0]), -2.0)
+        with pytest.raises(TypeError):
+            B.LevyMeasure(1, parts=[B.Atom(np.array([1.0]), 1.0)])
 
     def test_c0_sign_enforced(self):
         with pytest.raises(ValueError):

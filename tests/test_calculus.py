@@ -1,15 +1,18 @@
 """Operator calculus: psi(A), subordination, proof operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from bpcalc.bernstein import (cone_combine, diagonal_lift, direct_sum, eval_psi,
                               fractional_power, linear, log1m, poisson)
-from bpcalc.calculus import (CatalogGapError, apply_psi, apply_psi_spectral,
-                             factorization_check, generator_limit_check,
-                             laplace_identity_error, subordinated, v_operator,
-                             w_operator, w_operator_bound)
+from bpcalc.calculus import (CatalogGapError, _envelope, apply_psi,
+                             apply_psi_spectral, factorization_check,
+                             generator_limit_check, laplace_identity_error,
+                             subordinated, v_operator, w_operator,
+                             w_operator_bound)
 from bpcalc.semigroup import (SpectralData, make_commuting_random,
                               make_jordan_polynomial, make_tuple,
                               semigroup_apply)
@@ -118,6 +121,18 @@ class TestApplyPsi:
         A = fourier_translation_model(3)
         with pytest.raises(QuadratureError):
             apply_psi(fractional_power(0.5), A)
+
+
+    @pytest.mark.parametrize("d", [120, 180])
+    def test_schur_envelope_finite_at_large_dimension(self, d):
+        # the Schur series sum_k (r ||N||)^k / k! passes the float range here
+        N = np.diag(np.ones(d - 1), 1)
+        A = make_tuple([-np.eye(d) + 0.5 * N], bounds=[1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, far = _envelope(A, np.array([1.0]))
+        assert rho == pytest.approx(-0.5)
+        assert np.isfinite(far) and far >= 1.0
 
 
 class TestSubordinated:
