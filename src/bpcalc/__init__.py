@@ -8,10 +8,10 @@ verification experiments.
 """
 
 from .bernstein import (
-    Atom, BernsteinFunction, LevyMeasure, QuadratureError,
-    RadialDensity, catalog_ids, check_absolute_monotonicity, cone_combine,
-    diagonal_lift, direct_sum, eval_psi, eval_via_levy, fractional_power,
-    linear, log1m, poisson,
+    Atom, BernsteinFunction, LevyMeasure, QuadratureError, RadialDensity,
+    SubordinatorFamily, catalog_ids, check_absolute_monotonicity,
+    cone_combine, diagonal_lift, direct_sum, eval_psi, eval_via_levy,
+    fractional_power, linear, log1m, poisson,
 )
 from .analysis import (
     HolomorphyReport, MomentReport, boundedness_experiment,
@@ -19,10 +19,9 @@ from .analysis import (
     step_bound_check,
 )
 from .calculus import (
-    CatalogGapError, SubordinatorFamily, apply_psi, apply_psi_spectral,
-    factorization_check, generator_limit_check, laplace_identity_error,
-    subordinated, subordinator_family, v_operator, w_operator,
-    w_operator_bound,
+    CatalogGapError, apply_psi, apply_psi_spectral, factorization_check,
+    generator_limit_check, laplace_identity_error, subordinated, v_operator,
+    w_operator, w_operator_bound,
 )
 from .semigroup import (
     DiagonalRayModel, OperatorTuple, SpectralData, adjoint, estimate_bound,
@@ -51,7 +50,7 @@ __all__ = [
     "laplace_identity_error", "linear", "log1m", "make_commuting_random",
     "make_jordan_polynomial", "make_tuple", "mapping_check", "moment_check",
     "poisson", "semigroup_apply", "stacked_residual", "step_bound_check",
-    "subordinated", "subordinator_family", "v_operator", "w_operator",
+    "subordinated", "v_operator", "w_operator",
     "w_operator_bound",
 ]
 

@@ -10,24 +10,27 @@ with c0 <= 0, c1 in R+^n, and a positive measure mu integrating min(|u|, 1).
 This module stores the triple (c0, c1, mu) structurally (atoms plus
 parametric ray/axis densities, never sampled arrays), evaluates psi either
 from a closed form or by quadrature of the representation, and builds new
-members by conic combination, direct sum, and diagonal lift.
+members by conic combination, direct sum, and diagonal lift.  Each
+constructor attaches the closed-form subordination family nu_t where one is
+known; ``CATALOG`` declares every member once for string-id construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import exp1, gamma as gamma_fn
+from scipy.special import (erf, erfc, exp1, gamma as gamma_fn, gammainc,
+                           gammaincc, gammaln)
 
 from ._integrate import QuadratureError, expm1c, integrate_measure
 
 __all__ = [
     "Atom", "RadialDensity", "LevyMeasure",
-    "BernsteinFunction", "MonotonicityReport",
+    "BernsteinFunction", "MonotonicityReport", "SubordinatorFamily",
     "fractional_power", "poisson", "log1m", "linear",
     "cone_combine", "direct_sum", "diagonal_lift",
     "eval_psi", "eval_via_levy", "check_absolute_monotonicity",
@@ -203,6 +206,70 @@ class LevyMeasure:
 
 
 # ---------------------------------------------------------------------------
+# subordination measures nu_t
+
+
+@dataclass(frozen=True, eq=False)
+class SubordinatorFamily:
+    """Closed-form nu_t family attached to a catalog member.
+
+    kinds: "atoms" (t -> [(location, mass)]), "density" (t -> 1-D radial
+    profile along its direction), "product" (independent blocks of a direct
+    sum), "convolution" (cone combination: time reparametrized children).
+    """
+
+    kind: str
+    atoms_at: Optional[Callable] = None
+    density_at: Optional[Callable] = None
+    children: tuple = ()
+    weights: tuple = ()
+    split: int = 0
+
+
+def _poisson_atoms(t: float):
+    atoms, mass, k, term = [], 0.0, 0, float(np.exp(-t))
+    while mass < 1.0 - 1e-12:
+        atoms.append((np.array([float(k)]), term))
+        mass += term
+        k += 1
+        term *= t / k
+        if k > 10000:
+            break
+    return atoms
+
+
+def _smirnov_density(t: float) -> RadialDensity:
+    c = t / (2.0 * np.sqrt(np.pi))
+    return RadialDensity(
+        direction=np.array([1.0]),
+        density=lambda r: c * r ** -1.5 * np.exp(-t * t / (4.0 * r)),
+        beta=1.5,
+        sing_coeff=c,
+        tail_mass=lambda R: float(erf(t / (2.0 * np.sqrt(R)))),
+        tail_exact=True,
+        mass_below=lambda r: float(erfc(t / (2.0 * np.sqrt(r)))),
+        log_density=lambda v: np.log(c) - 1.5 * v - 0.25 * t * t * np.exp(-v),
+        total_mass=1.0,
+        hints=(t * t / 6.0, t * t),
+    )
+
+
+def _gamma_density(t: float) -> RadialDensity:
+    return RadialDensity(
+        direction=np.array([1.0]),
+        density=lambda r: np.exp((t - 1.0) * np.log(r) - r - gammaln(t)),
+        beta=max(0.0, 1.0 - t),
+        sing_coeff=float(np.exp(-gammaln(t))),
+        tail_mass=lambda R: float(gammaincc(t, R)),
+        tail_exact=True,
+        mass_below=lambda r: float(gammainc(t, r)),
+        log_density=lambda v: (t - 1.0) * v - np.exp(v) - float(gammaln(t)),
+        total_mass=1.0,
+        hints=(max(t - 1.0, 0.5 * t),),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Bernstein functions
 
 
@@ -211,11 +278,11 @@ class BernsteinFunction:
     """Levy triple (c0, c1, mu) with an optional closed-form evaluator.
 
     ``closed_form`` evaluates psi(s) for Re s <= 0 (continuous up to the
-    boundary).  ``catalog_id`` tags built-in instances and composites;
-    ``children``/``params`` record composite structure so that downstream
-    modules can resolve subordination measures.  ``partials_finite[j]``
-    states whether d psi / d s_j remains finite as s -> -0 (None when
-    unknown); ``bounded`` states whether psi is bounded on (-inf, 0)^n.
+    boundary).  ``subordinator`` is the closed-form family of measures
+    nu_t with Laplace transform e^{t psi}, or None where none is known.
+    ``partials_finite[j]`` states whether d psi / d s_j remains finite as
+    s -> -0 (None when unknown); ``bounded`` states whether psi is bounded
+    on (-inf, 0)^n.
     """
 
     n: int
@@ -223,9 +290,7 @@ class BernsteinFunction:
     c1: np.ndarray
     measure: LevyMeasure
     closed_form: Optional[Callable] = None
-    catalog_id: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    children: tuple = ()
+    subordinator: Optional[SubordinatorFamily] = None
     partials_finite: Optional[tuple] = None
     bounded: Optional[bool] = None
 
@@ -318,10 +383,13 @@ def fractional_power(alpha: float) -> BernsteinFunction:
         return -np.power(-s[0], alpha)
 
     if alpha == 1.0:
+        # nu_t is the unit point mass at t
         return BernsteinFunction(
             n=1, c0=0.0, c1=np.array([1.0]), measure=LevyMeasure(1),
-            closed_form=closed, catalog_id="fractional_power",
-            params={"alpha": 1.0}, partials_finite=(True,), bounded=False)
+            closed_form=closed,
+            subordinator=SubordinatorFamily(
+                "atoms", atoms_at=lambda t: [(np.array([t]), 1.0)]),
+            partials_finite=(True,), bounded=False)
 
     coeff = alpha / gamma_fn(1.0 - alpha)
     part = RadialDensity(
@@ -335,10 +403,13 @@ def fractional_power(alpha: float) -> BernsteinFunction:
         log_density=lambda v: np.log(coeff) - (1.0 + alpha) * v,
         total_mass=None,
     )
+    family = None
+    if alpha == 0.5:
+        family = SubordinatorFamily("density", density_at=_smirnov_density)
     return BernsteinFunction(
         n=1, c0=0.0, c1=np.array([0.0]), measure=LevyMeasure(1, parts=[part]),
-        closed_form=closed, catalog_id="fractional_power",
-        params={"alpha": float(alpha)}, partials_finite=(False,), bounded=False)
+        closed_form=closed, subordinator=family,
+        partials_finite=(False,), bounded=False)
 
 
 def poisson() -> BernsteinFunction:
@@ -347,7 +418,8 @@ def poisson() -> BernsteinFunction:
         n=1, c0=0.0, c1=np.array([0.0]),
         measure=LevyMeasure(1, atoms=[Atom(np.array([1.0]), 1.0)]),
         closed_form=lambda s: np.exp(s[0]) - 1.0,
-        catalog_id="poisson", params={}, partials_finite=(True,), bounded=True)
+        subordinator=SubordinatorFamily("atoms", atoms_at=_poisson_atoms),
+        partials_finite=(True,), bounded=True)
 
 
 def log1m() -> BernsteinFunction:
@@ -366,7 +438,8 @@ def log1m() -> BernsteinFunction:
     return BernsteinFunction(
         n=1, c0=0.0, c1=np.array([0.0]), measure=LevyMeasure(1, parts=[part]),
         closed_form=lambda s: -np.log(1.0 - s[0]),
-        catalog_id="log1m", params={}, partials_finite=(True,), bounded=False)
+        subordinator=SubordinatorFamily("density", density_at=_gamma_density),
+        partials_finite=(True,), bounded=False)
 
 
 def linear(c1) -> BernsteinFunction:
@@ -376,7 +449,9 @@ def linear(c1) -> BernsteinFunction:
     return BernsteinFunction(
         n=n, c0=0.0, c1=c1, measure=LevyMeasure(n),
         closed_form=lambda s: np.dot(np.asarray(c1), s),
-        catalog_id="linear", params={"c1": tuple(float(v) for v in c1)},
+        # nu_t is the unit point mass at t * c1
+        subordinator=SubordinatorFamily(
+            "atoms", atoms_at=lambda t: [(t * c1, 1.0)]),
         partials_finite=(True,) * n, bounded=bool(np.all(c1 == 0)))
 
 
@@ -412,13 +487,17 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
     bounded = None
     if all(p.bounded is not None for _, p in live):
         bounded = all(p.bounded for _, p in live)
+    family = None
+    if all(p.subordinator is not None for _, p in live):
+        # e^{t sum a_i psi_i} = prod e^{(a_i t) psi_i}: convolve the children
+        family = SubordinatorFamily(
+            "convolution", children=tuple(p.subordinator for _, p in live),
+            weights=tuple(a for a, _ in live))
 
     return BernsteinFunction(
         n=n, c0=float(c0), c1=np.asarray(c1, dtype=float),
         measure=LevyMeasure(n, atoms=atoms, parts=parts),
-        closed_form=closed, catalog_id="cone_combination",
-        params={"coefficients": tuple(a for a, _ in live)},
-        children=tuple(p for _, p in live),
+        closed_form=closed, subordinator=family,
         partials_finite=finite, bounded=bounded)
 
 
@@ -450,12 +529,15 @@ def direct_sum(psi1: BernsteinFunction, psi2: BernsteinFunction) -> BernsteinFun
     bounded = None
     if psi1.bounded is not None and psi2.bounded is not None:
         bounded = psi1.bounded and psi2.bounded
+    family = None
+    if psi1.subordinator is not None and psi2.subordinator is not None:
+        family = SubordinatorFamily(
+            "product", children=(psi1.subordinator, psi2.subordinator), split=m)
 
     return BernsteinFunction(
         n=n, c0=psi1.c0 + psi2.c0, c1=np.concatenate([psi1.c1, psi2.c1]),
         measure=LevyMeasure(n, atoms=atoms, parts=parts),
-        closed_form=closed, catalog_id="direct_sum",
-        params={"split": m}, children=(psi1, psi2),
+        closed_form=closed, subordinator=family,
         partials_finite=finite, bounded=bounded)
 
 
@@ -485,33 +567,96 @@ def diagonal_lift(phi: BernsteinFunction, w) -> BernsteinFunction:
     if phi.partials_finite is not None:
         finite = tuple(bool(w[j] == 0 or phi.partials_finite[0]) for j in range(n))
 
+    # nu_t is the pushforward of phi's nu_t along r -> r*w; no closed form
+    # is attached for a composite (convolution) base
+    base, family = phi.subordinator, None
+    if base is not None and base.kind == "atoms":
+        family = SubordinatorFamily(
+            "atoms", atoms_at=lambda t: [(float(loc[0]) * w, m)
+                                         for loc, m in base.atoms_at(t)])
+    elif base is not None and base.kind == "density":
+        family = SubordinatorFamily(
+            "density", density_at=lambda t: base.density_at(t).pushforward(w))
+
     return BernsteinFunction(
         n=n, c0=phi.c0, c1=phi.c1[0] * w,
         measure=LevyMeasure(n, atoms=atoms, parts=parts),
-        closed_form=closed, catalog_id="diagonal_lift",
-        params={"w": tuple(float(v) for v in w)}, children=(phi,),
+        closed_form=closed, subordinator=family,
         partials_finite=finite, bounded=phi.bounded)
 
 
-_CATALOG_BUILDERS = {
-    "fractional_power": lambda params: fractional_power(params["alpha"]),
-    "poisson": lambda params: poisson(),
-    "log1m": lambda params: log1m(),
-    "linear": lambda params: linear(params.get("c1", (1.0,))),
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One catalog member.
+
+    ``build(value, children)`` makes the function from the value of its one
+    optional parameter ``param`` (None when it takes none) and its child
+    functions.  ``kind`` is "number" or "list" (of numbers); ``default`` is
+    used when the parameter is absent (None: the parameter is required).
+    ``children`` is the child count, or "per_coefficient" for one child per
+    entry of the parameter list.
+    """
+
+    build: Callable
+    help: str
+    param: Optional[str] = None
+    kind: Optional[str] = None
+    default: object = None
+    children: object = 0
+
+    def child_count(self, value) -> int:
+        return len(value) if self.children == "per_coefficient" else self.children
+
+
+CATALOG = {
+    "fractional_power": CatalogEntry(
+        lambda alpha, kids: fractional_power(alpha),
+        "parameters {alpha}, 0 < alpha <= 1", param="alpha", kind="number"),
+    "poisson": CatalogEntry(lambda value, kids: poisson(), "no parameters"),
+    "log1m": CatalogEntry(lambda value, kids: log1m(), "no parameters"),
+    "linear": CatalogEntry(
+        lambda c1, kids: linear(c1),
+        "parameters {c1: [..]}, nonnegative drift",
+        param="c1", kind="list", default=(1.0,)),
+    "diagonal_lift": CatalogEntry(
+        lambda w, kids: diagonal_lift(kids[0], w),
+        "parameters {w: [..]}, children [phi]",
+        param="w", kind="list", children=1),
+    "direct_sum": CatalogEntry(
+        lambda value, kids: direct_sum(*kids), "children [psi1, psi2]",
+        children=2),
+    "cone_combination": CatalogEntry(
+        lambda coeffs, kids: cone_combine(list(zip(coeffs, kids))),
+        "parameters {coefficients: [..]}, children [..]",
+        param="coefficients", kind="list", children="per_coefficient"),
 }
 
 
 def catalog_ids() -> tuple:
     """Identifiers addressable by string id + parameter map."""
-    return ("fractional_power", "poisson", "log1m", "linear",
-            "diagonal_lift", "direct_sum", "cone_combination")
+    return tuple(CATALOG)
 
 
-def build_catalog(catalog_id: str, params: dict) -> BernsteinFunction:
-    """Instantiate a primitive catalog member from its id and parameters."""
-    if catalog_id not in _CATALOG_BUILDERS:
+def build_catalog(catalog_id: str, params: dict,
+                  children: Sequence = ()) -> BernsteinFunction:
+    """Instantiate a catalog member from its id, parameter map and children.
+
+    Raises KeyError for an unknown id and ValueError for an unknown or
+    missing parameter or a wrong number of children.
+    """
+    if catalog_id not in CATALOG:
         raise KeyError("unknown catalog id %r" % catalog_id)
-    return _CATALOG_BUILDERS[catalog_id](params)
+    entry = CATALOG[catalog_id]
+    for key in params:
+        if key != entry.param:
+            raise ValueError("%r takes no parameter %r" % (catalog_id, key))
+    value = params.get(entry.param, entry.default)
+    if entry.param is not None and value is None:
+        raise ValueError("%r needs parameter %r" % (catalog_id, entry.param))
+    want = entry.child_count(value)
+    if len(children) != want:
+        raise ValueError("%r takes exactly %d children" % (catalog_id, want))
+    return entry.build(value, tuple(children))
 
 
 # ---------------------------------------------------------------------------

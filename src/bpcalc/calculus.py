@@ -7,20 +7,19 @@ nu_t where the catalog has them.
 """
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm, schur
-from scipy.special import erf, erfc, gammainc, gammaincc, gammaln, xlogy
+from scipy.special import gammaln, xlogy
 
 from ._integrate import composite_gauss, expm1c, integrate_measure
-from .bernstein import BernsteinFunction, LevyMeasure, RadialDensity, eval_psi
+from .bernstein import (BernsteinFunction, LevyMeasure, SubordinatorFamily,
+                        eval_psi)
 from .semigroup import OperatorTuple, make_tuple, semigroup_apply
 
 __all__ = [
-    "CatalogGapError", "SubordinatorFamily", "subordinator_family",
-    "apply_psi", "apply_psi_spectral", "subordinated",
+    "CatalogGapError", "apply_psi", "apply_psi_spectral", "subordinated",
     "laplace_identity_error", "generator_limit_check",
     "v_operator", "w_operator", "w_operator_bound", "factorization_check",
 ]
@@ -197,117 +196,6 @@ def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):
 # subordination
 
 
-@dataclass(frozen=True, eq=False)
-class SubordinatorFamily:
-    """Closed-form nu_t family attached to a catalog member.
-
-    kinds: "atoms" (t -> [(location, mass)]), "point" (t -> location, unit
-    mass), "density" (t -> 1-D radial profile along its direction),
-    "product" (independent blocks of a direct sum), "convolution"
-    (cone combination: time reparametrized children).
-    """
-
-    catalog_id: str
-    n: int
-    kind: str
-    atoms_at: Optional[Callable] = None
-    point_at: Optional[Callable] = None
-    density_at: Optional[Callable] = None
-    children: tuple = ()
-    weights: tuple = ()
-    split: int = 0
-
-
-def _poisson_atoms(t: float):
-    atoms, mass, k, term = [], 0.0, 0, float(np.exp(-t))
-    while mass < 1.0 - 1e-12:
-        atoms.append((np.array([float(k)]), term))
-        mass += term
-        k += 1
-        term *= t / k
-        if k > 10000:
-            break
-    return atoms
-
-
-def _smirnov_density(t: float) -> RadialDensity:
-    c = t / (2.0 * np.sqrt(np.pi))
-    return RadialDensity(
-        direction=np.array([1.0]),
-        density=lambda r: c * r ** -1.5 * np.exp(-t * t / (4.0 * r)),
-        beta=1.5,
-        sing_coeff=c,
-        tail_mass=lambda R: float(erf(t / (2.0 * np.sqrt(R)))),
-        tail_exact=True,
-        mass_below=lambda r: float(erfc(t / (2.0 * np.sqrt(r)))),
-        log_density=lambda v: np.log(c) - 1.5 * v - 0.25 * t * t * np.exp(-v),
-        total_mass=1.0,
-        hints=(t * t / 6.0, t * t),
-    )
-
-
-def _gamma_density(t: float) -> RadialDensity:
-    return RadialDensity(
-        direction=np.array([1.0]),
-        density=lambda r: np.exp((t - 1.0) * np.log(r) - r - gammaln(t)),
-        beta=max(0.0, 1.0 - t),
-        sing_coeff=float(np.exp(-gammaln(t))),
-        tail_mass=lambda R: float(gammaincc(t, R)),
-        tail_exact=True,
-        mass_below=lambda r: float(gammainc(t, r)),
-        log_density=lambda v: (t - 1.0) * v - np.exp(v) - float(gammaln(t)),
-        total_mass=1.0,
-        hints=(max(t - 1.0, 0.5 * t),),
-    )
-
-
-def subordinator_family(psi: BernsteinFunction) -> SubordinatorFamily:
-    """The closed-form nu_t family for psi, or CatalogGapError."""
-    cid = psi.catalog_id
-    if cid == "poisson":
-        return SubordinatorFamily("poisson", 1, "atoms", atoms_at=_poisson_atoms)
-    if cid == "linear":
-        c1 = np.asarray(psi.c1, dtype=float)
-        return SubordinatorFamily("linear", psi.n, "point",
-                                  point_at=lambda t: t * c1)
-    if cid == "fractional_power":
-        alpha = psi.params["alpha"]
-        if alpha == 1.0:
-            return SubordinatorFamily(cid, 1, "point",
-                                      point_at=lambda t: np.array([t]))
-        if alpha == 0.5:
-            return SubordinatorFamily(cid, 1, "density", density_at=_smirnov_density)
-        raise CatalogGapError(
-            "no closed-form subordination density for exponent %g" % alpha)
-    if cid == "log1m":
-        return SubordinatorFamily(cid, 1, "density", density_at=_gamma_density)
-    if cid == "direct_sum":
-        fams = tuple(subordinator_family(c) for c in psi.children)
-        return SubordinatorFamily(cid, psi.n, "product", children=fams,
-                                  split=psi.params["split"])
-    if cid == "diagonal_lift":
-        base = subordinator_family(psi.children[0])
-        w = np.asarray(psi.params["w"], dtype=float)
-        if base.kind == "point":
-            return SubordinatorFamily(cid, psi.n, "point",
-                                      point_at=lambda t: float(base.point_at(t)[0]) * w)
-        if base.kind == "atoms":
-            return SubordinatorFamily(
-                cid, psi.n, "atoms",
-                atoms_at=lambda t: [(float(loc[0]) * w, m)
-                                    for loc, m in base.atoms_at(t)])
-        if base.kind == "density":
-            return SubordinatorFamily(
-                cid, psi.n, "density",
-                density_at=lambda t: base.density_at(t).pushforward(w))
-        raise CatalogGapError("lift of a composite family is not supported")
-    if cid == "cone_combination":
-        fams = tuple(subordinator_family(c) for c in psi.children)
-        return SubordinatorFamily(cid, psi.n, "convolution", children=fams,
-                                  weights=tuple(psi.params["coefficients"]))
-    raise CatalogGapError("no subordination family for catalog id %r" % cid)
-
-
 def _restrict(A: OperatorTuple, lo: int, hi: int) -> OperatorTuple:
     spec = None
     if A.spectral is not None:
@@ -316,11 +204,9 @@ def _restrict(A: OperatorTuple, lo: int, hi: int) -> OperatorTuple:
     return make_tuple(A.generators[lo:hi], spectral=spec, bounds=A.bounds[lo:hi])
 
 
-def _subordinated_family(fam: SubordinatorFamily, psi, A: OperatorTuple,
+def _subordinated_family(fam: SubordinatorFamily, A: OperatorTuple,
                          t: float, tol: float):
     d = A.d
-    if fam.kind == "point":
-        return semigroup_apply(A, fam.point_at(t))
     if fam.kind == "atoms":
         out = np.zeros((d, d), dtype=complex)
         for loc, mass in fam.atoms_at(t):
@@ -341,18 +227,17 @@ def _subordinated_family(fam: SubordinatorFamily, psi, A: OperatorTuple,
         return integrate_measure(0.0, nu_t, None, part_setup, tol)
     if fam.kind == "product":
         m = fam.split
-        left = _subordinated_family(fam.children[0], psi.children[0],
-                                    _restrict(A, 0, m), t, tol / 2.0)
-        right = _subordinated_family(fam.children[1], psi.children[1],
-                                     _restrict(A, m, A.n), t, tol / 2.0)
+        left = _subordinated_family(fam.children[0], _restrict(A, 0, m),
+                                    t, tol / 2.0)
+        right = _subordinated_family(fam.children[1], _restrict(A, m, A.n),
+                                     t, tol / 2.0)
         return left @ right
-    if fam.kind == "convolution":
-        out = np.eye(d, dtype=complex)
-        for a, child_fam, child in zip(fam.weights, fam.children, psi.children):
-            out = out @ _subordinated_family(child_fam, child, A, a * t,
-                                             tol / len(fam.weights))
-        return out
-    raise CatalogGapError("unrecognized family kind %r" % fam.kind)
+    # convolution
+    out = np.eye(d, dtype=complex)
+    for a, child in zip(fam.weights, fam.children):
+        out = out @ _subordinated_family(child, A, a * t,
+                                         tol / len(fam.weights))
+    return out
 
 
 def subordinated(psi: BernsteinFunction, A: OperatorTuple, t: float,
@@ -369,16 +254,15 @@ def subordinated(psi: BernsteinFunction, A: OperatorTuple, t: float,
         raise ValueError("function arity and tuple size differ")
     if t == 0:
         return np.eye(A.d, dtype=complex)
-    try:
-        fam = subordinator_family(psi)
-    except CatalogGapError:
+    if psi.subordinator is None:
         if on_gap != "expm":
-            raise
+            raise CatalogGapError(
+                "no closed-form subordination measure is known for this function")
         warnings.warn("no closed-form subordination measure; "
                       "falling back to exp(t psi(A))", RuntimeWarning,
                       stacklevel=2)
         return expm(t * apply_psi(psi, A, tol))
-    return _subordinated_family(fam, psi, A, t, tol)
+    return _subordinated_family(psi.subordinator, A, t, tol)
 
 
 def laplace_identity_error(psi: BernsteinFunction, t: float, s_grid,

@@ -27,9 +27,7 @@ from scipy.linalg import expm
 
 from .analysis import (boundedness_experiment, convergence_experiment,
                        holomorphy_criterion, moment_check)
-from .bernstein import (BernsteinFunction, QuadratureError, cone_combine,
-                        diagonal_lift, direct_sum, fractional_power, linear,
-                        log1m, poisson)
+from .bernstein import CATALOG, QuadratureError, build_catalog
 from .calculus import (CatalogGapError, apply_psi, apply_psi_spectral,
                        factorization_check, generator_limit_check,
                        laplace_identity_error, subordinated)
@@ -37,16 +35,6 @@ from .semigroup import (DiagonalRayModel, OperatorTuple,
                         fourier_translation_model, make_commuting_random,
                         make_tuple)
 from .spectra import mapping_check
-
-_CATALOG_HELP = (
-    ("fractional_power", "parameters {alpha}, 0 < alpha <= 1"),
-    ("poisson", "no parameters"),
-    ("log1m", "no parameters"),
-    ("linear", "parameters {c1: [..]}, nonnegative drift"),
-    ("diagonal_lift", "parameters {w: [..]}, children [phi]"),
-    ("direct_sum", "children [psi1, psi2]"),
-    ("cone_combination", "parameters {coefficients: [..]}, children [..]"),
-)
 
 _EXPERIMENT_KINDS = ("oracle_equivalence", "subordination", "spectral_mapping",
                      "factorization", "holomorphy", "moment_sweep",
@@ -190,9 +178,13 @@ def _parse_function(raw, idx: int, known: dict):
     if fid in known:
         _fail("duplicate function id %r" % fid, loc + ".id")
     catalog = _as_id(raw.get("catalog"), loc + ".catalog")
+    if catalog not in CATALOG:
+        _fail("unknown catalog id %r" % catalog, loc + ".catalog")
+    entry = CATALOG[catalog]
     params = raw.get("parameters", {})
     if not isinstance(params, dict):
         _fail("expected an object", loc + ".parameters")
+    _check_keys(params, (entry.param,), loc + ".parameters")
     children = raw.get("children", [])
     if not isinstance(children, list):
         _fail("expected a list of function ids", loc + ".children")
@@ -204,67 +196,27 @@ def _parse_function(raw, idx: int, known: dict):
                   loc + ".children[%d]" % k)
         kids.append(ref)
 
-    def need_children(count):
-        if len(kids) != count:
-            _fail("%r takes exactly %d children" % (catalog, count),
-                  loc + ".children")
-
-    norm_params: dict = {}
-    if catalog == "fractional_power":
-        need_children(0)
-        alpha = _as_number(params.get("alpha"), loc + ".parameters.alpha")
-        if not 0.0 < alpha <= 1.0:
-            _fail("alpha must lie in (0, 1]", loc + ".parameters.alpha")
-        fn = fractional_power(alpha)
-        norm_params = {"alpha": alpha}
-    elif catalog == "poisson":
-        need_children(0)
-        fn = poisson()
-    elif catalog == "log1m":
-        need_children(0)
-        fn = log1m()
-    elif catalog == "linear":
-        need_children(0)
-        c1 = params.get("c1", [1.0])
-        if not isinstance(c1, list) or not c1:
-            _fail("expected a nonempty list of numbers",
-                  loc + ".parameters.c1")
-        c1 = [_as_number(v, loc + ".parameters.c1[%d]" % k)
-              for k, v in enumerate(c1)]
-        try:
-            fn = linear(c1)
-        except ValueError as exc:
-            _fail(str(exc), loc + ".parameters.c1")
-        norm_params = {"c1": c1}
-    elif catalog == "diagonal_lift":
-        need_children(1)
-        w = params.get("w")
-        if not isinstance(w, list) or not w:
-            _fail("expected a nonempty list of numbers", loc + ".parameters.w")
-        w = [_as_number(v, loc + ".parameters.w[%d]" % k)
-             for k, v in enumerate(w)]
-        try:
-            fn = diagonal_lift(known[kids[0]], w)
-        except ValueError as exc:
-            _fail(str(exc), loc + ".parameters.w")
-        norm_params = {"w": w}
-    elif catalog == "direct_sum":
-        need_children(2)
-        fn = direct_sum(known[kids[0]], known[kids[1]])
-    elif catalog == "cone_combination":
-        coeffs = params.get("coefficients")
-        if not isinstance(coeffs, list) or len(coeffs) != len(kids) or not kids:
-            _fail("coefficients and children must have equal positive length",
-                  loc + ".parameters.coefficients")
-        coeffs = [_as_number(v, loc + ".parameters.coefficients[%d]" % k)
-                  for k, v in enumerate(coeffs)]
-        try:
-            fn = cone_combine(list(zip(coeffs, (known[r] for r in kids))))
-        except ValueError as exc:
-            _fail(str(exc), loc + ".parameters.coefficients")
-        norm_params = {"coefficients": coeffs}
-    else:
-        _fail("unknown catalog id %r" % catalog, loc + ".catalog")
+    ploc = loc + ".parameters"
+    value, norm_params = None, {}
+    if entry.param is not None:
+        ploc += "." + entry.param
+        value = params.get(entry.param, entry.default)
+        if entry.kind == "number":
+            value = _as_number(value, ploc)
+        else:
+            if not isinstance(value, (list, tuple)) or not value:
+                _fail("expected a nonempty list of numbers", ploc)
+            value = [_as_number(v, "%s[%d]" % (ploc, k))
+                     for k, v in enumerate(value)]
+        norm_params = {entry.param: value}
+    want = entry.child_count(value)
+    if len(kids) != want:
+        _fail("%r takes exactly %d children" % (catalog, want),
+              loc + ".children")
+    try:
+        fn = build_catalog(catalog, norm_params, [known[k] for k in kids])
+    except ValueError as exc:
+        _fail(str(exc), ploc)
     spec = {"id": fid, "catalog": catalog, "parameters": norm_params,
             "children": kids}
     return fid, fn, spec
@@ -673,7 +625,7 @@ def _run_subordination(name, spec, cfg, ops, seed, tol, idx):
     except CatalogGapError as exc:
         return ([Row(name, "family", "closed_form_family", None, None,
                      "INAPPLICABLE")],
-                True, ("no closed-form subordinator family: %s" % exc,))
+                True, (str(exc),))
     return rows, False, ()
 
 
@@ -994,9 +946,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_catalog:
-        width = max(len(cid) for cid, _ in _CATALOG_HELP)
-        for cid, desc in _CATALOG_HELP:
-            print("%s  %s" % (cid.ljust(width), desc))
+        width = max(len(cid) for cid in CATALOG)
+        for cid, entry in CATALOG.items():
+            print("%s  %s" % (cid.ljust(width), entry.help))
         return 0
     if args.command != "run":
         parser.print_usage(sys.stderr)

@@ -43,7 +43,7 @@ class OperatorTuple:
     n: int
     d: int
     generators: tuple          # n complex d x d arrays
-    bounds: tuple              # certified M_j >= 1
+    bounds: tuple              # M_j >= 1, see estimate_bound
     commutator_residual: float
     spectral: Optional[SpectralData] = None
 
@@ -203,13 +203,19 @@ def _sampled_bound(g: np.ndarray) -> float:
         else:
             sup, flat = octave, 0
         t_lo *= 2.0
-    # contractions certify exactly 1; only a genuine overshoot gets the
-    # sampling safety factor
+    # a sampled sup of at most 1 returns exactly 1; only an overshoot gets
+    # the 1.01 safety factor.  Neither is certified: a peak between grid
+    # nodes goes unseen
     return 1.0 if sup <= 1.0 + 1e-9 else 1.01 * sup
 
 
 def estimate_bound(A: OperatorTuple, j: int) -> float:
-    """Certified M_j with sup_t ||exp(t A_j)|| <= M_j."""
+    """M_j >= 1 meant to satisfy sup_t ||exp(t A_j)|| <= M_j.
+
+    With spectral data it is cond(P), which certifies the bound.  For a
+    generator-only tuple it is sampled on a geometric grid of t and is not
+    certified.
+    """
     if not (0 <= j < A.n):
         raise IndexError("generator index out of range")
     if A.spectral is not None:

@@ -51,6 +51,33 @@ class TestCatalogValues:
         assert psi(np.array([-9.0])) == pytest.approx(-3.0, abs=1e-12)
         with pytest.raises(KeyError):
             B.build_catalog("unknown_id", {})
+        with pytest.raises(ValueError, match="needs parameter 'alpha'"):
+            B.build_catalog("fractional_power", {})
+        with pytest.raises(ValueError, match="no parameter 'c'"):
+            B.build_catalog("linear", {"c": [2.0]})
+        with pytest.raises(ValueError, match="exactly 2 children"):
+            B.build_catalog("direct_sum", {}, [B.poisson()])
+
+    @pytest.mark.parametrize("cid", B.catalog_ids())
+    def test_catalog_member_matches_constructor(self, cid):
+        ps, lg = B.poisson(), B.log1m()
+        params, children, direct = {
+            "fractional_power": ({"alpha": 0.3}, (),
+                                 lambda: B.fractional_power(0.3)),
+            "poisson": ({}, (), B.poisson),
+            "log1m": ({}, (), B.log1m),
+            "linear": ({"c1": [2.0, 0.5]}, (), lambda: B.linear([2.0, 0.5])),
+            "diagonal_lift": ({"w": [1.0, 0.5]}, (lg,),
+                              lambda: B.diagonal_lift(lg, [1.0, 0.5])),
+            "direct_sum": ({}, (ps, lg), lambda: B.direct_sum(ps, lg)),
+            "cone_combination": (
+                {"coefficients": [2.0, 0.5]}, (ps, lg),
+                lambda: B.cone_combine([(2.0, ps), (0.5, lg)])),
+        }[cid]
+        psi, ref = B.build_catalog(cid, params, children), direct()
+        s = -np.linspace(0.7, 1.3, ref.n)
+        assert psi.n == ref.n
+        assert psi(s) == ref(s)
 
 
 class TestRepresentationConsistency:

@@ -191,6 +191,21 @@ class TestSubordinated:
         expected = expm(apply_psi(psi, A))
         assert opnorm(got - expected) <= 1e-8
 
+    @pytest.mark.parametrize("build,n", [
+        (lambda: diagonal_lift(cone_combine([(1.0, poisson())]), [1.0, 0.5]), 2),
+        (lambda: direct_sum(poisson(), fractional_power(0.3)), 2),
+    ], ids=["lift_of_cone", "sum_with_gap"])
+    def test_composite_gap(self, build, n):
+        # a lift of a convolution, and a sum with a gap block, carry no family
+        psi = build()
+        A = make_commuting_random(n, 3, seed=2)
+        with pytest.raises(CatalogGapError):
+            subordinated(psi, A, 1.0)
+        with pytest.warns(RuntimeWarning):
+            got = subordinated(psi, A, 1.0, on_gap="expm")
+        expected = expm(apply_psi(psi, A))
+        assert opnorm(got - expected) <= 1e-8 * max(1.0, opnorm(expected))
+
     @pytest.mark.parametrize("name,build,n", CATALOG_PAIRS)
     def test_laplace_identity(self, name, build, n):
         if name == "frac03":

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from bpcalc.cli import (ConfigError, config_document, emit_report,
-                        _load_config_text, main, parse_config, run)
+from bpcalc.bernstein import CATALOG, catalog_ids
+from bpcalc.cli import (_EXPERIMENT_KINDS, ConfigError, config_document,
+                        emit_report, _load_config_text, main, parse_config,
+                        run)
 
 
 def small_doc():
@@ -53,6 +55,13 @@ class TestParseConfig:
         doc["experiments"][0]["operator"] = "nope"
         with pytest.raises(ConfigError, match="unresolved operator"):
             parse_config(doc)
+
+    def test_unknown_parameter_key_rejected(self):
+        doc = {"functions": [{"id": "f", "catalog": "linear",
+                              "parameters": {"c": [2.0]}}]}
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            parse_config(doc)
+        assert err.value.location == "functions[0].parameters.c"
 
     def test_unknown_catalog_id(self):
         doc = {"functions": [{"id": "f", "catalog": "mystery"}]}
@@ -111,6 +120,31 @@ class TestParseConfig:
         assert len(cfg.experiment_specs) == 16
         kinds = {s["kind"] for s in cfg.experiment_specs}
         assert "holomorphy" in kinds and "convergence" in kinds
+
+
+class TestConfigSchema:
+    @pytest.fixture
+    def schema(self):
+        return json.loads(_load_config_text("config_schema"))
+
+    def test_documents_validate(self, schema):
+        jsonschema = pytest.importorskip("jsonschema")
+        for doc in (json.loads(_load_config_text("theorem_suite")),
+                    small_doc()):
+            jsonschema.validate(doc, schema)
+        bad = small_doc()
+        bad["functions"][0]["parameters"] = {"c": [2.0]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+
+    def test_enums_match_code(self, schema):
+        fn = schema["properties"]["functions"]["items"]["properties"]
+        kind = (schema["properties"]["experiments"]["items"]["properties"]
+                ["kind"])
+        assert tuple(fn["catalog"]["enum"]) == catalog_ids()
+        assert tuple(kind["enum"]) == _EXPERIMENT_KINDS
+        assert set(fn["parameters"]["properties"]) == {
+            e.param for e in CATALOG.values() if e.param is not None}
 
 
 class TestRun:
