@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,8 +68,7 @@ class Atom:
 class RadialDensity:
     """Pushforward of m(r) dr on (0, inf) along r -> r*direction.
 
-    ``support`` is "axis" when direction is a coordinate vector (axis index
-    recorded) and "ray" otherwise.  ``beta`` and ``sing_coeff`` certify
+    ``beta`` and ``sing_coeff`` certify
     m(r) <= sing_coeff * r**-beta for r <= split_radius with beta < 2;
     ``tail_mass`` bounds the mass beyond R (exact when ``tail_exact``);
     ``mass_below`` is the exact partial mass when a closed form exists;
@@ -88,8 +87,6 @@ class RadialDensity:
     log_density: Optional[Callable[[float], float]] = None
     total_mass: Optional[float] = None
     hints: tuple = ()
-    support: str = "ray"
-    axis: Optional[int] = None
 
     def __post_init__(self):
         w = np.asarray(self.direction, dtype=float)
@@ -98,10 +95,6 @@ class RadialDensity:
             raise ValueError("direction must be nonzero with nonnegative entries")
         if self.beta >= 2:
             raise ValueError("origin singularity exponent must satisfy beta < 2")
-        nz = np.nonzero(w)[0]
-        if len(nz) == 1 and self.support == "ray":
-            object.__setattr__(self, "support", "axis")
-            object.__setattr__(self, "axis", int(nz[0]))
 
     @property
     def split_radius(self) -> float:
@@ -112,43 +105,24 @@ class RadialDensity:
         assert a > 0
         dens, tail = self.density, self.tail_mass
         below, logm = self.mass_below, self.log_density
-        return RadialDensity(
-            direction=self.direction,
+        return replace(
+            self,
             density=lambda r, _m=dens: a * _m(r),
-            beta=self.beta,
             sing_coeff=a * self.sing_coeff,
             tail_mass=lambda R, _t=tail: a * _t(R),
-            tail_exact=self.tail_exact,
             mass_below=None if below is None else (lambda r, _b=below: a * _b(r)),
             log_density=None if logm is None else (lambda v, _g=logm: np.log(a) + _g(v)),
             total_mass=None if self.total_mass is None else a * self.total_mass,
-            hints=self.hints,
-            support=self.support,
-            axis=self.axis,
         )
 
     def embedded(self, n: int, offset: int) -> "RadialDensity":
         w = np.zeros(n)
         w[offset:offset + len(self.direction)] = self.direction
-        return RadialDensity(
-            direction=w, density=self.density, beta=self.beta,
-            sing_coeff=self.sing_coeff, tail_mass=self.tail_mass,
-            tail_exact=self.tail_exact, mass_below=self.mass_below,
-            log_density=self.log_density,
-            total_mass=self.total_mass, hints=self.hints,
-            support="ray", axis=None,
-        )
+        return replace(self, direction=w)
 
     def pushforward(self, w: np.ndarray) -> "RadialDensity":
         """Lift a 1-D profile along r -> r*w (the diagonal-ray support)."""
-        return RadialDensity(
-            direction=np.asarray(w, dtype=float), density=self.density,
-            beta=self.beta, sing_coeff=self.sing_coeff,
-            tail_mass=self.tail_mass, tail_exact=self.tail_exact,
-            mass_below=self.mass_below, log_density=self.log_density,
-            total_mass=self.total_mass,
-            hints=self.hints, support="ray", axis=None,
-        )
+        return replace(self, direction=w)
 
 
 class LevyMeasure:

@@ -7,13 +7,12 @@ nu_t where the catalog has them.
 """
 
 import warnings
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm, schur
 from scipy.special import gammaln, xlogy
 
-from ._integrate import composite_gauss, expm1c, integrate_measure
+from ._integrate import expm1c, integrate_measure
 from .bernstein import (BernsteinFunction, LevyMeasure, SubordinatorFamily,
                         eval_psi)
 from .semigroup import OperatorTuple, make_tuple, semigroup_apply
@@ -36,33 +35,30 @@ class CatalogGapError(LookupError):
 
 
 def _direction_evaluators(A: OperatorTuple, w):
-    """Return (T, delta, ratio) with T(r) = exp(r * sum_j w_j A_j),
-    delta(r) = T(r) - I computed without cancellation, ratio(r) = delta(r)/r.
+    """Return (T, delta, ratio, nrm) with T(r) = exp(r B) for
+    B = sum_j w_j A_j, delta(r) = T(r) - I computed without cancellation,
+    ratio(r) = delta(r)/r and nrm = ||B||_2.
     """
     w = np.asarray(w, dtype=float)
+    B = sum(w[j] * A.generators[j] for j in range(A.n))
+    nrm = float(np.linalg.norm(B, 2))
     if A.spectral is not None:
         z = A.spectral.joint @ w
-        P = A.spectral.basis
-        Pinv = np.linalg.inv(P)
-
-        def sandwich(diag):
-            return (P * diag) @ Pinv
+        apply = A.spectral.apply
 
         def T(r):
-            return sandwich(np.exp(r * z))
+            return apply(np.exp(r * z))
 
         def delta(r):
-            return sandwich(expm1c(r * z))
+            return apply(expm1c(r * z))
 
         def ratio(r):
             if r < _TINY_R:
-                return sandwich(z)
-            return sandwich(expm1c(r * z) / r)
+                return apply(z)
+            return apply(expm1c(r * z) / r)
 
-        return T, delta, ratio
+        return T, delta, ratio, nrm
 
-    B = sum(w[j] * A.generators[j] for j in range(A.n))
-    nrm = float(np.linalg.norm(B, 2))
     eye = np.eye(A.d, dtype=complex)
 
     def T(r):
@@ -93,7 +89,7 @@ def _direction_evaluators(A: OperatorTuple, w):
             return r * series_ratio(r)
         return expm(r * B) - eye
 
-    return T, delta, ratio
+    return T, delta, ratio, nrm
 
 
 def _envelope(A: OperatorTuple, w):
@@ -130,16 +126,6 @@ def _envelope(A: OperatorTuple, w):
     return rho0 * 0.5, far
 
 
-def _ray_setup(A: OperatorTuple, w):
-    """(||sum_j w_j A_j||, prod M_j, rho, far) for the ray r -> r*w, where
-    (rho, far) is the certified envelope of _envelope."""
-    B_nrm = float(np.linalg.norm(
-        sum(w[j] * A.generators[j] for j in range(A.n)), 2))
-    m_prod = float(np.prod(A.bounds))
-    rho, far = _envelope(A, w)
-    return B_nrm, m_prod, rho, far
-
-
 # ---------------------------------------------------------------------------
 # psi(A)
 
@@ -154,13 +140,14 @@ def apply_psi(psi: BernsteinFunction, A: OperatorTuple, tol: float = 1e-9):
     for j in range(A.n):
         if psi.c1[j] != 0.0:
             base = base + psi.c1[j] * A.generators[j]
+    m_prod = float(np.prod(A.bounds))
 
     def part_setup(p):
         w = p.direction
-        B_nrm, m_prod, rho, far = _ray_setup(A, w)
+        _, delta, ratio, B_nrm = _direction_evaluators(A, w)
         if B_nrm == 0.0:
             return None
-        _, delta, ratio = _direction_evaluators(A, w)
+        rho, far = _envelope(A, w)
         kw = dict(f_zero=np.zeros((d, d), dtype=complex),
                   f_lipschitz=B_nrm * m_prod, f_sup=m_prod + 1.0,
                   f_over_r=ratio)
@@ -180,8 +167,7 @@ def apply_psi_spectral(psi: BernsteinFunction, A: OperatorTuple):
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
     vals = np.array([complex(eval_psi(psi, row)) for row in A.spectral.joint])
-    P = A.spectral.basis
-    return (P * vals) @ np.linalg.inv(P)
+    return A.spectral.apply(vals)
 
 
 def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):
@@ -213,9 +199,11 @@ def _subordinated_family(fam: SubordinatorFamily, A: OperatorTuple,
             out = out + mass * semigroup_apply(A, loc)
         return out
     if fam.kind == "density":
+        m_prod = float(np.prod(A.bounds))
+
         def part_setup(p):
-            B_nrm, m_prod, rho, far = _ray_setup(A, p.direction)
-            T, _, _ = _direction_evaluators(A, p.direction)
+            T, _, _, B_nrm = _direction_evaluators(A, p.direction)
+            rho, far = _envelope(A, p.direction)
             kw = dict(f_zero=np.eye(d, dtype=complex),
                       f_lipschitz=max(B_nrm, 1e-300) * m_prod, f_sup=m_prod)
             if rho < 0.0:
@@ -327,72 +315,48 @@ def _v_diag(t, lam, z):
     return out
 
 
-def v_operator(lam: complex, A: OperatorTuple, j: int, u: float,
-               panels: Optional[int] = None):
-    """V_j^lambda(u) = int_0^u e^{(u-s) lambda} T_j(s) ds."""
+def v_operator(lam: complex, A: OperatorTuple, j: int, u: float):
+    """V_j^lambda(u) = int_0^u e^{(u-s) lambda} T_j(s) ds.
+
+    It is the upper-right block of exp(u [[A_j, I], [0, lambda I]]) (Van
+    Loan, "Computing integrals involving the matrix exponential", 1978).
+    """
     if u < 0:
         raise ValueError("upper limit must be nonnegative")
     d = A.d
     if u == 0:
         return np.zeros((d, d), dtype=complex)
-    if A.spectral is not None:
-        diag = _v_diag(u, lam, A.spectral.joint[:, j])
-        P = A.spectral.basis
-        return (P * diag) @ np.linalg.inv(P)
-    G = A.generators[j]
-    if panels is None:
-        panels = 2 + int(np.ceil(u * (abs(lam) + np.linalg.norm(G, 2)) / 3.0))
-
-    def f(s):
-        return np.exp((u - s) * lam) * expm(s * G)
-
-    return composite_gauss(f, 0.0, u, panels)
-
-
-def _axis_envelopes(A: OperatorTuple):
-    return [_envelope(A, np.eye(A.n)[l]) for l in range(A.n)]
+    M = np.zeros((2 * d, 2 * d), dtype=complex)
+    M[:d, :d] = A.generators[j]
+    M[:d, d:] = np.eye(d)
+    M[d:, d:] = lam * np.eye(d)
+    return expm(u * M)[:d, d:]
 
 
 def _w_integrand(A: OperatorTuple, lam, j: int):
     """F(r) = V_j(r w_j) U_j(r w) along a ray direction, plus F(r)/r."""
-    if A.spectral is not None:
-        joint = A.spectral.joint
-        P = A.spectral.basis
-        Pinv = np.linalg.inv(P)
-
-        def make(w):
-            w = np.asarray(w, dtype=float)
-            zj = joint[:, j]
-            pre = joint[:, :j] @ w[:j] if j > 0 else 0.0
-            post = complex(np.dot(w[j + 1:], lam[j + 1:]))
-
-            def diag_at(r):
-                return _v_diag(r * w[j], lam[j], zj) * np.exp(r * (pre + post))
-
-            def F(r):
-                return (P * diag_at(r)) @ Pinv
-
-            def F_over_r(r):
-                if r < _TINY_R:
-                    return w[j] * np.eye(A.d, dtype=complex)
-                return F(r) / r
-
-            return F, F_over_r
-
-        return make
+    spec = A.spectral
 
     def make(w):
         w = np.asarray(w, dtype=float)
+        if spec is not None:
+            zj = spec.joint[:, j]
+            pre = spec.joint[:, :j] @ w[:j] if j > 0 else 0.0
+            post = complex(np.dot(w[j + 1:], lam[j + 1:]))
 
-        def U(r):
-            out = np.eye(A.d, dtype=complex)
-            for l in range(j):
-                if w[l] > 0:
-                    out = out @ expm(r * w[l] * A.generators[l])
-            return complex(np.exp(r * np.dot(w[j + 1:], lam[j + 1:]))) * out
+            def F(r):
+                return spec.apply(_v_diag(r * w[j], lam[j], zj)
+                                  * np.exp(r * (pre + post)))
+        else:
+            def U(r):
+                out = np.eye(A.d, dtype=complex)
+                for l in range(j):
+                    if w[l] > 0:
+                        out = out @ expm(r * w[l] * A.generators[l])
+                return complex(np.exp(r * np.dot(w[j + 1:], lam[j + 1:]))) * out
 
-        def F(r):
-            return v_operator(lam[j], A, j, r * w[j]) @ U(r)
+            def F(r):
+                return v_operator(lam[j], A, j, r * w[j]) @ U(r)
 
         def F_over_r(r):
             if r < _TINY_R:
@@ -415,7 +379,7 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
     d = A.d
     m_prod = float(np.prod(A.bounds))
     make = _w_integrand(A, lam, j)
-    envs = _axis_envelopes(A)
+    envs = [_envelope(A, np.eye(A.n)[l]) for l in range(A.n)]
 
     def tail_rate(w):
         parts = [w[j] * max(lam[j].real, envs[j][0])]

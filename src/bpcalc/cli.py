@@ -714,13 +714,8 @@ def _run_moment(name, spec, cfg, ops, seed, tol, idx):
     for trial in range(spec["trials"]):
         if fixed is None:
             rec = op_spec["random"]
-            kwargs = {}
-            if rec.get("box") is not None:
-                kwargs["spectral_box"] = (tuple(rec["box"][0]),
-                                          tuple(rec["box"][1]))
-            A = make_commuting_random(rec["n"], rec["d"],
-                                      seed=[rec["seed"], seed, trial],
-                                      **kwargs)
+            A = _build_operator(
+                {"random": dict(rec, seed=[rec["seed"], seed, trial])})
         else:
             A = fixed
         rng = np.random.default_rng([seed, idx, trial])

@@ -6,7 +6,7 @@ block (exactly commuting, non-diagonalizable).  A lazy diagonal ray model
 covers the spectra that no finite matrix can host.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,14 +28,19 @@ _RE_TOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Joint eigenstructure: row k of ``joint`` is the eigenvalue tuple of
-    the shared eigenvector P[:, k]."""
+    the shared eigenvector P[:, k]; ``inverse`` is P^{-1}, computed once."""
 
     joint: np.ndarray       # d x n complex
     basis: np.ndarray       # d x d, columns are joint eigenvectors
     cond: float
+    inverse: np.ndarray = field(init=False, repr=False)
 
-    def eigenvalues(self, j: int) -> np.ndarray:
-        return self.joint[:, j]
+    def __post_init__(self):
+        object.__setattr__(self, "inverse", np.linalg.inv(self.basis))
+
+    def apply(self, values) -> np.ndarray:
+        """P diag(values) P^{-1}: eigenvector k is scaled by values[k]."""
+        return (self.basis * values) @ self.inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +89,7 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
 
     if spectral is not None:
         for j in range(n):
-            recon = spectral.basis @ np.diag(spectral.joint[:, j]) \
-                @ np.linalg.inv(spectral.basis)
+            recon = spectral.apply(spectral.joint[:, j])
             if np.linalg.norm(recon - mats[j], 2) > _SPECTRAL_REL * norms[j] + 1e-13:
                 raise ValueError("spectral data does not reproduce generator %d" % j)
         if np.any(spectral.joint.real > _RE_TOL):
@@ -134,9 +138,8 @@ def make_commuting_random(n: int, d: int, seed,
 
     joint = (rng.uniform(re_lo, re_hi, (d, n))
              + 1j * rng.uniform(im_lo, im_hi, (d, n)))
-    Pinv = np.linalg.inv(P)
-    gens = [P @ np.diag(joint[:, j]) @ Pinv for j in range(n)]
     spec = SpectralData(joint=joint, basis=P, cond=cond)
+    gens = [P @ np.diag(joint[:, j]) @ spec.inverse for j in range(n)]
     return make_tuple(gens, spectral=spec, bounds=(cond,) * n)
 
 
@@ -161,8 +164,8 @@ def adjoint(A: OperatorTuple) -> OperatorTuple:
     gens = [g.conj().T for g in A.generators]
     spec = None
     if A.spectral is not None:
-        basis = np.linalg.inv(A.spectral.basis).conj().T
-        spec = SpectralData(joint=A.spectral.joint.conj(), basis=basis,
+        spec = SpectralData(joint=A.spectral.joint.conj(),
+                            basis=A.spectral.inverse.conj().T,
                             cond=A.spectral.cond)
     return make_tuple(gens, spectral=spec, bounds=A.bounds)
 
@@ -177,9 +180,7 @@ def semigroup_apply(A: OperatorTuple, u) -> np.ndarray:
     if not np.any(u > 0):
         return np.eye(A.d, dtype=complex)
     if A.spectral is not None:
-        lam = A.spectral.joint @ u
-        P = A.spectral.basis
-        return (P * np.exp(lam)) @ np.linalg.inv(P)
+        return A.spectral.apply(np.exp(A.spectral.joint @ u))
     T = np.eye(A.d, dtype=complex)
     for j in range(A.n):
         if u[j] > 0:

@@ -322,7 +322,7 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                     evidence=pairing,
                     verdict="pass" if dist <= thr else "fail"))
     elif part == 4:
-        for p in joint_approximate_spectrum(A).points:
+        for p in approx.points:
             target = complex(eval_psi(psi, p.value))
             sigma = float(np.linalg.svd(F - target * np.eye(A.d),
                                         compute_uv=False)[-1])

@@ -328,9 +328,18 @@ class TestProofOperators:
         assert factorization_check(psi, A, lam) <= 1e-6
 
     def test_factorization_without_spectrum(self):
-        # atoms only, so the nilpotent-block path stays cheap
+        # a measure of atoms only: W_j is a finite sum of V_j terms
         A = make_jordan_polynomial(1, 3, seed=6)
         res = factorization_check(poisson(), A, [-0.9 + 0.1j])
+        assert res <= 1e-6
+
+    @pytest.mark.parametrize("name", ["log1m", "frac05", "lift"])
+    def test_factorization_without_spectrum_radial(self, name):
+        # a radial density: every quadrature node of W_j evaluates V_j on a
+        # non-diagonalizable tuple
+        build, n = {p[0]: p[1:] for p in CATALOG_PAIRS}[name]
+        A = make_jordan_polynomial(n, 3, seed=6)
+        res = factorization_check(build(), A, [-0.9 + 0.1j] * n)
         assert res <= 1e-6
 
 

@@ -146,6 +146,24 @@ class TestConfigSchema:
         assert set(fn["parameters"]["properties"]) == {
             e.param for e in CATALOG.values() if e.param is not None}
 
+    def test_parameter_of_another_member_rejected(self, schema):
+        jsonschema = pytest.importorskip("jsonschema")
+        doc = {"functions": [{"id": "f", "catalog": "linear",
+                              "parameters": {"alpha": 0.5}}]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+
+    def test_allowed_parameter_matches_catalog(self, schema):
+        rules = schema["properties"]["functions"]["items"]["allOf"]
+        allowed = {}
+        for rule in rules:
+            cid = rule["if"]["properties"]["catalog"]["const"]
+            params = rule["then"]["properties"]["parameters"]
+            allowed[cid] = params.get("propertyNames", {}).get("const")
+            if allowed[cid] is None:
+                assert params["maxProperties"] == 0
+        assert allowed == {cid: e.param for cid, e in CATALOG.items()}
+
 
 class TestRun:
     def test_small_scenario_passes(self):
