@@ -13,8 +13,8 @@ import numpy as np
 
 from .bernstein import BernsteinFunction, eval_psi
 from .calculus import _psi_matrix
-from .semigroup import (DiagonalRayModel, OperatorTuple,
-                        fourier_translation_model, semigroup_apply)
+from .semigroup import (DiagonalRayModel, OperatorTuple, fourier_modes,
+                        semigroup_apply)
 
 __all__ = [
     "HolomorphyReport", "MomentReport", "k_constant", "moment_check",
@@ -200,13 +200,14 @@ def boundedness_experiment(psi: BernsteinFunction, K_list) -> np.ndarray:
 
     Evaluated on the diagonal: the model's joint spectrum sits on the
     imaginary axes, where the generators are simultaneously diagonal and
-    psi(A) is exactly diag(psi(ik)).  Bounded psi keeps the sequence flat;
+    psi(A) is exactly diag(psi(ik)), so only the modes are formed, never
+    the (2K+1)^n square generators.  Bounded psi keeps the sequence flat;
     unbounded psi diverges with K.
     """
     out = []
     for K in K_list:
-        model = fourier_translation_model(int(K), n=psi.n)
-        vals = [abs(complex(eval_psi(psi, row))) for row in model.spectral.joint]
+        vals = [abs(complex(eval_psi(psi, row)))
+                for row in fourier_modes(int(K), psi.n)]
         out.append(max(vals))
     return np.array(out)
 

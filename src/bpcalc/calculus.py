@@ -155,9 +155,16 @@ def apply_psi(psi: BernsteinFunction, A: OperatorTuple, tol: float = 1e-9):
             kw.update(f_settle=-eye, f_decay=-rho, f_far_coeff=far)
         return delta, kw
 
-    return integrate_measure(base, psi.measure,
-                             lambda loc: _direction_evaluators(A, loc)[1](1.0),
+    return integrate_measure(base, psi.measure, lambda loc: _atom_delta(A, loc),
                              part_setup, tol)
+
+
+def _atom_delta(A: OperatorTuple, w):
+    """T(w) - I for an atom at w; the spectral route needs no ||B||_2."""
+    if A.spectral is not None:
+        z = A.spectral.joint @ np.asarray(w, dtype=float)
+        return A.spectral.apply(expm1c(z))
+    return _direction_evaluators(A, w)[1](1.0)
 
 
 def apply_psi_spectral(psi: BernsteinFunction, A: OperatorTuple):

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,15 +31,9 @@ from .bernstein import CATALOG, QuadratureError, build_catalog
 from .calculus import (CatalogGapError, apply_psi, apply_psi_spectral,
                        factorization_check, generator_limit_check,
                        laplace_identity_error, subordinated)
-from .semigroup import (DiagonalRayModel, OperatorTuple,
-                        fourier_translation_model, make_commuting_random,
-                        make_tuple)
+from .semigroup import (DiagonalRayModel, fourier_translation_model,
+                        make_commuting_random, make_tuple)
 from .spectra import mapping_check
-
-_EXPERIMENT_KINDS = ("oracle_equivalence", "subordination", "spectral_mapping",
-                     "factorization", "holomorphy", "moment_sweep",
-                     "boundedness", "convergence")
-
 
 class ConfigError(ValueError):
     """Config rejection carrying a JSON-path field location."""
@@ -151,10 +145,8 @@ def _as_complex_pair(v, location: str) -> list:
     # canonical form is [re, im]; bare reals are promoted
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return [float(v), 0.0]
-    if isinstance(v, list) and len(v) == 2:
-        return [_as_number(v[0], location + "[0]"),
-                _as_number(v[1], location + "[1]")]
-    _fail("expected a number or an [re, im] pair", location)
+    return _as_list(v, location, "expected a number or an [re, im] pair",
+                    _as_number, 2, 2)
 
 
 def _as_id(v, location: str) -> str:
@@ -163,17 +155,39 @@ def _as_id(v, location: str) -> str:
     return v
 
 
+def _as_ref(v, location: str, table: dict, what: str) -> str:
+    ref = _as_id(v, location)
+    if ref not in table:
+        _fail("unresolved %s reference %r" % (what, ref), location)
+    return ref
+
+
+def _as_list(v, location: str, message: str, item, min_len: int = 1,
+             max_len: Optional[int] = None) -> list:
+    """item(entry, "location[k]") of every entry; ``message`` rejects a
+    value that is not a list of min_len..max_len entries."""
+    if (not isinstance(v, (list, tuple)) or len(v) < min_len
+            or (max_len is not None and len(v) > max_len)):
+        _fail(message, location)
+    return [item(x, "%s[%d]" % (location, k)) for k, x in enumerate(v)]
+
+
 def _check_keys(raw: dict, allowed, location: str):
     for key in raw:
         if key not in allowed:
             _fail("unknown key %r" % key, location + "." + str(key))
 
 
-def _parse_function(raw, idx: int, known: dict):
-    loc = "functions[%d]" % idx
-    if not isinstance(raw, dict):
-        _fail("expected an object", loc)
-    _check_keys(raw, ("id", "catalog", "parameters", "children"), loc)
+def _as_object(v, location: str, keys) -> dict:
+    if not isinstance(v, dict):
+        _fail("expected an object", location)
+    _check_keys(v, keys, location)
+    return v
+
+
+def _parse_function(raw, loc: str, known: dict) -> dict:
+    """Build one catalog function into ``known``; returns its spec."""
+    _as_object(raw, loc, ("id", "catalog", "parameters", "children"))
     fid = _as_id(raw.get("id"), loc + ".id")
     if fid in known:
         _fail("duplicate function id %r" % fid, loc + ".id")
@@ -181,22 +195,13 @@ def _parse_function(raw, idx: int, known: dict):
     if catalog not in CATALOG:
         _fail("unknown catalog id %r" % catalog, loc + ".catalog")
     entry = CATALOG[catalog]
-    params = raw.get("parameters", {})
-    if not isinstance(params, dict):
-        _fail("expected an object", loc + ".parameters")
-    _check_keys(params, (entry.param,), loc + ".parameters")
-    children = raw.get("children", [])
-    if not isinstance(children, list):
-        _fail("expected a list of function ids", loc + ".children")
-    kids = []
-    for k, ref in enumerate(children):
-        ref = _as_id(ref, loc + ".children[%d]" % k)
-        if ref not in known:
-            _fail("unresolved function reference %r" % ref,
-                  loc + ".children[%d]" % k)
-        kids.append(ref)
-
     ploc = loc + ".parameters"
+    params = _as_object(raw.get("parameters", {}), ploc, (entry.param,))
+    kids = _as_list(raw.get("children", []), loc + ".children",
+                    "expected a list of function ids",
+                    lambda ref, at: _as_ref(ref, at, known, "function"),
+                    min_len=0)
+
     value, norm_params = None, {}
     if entry.param is not None:
         ploc += "." + entry.param
@@ -204,10 +209,8 @@ def _parse_function(raw, idx: int, known: dict):
         if entry.kind == "number":
             value = _as_number(value, ploc)
         else:
-            if not isinstance(value, (list, tuple)) or not value:
-                _fail("expected a nonempty list of numbers", ploc)
-            value = [_as_number(v, "%s[%d]" % (ploc, k))
-                     for k, v in enumerate(value)]
+            value = _as_list(value, ploc,
+                             "expected a nonempty list of numbers", _as_number)
         norm_params = {entry.param: value}
     want = entry.child_count(value)
     if len(kids) != want:
@@ -217,12 +220,12 @@ def _parse_function(raw, idx: int, known: dict):
         fn = build_catalog(catalog, norm_params, [known[k] for k in kids])
     except ValueError as exc:
         _fail(str(exc), ploc)
-    spec = {"id": fid, "catalog": catalog, "parameters": norm_params,
+    known[fid] = fn
+    return {"id": fid, "catalog": catalog, "parameters": norm_params,
             "children": kids}
-    return fid, fn, spec
 
 
-def _parse_matrices(mats, loc: str):
+def _parse_matrices(mats, loc: str) -> list:
     if not isinstance(mats, list) or not mats:
         _fail("expected a nonempty list of matrices", loc)
     norm = []
@@ -243,14 +246,13 @@ def _parse_matrices(mats, loc: str):
             rows.append([_as_complex_pair(v, "%s[%d][%d]" % (mloc, r, c))
                          for c, v in enumerate(row)])
         norm.append(rows)
-    return norm, d
+    return norm
 
 
-def _parse_operator(raw, idx: int, seen: dict):
-    loc = "operators[%d]" % idx
-    if not isinstance(raw, dict):
-        _fail("expected an object", loc)
-    _check_keys(raw, ("id", "matrices", "random", "fourier", "ray"), loc)
+def _parse_operator(raw, loc: str, seen: dict) -> dict:
+    """Record one operator source's arity in ``seen`` (None for a ray model);
+    returns its spec."""
+    _as_object(raw, loc, ("id", "matrices", "random", "fourier", "ray"))
     oid = _as_id(raw.get("id"), loc + ".id")
     if oid in seen:
         _fail("duplicate operator id %r" % oid, loc + ".id")
@@ -258,29 +260,24 @@ def _parse_operator(raw, idx: int, seen: dict):
     if len(kinds) != 1:
         _fail("specify exactly one of matrices, random, fourier, ray", loc)
     kind = kinds[0]
+    at = "%s.%s" % (loc, kind)
     spec = {"id": oid}
     if kind == "matrices":
-        norm, d = _parse_matrices(raw["matrices"], loc + ".matrices")
-        spec["matrices"] = norm
-        arity = len(norm)
+        spec["matrices"] = _parse_matrices(raw["matrices"], at)
+        arity = len(spec["matrices"])
     elif kind == "random":
-        sub = raw["random"]
-        if not isinstance(sub, dict):
-            _fail("expected an object", loc + ".random")
-        _check_keys(sub, ("n", "d", "seed", "box"), loc + ".random")
-        n = _as_int(sub.get("n"), loc + ".random.n", minimum=1)
-        d = _as_int(sub.get("d"), loc + ".random.d", minimum=1)
-        seed = _as_int(sub.get("seed", 0), loc + ".random.seed", minimum=0)
+        sub = _as_object(raw["random"], at, ("n", "d", "seed", "box"))
+        n = _as_int(sub.get("n"), at + ".n", minimum=1)
+        d = _as_int(sub.get("d"), at + ".d", minimum=1)
+        seed = _as_int(sub.get("seed", 0), at + ".seed", minimum=0)
         rec = {"n": n, "d": d, "seed": seed}
         if "box" in sub:
-            box = sub["box"]
-            bloc = loc + ".random.box"
-            if not isinstance(box, list) or len(box) != 2:
-                _fail("expected [[re_lo, re_hi], [im_lo, im_hi]]", bloc)
-            (re_lo, re_hi), (im_lo, im_hi) = (
-                [_as_number(v, "%s[%d][%d]" % (bloc, a, b))
-                 for b, v in enumerate(pair)]
-                for a, pair in enumerate(box))
+            bloc = at + ".box"
+            shape = "expected [[re_lo, re_hi], [im_lo, im_hi]]"
+            (re_lo, re_hi), (im_lo, im_hi) = _as_list(
+                sub["box"], bloc, shape,
+                lambda pair, ploc: _as_list(pair, ploc, shape, _as_number,
+                                            2, 2), 2, 2)
             if not (re_lo <= re_hi < 0.0):
                 _fail("real range must satisfy re_lo <= re_hi < 0", bloc)
             if im_lo > im_hi:
@@ -289,179 +286,149 @@ def _parse_operator(raw, idx: int, seen: dict):
         spec["random"] = rec
         arity = n
     elif kind == "fourier":
-        sub = raw["fourier"]
-        if not isinstance(sub, dict):
-            _fail("expected an object", loc + ".fourier")
-        _check_keys(sub, ("K", "n"), loc + ".fourier")
-        K = _as_int(sub.get("K"), loc + ".fourier.K", minimum=1)
-        n = _as_int(sub.get("n", 1), loc + ".fourier.n", minimum=1)
+        sub = _as_object(raw["fourier"], at, ("K", "n"))
+        K = _as_int(sub.get("K"), at + ".K", minimum=1)
+        n = _as_int(sub.get("n", 1), at + ".n", minimum=1)
         spec["fourier"] = {"K": K, "n": n}
         arity = n
     else:
-        sub = raw["ray"]
-        if not isinstance(sub, dict):
-            _fail("expected an object", loc + ".ray")
-        _check_keys(sub, ("theta",), loc + ".ray")
-        theta = _as_number(sub.get("theta"), loc + ".ray.theta")
+        sub = _as_object(raw["ray"], at, ("theta",))
+        theta = _as_number(sub.get("theta"), at + ".theta")
         if np.cos(theta) > 1e-15:
-            _fail("ray must lie in the closed left half-plane",
-                  loc + ".ray.theta")
+            _fail("ray must lie in the closed left half-plane", at + ".theta")
         spec["ray"] = {"theta": theta}
         arity = None  # not an operator tuple
-    return oid, arity, spec
+    seen[oid] = arity
+    return spec
 
 
-def _parse_experiment(raw, idx: int, functions: dict, op_arity: dict):
-    loc = "experiments[%d]" % idx
+def _times_fields(raw, loc, *_):
+    at = loc + ".times"
+    times = _as_list(raw.get("times", [0.1, 1.0, 5.0]), at,
+                     "expected a nonempty list of positive times", _as_number)
+    if any(t <= 0 for t in times):
+        _fail("times must be positive", at)
+    return {"times": times}
+
+
+def _parts_fields(raw, loc, *_):
+    at = loc + ".parts"
+    parts = _as_list(raw.get("parts", [1, 2, 4, 5]), at,
+                     "expected a nonempty list of parts 1..5", _as_int)
+    if any(p not in (1, 2, 3, 4, 5) for p in parts):
+        _fail("parts must be within 1..5", at)
+    return {"parts": parts}
+
+
+def _as_lambda(lam, location: str, n: int) -> list:
+    pairs = _as_list(lam, location, "lambda must list %d components" % n,
+                     _as_complex_pair, n, n)
+    if any(p[0] >= 0 for p in pairs):
+        _fail("factorization needs Re lambda_j < 0", location)
+    return pairs
+
+
+def _factorization_fields(raw, loc, n, *_):
+    # explicit lambdas replace the random trials
+    if "lambdas" in raw:
+        return {"lambdas": _as_list(
+            raw["lambdas"], loc + ".lambdas",
+            "expected a nonempty list of lambda tuples",
+            lambda lam, at: _as_lambda(lam, at, n))}
+    return {"trials": _as_int(raw.get("trials", 5), loc + ".trials",
+                              minimum=1)}
+
+
+def _as_model(m, location: str, op_arity: dict):
+    # a ray angle, or the id of a ray model or a one-generator tuple
+    if not isinstance(m, str):
+        return _as_number(m, location)
+    ref = _as_ref(m, location, op_arity, "operator")
+    if op_arity[ref] not in (None, 1):
+        _fail("holomorphy model must be a ray or a one-generator tuple",
+              location)
+    return ref
+
+
+def _holomorphy_fields(raw, loc, _n, functions, op_arity):
+    models = _as_list(raw.get("models"), loc + ".models",
+                      "expected a nonempty list of models",
+                      lambda m, at: _as_model(m, at, op_arity))
+    bounds = _as_list(raw.get("bounds"), loc + ".bounds",
+                      "bounds must list one M_j per model", _as_number,
+                      len(models), len(models))
+    if any(b < 1.0 for b in bounds):
+        _fail("semigroup bounds are at least 1", loc + ".bounds")
+    out = {"models": models, "bounds": bounds}
+    if "function" in raw:
+        at = loc + ".function"
+        ref = out["function"] = _as_ref(raw["function"], at, functions,
+                                        "function")
+        if functions[ref].n != len(models):
+            _fail("function arity %d does not match %d models"
+                  % (functions[ref].n, len(models)), at)
+    return out
+
+
+def _moment_fields(raw, loc, *_):
+    return {"trials": _as_int(raw.get("trials", 100), loc + ".trials",
+                              minimum=1)}
+
+
+def _boundedness_fields(raw, loc, *_):
+    return {"K_list": _as_list(raw.get("K_list", [10, 50, 100]),
+                               loc + ".K_list",
+                               "expected a nonempty list of cutoffs",
+                               lambda K, at: _as_int(K, at, minimum=1))}
+
+
+def _convergence_fields(raw, loc, *_):
+    target = _as_number(raw.get("target", 1e-3), loc + ".target")
+    if target <= 0:
+        _fail("target must be positive", loc + ".target")
+    return {"target": target}
+
+
+def _parse_experiment(raw, loc: str, functions: dict, op_arity: dict):
     if not isinstance(raw, dict):
         _fail("expected an object", loc)
     kind = raw.get("kind")
     if kind not in _EXPERIMENT_KINDS:
         _fail("unknown experiment kind %r" % kind, loc + ".kind")
+    entry = _EXPERIMENTS[kind]
     spec = {"kind": kind}
     if "id" in raw:
         spec["id"] = _as_id(raw["id"], loc + ".id")
 
-    def fn_ref(key="function"):
-        ref = _as_id(raw.get(key), "%s.%s" % (loc, key))
-        if ref not in functions:
-            _fail("unresolved function reference %r" % ref,
-                  "%s.%s" % (loc, key))
-        spec[key] = ref
-        return functions[ref]
-
-    def op_ref(arity=None):
-        ref = _as_id(raw.get("operator"), loc + ".operator")
-        if ref not in op_arity:
-            _fail("unresolved operator reference %r" % ref, loc + ".operator")
-        op_n = op_arity[ref]
-        if op_n is None:
-            _fail("experiment needs an operator tuple, not a ray model",
-                  loc + ".operator")
-        if arity is not None and op_n != arity:
-            _fail("function arity %d does not match operator size %d"
-                  % (arity, op_n), loc + ".operator")
-        spec["operator"] = ref
-        return ref
-
-    allowed = {"kind", "id", "function", "operator"}
-    if kind == "oracle_equivalence":
-        op_ref(arity=fn_ref().n)
-    elif kind == "subordination":
-        allowed |= {"times"}
-        fn = fn_ref()
-        op_ref(arity=fn.n)
-        times = raw.get("times", [0.1, 1.0, 5.0])
-        if not isinstance(times, list) or not times:
-            _fail("expected a nonempty list of positive times", loc + ".times")
-        times = [_as_number(t, loc + ".times[%d]" % k)
-                 for k, t in enumerate(times)]
-        if any(t <= 0 for t in times):
-            _fail("times must be positive", loc + ".times")
-        spec["times"] = times
-    elif kind == "spectral_mapping":
-        allowed |= {"parts"}
-        fn = fn_ref()
-        op_ref(arity=fn.n)
-        parts = raw.get("parts", [1, 2, 4, 5])
-        if not isinstance(parts, list) or not parts:
-            _fail("expected a nonempty list of parts 1..5", loc + ".parts")
-        parts = [_as_int(p, loc + ".parts[%d]" % k) for k, p in enumerate(parts)]
-        if any(p not in (1, 2, 3, 4, 5) for p in parts):
-            _fail("parts must be within 1..5", loc + ".parts")
-        spec["parts"] = parts
-    elif kind == "factorization":
-        allowed |= {"lambdas", "trials"}
-        fn = fn_ref()
-        op_ref(arity=fn.n)
-        if "lambdas" in raw:
-            lams = raw["lambdas"]
-            lloc = loc + ".lambdas"
-            if not isinstance(lams, list) or not lams:
-                _fail("expected a nonempty list of lambda tuples", lloc)
-            norm = []
-            for k, lam in enumerate(lams):
-                if not isinstance(lam, list) or len(lam) != fn.n:
-                    _fail("lambda must list %d components" % fn.n,
-                          "%s[%d]" % (lloc, k))
-                pairs = [_as_complex_pair(v, "%s[%d][%d]" % (lloc, k, c))
-                         for c, v in enumerate(lam)]
-                if any(p[0] >= 0 for p in pairs):
-                    _fail("factorization needs Re lambda_j < 0",
-                          "%s[%d]" % (lloc, k))
-                norm.append(pairs)
-            spec["lambdas"] = norm
-        else:
-            spec["trials"] = _as_int(raw.get("trials", 5), loc + ".trials",
-                                     minimum=1)
-    elif kind == "holomorphy":
-        allowed |= {"models", "bounds"}
-        models = raw.get("models")
-        if not isinstance(models, list) or not models:
-            _fail("expected a nonempty list of models", loc + ".models")
-        norm_models = []
-        for k, m in enumerate(models):
-            mloc = loc + ".models[%d]" % k
-            if isinstance(m, str):
-                if m not in op_arity:
-                    _fail("unresolved operator reference %r" % m, mloc)
-                if op_arity[m] not in (None, 1):
-                    _fail("holomorphy model must be a ray or a one-generator "
-                          "tuple", mloc)
-                norm_models.append(m)
-            else:
-                norm_models.append(_as_number(m, mloc))
-        bounds = raw.get("bounds")
-        if not isinstance(bounds, list) or len(bounds) != len(norm_models):
-            _fail("bounds must list one M_j per model", loc + ".bounds")
-        bounds = [_as_number(b, loc + ".bounds[%d]" % k)
-                  for k, b in enumerate(bounds)]
-        if any(b < 1.0 for b in bounds):
-            _fail("semigroup bounds are at least 1", loc + ".bounds")
-        spec["models"] = norm_models
-        spec["bounds"] = bounds
-        if "function" in raw:
-            fn = fn_ref()
-            if fn.n != len(norm_models):
-                _fail("function arity %d does not match %d models"
-                      % (fn.n, len(norm_models)), loc + ".function")
-    elif kind == "moment_sweep":
-        allowed |= {"trials"}
-        fn = fn_ref()
-        op_ref(arity=fn.n)
-        spec["trials"] = _as_int(raw.get("trials", 100), loc + ".trials",
-                                 minimum=1)
-    elif kind == "boundedness":
-        allowed |= {"K_list"}
-        fn_ref()
-        K_list = raw.get("K_list", [10, 50, 100])
-        if not isinstance(K_list, list) or not K_list:
-            _fail("expected a nonempty list of cutoffs", loc + ".K_list")
-        spec["K_list"] = [_as_int(K, loc + ".K_list[%d]" % k, minimum=1)
-                          for k, K in enumerate(K_list)]
-    else:  # convergence names a function list instead of one function
-        allowed = {"kind", "id", "functions", "operator", "target"}
-        refs = raw.get("functions")
-        if not isinstance(refs, list) or len(refs) < 2:
-            _fail("expected at least two function ids", loc + ".functions")
-        arity = None
+    n = None
+    if "function" in entry.operands:
+        at = loc + ".function"
+        ref = spec["function"] = _as_ref(raw.get("function"), at, functions,
+                                         "function")
+        n = functions[ref].n
+    if "functions" in entry.operands:
+        at = loc + ".functions"
+        refs = spec["functions"] = _as_list(
+            raw.get("functions"), at, "expected at least two function ids",
+            lambda ref, rloc: _as_ref(ref, rloc, functions, "function"),
+            min_len=2)
+        n = functions[refs[0]].n
         for k, ref in enumerate(refs):
-            ref = _as_id(ref, loc + ".functions[%d]" % k)
-            if ref not in functions:
-                _fail("unresolved function reference %r" % ref,
-                      loc + ".functions[%d]" % k)
-            if arity is None:
-                arity = functions[ref].n
-            elif functions[ref].n != arity:
+            if functions[ref].n != n:
                 _fail("sequence members must share one arity",
-                      loc + ".functions[%d]" % k)
-        spec["functions"] = list(refs)
-        op_ref(arity=arity)
-        target = _as_number(raw.get("target", 1e-3), loc + ".target")
-        if target <= 0:
-            _fail("target must be positive", loc + ".target")
-        spec["target"] = target
-    _check_keys(raw, allowed, loc)
+                      "%s[%d]" % (at, k))
+    if "operator" in entry.operands:
+        at = loc + ".operator"
+        ref = spec["operator"] = _as_ref(raw.get("operator"), at, op_arity,
+                                         "operator")
+        if op_arity[ref] is None:
+            _fail("experiment needs an operator tuple, not a ray model", at)
+        if op_arity[ref] != n:
+            _fail("function arity %d does not match operator size %d"
+                  % (n, op_arity[ref]), at)
+    if entry.parse is not None:
+        spec.update(entry.parse(raw, loc, n, functions, op_arity))
+    _check_keys(raw, ("kind", "id") + entry.operands + entry.fields, loc)
     return spec
 
 
@@ -494,22 +461,18 @@ def parse_config(document) -> ScenarioConfig:
         _fail("format must be text or csv", "format")
 
     functions: dict = {}
-    function_specs = []
-    for i, f in enumerate(raw.get("functions", [])):
-        fid, fn, spec = _parse_function(f, i, functions)
-        functions[fid] = fn
-        function_specs.append(spec)
-
+    function_specs = _as_list(
+        raw.get("functions", []), "functions", "expected a list of functions",
+        lambda f, at: _parse_function(f, at, functions), min_len=0)
     op_arity: dict = {}
-    operator_specs = []
-    for i, o in enumerate(raw.get("operators", [])):
-        oid, arity, spec = _parse_operator(o, i, op_arity)
-        op_arity[oid] = arity
-        operator_specs.append(spec)
-
-    experiment_specs = [
-        _parse_experiment(e, i, functions, op_arity)
-        for i, e in enumerate(raw.get("experiments", []))]
+    operator_specs = _as_list(
+        raw.get("operators", []), "operators", "expected a list of operators",
+        lambda o, at: _parse_operator(o, at, op_arity), min_len=0)
+    experiment_specs = _as_list(
+        raw.get("experiments", []), "experiments",
+        "expected a list of experiments",
+        lambda e, at: _parse_experiment(e, at, functions, op_arity),
+        min_len=0)
 
     return ScenarioConfig(tol=tol, seed=seed, fmt=fmt, functions=functions,
                           function_specs=tuple(function_specs),
@@ -533,11 +496,6 @@ class _TupleInvalid(Exception):
     """Operator construction failed; experiments referencing it FAIL."""
 
 
-class _BuildFailure:
-    def __init__(self, message: str):
-        self.message = message
-
-
 def _build_operator(spec: dict):
     if "matrices" in spec:
         mats = [np.array([[complex(re, im) for re, im in row]
@@ -557,12 +515,11 @@ def _build_operator(spec: dict):
     return DiagonalRayModel(theta=spec["ray"]["theta"])
 
 
-def _operator_for(ops: dict, ref: str, tuple_only: bool = True):
+def _operator_for(ops: dict, ref: str):
+    # parse_config admits only tuples where an experiment needs one
     ob = ops[ref]
-    if isinstance(ob, _BuildFailure):
-        raise _TupleInvalid(ob.message)
-    if tuple_only and not isinstance(ob, OperatorTuple):
-        raise _TupleInvalid("operator %r is a ray model, not a tuple" % ref)
+    if isinstance(ob, _TupleInvalid):
+        raise _TupleInvalid(*ob.args)
     return ob
 
 
@@ -678,8 +635,7 @@ def _run_factorization(name, spec, cfg, ops, seed, tol, idx):
 
 
 def _run_holomorphy(name, spec, cfg, ops, seed, tol, idx):
-    models = [m if isinstance(m, float)
-              else _operator_for(ops, m, tuple_only=False)
+    models = [m if isinstance(m, float) else _operator_for(ops, m)
               for m in spec["models"]]
     psi = cfg.functions[spec["function"]] if "function" in spec else None
     rep = holomorphy_criterion(models, spec["bounds"], psi=psi)
@@ -703,21 +659,15 @@ def _run_holomorphy(name, spec, cfg, ops, seed, tol, idx):
 
 def _run_moment(name, spec, cfg, ops, seed, tol, idx):
     psi = cfg.functions[spec["function"]]
-    op_spec = cfg.operator_spec(spec["operator"])
-    fixed = None
-    if "random" not in op_spec:
-        fixed = _operator_for(ops, spec["operator"])
-    else:
-        _operator_for(ops, spec["operator"])  # surface build failures once
+    A = _operator_for(ops, spec["operator"])  # surfaces build failures once
+    # a random recipe draws a fresh tuple per trial
+    rec = cfg.operator_spec(spec["operator"]).get("random")
     rows = []
     worst = None
     for trial in range(spec["trials"]):
-        if fixed is None:
-            rec = op_spec["random"]
+        if rec is not None:
             A = _build_operator(
                 {"random": dict(rec, seed=[rec["seed"], seed, trial])})
-        else:
-            A = fixed
         rng = np.random.default_rng([seed, idx, trial])
         x = rng.standard_normal(A.d)
         rep = moment_check(psi, A, x)
@@ -771,16 +721,42 @@ def _run_convergence(name, spec, cfg, ops, seed, tol, idx):
     return rows, False, ()
 
 
-_RUNNERS = {
-    "oracle_equivalence": _run_oracle,
-    "subordination": _run_subordination,
-    "spectral_mapping": _run_mapping,
-    "factorization": _run_factorization,
-    "holomorphy": _run_holomorphy,
-    "moment_sweep": _run_moment,
-    "boundedness": _run_boundedness,
-    "convergence": _run_convergence,
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment kind and the keys it reads besides kind and id.
+
+    ``operands`` (of function, functions, operator) are resolved by
+    _parse_experiment.  ``fields`` are the kind's own keys, which
+    ``parse(raw, loc, n, functions, op_arity)`` turns into normalized spec
+    entries; n is the arity of the experiment's function(s).  ``runner``
+    returns (rows, fallback, notes).
+    """
+
+    runner: Callable
+    operands: tuple
+    fields: tuple = ()
+    parse: Optional[Callable] = None
+
+
+_EXPERIMENTS = {
+    "oracle_equivalence": _Experiment(_run_oracle, ("function", "operator")),
+    "subordination": _Experiment(_run_subordination, ("function", "operator"),
+                                 ("times",), _times_fields),
+    "spectral_mapping": _Experiment(_run_mapping, ("function", "operator"),
+                                    ("parts",), _parts_fields),
+    "factorization": _Experiment(_run_factorization, ("function", "operator"),
+                                 ("lambdas", "trials"), _factorization_fields),
+    "holomorphy": _Experiment(_run_holomorphy, (),
+                              ("models", "bounds", "function"),
+                              _holomorphy_fields),
+    "moment_sweep": _Experiment(_run_moment, ("function", "operator"),
+                                ("trials",), _moment_fields),
+    "boundedness": _Experiment(_run_boundedness, ("function",), ("K_list",),
+                               _boundedness_fields),
+    "convergence": _Experiment(_run_convergence, ("functions", "operator"),
+                               ("target",), _convergence_fields),
 }
+_EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 def _run_experiment(cfg, spec, idx, ops, seed, tol) -> ExperimentResult:
@@ -789,8 +765,8 @@ def _run_experiment(cfg, spec, idx, ops, seed, tol) -> ExperimentResult:
     start = time.perf_counter()
     fallback = False
     try:
-        rows, fallback, notes = _RUNNERS[kind](name, spec, cfg, ops, seed,
-                                               tol, idx)
+        rows, fallback, notes = _EXPERIMENTS[kind].runner(
+            name, spec, cfg, ops, seed, tol, idx)
     except _TupleInvalid as exc:
         rows = [Row(name, "setup", "tuple_validation", None, None, "FAIL")]
         notes = (str(exc),)
@@ -822,7 +798,7 @@ def run(config: ScenarioConfig, seed: Optional[int] = None,
         try:
             ops[spec["id"]] = _build_operator(spec)
         except (ValueError, np.linalg.LinAlgError) as exc:
-            ops[spec["id"]] = _BuildFailure(str(exc))
+            ops[spec["id"]] = _TupleInvalid(str(exc))
     specs = list(config.experiment_specs)
     results = []
     for i, spec in enumerate(specs):

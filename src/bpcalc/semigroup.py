@@ -17,7 +17,7 @@ __all__ = [
     "SpectralData", "OperatorTuple", "DiagonalRayModel",
     "make_tuple", "make_commuting_random", "make_jordan_polynomial",
     "adjoint", "semigroup_apply", "estimate_bound",
-    "fourier_translation_model", "holomorphy_defect_ray",
+    "fourier_modes", "fourier_translation_model", "holomorphy_defect_ray",
 ]
 
 _COMMUTE_REL = 1e-10
@@ -224,15 +224,21 @@ def estimate_bound(A: OperatorTuple, j: int) -> float:
     return _sampled_bound(A.generators[j])
 
 
-def fourier_translation_model(K: int, n: int = 1) -> OperatorTuple:
-    """Diagonal surrogate of the translation tuple on trigonometric
-    polynomials: eigenvalues i*k for k = -K..K, tensored over n axes."""
+def fourier_modes(K: int, n: int = 1) -> np.ndarray:
+    """(2K+1)^n x n joint eigenvalues of the Fourier translation model: the
+    tuples (i k_1, ..., i k_n) with every k_j in -K..K."""
     if K < 1:
         raise ValueError("mode cutoff must be at least 1")
     modes = 1j * np.arange(-K, K + 1, dtype=float)
-    d = len(modes) ** n
     grids = np.meshgrid(*([modes] * n), indexing="ij")
-    joint = np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def fourier_translation_model(K: int, n: int = 1) -> OperatorTuple:
+    """Diagonal surrogate of the translation tuple on trigonometric
+    polynomials: eigenvalues i*k for k = -K..K, tensored over n axes."""
+    joint = fourier_modes(K, n)
+    d = len(joint)
     gens = [np.diag(joint[:, j]) for j in range(n)]
     spec = SpectralData(joint=joint, basis=np.eye(d, dtype=complex), cond=1.0)
     return make_tuple(gens, spectral=spec, bounds=(1.0,) * n)

@@ -190,6 +190,11 @@ class TestBoundedness:
         norms = boundedness_experiment(linear([1.0]), [1, 10, 100])
         assert np.allclose(norms, [1.0, 10.0, 100.0])
 
+    def test_two_variable_linear_without_dense_model(self):
+        # the dense Fourier model would hold (2K+1)^2 x (2K+1)^2 generators
+        norms = boundedness_experiment(linear([1.0, 1.0]), [1, 10, 50])
+        assert np.allclose(norms, [2.0, 20.0, 100.0])
+
     def test_bounded_composite(self):
         psi = cone_combine([(0.5, poisson()), (0.25, poisson())])
         norms = boundedness_experiment(psi, [10, 100])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bpcalc.bernstein import CATALOG, catalog_ids
-from bpcalc.cli import (_EXPERIMENT_KINDS, ConfigError, config_document,
-                        emit_report, _load_config_text, main, parse_config,
-                        run)
+from bpcalc.cli import (_EXPERIMENT_KINDS, _EXPERIMENTS, ConfigError,
+                        config_document, emit_report, _load_config_text, main,
+                        parse_config, run)
 
 
 def small_doc():
@@ -28,6 +28,215 @@ def small_doc():
 
 def rows_for(report, name):
     return [r for r in report.rows() if r.experiment == name]
+
+
+def corpus_doc(operator=None, experiment=None):
+    """Valid functions ps, fp (n = 1) and ds (n = 2), operators a (n = 1),
+    b (n = 2) and ray; the case under test is operators[3] or
+    experiments[0]."""
+    doc = {
+        "functions": [
+            {"id": "ps", "catalog": "poisson"},
+            {"id": "fp", "catalog": "fractional_power",
+             "parameters": {"alpha": 0.5}},
+            {"id": "ds", "catalog": "direct_sum", "children": ["ps", "fp"]},
+        ],
+        "operators": [{"id": "a", "random": {"n": 1, "d": 3}},
+                      {"id": "b", "random": {"n": 2, "d": 3}},
+                      {"id": "ray", "ray": {"theta": np.pi}}],
+    }
+    if operator is not None:
+        doc["operators"].append(operator)
+    if experiment is not None:
+        doc["experiments"] = [experiment]
+    return doc
+
+
+def op_case(case_id, operator, message, location):
+    return pytest.param(corpus_doc(operator=operator), message,
+                        "operators[3]" + location, id="operator-" + case_id)
+
+
+def exp_case(case_id, experiment, message, location):
+    return pytest.param(corpus_doc(experiment=experiment), message,
+                        "experiments[0]" + location,
+                        id="experiment-" + case_id)
+
+
+def rand(**kw):
+    return {"id": "m", "random": dict({"n": 1, "d": 2}, **kw)}
+
+
+ORACLE = {"kind": "oracle_equivalence", "function": "ps", "operator": "a"}
+HOLO = {"kind": "holomorphy", "models": [np.pi], "bounds": [1.0]}
+
+
+def with_(base, **kw):
+    return dict(base, **kw)
+
+
+def kind(name, **kw):
+    return with_(ORACLE, kind=name, **kw)
+
+
+ERROR_CORPUS = [
+    op_case("not-object", 5, "expected an object", ""),
+    op_case("unknown-key", {"id": "m", "ray": {"theta": np.pi}, "x": 1},
+            "unknown key 'x'", ".x"),
+    op_case("no-id", {"ray": {"theta": np.pi}},
+            "expected a nonempty string id", ".id"),
+    op_case("duplicate", {"id": "a", "ray": {"theta": np.pi}},
+            "duplicate operator id 'a'", ".id"),
+    op_case("no-source", {"id": "m"},
+            "specify exactly one of matrices, random, fourier, ray", ""),
+    op_case("two-sources", {"id": "m", "ray": {"theta": np.pi},
+                            "fourier": {"K": 2}},
+            "specify exactly one of matrices, random, fourier, ray", ""),
+    op_case("matrices-empty", {"id": "m", "matrices": []},
+            "expected a nonempty list of matrices", ".matrices"),
+    op_case("matrix-not-list", {"id": "m", "matrices": [5]},
+            "malformed matrix: expected a list of rows", ".matrices[0]"),
+    op_case("matrix-sizes", {"id": "m", "matrices": [[[0]], [[0, 0], [0, 0]]]},
+            "malformed matrix: generators must share one size",
+            ".matrices[1]"),
+    op_case("matrix-row", {"id": "m", "matrices": [[[0, 0], [0]]]},
+            "malformed matrix: row 1 is not length 2", ".matrices[0]"),
+    op_case("matrix-entry", {"id": "m", "matrices": [[["x"]]]},
+            "expected a number or an [re, im] pair", ".matrices[0][0][0]"),
+    op_case("matrix-pair", {"id": "m", "matrices": [[[[1, "x"]]]]},
+            "expected a number", ".matrices[0][0][0][1]"),
+    op_case("random-not-object", {"id": "m", "random": 5},
+            "expected an object", ".random"),
+    op_case("random-unknown-key", rand(q=1), "unknown key 'q'", ".random.q"),
+    op_case("random-no-n", {"id": "m", "random": {"d": 2}},
+            "expected an integer", ".random.n"),
+    op_case("random-d", rand(d=0), "must be at least 1", ".random.d"),
+    op_case("random-seed", rand(seed=-1), "must be at least 0",
+            ".random.seed"),
+    op_case("box-shape", rand(box=[[-1, -0.5]]),
+            "expected [[re_lo, re_hi], [im_lo, im_hi]]", ".random.box"),
+    op_case("box-entry", rand(box=[[-1, "x"], [0, 1]]), "expected a number",
+            ".random.box[0][1]"),
+    op_case("box-real", rand(box=[[0.5, 1], [0, 1]]),
+            "real range must satisfy re_lo <= re_hi < 0", ".random.box"),
+    op_case("box-imag", rand(box=[[-1, -0.5], [1, 0]]),
+            "imaginary range is reversed", ".random.box"),
+    op_case("fourier-not-object", {"id": "m", "fourier": []},
+            "expected an object", ".fourier"),
+    op_case("fourier-K", {"id": "m", "fourier": {"K": 0}},
+            "must be at least 1", ".fourier.K"),
+    op_case("fourier-n", {"id": "m", "fourier": {"K": 2, "n": 1.5}},
+            "expected an integer", ".fourier.n"),
+    op_case("fourier-unknown-key", {"id": "m", "fourier": {"K": 2, "m": 1}},
+            "unknown key 'm'", ".fourier.m"),
+    op_case("ray-theta", {"id": "m", "ray": {}}, "expected a number",
+            ".ray.theta"),
+    op_case("ray-half-plane", {"id": "m", "ray": {"theta": 0.0}},
+            "ray must lie in the closed left half-plane", ".ray.theta"),
+    op_case("ray-unknown-key", {"id": "m", "ray": {"theta": np.pi, "r": 1}},
+            "unknown key 'r'", ".ray.r"),
+
+    exp_case("not-object", 5, "expected an object", ""),
+    exp_case("unknown-kind", {"kind": "nope"},
+             "unknown experiment kind 'nope'", ".kind"),
+    exp_case("no-kind", {}, "unknown experiment kind None", ".kind"),
+    exp_case("id", with_(ORACLE, id=""), "expected a nonempty string id",
+             ".id"),
+    exp_case("no-function", {"kind": "oracle_equivalence", "operator": "a"},
+             "expected a nonempty string id", ".function"),
+    exp_case("function-unresolved", with_(ORACLE, function="zz"),
+             "unresolved function reference 'zz'", ".function"),
+    exp_case("no-operator", {"kind": "oracle_equivalence", "function": "ps"},
+             "expected a nonempty string id", ".operator"),
+    exp_case("operator-unresolved", with_(ORACLE, operator="zz"),
+             "unresolved operator reference 'zz'", ".operator"),
+    exp_case("operator-ray", with_(ORACLE, operator="ray"),
+             "experiment needs an operator tuple, not a ray model",
+             ".operator"),
+    exp_case("operator-arity", with_(ORACLE, operator="b"),
+             "function arity 1 does not match operator size 2", ".operator"),
+    exp_case("unknown-key", with_(ORACLE, tolerance=1e-3),
+             "unknown key 'tolerance'", ".tolerance"),
+    exp_case("times-not-list", kind("subordination", times="x"),
+             "expected a nonempty list of positive times", ".times"),
+    exp_case("times-empty", kind("subordination", times=[]),
+             "expected a nonempty list of positive times", ".times"),
+    exp_case("times-entry", kind("subordination", times=["a"]),
+             "expected a number", ".times[0]"),
+    exp_case("times-sign", kind("subordination", times=[1, 0]),
+             "times must be positive", ".times"),
+    exp_case("parts-empty", kind("spectral_mapping", parts=[]),
+             "expected a nonempty list of parts 1..5", ".parts"),
+    exp_case("parts-entry", kind("spectral_mapping", parts=[1.5]),
+             "expected an integer", ".parts[0]"),
+    exp_case("parts-range", kind("spectral_mapping", parts=[6]),
+             "parts must be within 1..5", ".parts"),
+    exp_case("lambdas-empty", kind("factorization", lambdas=[]),
+             "expected a nonempty list of lambda tuples", ".lambdas"),
+    exp_case("lambda-length", kind("factorization", lambdas=[[-1, -1]]),
+             "lambda must list 1 components", ".lambdas[0]"),
+    exp_case("lambda-entry", kind("factorization", lambdas=[["x"]]),
+             "expected a number or an [re, im] pair", ".lambdas[0][0]"),
+    exp_case("lambda-sign", kind("factorization", lambdas=[[[0.5, 0.0]]]),
+             "factorization needs Re lambda_j < 0", ".lambdas[0]"),
+    exp_case("factorization-trials", kind("factorization", trials=0),
+             "must be at least 1", ".trials"),
+    exp_case("moment-trials", kind("moment_sweep", trials="5"),
+             "expected an integer", ".trials"),
+    exp_case("moment-times", kind("moment_sweep", times=[1.0]),
+             "unknown key 'times'", ".times"),
+    exp_case("models-missing", {"kind": "holomorphy", "bounds": [1.0]},
+             "expected a nonempty list of models", ".models"),
+    exp_case("model-unresolved", with_(HOLO, models=["zz"]),
+             "unresolved operator reference 'zz'", ".models[0]"),
+    exp_case("model-arity", with_(HOLO, models=["b"]),
+             "holomorphy model must be a ray or a one-generator tuple",
+             ".models[0]"),
+    exp_case("model-entry", with_(HOLO, models=[True]), "expected a number",
+             ".models[0]"),
+    exp_case("bounds-length", with_(HOLO, bounds=[1.0, 1.0]),
+             "bounds must list one M_j per model", ".bounds"),
+    exp_case("bounds-entry", with_(HOLO, bounds=["x"]), "expected a number",
+             ".bounds[0]"),
+    exp_case("bounds-value", with_(HOLO, bounds=[0.5]),
+             "semigroup bounds are at least 1", ".bounds"),
+    exp_case("holomorphy-function", with_(HOLO, function="zz"),
+             "unresolved function reference 'zz'", ".function"),
+    exp_case("holomorphy-arity", with_(HOLO, function="ds"),
+             "function arity 2 does not match 1 models", ".function"),
+    exp_case("K_list-empty", {"kind": "boundedness", "function": "ps",
+                              "K_list": []},
+             "expected a nonempty list of cutoffs", ".K_list"),
+    exp_case("K_list-entry", {"kind": "boundedness", "function": "ps",
+                              "K_list": [0]},
+             "must be at least 1", ".K_list[0]"),
+    exp_case("functions-short", {"kind": "convergence", "functions": ["ps"],
+                                 "operator": "a"},
+             "expected at least two function ids", ".functions"),
+    exp_case("functions-entry", {"kind": "convergence",
+                                 "functions": ["ps", 5], "operator": "a"},
+             "expected a nonempty string id", ".functions[1]"),
+    exp_case("functions-unresolved", {"kind": "convergence",
+                                      "functions": ["ps", "zz"],
+                                      "operator": "a"},
+             "unresolved function reference 'zz'", ".functions[1]"),
+    exp_case("functions-arity", {"kind": "convergence",
+                                 "functions": ["ps", "ds"], "operator": "a"},
+             "sequence members must share one arity", ".functions[1]"),
+    exp_case("target-sign", {"kind": "convergence", "functions": ["ps", "fp"],
+                             "operator": "a", "target": 0},
+             "target must be positive", ".target"),
+    exp_case("target-entry", {"kind": "convergence",
+                              "functions": ["ps", "fp"], "operator": "a",
+                              "target": "x"},
+             "expected a number", ".target"),
+    # kinds that read no operator reject the key, resolved or not
+    exp_case("boundedness-operator", {"kind": "boundedness", "function": "ps",
+                                      "operator": "nope"},
+             "unknown key 'operator'", ".operator"),
+    exp_case("holomorphy-operator", with_(HOLO, operator="a"),
+             "unknown key 'operator'", ".operator"),
+]
 
 
 class TestParseConfig:
@@ -115,6 +324,27 @@ class TestParseConfig:
         second = config_document(parse_config(json.dumps(first)))
         assert first == second
 
+    @pytest.mark.parametrize("doc, message, location", ERROR_CORPUS)
+    def test_error_corpus(self, doc, message, location):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == "%s (at %s)" % (message, location)
+        assert err.value.location == location
+
+    @pytest.mark.parametrize("doc, location", [
+        ({"functions": 5}, "functions"),
+        ({"operators": "ab"}, "operators"),
+        ({"experiments": {"kind": "boundedness"}}, "experiments"),
+        (corpus_doc(rand(box=[[-1, -0.5], [1]])),
+         "operators[3].random.box[1]"),
+        (corpus_doc(rand(box=[[-1, -0.5], 5])), "operators[3].random.box[1]"),
+    ], ids=["functions", "operators", "experiments", "box-pair-short",
+            "box-pair-number"])
+    def test_malformed_list_rejected(self, doc, location):
+        with pytest.raises(ConfigError, match="expected") as err:
+            parse_config(doc)
+        assert err.value.location == location
+
     def test_bundled_suite_parses(self):
         cfg = parse_config(_load_config_text("theorem_suite"))
         assert len(cfg.experiment_specs) == 16
@@ -145,6 +375,28 @@ class TestConfigSchema:
         assert tuple(kind["enum"]) == _EXPERIMENT_KINDS
         assert set(fn["parameters"]["properties"]) == {
             e.param for e in CATALOG.values() if e.param is not None}
+
+    def test_experiment_keys_match_code(self, schema):
+        rules = schema["properties"]["experiments"]["items"]["allOf"]
+        allowed = {rule["if"]["properties"]["kind"]["const"]:
+                   set(rule["then"]["propertyNames"]["enum"])
+                   for rule in rules}
+        assert allowed == {
+            k: {"kind", "id", *e.operands, *e.fields}
+            for k, e in _EXPERIMENTS.items()}
+
+    def test_key_of_another_kind_rejected(self, schema):
+        jsonschema = pytest.importorskip("jsonschema")
+        bad = [corpus_doc(experiment=kind("moment_sweep", times=[1.0])),
+               corpus_doc(experiment={"kind": "boundedness", "function": "ps",
+                                      "operator": "a"}),
+               corpus_doc(operator={"id": "m", "ray": {"theta": np.pi},
+                                    "fourier": {"K": 2}}),
+               corpus_doc(operator={"id": "m"})]
+        jsonschema.validate(corpus_doc(experiment=ORACLE), schema)
+        for doc in bad:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, schema)
 
     def test_parameter_of_another_member_rejected(self, schema):
         jsonschema = pytest.importorskip("jsonschema")
