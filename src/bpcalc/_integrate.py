@@ -2,8 +2,8 @@
 
 Every measure density in this package is a 1-D profile m(r) dr pushed
 forward along a ray r -> r*w (axis supports are the special case w = e_j).
-Integrals of a scalar- or matrix-valued integrand f against such parts share
-one strategy:
+Integrals of a scalar-, vector- or matrix-valued integrand f against such
+parts share one strategy:
 
   * below a cut ``eps`` the contribution is replaced by an analytic lump
     (f(0) times an exact partial mass when one is known, otherwise zero for
@@ -54,7 +54,15 @@ def expm1c(z):
             + 1j * np.exp(x) * np.sin(y))
 
 
+def _norm_kind(x) -> str:
+    # A 1-D value is a profile of eigenvalue factors, whose caller applies
+    # the eigenbasis to it once and bounds the result through the max-norm.
+    return "max" if np.ndim(x) == 1 else "2"
+
+
 def _norm(x) -> float:
+    if _norm_kind(x) == "max":
+        return float(np.max(np.abs(x)))
     if isinstance(x, np.ndarray):
         return float(np.linalg.norm(x.ravel(), 2))
     return abs(x)
@@ -65,11 +73,11 @@ def _interior_points(hints, lo, hi):
     return pts if pts else None
 
 
-def _quad(f, a, b, tol, points=None):
-    # quad_vec's norm for arrays is the flattened 2-norm, which dominates the
-    # spectral norm, so epsabs requests are conservative for matrices.
+def _quad(f, a, b, tol, points=None, norm="2"):
+    # quad_vec's "2" norm for arrays is the flattened 2-norm, which dominates
+    # the spectral norm, so epsabs requests are conservative for matrices.
     value, err = quad_vec(f, a, b, epsabs=0.25 * tol, epsrel=1e-12,
-                          points=points, limit=6000)
+                          norm=norm, points=points, limit=6000)
     return value, float(err)
 
 
@@ -97,9 +105,13 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                     part.log_density it keeps the inner segment finite for
                     beta close to 2, where density(r) itself overflows.
 
+    Every bound and the error estimate use the max-norm for a 1-D (vector)
+    integrand and the flattened 2-norm for a matrix.
+
     Returns (value, error_estimate).
     """
     split = float(part.split_radius)
+    norm = _norm_kind(f_zero)
     budget = tol / 4.0
     m = part.density
     err_total = 0.0
@@ -156,7 +168,7 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                 v = np.log(t) / p_exp
                 return f_over_r(np.exp(v)) * (np.exp(logm(v) + 2.0 * v - np.log(t)) / p_exp)
 
-            seg, err = _quad(g, t0, t1, tol, points=pts)
+            seg, err = _quad(g, t0, t1, tol, points=pts, norm=norm)
         else:
             pts = _interior_points((np.log(h) for h in part.hints if h > 0), log_eps, b_log)
 
@@ -164,7 +176,7 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                 r = np.exp(v)
                 return f(r) * (m(r) * r)
 
-            seg, err = _quad(g, log_eps, b_log, tol, points=pts)
+            seg, err = _quad(g, log_eps, b_log, tol, points=pts, norm=norm)
         value = value + seg
         err_total += err
 
@@ -204,7 +216,7 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
         def h(r):
             return f(r) * m(r)
 
-        seg, err = _quad(h, split, R, tol, points=pts)
+        seg, err = _quad(h, split, R, tol, points=pts, norm=norm)
         value = value + seg
         err_total += err
 

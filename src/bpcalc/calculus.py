@@ -4,6 +4,14 @@ psi(A) follows the measure-structured integral c0 I + c1.A + int (T(u)-I) dmu
 with the same certified-error quadrature used for scalar evaluation; the
 subordinated family g_t(A) integrates T(u) against the closed-form measures
 nu_t where the catalog has them.
+
+Each builder picks its integrand representation once.  On a tuple with
+spectral data, T(u) = P diag(e^{<u, lambda^(k)>}) P^{-1} and the similarity
+commutes with the integral: the quadrature runs on length-d eigenvalue
+profiles in the max-norm, to the budget tol / cond(P), and P is applied once
+to the result.  On a generator-only tuple every node is a d x d matrix
+exponential.  The two routes share no code that sees P, which is what the
+cross-route tests compare.
 """
 
 import warnings
@@ -42,23 +50,6 @@ def _direction_evaluators(A: OperatorTuple, w):
     w = np.asarray(w, dtype=float)
     B = sum(w[j] * A.generators[j] for j in range(A.n))
     nrm = float(np.linalg.norm(B, 2))
-    if A.spectral is not None:
-        z = A.spectral.joint @ w
-        apply = A.spectral.apply
-
-        def T(r):
-            return apply(np.exp(r * z))
-
-        def delta(r):
-            return apply(expm1c(r * z))
-
-        def ratio(r):
-            if r < _TINY_R:
-                return apply(z)
-            return apply(expm1c(r * z) / r)
-
-        return T, delta, ratio, nrm
-
     eye = np.eye(A.d, dtype=complex)
 
     def T(r):
@@ -98,11 +89,6 @@ def _envelope(A: OperatorTuple, w):
     """
     w = np.asarray(w, dtype=float)
     m_prod = float(np.prod(A.bounds))
-    if A.spectral is not None:
-        rho = float(np.max((A.spectral.joint @ w).real))
-        if rho < -1e-12:
-            return rho, float(A.spectral.cond)
-        return 0.0, m_prod
     B = sum(w[j] * A.generators[j] for j in range(A.n))
     Tmat, _ = schur(B, output="complex")
     rho0 = float(np.max(np.diag(Tmat).real))
@@ -127,6 +113,125 @@ def _envelope(A: OperatorTuple, w):
 
 
 # ---------------------------------------------------------------------------
+# integrand representations, chosen once per operator built
+
+
+def _over_r(F, limit):
+    """F(r)/r, returning the r -> 0 limit once r is subnormal-small."""
+    def F_over_r(r):
+        if r < _TINY_R:
+            return limit
+        return F(r) / r
+    return F_over_r
+
+
+class _Matrices:
+    """Generator-only tuples: every integrand value is a d x d matrix,
+    bounded through ||B||_2, prod M_j and the Schur envelope."""
+
+    cond = 1.0
+    compose = np.matmul
+
+    def __init__(self, A: OperatorTuple):
+        self.A = A
+        self.n = A.n
+        self.one = np.eye(A.d, dtype=complex)
+        self.m = float(np.prod(A.bounds))   # sup_u ||T(u)||
+
+    def gen(self, j):
+        return self.A.generators[j]
+
+    def ray(self, w):
+        return _direction_evaluators(self.A, w)
+
+    def envelope(self, w):
+        return _envelope(self.A, w)
+
+    def semigroup(self, u):
+        return semigroup_apply(self.A, u)
+
+    def restrict(self, lo, hi):
+        A = self.A
+        return _Matrices(make_tuple(A.generators[lo:hi], bounds=A.bounds[lo:hi]))
+
+    def w_integrand(self, lam, j):
+        return _w_integrand(self.A, lam, j)
+
+    def finish(self, value):
+        return value
+
+
+class _Profiles:
+    """Tuples with spectral data, where T(u) = P diag(e^{<u, lambda^(k)>}) P^{-1}.
+
+    The similarity commutes with every integral, so each integrand is the
+    length-d profile of its eigenvalue factors and P is applied once, to the
+    integrated profile.  ||P diag(v) P^{-1}||_2 <= cond(P) ||v||_inf, so the
+    profiles are integrated in the max-norm to tol / cond(P); on Re <= 0
+    every factor |e^{rz}| is at most 1, so the bounds need neither ||B||_2
+    nor prod M_j.
+    """
+
+    m = 1.0
+    compose = np.multiply
+
+    def __init__(self, spec, joint=None):
+        self.spec = spec
+        self.joint = spec.joint if joint is None else joint
+        self.n = self.joint.shape[1]
+        self.one = np.ones(len(self.joint), dtype=complex)
+        self.cond = max(1.0, float(spec.cond))
+
+    def gen(self, j):
+        return self.joint[:, j]
+
+    def ray(self, w):
+        """(T, delta, ratio, max|z|) for the profile z of sum_j w_j A_j."""
+        z = self.joint @ np.asarray(w, dtype=float)
+
+        def T(r):
+            return np.exp(r * z)
+
+        def delta(r):
+            return expm1c(r * z)
+
+        return T, delta, _over_r(delta, z), float(np.max(np.abs(z)))
+
+    def envelope(self, w):
+        rho = float(np.max((self.joint @ np.asarray(w, dtype=float)).real))
+        return (rho if rho < -1e-12 else 0.0), 1.0
+
+    def semigroup(self, u):
+        return np.exp(self.joint @ np.asarray(u, dtype=float))
+
+    def restrict(self, lo, hi):
+        return _Profiles(self.spec, self.joint[:, lo:hi])
+
+    def w_integrand(self, lam, j):
+        """make(w) -> (F, F/r) for the profile of V_j(r w_j) U_j(r w)."""
+        zj = self.joint[:, j]
+
+        def make(w):
+            w = np.asarray(w, dtype=float)
+            pre = self.joint[:, :j] @ w[:j] if j > 0 else 0.0
+            post = complex(np.dot(w[j + 1:], lam[j + 1:]))
+
+            def F(r):
+                return _v_diag(r * w[j], lam[j], zj) * np.exp(r * (pre + post))
+
+            return F, _over_r(F, w[j] * self.one)
+
+        return make
+
+    def finish(self, value):
+        return self.spec.apply(value)
+
+
+def _representation(A: OperatorTuple):
+    return _Matrices(A) if A.spectral is None else _Profiles(A.spectral)
+
+
+# ---------------------------------------------------------------------------
 # psi(A)
 
 
@@ -134,37 +239,27 @@ def apply_psi(psi: BernsteinFunction, A: OperatorTuple, tol: float = 1e-9):
     """c0 I + sum_j c1^j A_j + int (T(u) - I) dmu(u)."""
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
-    d = A.d
-    eye = np.eye(d, dtype=complex)
-    base = complex(psi.c0) * eye
+    rep = _representation(A)
+    base = complex(psi.c0) * rep.one
     for j in range(A.n):
         if psi.c1[j] != 0.0:
-            base = base + psi.c1[j] * A.generators[j]
-    m_prod = float(np.prod(A.bounds))
+            base = base + psi.c1[j] * rep.gen(j)
 
     def part_setup(p):
         w = p.direction
-        _, delta, ratio, B_nrm = _direction_evaluators(A, w)
-        if B_nrm == 0.0:
+        _, delta, ratio, nrm = rep.ray(w)
+        if nrm == 0.0:
             return None
-        rho, far = _envelope(A, w)
-        kw = dict(f_zero=np.zeros((d, d), dtype=complex),
-                  f_lipschitz=B_nrm * m_prod, f_sup=m_prod + 1.0,
-                  f_over_r=ratio)
+        rho, far = rep.envelope(w)
+        kw = dict(f_zero=np.zeros_like(rep.one), f_lipschitz=nrm * rep.m,
+                  f_sup=rep.m + 1.0, f_over_r=ratio)
         if rho < 0.0:
-            kw.update(f_settle=-eye, f_decay=-rho, f_far_coeff=far)
+            kw.update(f_settle=-rep.one, f_decay=-rho, f_far_coeff=far)
         return delta, kw
 
-    return integrate_measure(base, psi.measure, lambda loc: _atom_delta(A, loc),
-                             part_setup, tol)
-
-
-def _atom_delta(A: OperatorTuple, w):
-    """T(w) - I for an atom at w; the spectral route needs no ||B||_2."""
-    if A.spectral is not None:
-        z = A.spectral.joint @ np.asarray(w, dtype=float)
-        return A.spectral.apply(expm1c(z))
-    return _direction_evaluators(A, w)[1](1.0)
+    return rep.finish(integrate_measure(
+        base, psi.measure, lambda loc: rep.ray(loc)[1](1.0), part_setup,
+        tol / rep.cond))
 
 
 def apply_psi_spectral(psi: BernsteinFunction, A: OperatorTuple):
@@ -189,49 +284,37 @@ def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):
 # subordination
 
 
-def _restrict(A: OperatorTuple, lo: int, hi: int) -> OperatorTuple:
-    spec = None
-    if A.spectral is not None:
-        spec = type(A.spectral)(joint=A.spectral.joint[:, lo:hi],
-                                basis=A.spectral.basis, cond=A.spectral.cond)
-    return make_tuple(A.generators[lo:hi], spectral=spec, bounds=A.bounds[lo:hi])
-
-
-def _subordinated_family(fam: SubordinatorFamily, A: OperatorTuple,
-                         t: float, tol: float):
-    d = A.d
+def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
     if fam.kind == "atoms":
-        out = np.zeros((d, d), dtype=complex)
+        out = np.zeros_like(rep.one)
         for loc, mass in fam.atoms_at(t):
-            out = out + mass * semigroup_apply(A, loc)
+            out = out + mass * rep.semigroup(loc)
         return out
     if fam.kind == "density":
-        m_prod = float(np.prod(A.bounds))
-
         def part_setup(p):
-            T, _, _, B_nrm = _direction_evaluators(A, p.direction)
-            rho, far = _envelope(A, p.direction)
-            kw = dict(f_zero=np.eye(d, dtype=complex),
-                      f_lipschitz=max(B_nrm, 1e-300) * m_prod, f_sup=m_prod)
+            T, _, _, nrm = rep.ray(p.direction)
+            rho, far = rep.envelope(p.direction)
+            kw = dict(f_zero=rep.one, f_lipschitz=max(nrm, 1e-300) * rep.m,
+                      f_sup=rep.m)
             if rho < 0.0:
-                kw.update(f_settle=np.zeros((d, d), dtype=complex),
-                          f_decay=-rho, f_far_coeff=far)
+                kw.update(f_settle=np.zeros_like(rep.one), f_decay=-rho,
+                          f_far_coeff=far)
             return T, kw
 
-        nu_t = LevyMeasure(A.n, parts=[fam.density_at(t)])
+        nu_t = LevyMeasure(rep.n, parts=[fam.density_at(t)])
         return integrate_measure(0.0, nu_t, None, part_setup, tol)
     if fam.kind == "product":
         m = fam.split
-        left = _subordinated_family(fam.children[0], _restrict(A, 0, m),
+        left = _subordinated_family(fam.children[0], rep.restrict(0, m),
                                     t, tol / 2.0)
-        right = _subordinated_family(fam.children[1], _restrict(A, m, A.n),
+        right = _subordinated_family(fam.children[1], rep.restrict(m, rep.n),
                                      t, tol / 2.0)
-        return left @ right
+        return rep.compose(left, right)
     # convolution
-    out = np.eye(d, dtype=complex)
+    out = rep.one
     for a, child in zip(fam.weights, fam.children):
-        out = out @ _subordinated_family(child, A, a * t,
-                                         tol / len(fam.weights))
+        out = rep.compose(out, _subordinated_family(child, rep, a * t,
+                                                    tol / len(fam.weights)))
     return out
 
 
@@ -257,7 +340,9 @@ def subordinated(psi: BernsteinFunction, A: OperatorTuple, t: float,
                       "falling back to exp(t psi(A))", RuntimeWarning,
                       stacklevel=2)
         return expm(t * apply_psi(psi, A, tol))
-    return _subordinated_family(psi.subordinator, A, t, tol)
+    rep = _representation(A)
+    return rep.finish(_subordinated_family(psi.subordinator, rep, t,
+                                           tol / rep.cond))
 
 
 def laplace_identity_error(psi: BernsteinFunction, t: float, s_grid,
@@ -341,36 +426,22 @@ def v_operator(lam: complex, A: OperatorTuple, j: int, u: float):
 
 
 def _w_integrand(A: OperatorTuple, lam, j: int):
-    """F(r) = V_j(r w_j) U_j(r w) along a ray direction, plus F(r)/r."""
-    spec = A.spectral
-
+    """make(w) -> (F, F/r) with F(r) = V_j(r w_j) U_j(r w) along a ray
+    direction w."""
     def make(w):
         w = np.asarray(w, dtype=float)
-        if spec is not None:
-            zj = spec.joint[:, j]
-            pre = spec.joint[:, :j] @ w[:j] if j > 0 else 0.0
-            post = complex(np.dot(w[j + 1:], lam[j + 1:]))
 
-            def F(r):
-                return spec.apply(_v_diag(r * w[j], lam[j], zj)
-                                  * np.exp(r * (pre + post)))
-        else:
-            def U(r):
-                out = np.eye(A.d, dtype=complex)
-                for l in range(j):
-                    if w[l] > 0:
-                        out = out @ expm(r * w[l] * A.generators[l])
-                return complex(np.exp(r * np.dot(w[j + 1:], lam[j + 1:]))) * out
+        def U(r):
+            out = np.eye(A.d, dtype=complex)
+            for l in range(j):
+                if w[l] > 0:
+                    out = out @ expm(r * w[l] * A.generators[l])
+            return complex(np.exp(r * np.dot(w[j + 1:], lam[j + 1:]))) * out
 
-            def F(r):
-                return v_operator(lam[j], A, j, r * w[j]) @ U(r)
+        def F(r):
+            return v_operator(lam[j], A, j, r * w[j]) @ U(r)
 
-        def F_over_r(r):
-            if r < _TINY_R:
-                return w[j] * np.eye(A.d, dtype=complex)
-            return F(r) / r
-
-        return F, F_over_r
+        return F, _over_r(F, w[j] * np.eye(A.d, dtype=complex))
 
     return make
 
@@ -383,10 +454,10 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
         raise ValueError("lambda must have one component per generator")
     if np.any(lam.real >= 0):
         raise ValueError("w_operator requires Re lambda_j < 0")
-    d = A.d
-    m_prod = float(np.prod(A.bounds))
-    make = _w_integrand(A, lam, j)
-    envs = [_envelope(A, np.eye(A.n)[l]) for l in range(A.n)]
+    rep = _representation(A)
+    zero = np.zeros_like(rep.one)
+    make = rep.w_integrand(lam, j)
+    envs = [rep.envelope(np.eye(A.n)[l]) for l in range(A.n)]
 
     def tail_rate(w):
         parts = [w[j] * max(lam[j].real, envs[j][0])]
@@ -400,19 +471,17 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
             return None
         F, F_over_r = make(w)
         gamma = tail_rate(w)
-        kw = dict(f_zero=np.zeros((d, d), dtype=complex),
-                  f_lipschitz=w[j] * m_prod,
-                  f_sup=m_prod / (-lam[j].real),
-                  f_over_r=F_over_r)
+        kw = dict(f_zero=zero, f_lipschitz=w[j] * rep.m,
+                  f_sup=rep.m / (-lam[j].real), f_over_r=F_over_r)
         if gamma > 1e-12:
             far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
                 * 2.0 / (np.e * gamma)
-            kw.update(f_settle=np.zeros((d, d), dtype=complex),
-                      f_decay=0.5 * gamma, f_far_coeff=far)
+            kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
         return F, kw
 
-    return integrate_measure(psi.c1[j] * np.eye(d, dtype=complex), psi.measure,
-                             lambda loc: make(loc)[0](1.0), part_setup, tol)
+    return rep.finish(integrate_measure(
+        psi.c1[j] * rep.one, psi.measure, lambda loc: make(loc)[0](1.0),
+        part_setup, tol / rep.cond))
 
 
 def w_operator_bound(psi: BernsteinFunction, A: OperatorTuple, lam, j: int) -> float:

@@ -133,6 +133,14 @@ def _as_number(v, location: str) -> float:
     return float(v)
 
 
+def _as_ray_angle(v, location: str) -> float:
+    # the ray e^{i theta} [0, inf) of a holomorphy model
+    theta = _as_number(v, location)
+    if np.cos(theta) > 1e-15:
+        _fail("ray must lie in the closed left half-plane", location)
+    return theta
+
+
 def _as_int(v, location: str, minimum: Optional[int] = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         _fail("expected an integer", location)
@@ -293,10 +301,7 @@ def _parse_operator(raw, loc: str, seen: dict) -> dict:
         arity = n
     else:
         sub = _as_object(raw["ray"], at, ("theta",))
-        theta = _as_number(sub.get("theta"), at + ".theta")
-        if np.cos(theta) > 1e-15:
-            _fail("ray must lie in the closed left half-plane", at + ".theta")
-        spec["ray"] = {"theta": theta}
+        spec["ray"] = {"theta": _as_ray_angle(sub.get("theta"), at + ".theta")}
         arity = None  # not an operator tuple
     seen[oid] = arity
     return spec
@@ -331,6 +336,8 @@ def _as_lambda(lam, location: str, n: int) -> list:
 def _factorization_fields(raw, loc, n, *_):
     # explicit lambdas replace the random trials
     if "lambdas" in raw:
+        if "trials" in raw:
+            _fail("trials cannot be combined with lambdas", loc + ".trials")
         return {"lambdas": _as_list(
             raw["lambdas"], loc + ".lambdas",
             "expected a nonempty list of lambda tuples",
@@ -342,7 +349,7 @@ def _factorization_fields(raw, loc, n, *_):
 def _as_model(m, location: str, op_arity: dict):
     # a ray angle, or the id of a ray model or a one-generator tuple
     if not isinstance(m, str):
-        return _as_number(m, location)
+        return _as_ray_angle(m, location)
     ref = _as_ref(m, location, op_arity, "operator")
     if op_arity[ref] not in (None, 1):
         _fail("holomorphy model must be a ray or a one-generator tuple",

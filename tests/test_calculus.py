@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm, sqrtm
 
 from bpcalc.bernstein import (cone_combine, diagonal_lift, direct_sum, eval_psi,
                               fractional_power, linear, log1m, poisson)
@@ -133,6 +133,59 @@ class TestApplyPsi:
             rho, far = _envelope(A, np.array([1.0]))
         assert rho == pytest.approx(-0.5)
         assert np.isfinite(far) and far >= 1.0
+
+
+def stripped(A):
+    # the same generators without spectral data: every node is an expm
+    return make_tuple(A.generators, bounds=A.bounds)
+
+
+def rel_gap(got, ref):
+    return opnorm(got - ref) / max(1.0, opnorm(ref))
+
+
+# every member whose triple has a measure part (poisson: an atom)
+CROSS_ROUTE = [p for p in CATALOG_PAIRS
+               if p[0] in ("frac05", "poisson", "log1m", "lift", "dsum", "cone")]
+
+
+class TestProfilesAgainstMatrices:
+    """A spectral tuple integrates eigenvalue profiles and applies P once;
+    its stripped copy integrates d x d matrices and never sees P, so the
+    two routes share no eigendecomposition."""
+
+    @pytest.mark.parametrize("d", [8, 24])
+    @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
+    def test_apply_psi(self, name, build, n, d):
+        psi = build()
+        A = make_commuting_random(n, d, seed=d + n)
+        assert rel_gap(apply_psi(psi, A), apply_psi(psi, stripped(A))) <= 1e-8
+
+    @pytest.mark.parametrize("d", [8, 24])
+    @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
+    def test_subordinated(self, name, build, n, d):
+        psi = build()
+        A = make_commuting_random(n, d, seed=d + n)
+        assert rel_gap(subordinated(psi, A, 0.5),
+                       subordinated(psi, stripped(A), 0.5)) <= 1e-8
+
+    @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
+    def test_w_operator(self, name, build, n):
+        # d = 8: a generator-only W_j costs one 2d x 2d expm per node
+        psi = build()
+        A = make_commuting_random(n, 8, seed=8 + n)
+        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:n]
+        for j in range(n):
+            assert rel_gap(w_operator(psi, A, lam, j),
+                           w_operator(psi, stripped(A), lam, j)) <= 1e-8
+
+    @pytest.mark.parametrize("build,reference", [
+        (lambda: fractional_power(0.5), lambda G: -sqrtm(-G)),
+        (log1m, lambda G: -logm(np.eye(len(G)) - G)),
+    ], ids=["frac05", "log1m"])
+    def test_dense_reference(self, build, reference):
+        A = make_commuting_random(1, 48, seed=48)
+        assert rel_gap(apply_psi(build(), A), reference(A.generators[0])) <= 1e-8
 
 
 class TestSubordinated:

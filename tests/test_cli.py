@@ -181,6 +181,9 @@ ERROR_CORPUS = [
              "factorization needs Re lambda_j < 0", ".lambdas[0]"),
     exp_case("factorization-trials", kind("factorization", trials=0),
              "must be at least 1", ".trials"),
+    exp_case("lambdas-with-trials",
+             kind("factorization", lambdas=[[-1]], trials=3),
+             "trials cannot be combined with lambdas", ".trials"),
     exp_case("moment-trials", kind("moment_sweep", trials="5"),
              "expected an integer", ".trials"),
     exp_case("moment-times", kind("moment_sweep", times=[1.0]),
@@ -194,6 +197,8 @@ ERROR_CORPUS = [
              ".models[0]"),
     exp_case("model-entry", with_(HOLO, models=[True]), "expected a number",
              ".models[0]"),
+    exp_case("model-angle", with_(HOLO, models=[np.pi, 0.0], bounds=[1, 1]),
+             "ray must lie in the closed left half-plane", ".models[1]"),
     exp_case("bounds-length", with_(HOLO, bounds=[1.0, 1.0]),
              "bounds must list one M_j per model", ".bounds"),
     exp_case("bounds-entry", with_(HOLO, bounds=["x"]), "expected a number",
@@ -388,6 +393,8 @@ class TestConfigSchema:
     def test_key_of_another_kind_rejected(self, schema):
         jsonschema = pytest.importorskip("jsonschema")
         bad = [corpus_doc(experiment=kind("moment_sweep", times=[1.0])),
+               corpus_doc(experiment=kind("factorization", lambdas=[[-1]],
+                                          trials=3)),
                corpus_doc(experiment={"kind": "boundedness", "function": "ps",
                                       "operator": "a"}),
                corpus_doc(operator={"id": "m", "ray": {"theta": np.pi},
