@@ -5,12 +5,25 @@ spectrum (common right eigenvectors), the residual spectrum (common left
 eigenvectors, equivalently the point spectrum of the adjoint tuple), the
 approximate spectrum (smallest singular value of the stacked shifts, which
 collapses onto the point spectrum in finite dimension), and their union.
+
+Common eigenvectors come from one reordered complex Schur form of a fixed
+combination sum_j theta_j A_j (Corless, Gianni & Trager, ISSAC 1997): each
+eigenvalue cluster of its diagonal is moved to the front, and the joint
+eigenvalues are read inside that cluster's invariant subspace, directly for
+a simple eigenvalue and by a kernel solve on m x m blocks for a cluster of
+size m.  The cost is one d x d Schur form plus the per-cluster work, O(d^3)
+for a tuple with d distinct joint eigenvalues.  The residual spectrum runs
+the same route on the adjoint tuple; the certificates (the stacked singular
+value per approximate point, the corank per residual point) cost one SVD of
+a d x nd or nd x d stack each.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import schur
+from scipy.linalg.lapack import ztrsen
 
 from .bernstein import BernsteinFunction, eval_psi
 from .calculus import apply_psi
@@ -55,52 +68,53 @@ class JointSpectrumResult:
         return np.array([p.value for p in self.points])
 
 
+# weights of the combination C = sum_j theta_j A_j: 1 and fractional parts of
+# square roots of primes, linearly independent over the rationals, so that
+# distinct points of a lattice spectrum such as i Z^n keep distinct
+# combinations (past eight generators the weights repeat; coincidences only
+# enlarge a cluster, which the block solve separates)
+_THETA = np.concatenate(([1.0], np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0]) % 1.0))
+
+
 def _clusters(vals, radius):
-    """Single-linkage groups of eigenvalues; yields (mean, spread, count)."""
+    """Single-linkage groups of ``vals`` at ``radius``: one index array per
+    group, in the order of each group's first member."""
     vals = np.asarray(vals)
-    m = len(vals)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for k in range(i + 1, m):
-            if abs(vals[i] - vals[k]) <= radius:
-                parent[find(i)] = find(k)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(vals[i])
-    for member in groups.values():
-        member = np.array(member)
-        mean = complex(np.mean(member))
-        spread = float(np.max(np.abs(member - mean)))
-        yield mean, spread, len(member)
+    near = np.abs(vals[:, None] - vals[None, :]) <= radius
+    # every index takes the smallest label among its neighbours until none
+    # changes; each group then carries the index of its first member
+    labels = np.arange(len(vals))
+    while True:
+        low = np.min(np.where(near, labels, len(vals)), axis=1)
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
 
-def _common_eigvecs(mats, tol):
-    """All (lam, Q) with Q an orthonormal basis of the joint eigenspace.
+def _block_eigvecs(blocks, tol):
+    """All (lam, K) with K an orthonormal basis of the joint eigenspace of
+    small commuting ``blocks``.
 
-    Schur-free recursion: numerical kernels of (A_0 - lam) are invariant
-    under the remaining commuting matrices, so each level restricts and
-    descends.  Eigenvalue clusters are collapsed to their mean before the
-    kernel solve, which keeps exactly-triangular nilpotent blocks (the
-    non-diagonalizable inputs this library constructs) from splitting.
+    Numerical kernels of (B_0 - lam) are invariant under the remaining
+    blocks, so each level restricts and descends, one SVD per eigenvalue
+    cluster.  A cluster is collapsed to its mean before the kernel solve,
+    which keeps exactly-triangular nilpotent blocks (the non-diagonalizable
+    inputs this library constructs) from splitting.
     """
-    d = mats[0].shape[0]
     out = []
 
     def recurse(idx, Q, prefix):
-        if idx == len(mats):
+        if idx == len(blocks):
             out.append((np.array(prefix, dtype=complex), Q))
             return
-        B = Q.conj().T @ mats[idx] @ Q
+        B = Q.conj().T @ blocks[idx] @ Q
         k = B.shape[0]
         scale = max(1.0, float(np.linalg.norm(B, 2)))
-        for lam, spread, _ in _clusters(np.linalg.eigvals(B), 1e-6 * scale):
+        ev = np.linalg.eigvals(B)
+        for member in _clusters(ev, 1e-6 * scale):
+            lam = complex(np.mean(ev[member]))
+            spread = float(np.max(np.abs(ev[member] - lam)))
             s_vals, Vh = np.linalg.svd(B - lam * np.eye(k))[1:]
             ktol = max(tol, 2.0 * spread / scale) * scale
             dim = int(np.sum(s_vals <= ktol))
@@ -109,7 +123,48 @@ def _common_eigvecs(mats, tol):
             K = Vh[k - dim:].conj().T
             recurse(idx + 1, Q @ K, prefix + [lam])
 
-    recurse(0, np.eye(d, dtype=complex), [])
+    recurse(0, np.eye(blocks[0].shape[0], dtype=complex), [])
+    return out
+
+
+def _common_eigvecs(mats, tol):
+    """All (lam, Q) with Q an orthonormal basis of the joint eigenspace.
+
+    Reordered Schur route (Corless, Gianni & Trager, ISSAC 1997): one
+    complex Schur form of C = sum_j theta_j A_j, its diagonal clustered,
+    and each cluster moved to the front (``ztrsen``) so that the leading
+    Schur vectors span its invariant subspace, which every A_j leaves
+    invariant because it commutes with C.  A cluster of one eigenvalue
+    gives lam_j = x^* A_j x directly; a larger one (a Jordan block, a
+    repeated eigenvalue, or distinct joint eigenvalues whose
+    theta-combinations coincide) is solved by ``_block_eigvecs`` on the
+    m x m compressions of the A_j.  Cost: one d x d Schur form and norm,
+    then O(d^2) reordering and O(n d^2) products per cluster, plus O(m^3)
+    per cluster of size m: O(n d^3) when the clusters are small.
+    """
+    d = mats[0].shape[0]
+    C = sum(t * G for t, G in zip(np.resize(_THETA, len(mats)), mats))
+    T, Z = schur(C, output="complex")
+    radius = 1e-6 * max(1.0, float(np.linalg.norm(C, 2)))
+    out = []
+    for member in _clusters(np.diag(T), radius):
+        m = len(member)
+        if member[-1] == m - 1:
+            Q = Z[:, :m]
+        else:
+            select = np.zeros(d, dtype=np.int32)
+            select[member] = 1
+            _, Q, _, _, _, _, info = ztrsen(select, T, Z, job="N")
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    "Schur reordering failed for an eigenvalue cluster")
+            Q = Q[:, :m]
+        if m == 1:
+            x = Q[:, 0]
+            out.append((np.array([x.conj() @ G @ x for G in mats]), Q))
+        else:
+            blocks = [Q.conj().T @ G @ Q for G in mats]
+            out.extend((lam, Q @ K) for lam, K in _block_eigvecs(blocks, tol))
     return out
 
 
@@ -180,10 +235,10 @@ def joint_approximate_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpec
     return JointSpectrumResult(points=tuple(pts), tol=tol)
 
 
-def joint_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
-    """Union of the approximate and residual spectra, certificates merged."""
-    approx = joint_approximate_spectrum(A, tol)
-    resid = joint_residual_spectrum(A, tol)
+def _union(approx: JointSpectrumResult,
+           resid: JointSpectrumResult) -> JointSpectrumResult:
+    """Residual-spectrum points merged into the approximate spectrum."""
+    tol = approx.tol
     pts = list(approx.points)
     for q in resid.points:
         merged = False
@@ -199,6 +254,12 @@ def joint_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
         if not merged:
             pts.append(q)
     return JointSpectrumResult(points=tuple(pts), tol=tol)
+
+
+def joint_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
+    """Union of the approximate and residual spectra, certificates merged."""
+    return _union(joint_approximate_spectrum(A, tol),
+                  joint_residual_spectrum(A, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +389,7 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                                         compute_uv=False)[-1])
             rows.append(judge(p.value, target, sigma))
     else:
-        for p in joint_spectrum(A).points:
+        for p in _union(approx, joint_residual_spectrum(A)).points:
             target = complex(eval_psi(psi, p.value))
             rows.append(judge(p.value, target, 0.0))
 

@@ -6,12 +6,12 @@ import pytest
 from bpcalc.bernstein import (diagonal_lift, eval_psi, fractional_power,
                               linear, log1m, poisson)
 from bpcalc.calculus import apply_psi, apply_psi_spectral
-from bpcalc.semigroup import (fourier_translation_model,
+from bpcalc.semigroup import (SpectralData, fourier_translation_model,
                               make_commuting_random, make_jordan_polynomial,
                               make_tuple)
-from bpcalc.spectra import (joint_approximate_spectrum, joint_point_spectrum,
-                            joint_residual_spectrum, joint_spectrum,
-                            mapping_check, stacked_residual)
+from bpcalc.spectra import (_THETA, joint_approximate_spectrum,
+                            joint_point_spectrum, joint_residual_spectrum,
+                            joint_spectrum, mapping_check, stacked_residual)
 
 
 def diag_pair():
@@ -22,6 +22,41 @@ def diag_pair():
 def jordan_block(lam=-1.0, d=2):
     J = lam * np.eye(d, dtype=complex) + np.diag(np.ones(d - 1), 1)
     return make_tuple([J])
+
+
+def collide(lam, step):
+    """A second joint eigenvalue with the same theta-combination as ``lam``
+    (n = 2), so both fall into one cluster of the Schur diagonal."""
+    return np.asarray(lam) + step * np.array([_THETA[1], -_THETA[0]])
+
+
+def over_basis(joint, seed):
+    """P diag(joint[:, j]) P^-1 over a random basis with cond(P) <= 4."""
+    d, n = joint.shape
+    P = make_commuting_random(n, d, seed=seed, max_cond=4).spectral
+    spec = SpectralData(joint=joint, basis=P.basis, cond=P.cond)
+    return make_tuple([spec.apply(joint[:, j]) for j in range(n)],
+                      spectral=spec, bounds=(P.cond,) * n)
+
+
+def colliding_tuple(d=96, pairs=8, seed=5):
+    """make_commuting_random(2, d) with the last ``pairs`` joint eigenvalues
+    moved onto theta-collisions with the first ``pairs`` (imaginary steps,
+    so the real parts stay in the left half-plane)."""
+    A = make_commuting_random(2, d, seed=seed, max_cond=4,
+                              spectral_box=((-4.0, -0.5), (-3.0, 3.0)))
+    joint = A.spectral.joint.copy()
+    for k in range(pairs):
+        joint[d - 1 - k] = collide(joint[k], (0.25 + 0.05 * k) * 1j)
+    return over_basis(joint, seed)
+
+
+def recovered(result, joint):
+    """Largest distance from a constructed joint eigenvalue to its nearest
+    reported point."""
+    got = result.values()
+    gap = np.max(np.abs(joint[:, None, :] - got[None, :, :]), axis=2)
+    return float(np.max(np.min(gap, axis=1)))
 
 
 def values_set(result):
@@ -65,6 +100,66 @@ class TestPointSpectrum:
         assert len(res.points) == 1
         want = np.array([A.generators[j][0, 0] for j in range(2)])
         assert np.max(np.abs(res.points[0].value - want)) <= 1e-10
+
+
+class TestReorderedSchur:
+    """Clusters of the Schur diagonal with more than one eigenvalue go
+    through the block solve; reading them from one Schur vector would merge
+    or lose points."""
+
+    def test_coinciding_combinations_split(self):
+        lam = np.array([-1.0, -1.0])
+        mu = collide(lam, 0.5)
+        joint = np.array([[-3.0, -0.5], lam, [-2.0, -2.5], mu])
+        A = make_tuple([np.diag(joint[:, j]).astype(complex) for j in range(2)])
+        res = joint_point_spectrum(A)
+        assert len(res.points) == 4
+        assert recovered(res, joint) <= 1e-12
+        assert all(p.multiplicity == 1 for p in res.points)
+
+    def test_triple_eigenvalue_one_point(self):
+        lam = np.array([-1.0 + 0.5j, -0.5])
+        joint = np.array([lam, [-2.0, -1.0], lam, collide(lam, -0.4), lam,
+                          [-0.7, -3.0 + 1j]])
+        res = joint_point_spectrum(over_basis(joint, seed=3))
+        assert len(res.points) == 4
+        assert recovered(res, joint) <= 1e-10
+        mult = {tuple(np.round(p.value, 6)): p.multiplicity for p in res.points}
+        assert mult[tuple(np.round(lam, 6))] == 3
+        assert sorted(mult.values()) == [1, 1, 1, 3]
+
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_jordan_polynomial_one_point_one_left_vector(self, d):
+        A = make_jordan_polynomial(2, d, seed=11, re_box=(-3.0, -1.0))
+        want = np.array([A.generators[j][0, 0] for j in range(2)])
+        right = joint_point_spectrum(A).points
+        left = joint_residual_spectrum(A).points
+        assert len(right) == 1 and len(left) == 1
+        assert right[0].multiplicity == 1 and left[0].multiplicity == 1
+        for p in right + left:
+            assert np.max(np.abs(p.value - want)) <= 1e-10
+        f = left[0].left_vector
+        assert abs(abs(f[-1]) - 1.0) <= 1e-10
+
+    def test_random_tuple_with_collisions_d96(self):
+        plain = make_commuting_random(2, 96, seed=5, max_cond=4,
+                                      spectral_box=((-4.0, -0.5), (-3.0, 3.0)))
+        for A in (plain, colliding_tuple()):
+            res = joint_point_spectrum(A)
+            assert len(res.points) == 96
+            assert recovered(res, A.spectral.joint) <= 1e-10
+            for p in res.points:
+                x = p.right_vector
+                assert max(np.linalg.norm(G @ x - p.value[j] * x)
+                           for j, G in enumerate(A.generators)) <= res.tol
+
+    def test_order_repeats(self):
+        A = colliding_tuple(d=24, pairs=4)
+        for spectrum in (joint_point_spectrum, joint_residual_spectrum,
+                         joint_spectrum):
+            first, second = spectrum(A).values(), spectrum(A).values()
+            assert first.shape == (24, 2)
+            assert np.array_equal(first, second)
 
 
 class TestResidualSpectrum:
