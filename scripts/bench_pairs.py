@@ -1,15 +1,17 @@
 """Before/after benchmark pairs on one machine, written to BENCH_<label>.json.
 
-    python3 scripts/bench_pairs.py --label NAME [--parent REV] \
-        [--pairs spectral=8 suite=4 generator=4] [--seconds 25] \
+    python3 scripts/bench_pairs.py --label NAME --parent REV \
+        [--pairs spectral=10 suite=10 generator=10] \
         [--traced-seeds 1 3] [--change TEXT]
 
 Run from anywhere inside a bpcalc checkout.  The parent side is the commit
-REV (default HEAD), extracted with ``git archive`` into a temporary
-directory (under $TMPDIR), so the repository itself is left untouched; the
-change side is the working tree.  For each workload, seeds 1..N each give
-one pair: one untraced ``perfbench/run.py`` run per side, one run at a
-time, the parent first on odd seeds and the change first on even ones.
+REV, extracted with ``git archive`` into a temporary directory (under
+$TMPDIR), so the repository itself is left untouched; the change side is
+the working tree.  For each workload (every workload of BENCHMARK.json,
+10 pairs each, unless ``--pairs`` says otherwise), seeds 1..N each give
+one pair: one untraced ``perfbench/run.py`` run per side of
+``run_seconds`` (from BENCHMARK.json), one run at a time, the parent first
+on odd seeds and the change first on even ones.
 Each run's end-to-end metrics (``setup_s``, ``pass_s``, ``peak_rss_mb``),
 its ``correct``, ``attempted`` and ``failed`` are kept, and every metric is
 summarised by the medians and quartiles of both sides, the number of pairs
@@ -74,13 +76,15 @@ def note(workload, metric, s):
 
 
 def main(argv=None):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--parent", required=True,
+                        help="the commit the working tree is compared with")
     parser.add_argument("--pairs", nargs="+",
-                        default=["spectral=8", "suite=4", "generator=4"],
+                        default=["%s=10" % w["name"] for w in bench["workloads"]],
                         help="workload=N: seeds 1..N, one pair each")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--traced-seeds", type=int, nargs="*", default=[])
     parser.add_argument("--change", default="",
                         help="one line saying what the change does")
@@ -94,12 +98,12 @@ def main(argv=None):
     out = {"label": args.label, "change": args.change,
            "parent_commit": parent_rev,
            "command": "python3 perfbench/run.py --workload <w> --seed <s> "
-                      "--seconds %g [--trace 1]" % args.seconds,
+                      "--seconds %g [--trace 1]" % seconds,
            "protocol": "one parent and one change run per seed, seeds 1..N, "
                        "one run at a time, the parent first on odd seeds; "
                        "the parent from `git archive %s`, the change from "
                        "the working tree" % parent_rev,
-           "machine": None, "run_seconds": args.seconds,
+           "machine": None, "run_seconds": seconds,
            "workloads": {}, "traced": {}, "notes": []}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -113,7 +117,7 @@ def main(argv=None):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for name in order:
                     record, result = run_once(trees[name], workload, seed,
-                                              args.seconds, 0)
+                                              seconds, 0)
                     out["machine"] = out["machine"] or record["machine"]
                     runs[name].append(result)
                     print("%s seed %d %s: %s" % (workload, seed, name, {
@@ -137,7 +141,7 @@ def main(argv=None):
                 traced[str(seed)] = {}
                 for name in ("parent", "change"):
                     _, result = run_once(trees[name], workload, seed,
-                                         args.seconds, 1)
+                                         seconds, 1)
                     traced[str(seed)][name] = {
                         "correct": result["correct"], "failed": result["failed"],
                         **{k: v["value"] for k, v in result["metrics"].items()}}
