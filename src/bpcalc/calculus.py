@@ -56,15 +56,18 @@ def _direction_evaluators(A: OperatorTuple, w):
         return expm(r * B)
 
     def series_ratio(r):
-        # (e^{rB} - I)/r = B (I + rB/2 + (rB)^2/6 + ...), truncated at 1e-18
+        # (e^{rB} - I)/r = B (I + rB/2 + (rB)^2/6 + ...), truncated once the
+        # a-priori bound (r ||B||)^k / (k+1)! on the k-th term is below 1e-18
         acc = eye.copy()
         term = eye
+        bound = 1.0
         k = 1
         while True:
             term = (r / (k + 1.0)) * (term @ B)
+            bound *= r * nrm / (k + 1.0)
             acc = acc + term
             k += 1
-            if np.linalg.norm(term, 2) < 1e-18 or k > 30:
+            if bound < 1e-18 or k > 30:
                 break
         return B @ acc
 
@@ -152,7 +155,8 @@ class _Matrices:
 
     def restrict(self, lo, hi):
         A = self.A
-        return _Matrices(make_tuple(A.generators[lo:hi], bounds=A.bounds[lo:hi]))
+        return _Matrices(make_tuple(A.generators[lo:hi], bounds=A.bounds[lo:hi],
+                                    bound_kinds=A.bound_kinds[lo:hi]))
 
     def w_integrand(self, lam, j):
         return _w_integrand(self.A, lam, j)

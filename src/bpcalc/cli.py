@@ -782,8 +782,19 @@ def _run_experiment(cfg, spec, idx, ops, seed, tol) -> ExperimentResult:
         rows = [Row(name, "error", type(exc).__name__, None, None, "ERROR")]
         notes = (str(exc),)
     return ExperimentResult(name=name, kind=kind, rows=tuple(rows),
-                            wall=time.perf_counter() - start,
-                            fallback=fallback, notes=tuple(notes))
+                            wall=time.perf_counter() - start, fallback=fallback,
+                            notes=tuple(notes) + _sampled_bound_notes(spec, ops))
+
+
+def _sampled_bound_notes(spec, ops) -> tuple:
+    """A note naming the operator's M_j that were sampled, not certified."""
+    ref = spec.get("operator")
+    kinds = getattr(ops.get(ref), "bound_kinds", ())
+    sampled = [str(j) for j, kind in enumerate(kinds) if kind == "sampled"]
+    if not sampled:
+        return ()
+    return ("operator %s: semigroup bound M_j for j = %s sampled on a grid "
+            "of t, not certified" % (ref, ", ".join(sampled)),)
 
 
 def run(config: ScenarioConfig, seed: Optional[int] = None,

@@ -16,13 +16,16 @@ from scipy.optimize import minimize_scalar
 __all__ = [
     "SpectralData", "OperatorTuple", "DiagonalRayModel",
     "make_tuple", "make_commuting_random", "make_jordan_polynomial",
-    "adjoint", "semigroup_apply", "estimate_bound",
+    "adjoint", "semigroup_apply", "estimate_bound", "log_norm", "BOUND_KINDS",
     "fourier_modes", "fourier_translation_model", "holomorphy_defect_ray",
 ]
 
 _COMMUTE_REL = 1e-10
 _SPECTRAL_REL = 1e-10
 _RE_TOL = 1e-8
+# how each M_j was obtained: cond(P) of the spectral data, the logarithmic
+# norm (certified), a sampled sup (not certified), or passed in by the caller
+BOUND_KINDS = ("spectral", "lognorm", "sampled", "given")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +52,7 @@ class OperatorTuple:
     d: int
     generators: tuple          # n complex d x d arrays
     bounds: tuple              # M_j >= 1, see estimate_bound
+    bound_kinds: tuple         # how each M_j was obtained, from BOUND_KINDS
     commutator_residual: float
     spectral: Optional[SpectralData] = None
 
@@ -66,12 +70,15 @@ def _as_matrices(generators) -> tuple:
 
 
 def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
-               bounds: Optional[Sequence[float]] = None) -> OperatorTuple:
+               bounds: Optional[Sequence[float]] = None,
+               bound_kinds: Optional[Sequence[str]] = None) -> OperatorTuple:
     """Validate and assemble an OperatorTuple.
 
     Rejects tuples whose commutators exceed round-off scale, generators with
     spectrum reaching into the open right half-plane, and spectral data that
-    does not reproduce the generators.
+    does not reproduce the generators.  Without ``bounds`` each M_j comes
+    from estimate_bound; ``bound_kinds`` records how passed-in bounds were
+    obtained (default "given").
     """
     mats = _as_matrices(generators)
     n, d = len(mats), mats[0].shape[0]
@@ -87,6 +94,7 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
             "tuple is not commuting: residual %.3g exceeds %.3g"
             % (residual, _COMMUTE_REL * max(norms) ** 2))
 
+    omegas = [None] * n
     if spectral is not None:
         for j in range(n):
             recon = spectral.apply(spectral.joint[:, j])
@@ -95,20 +103,28 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
         if np.any(spectral.joint.real > _RE_TOL):
             raise ValueError("joint spectrum leaves the closed left half-plane")
     else:
+        omegas = [log_norm(g) for g in mats]
         for j in range(n):
-            if np.any(np.linalg.eigvals(mats[j]).real > _RE_TOL):
+            # the spectrum lies in the numerical range, so omega <= 0 already
+            # keeps it in the closed left half-plane
+            if omegas[j] > 0.0 and np.any(np.linalg.eigvals(mats[j]).real > _RE_TOL):
                 raise ValueError("generator %d has spectrum with Re > 0" % j)
 
-    A = OperatorTuple(n=n, d=d, generators=mats, bounds=(1.0,) * n,
-                      commutator_residual=residual, spectral=spectral)
     if bounds is None:
-        bounds = tuple(estimate_bound(A, j) for j in range(n))
+        bounds, bound_kinds = zip(*(_bound(g, spectral, w)
+                                    for g, w in zip(mats, omegas)))
     else:
         bounds = tuple(float(b) for b in bounds)
         if any(b < 1.0 for b in bounds):
             raise ValueError("semigroup bounds must be >= 1")
-    object.__setattr__(A, "bounds", bounds)
-    return A
+        bound_kinds = ("given",) * n if bound_kinds is None else tuple(bound_kinds)
+        if len(bounds) != n or len(bound_kinds) != n \
+                or not set(bound_kinds) <= set(BOUND_KINDS):
+            raise ValueError("give one bound and one of %s per generator"
+                             % (BOUND_KINDS,))
+    return OperatorTuple(n=n, d=d, generators=mats, bounds=bounds,
+                         bound_kinds=bound_kinds, commutator_residual=residual,
+                         spectral=spectral)
 
 
 def make_commuting_random(n: int, d: int, seed,
@@ -140,13 +156,19 @@ def make_commuting_random(n: int, d: int, seed,
              + 1j * rng.uniform(im_lo, im_hi, (d, n)))
     spec = SpectralData(joint=joint, basis=P, cond=cond)
     gens = [P @ np.diag(joint[:, j]) @ spec.inverse for j in range(n)]
-    return make_tuple(gens, spectral=spec, bounds=(cond,) * n)
+    return make_tuple(gens, spectral=spec)
 
 
 def make_jordan_polynomial(n: int, d: int, seed,
-                           re_box=(-3.0, -0.3)) -> OperatorTuple:
+                           re_box=(-3.0, -1.0)) -> OperatorTuple:
     """Non-diagonalizable commuting tuple: each A_j is a polynomial in one
-    shared nilpotent block, b0_j I + a1_j N + a2_j N^2."""
+    shared nilpotent block, b0_j I + a1_j N + a2_j N^2.
+
+    Re b0_j is drawn from ``re_box``.  Its default keeps Re b0_j <= -1: with
+    Re b0_j up to -0.3 some seeds draw a generator whose semigroup norms
+    pass the 1e6 cap of the sampled bound, and no certified bound covers
+    them (their logarithmic norm is positive).
+    """
     rng = np.random.default_rng(seed)
     N = np.diag(np.ones(d - 1), 1).astype(complex) if d > 1 else np.zeros((1, 1), complex)
     gens = []
@@ -167,7 +189,8 @@ def adjoint(A: OperatorTuple) -> OperatorTuple:
         spec = SpectralData(joint=A.spectral.joint.conj(),
                             basis=A.spectral.inverse.conj().T,
                             cond=A.spectral.cond)
-    return make_tuple(gens, spectral=spec, bounds=A.bounds)
+    return make_tuple(gens, spectral=spec, bounds=A.bounds,
+                      bound_kinds=A.bound_kinds)
 
 
 def semigroup_apply(A: OperatorTuple, u) -> np.ndarray:
@@ -210,18 +233,40 @@ def _sampled_bound(g: np.ndarray) -> float:
     return 1.0 if sup <= 1.0 + 1e-9 else 1.01 * sup
 
 
+def log_norm(g: np.ndarray) -> float:
+    """The logarithmic 2-norm omega = lambda_max((g + g^*)/2).
+
+    ||exp(t g)||_2 <= e^{omega t} for t >= 0, so omega <= 0 makes g the
+    generator of a contraction semigroup (Lumer & Phillips, 1961; Soderlind,
+    "The logarithmic norm", BIT 2006).
+    """
+    return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1])
+
+
+def _bound(g: np.ndarray, spectral: Optional[SpectralData],
+           omega: Optional[float] = None):
+    """(M, kind) for generator g, in the order estimate_bound describes."""
+    if spectral is not None:
+        return max(1.0, spectral.cond), "spectral"
+    if omega is None:
+        omega = log_norm(g)
+    if omega <= 0.0:
+        return 1.0, "lognorm"
+    return _sampled_bound(g), "sampled"
+
+
 def estimate_bound(A: OperatorTuple, j: int) -> float:
     """M_j >= 1 meant to satisfy sup_t ||exp(t A_j)|| <= M_j.
 
     With spectral data it is cond(P), which certifies the bound.  For a
-    generator-only tuple it is sampled on a geometric grid of t and is not
-    certified.
+    generator-only tuple with logarithmic norm omega_j <= 0 it is 1, which
+    certifies it too, with no matrix exponential.  Otherwise it is sampled
+    on a geometric grid of t and is not certified.  make_tuple records which
+    of the three applied in OperatorTuple.bound_kinds.
     """
     if not (0 <= j < A.n):
         raise IndexError("generator index out of range")
-    if A.spectral is not None:
-        return max(1.0, A.spectral.cond)
-    return _sampled_bound(A.generators[j])
+    return _bound(A.generators[j], A.spectral)[0]
 
 
 def fourier_modes(K: int, n: int = 1) -> np.ndarray:
@@ -241,7 +286,7 @@ def fourier_translation_model(K: int, n: int = 1) -> OperatorTuple:
     d = len(joint)
     gens = [np.diag(joint[:, j]) for j in range(n)]
     spec = SpectralData(joint=joint, basis=np.eye(d, dtype=complex), cond=1.0)
-    return make_tuple(gens, spectral=spec, bounds=(1.0,) * n)
+    return make_tuple(gens, spectral=spec)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,8 @@ from scipy.linalg import expm, logm, sqrtm
 
 from bpcalc.bernstein import (cone_combine, diagonal_lift, direct_sum, eval_psi,
                               fractional_power, linear, log1m, poisson)
-from bpcalc.calculus import (CatalogGapError, _envelope, apply_psi,
+from bpcalc.calculus import (CatalogGapError, _direction_evaluators,
+                             _envelope, apply_psi,
                              apply_psi_spectral, factorization_check,
                              generator_limit_check, laplace_identity_error,
                              subordinated, v_operator, w_operator,
@@ -399,3 +400,43 @@ class TestProofOperators:
 
 def log1m_pair():
     return direct_sum(log1m(), log1m())
+
+
+class TestSeriesRatio:
+    """(e^{rB} - I)/r below r ||B|| = 0.25 comes from a Taylor series cut by
+    the a-priori bound on its terms."""
+
+    TUPLES = [lambda: make_jordan_polynomial(1, 8, seed=3),
+              lambda: make_jordan_polynomial(2, 6, seed=4),
+              lambda: make_tuple(make_commuting_random(1, 10, seed=5).generators)]
+
+    @staticmethod
+    def ray(A):
+        w = np.ones(A.n) / A.n
+        B = sum(w[j] * A.generators[j] for j in range(A.n))
+        _, _, ratio, nrm = _direction_evaluators(A, w)
+        return B, ratio, nrm
+
+    @pytest.mark.parametrize("build", TUPLES, ids=["jordan", "jordan2", "stripped"])
+    def test_against_expm(self, build):
+        # below r ||B|| ~ 0.01 the reference itself loses digits to cancellation
+        B, ratio, nrm = self.ray(build())
+        for x in (0.02, 0.05, 0.1, 0.2, 0.2499):
+            r = x / nrm
+            ref = (expm(r * B) - np.eye(len(B))) / r
+            assert opnorm(ratio(r) - ref) <= 1e-14 * opnorm(ref)
+
+    @pytest.mark.parametrize("build", TUPLES, ids=["jordan", "jordan2", "stripped"])
+    def test_small_r_against_block_exponential(self, build):
+        # B phi1(rB), with phi1(rB) the upper-right block of
+        # exp([[rB, I], [0, 0]]) (Van Loan, 1978)
+        B, ratio, nrm = self.ray(build())
+        d = len(B)
+        for x in (1e-8, 1e-5, 1e-3, 0.1):
+            r = x / nrm
+            M = np.zeros((2 * d, 2 * d), dtype=complex)
+            M[:d, :d] = r * B
+            M[:d, d:] = np.eye(d)
+            ref = B @ expm(M)[:d, d:]
+            assert opnorm(ratio(r) - ref) <= 1e-14 * opnorm(ref)
+

@@ -538,6 +538,30 @@ class TestEmit:
         assert "at trial" in text
         assert "OVERALL PASS" in text
 
+    def test_sampled_bound_noted_in_text_only(self):
+        # [[-1, 4], [0, -1]] has log-norm 1 > 0, so its M_j is sampled;
+        # [[-1, 1], [0, -1]] has log-norm -1/2 and a certified M_j = 1
+        doc = {
+            "functions": [{"id": "ps", "catalog": "poisson"}],
+            "operators": [
+                {"id": "samp", "matrices": [[[-1.0, 4.0], [0.0, -1.0]]]},
+                {"id": "cert", "matrices": [[[-1.0, 1.0], [0.0, -1.0]]]}],
+            "experiments": [
+                {"kind": "moment_sweep", "id": "m_samp", "function": "ps",
+                 "operator": "samp", "trials": 2},
+                {"kind": "moment_sweep", "id": "m_cert", "function": "ps",
+                 "operator": "cert", "trials": 2}],
+        }
+        report = run(parse_config(doc))
+        notes = {res.name: [n for n in res.notes if "semigroup bound" in n]
+                 for res in report.experiments}
+        assert notes["m_cert"] == []
+        assert notes["m_samp"] == ["operator samp: semigroup bound M_j for "
+                                   "j = 0 sampled on a grid of t, not certified"]
+        assert "m_samp: operator samp: semigroup bound" in \
+            emit_report(report, "text").decode()
+        assert b"sampled" not in emit_report(report, "csv")
+
     def test_unknown_format_rejected(self):
         report = run(parse_config({}))
         with pytest.raises(ValueError, match="format"):

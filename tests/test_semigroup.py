@@ -1,10 +1,14 @@
 """Generator tuples, semigroup evaluation, bounds, ray defect."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, sqrtm
 
 from bpcalc import semigroup as S
+from bpcalc.bernstein import fractional_power
+from bpcalc.calculus import apply_psi
 
 
 class TestConstruction:
@@ -133,6 +137,120 @@ class TestBoundCertificates:
     def test_diverging_generator_rejected(self):
         with pytest.raises(ValueError):
             S.make_tuple([np.array([[0.5]])])
+
+
+def no_expm(monkeypatch):
+    def refuse(_):
+        raise AssertionError("expm called")
+    monkeypatch.setattr(S, "expm", refuse)
+
+
+def jordan(d, n=2):
+    # polynomials in one nilpotent block, omega <= -1.5 + 0.6 + 0.3 < 0
+    N = np.diag(np.ones(d - 1), 1)
+    gens = [-1.5 * np.eye(d) + (0.6 + 0.2j) * N + 0.3 * N @ N,
+            (-2.0 + 0.5j) * np.eye(d) + 0.4 * N - 0.2j * N @ N]
+    return gens[:n]
+
+
+def triangular(d, n=2):
+    # distinct diagonal entries, so diagonalizable; the superdiagonal makes
+    # it non-normal; omega <= -1 + 0.5 < 0
+    A1 = np.diag(-1.0 - np.arange(d) / d + 1j * np.linspace(-1.0, 1.0, d)) \
+        + 0.5 * np.diag(np.ones(d - 1), 1)
+    return [A1, 0.5 * A1 + 0.25j * np.eye(d)][:n]
+
+
+def generator_only_sweep():
+    """Generators of Jordan tuples and of diagonalizable tuples stripped of
+    their spectral data, with log-norms of both signs."""
+    gens = []
+    for seed in range(6):
+        gens += S.make_jordan_polynomial(2, 4 + 3 * seed, seed=seed).generators
+        gens += S.make_commuting_random(
+            2, 3 + seed, seed=seed, spectral_box=((-4.0, -1.0), (-2.0, 2.0)),
+            max_cond=2.0).generators
+        gens += S.make_commuting_random(1, 3 + seed, seed=seed).generators
+    return gens
+
+
+class TestLogNormRoute:
+    def test_lognorm_bound_equals_sampled_without_expm(self, monkeypatch):
+        gens = [g for g in generator_only_sweep() if S.log_norm(g) <= 0.0]
+        assert len(gens) >= 10
+        sampled = [S._sampled_bound(g) for g in gens]
+        no_expm(monkeypatch)
+        for g, ref in zip(gens, sampled):
+            A = S.make_tuple([g])
+            assert A.bound_kinds == ("lognorm",)
+            assert A.bounds[0] == ref == S.estimate_bound(A, 0) == 1.0
+
+    def test_positive_lognorm_still_samples(self):
+        gens = [g for g in generator_only_sweep() if S.log_norm(g) > 0.0]
+        assert len(gens) >= 4
+        for g in gens:
+            A = S.make_tuple([g])
+            assert A.bound_kinds == ("sampled",)
+            assert A.bounds[0] == S._sampled_bound(g) == S.estimate_bound(A, 0)
+
+    @pytest.mark.parametrize("build,expected", [
+        (lambda: S.make_tuple([np.array([[-1.0, 4.0], [0.0, -1.0]])]),
+         ("0x1.95e07566f50f0p+0",)),
+        (lambda: S.make_jordan_polynomial(2, 16, seed=[13, 5]),
+         ("0x1.05e378c9846aap+0", "0x1.0000000000000p+0")),
+        (lambda: S.make_tuple(S.make_commuting_random(1, 8, seed=2).generators),
+         ("0x1.024bd0f1b7486p+2",)),
+    ], ids=["jordan-block", "jordan-poly", "stripped"])
+    def test_sampled_values_unchanged(self, build, expected):
+        # bounds of tuples with a sampled generator, as the sampling-only
+        # estimate gave them before the log-norm route existed
+        assert build().bounds == tuple(float.fromhex(h) for h in expected)
+
+    def test_bound_kinds(self):
+        J = np.array([[-1.0, 4.0], [0.0, -1.0]])
+        cases = [
+            (S.make_commuting_random(2, 4, seed=1), ("spectral", "spectral")),
+            (S.fourier_translation_model(2), ("spectral",)),
+            (S.make_tuple(jordan(5)), ("lognorm", "lognorm")),
+            (S.make_tuple([J, 0.5 * J - 0.5 * np.eye(2)]),
+             ("sampled", "lognorm")),
+            (S.make_tuple([J], bounds=[3.0]), ("given",)),
+        ]
+        for A, kinds in cases:
+            assert A.bound_kinds == kinds
+            assert S.adjoint(A).bound_kinds == kinds
+            assert S.adjoint(A).bounds == A.bounds
+
+    def test_bad_bound_kind_rejected(self):
+        with pytest.raises(ValueError, match="per generator"):
+            S.make_tuple([-np.eye(2)], bounds=[1.0], bound_kinds=["guessed"])
+
+    @pytest.mark.parametrize("seed", [[13, 5]] + list(range(10)))
+    @pytest.mark.parametrize("d", [16, 30, 40])
+    def test_jordan_default_box_builds(self, d, seed):
+        # with Re b0 up to -0.3, (2, 30, 4), (2, 40, 4) and (2, 16, [13, 5])
+        # drew a generator whose sampled norms passed the 1e6 cap
+        A = S.make_jordan_polynomial(2, d, seed=seed)
+        assert all(1.0 <= b < 1e6 for b in A.bounds)
+        for g, kind in zip(A.generators, A.bound_kinds):
+            assert kind == ("lognorm" if S.log_norm(g) <= 0.0 else "sampled")
+
+    @pytest.mark.parametrize("family", [jordan, triangular])
+    @pytest.mark.parametrize("d", [120, 180, 250])
+    def test_large_d_builds_with_lognorm(self, monkeypatch, family, d):
+        no_expm(monkeypatch)
+        A = S.make_tuple(family(d))
+        assert A.bounds == (1.0, 1.0)
+        assert A.bound_kinds == ("lognorm", "lognorm")
+
+    @pytest.mark.parametrize("family", [jordan, triangular])
+    def test_apply_psi_d120(self, family):
+        A = S.make_tuple(family(120, n=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = apply_psi(fractional_power(0.5), A)
+        ref = -sqrtm(-A.generators[0])
+        assert np.linalg.norm(F - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
 
 
 class TestFourierModel:
