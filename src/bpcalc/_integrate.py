@@ -10,10 +10,17 @@ parts share one strategy:
     integrands vanishing at the origin) with a certified error bound;
   * on [eps, split] the variable is log-transformed, r = e^v, which turns the
     origin singularity m(r) = O(r^-beta) into a decaying smooth integrand;
-  * on [split, R] the integrand is integrated directly, with R chosen from
-    tail-mass bounds and, when available, the exponential decay of f;
+  * on [split, R] the integrand is integrated in v = log r as well, with R
+    chosen from tail-mass bounds and, when available, the exponential decay
+    of f; the log scale puts few nodes where f*m is already negligible and
+    each node (an expm of r*B for operator integrands) is dearest;
   * beyond R, if f settles to a known limit and the tail mass is exact, the
     settled part is added back in closed form.
+
+Each segment goes to ``_quad``, an adaptive Gauss-Kronrod (G10/K21) driver
+with QUADPACK's error estimate and global error control (Piessens et al.,
+QUADPACK, 1983).  It returns as soon as the initial panels meet the target
+and raises QuadratureError on a non-finite value or estimate.
 
 The caller supplies the analytic ingredients (Lipschitz coefficient at the
 origin, sup bound, decay rate, settle value); this module assembles them into
@@ -25,8 +32,10 @@ through it.
 
 from __future__ import annotations
 
+import heapq
+import sys
+
 import numpy as np
-from scipy.integrate import quad_vec
 
 
 class QuadratureError(RuntimeError):
@@ -54,18 +63,16 @@ def expm1c(z):
             + 1j * np.exp(x) * np.sin(y))
 
 
-def _norm_kind(x) -> str:
-    # A 1-D value is a profile of eigenvalue factors, whose caller applies
-    # the eigenbasis to it once and bounds the result through the max-norm.
-    return "max" if np.ndim(x) == 1 else "2"
-
-
 def _norm(x) -> float:
-    if _norm_kind(x) == "max":
+    # A 1-D value is a profile of eigenvalue factors, whose caller applies
+    # the eigenbasis to it once and bounds the result through the max-norm;
+    # a matrix is measured by its flattened 2-norm, which dominates the
+    # spectral norm, so absolute tolerances are conservative for matrices.
+    if np.ndim(x) == 0:
+        return float(abs(x))
+    if np.ndim(x) == 1:
         return float(np.max(np.abs(x)))
-    if isinstance(x, np.ndarray):
-        return float(np.linalg.norm(x.ravel(), 2))
-    return abs(x)
+    return float(np.linalg.norm(np.ravel(x)))
 
 
 def _interior_points(hints, lo, hi):
@@ -73,12 +80,110 @@ def _interior_points(hints, lo, hi):
     return pts if pts else None
 
 
-def _quad(f, a, b, tol, points=None, norm="2"):
-    # quad_vec's "2" norm for arrays is the flattened 2-norm, which dominates
-    # the spectral norm, so epsabs requests are conservative for matrices.
-    value, err = quad_vec(f, a, b, epsabs=0.25 * tol, epsrel=1e-12,
-                          norm=norm, points=points, limit=6000)
-    return value, float(err)
+# The nonnegative half of the 21 Gauss-Kronrod nodes on [-1, 1], decreasing
+# (the rule is symmetric), their Kronrod weights, and the 10-point Gauss
+# weights of the odd-indexed nodes 0.9739..., ..., 0.1488...
+_GK_X = (0.995657163025808080735527280689003,
+         0.973906528517171720077964012084452,
+         0.930157491355708226001207180059508,
+         0.865063366688984510732096688423493,
+         0.780817726586416897063717578345042,
+         0.679409568299024406234327365114874,
+         0.562757134668604683339000099272694,
+         0.433395394129247190799265943165784,
+         0.294392862701460198131126603103866,
+         0.148874338981631210884826001129720,
+         0.0)
+_GK_WK = (0.011694638867371874278064396062192,
+          0.032558162307964727478818972459390,
+          0.054755896574351996031381300244580,
+          0.075039674810919952767043140916190,
+          0.093125454583697605535065465083366,
+          0.109387158802297641899210590325805,
+          0.123491976262065851077958109831074,
+          0.134709217311473325928054001771707,
+          0.142775938577060080797094273138717,
+          0.147739104901338491374841515972068,
+          0.149445554002916905664936468389821)
+_GK_WG = (0.066671344308688137593568809893332,
+          0.149451349150580593145776339657697,
+          0.219086362515982043995534934228163,
+          0.269266719309996355091226921569469,
+          0.295524224714752870173892994651338)
+_NODES = np.array(_GK_X + tuple(-x for x in _GK_X[-2::-1]))
+_KRONROD = np.array(_GK_WK + _GK_WK[-2::-1])
+_GAUSS = np.array(_GK_WG + _GK_WG[::-1])
+_QUAD_LIMIT = 6000   # most panels one segment may hold
+_QUAD_BATCH = 128    # most panels bisected in one round
+
+
+def _gk21(f, a, b):
+    """One G10/K21 panel: (integral, error estimate, rounding term)."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fv = np.array([f(c + h * x) for x in _NODES])
+    shape = (-1,) + (1,) * (fv.ndim - 1)
+    # elementwise products summed over the node axis: a BLAS dot here can
+    # start a threaded kernel that slows every later small expm
+    wk = _KRONROD.reshape(shape)
+    s_k = (wk * fv).sum(axis=0)
+    s_g = (_GAUSS.reshape(shape) * fv[1::2]).sum(axis=0)
+    s_abs = (wk * np.abs(fv)).sum(axis=0)
+    s_dabs = (wk * np.abs(fv - 0.5 * s_k)).sum(axis=0)
+    err = _norm((s_k - s_g) * h)
+    dabs = _norm(s_dabs * h)
+    if dabs != 0.0 and err != 0.0:
+        err = dabs * min(1.0, (200.0 * err / dabs) ** 1.5)
+    rnd = _norm(50.0 * sys.float_info.epsilon * h * s_abs)
+    if rnd > sys.float_info.min:
+        err = max(err, rnd)
+    return h * s_k, err, rnd
+
+
+def _quad(f, a, b, tol, points=None):
+    """Integral of f over [a, b] and its error estimate, by adaptive G10/K21.
+
+    Accuracy is decided as in scipy's quad_vec: QUADPACK's panel estimate,
+    global control to max(tol/4, 1e-12 ||I||)/8 on the summed estimate,
+    each round bisecting the worst panels until their estimates cover the
+    excess, and an exit at the rounding level or at _QUAD_LIMIT panels (the
+    caller compares the returned estimate, rounding included, with its
+    budget).  Unlike quad_vec, which always bisects once, it tests both
+    exits on the initial panels too.  f is called once per node with a
+    scalar, and a non-finite value or estimate raises QuadratureError.
+    """
+    epsabs, epsrel = 0.25 * tol, 1e-12
+    edges = [a]
+    for p in points or ():
+        if p != edges[-1]:
+            edges.append(p)
+    edges.append(b)
+    value, err, rnd, heap = 0.0, 0.0, 0.0, []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        ig, e, r = _gk21(f, lo, hi)
+        value, err, rnd = value + ig, err + e, rnd + r
+        heap.append((-e, lo, hi, ig))
+    heapq.heapify(heap)
+    while True:
+        if not (np.isfinite(err) and np.isfinite(rnd) and np.all(np.isfinite(value))):
+            raise QuadratureError(
+                "non-finite integrand value or error estimate on [%.6g, %.6g]" % (a, b),
+                error_estimate=float("nan"))
+        goal = max(epsabs, epsrel * _norm(value)) / 8.0
+        if err < goal or err < rnd or len(heap) >= _QUAD_LIMIT:
+            return value, float(err + rnd)
+        batch, picked = [], 0.0
+        while heap and len(batch) < _QUAD_BATCH and (not batch or picked <= err - goal):
+            batch.append(heapq.heappop(heap))
+            picked -= batch[-1][0]
+        for neg_e, lo, hi, ig in batch:
+            mid = 0.5 * (lo + hi)
+            ig1, e1, r1 = _gk21(f, lo, mid)
+            ig2, e2, r2 = _gk21(f, mid, hi)
+            value = value + (ig1 + ig2 - ig)
+            err += e1 + e2 + neg_e
+            rnd += r1 + r2
+            heapq.heappush(heap, (-e1, lo, mid, ig1))
+            heapq.heappush(heap, (-e2, mid, hi, ig2))
 
 
 def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
@@ -111,7 +216,6 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
     Returns (value, error_estimate).
     """
     split = float(part.split_radius)
-    norm = _norm_kind(f_zero)
     budget = tol / 4.0
     m = part.density
     err_total = 0.0
@@ -122,6 +226,14 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
 
     logm = getattr(part, "log_density", None)
     compensated = f_over_r is not None and logm is not None
+
+    def g_log(v):
+        # f * m dr in v = log r
+        r = np.exp(v)
+        return f(r) * (m(r) * r)
+
+    def log_hints(lo, hi):
+        return _interior_points((np.log(h) for h in part.hints if h > 0), lo, hi)
 
     # ----- inner lump below exp(log_eps) -----
     if part.mass_below is not None:
@@ -168,15 +280,10 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                 v = np.log(t) / p_exp
                 return f_over_r(np.exp(v)) * (np.exp(logm(v) + 2.0 * v - np.log(t)) / p_exp)
 
-            seg, err = _quad(g, t0, t1, tol, points=pts, norm=norm)
+            seg, err = _quad(g, t0, t1, tol, points=pts)
         else:
-            pts = _interior_points((np.log(h) for h in part.hints if h > 0), log_eps, b_log)
-
-            def g(v):
-                r = np.exp(v)
-                return f(r) * (m(r) * r)
-
-            seg, err = _quad(g, log_eps, b_log, tol, points=pts, norm=norm)
+            seg, err = _quad(g_log, log_eps, b_log, tol,
+                             points=log_hints(log_eps, b_log))
         value = value + seg
         err_total += err
 
@@ -209,14 +316,10 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                 error_estimate=tail_err(R / 2.0))
     err_total += tail_err(R)
 
-    # ----- direct segment [split, R] -----
+    # ----- outer segment [split, R], in v = log r -----
     if R > split * (1.0 + 1e-14):
-        pts = _interior_points(part.hints, split, R)
-
-        def h(r):
-            return f(r) * m(r)
-
-        seg, err = _quad(h, split, R, tol, points=pts, norm=norm)
+        log_R = np.log(R)
+        seg, err = _quad(g_log, b_log, log_R, tol, points=log_hints(b_log, log_R))
         value = value + seg
         err_total += err
 

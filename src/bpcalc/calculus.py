@@ -504,13 +504,18 @@ def w_operator_bound(psi: BernsteinFunction, A: OperatorTuple, lam, j: int) -> f
 
 
 def factorization_check(psi: BernsteinFunction, A: OperatorTuple, lam,
-                        tol: float = 1e-9) -> float:
-    """Relative residual of (psi(lam) I - psi(A)) = sum_j W_j (lam_j I - A_j)."""
+                        tol: float = 1e-9, operator=None) -> float:
+    """Relative residual of (psi(lam) I - psi(A)) = sum_j W_j (lam_j I - A_j).
+
+    ``operator`` lets callers reuse a precomputed psi(A), as in
+    ``mapping_check``; by default it is apply_psi at ``tol``.
+    """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     if np.any(lam.real >= 0):
         raise ValueError("factorization requires Re lambda_j < 0")
     eye = np.eye(A.d, dtype=complex)
-    lhs = complex(eval_psi(psi, lam)) * eye - apply_psi(psi, A, tol)
+    F = apply_psi(psi, A, tol) if operator is None else operator
+    lhs = complex(eval_psi(psi, lam)) * eye - F
     rhs = np.zeros_like(lhs)
     scale = max(1.0, float(np.linalg.norm(lhs, 2)))
     for j in range(A.n):

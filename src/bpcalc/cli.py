@@ -598,8 +598,11 @@ def _run_mapping(name, spec, cfg, ops, seed, tol, idx):
     A = _operator_for(ops, spec["operator"])
     rows = []
     notes = []
+    # one psi(A) for every part, by quadrature at mapping_check's default
+    # tolerance, so the two sides of each inclusion stay independent
+    F = apply_psi(psi, A)
     for part in spec["parts"]:
-        rep = mapping_check(psi, A, part, tol=tol)
+        rep = mapping_check(psi, A, part, tol=tol, operator=F)
         if not rep.applicable:
             rows.append(Row(name, "part%d" % part, "hypothesis", None, None,
                             "INAPPLICABLE"))
@@ -634,8 +637,10 @@ def _run_factorization(name, spec, cfg, ops, seed, tol, idx):
             lams.append(rng.uniform(-3.0, -0.3, A.n)
                         + 1j * rng.uniform(-2.0, 2.0, A.n))
     rows = []
+    qtol = _quad_tol(tol)
+    F = apply_psi(psi, A, tol=qtol)
     for k, lam in enumerate(lams):
-        r = factorization_check(psi, A, lam, tol=_quad_tol(tol))
+        r = factorization_check(psi, A, lam, tol=qtol, operator=F)
         rows.append(Row(name, "lambda%d" % k, "relative_residual", float(r),
                         tol, _verdict(r <= tol)))
     return rows, False, ()

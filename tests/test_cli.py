@@ -514,6 +514,52 @@ class TestRun:
         assert rows["weighted_sum"].verdict == "PASS"
         assert rows["measured_limsup"].value <= rows["weighted_sum"].value + 0.05
 
+    def test_psi_of_a_computed_once_per_experiment(self, monkeypatch):
+        # one apply_psi per mapping and per factorization experiment, and
+        # the same rows as checks that each compute psi(A) themselves
+        import bpcalc.calculus
+        import bpcalc.cli
+        import bpcalc.spectra
+        from bpcalc.calculus import factorization_check
+        from bpcalc.cli import _build_operator
+        from bpcalc.spectra import mapping_check
+        apply_psi = bpcalc.calculus.apply_psi
+        calls = []
+
+        def counted(psi, A, tol=1e-9):
+            calls.append(tol)
+            return apply_psi(psi, A, tol)
+
+        for mod in (bpcalc.calculus, bpcalc.cli, bpcalc.spectra):
+            monkeypatch.setattr(mod, "apply_psi", counted)
+        doc = {
+            "functions": [{"id": "lg", "catalog": "log1m"}],
+            "operators": [{"id": "a", "random": {"n": 1, "d": 3, "seed": 4}}],
+            "experiments": [
+                {"kind": "spectral_mapping", "id": "map", "function": "lg",
+                 "operator": "a"},
+                {"kind": "factorization", "id": "fac", "function": "lg",
+                 "operator": "a", "trials": 3},
+            ],
+        }
+        cfg = parse_config(doc)
+        report = run(cfg, seed=1)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        psi = cfg.functions["lg"]
+        A = _build_operator(cfg.operator_specs[0])
+        separate = [r.distance for part in (1, 2, 4, 5)
+                    for r in mapping_check(psi, A, part, tol=cfg.tol).rows]
+        assert separate and [r.value for r in rows_for(report, "map")
+                if r.quantity == "distance"] == separate
+        lams = []
+        for k in range(3):
+            rng = np.random.default_rng([1, 1, k])
+            lams.append(rng.uniform(-3.0, -0.3, 1) + 1j * rng.uniform(-2.0, 2.0, 1))
+        qtol = min(1e-9, cfg.tol / 10.0)
+        assert [r.value for r in rows_for(report, "fac")] == [
+            factorization_check(psi, A, lam, tol=qtol) for lam in lams]
+
 
 class TestEmit:
     def test_empty_experiment_list_header_only(self):
