@@ -125,18 +125,21 @@ def _resolve_source(m):
     raise TypeError("unknown defect source %r" % type(m))
 
 
+def _modulus(z):
+    # |z| by libm hypot, the rounding of Python's abs(complex); np.abs on a
+    # complex array takes a SIMD path that can differ in the last bit
+    return np.hypot(z.real, z.imag)
+
+
 def _reach(psi: BernsteinFunction, j: int, theta: float, t: float) -> float:
     # extend the ray until the subordination exponent saturates, so the
-    # sampled sup actually sees the far end where the defect lives
-    R = 1.0
-    e = np.exp(1j * theta)
-    probe = np.zeros(psi.n, dtype=complex)
-    while R < 1e30:
-        probe[j] = R * e
-        if abs(t * complex(eval_psi(psi, probe))) >= 20.0:
-            break
-        R *= 4.0
-    return R
+    # sampled sup actually sees the far end where the defect lives: the
+    # first of R = 4^k, k < 50, with |t psi(R e^{i theta})| >= 20, else 4^50
+    radii = 4.0 ** np.arange(50)
+    probes = np.zeros((len(radii), psi.n), dtype=complex)
+    probes[:, j] = radii * np.exp(1j * theta)
+    hit = _modulus(t * eval_psi(psi, probes)) >= 20.0
+    return float(radii[hit.argmax()]) if hit.any() else 4.0 ** 50
 
 
 def holomorphy_criterion(models, bounds, psi: Optional[BernsteinFunction] = None,
@@ -179,11 +182,8 @@ def holomorphy_criterion(models, bounds, psi: Optional[BernsteinFunction] = None
             axes.append(pts)
         grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
                         axis=-1)
-        worst = 0.0
-        for z in grid:
-            g = np.exp(t * complex(eval_psi(psi, z)))
-            worst = max(worst, abs(1.0 - g))
-        samples.append((t, worst))
+        g = np.exp(t * eval_psi(psi, grid))
+        samples.append((t, float(_modulus(1.0 - g).max())))
     tail = [v for _, v in samples[-10:]]
     return HolomorphyReport(defects=defects, weights=weights,
                             weighted_sum=total, satisfied=satisfied,
@@ -204,12 +204,8 @@ def boundedness_experiment(psi: BernsteinFunction, K_list) -> np.ndarray:
     the (2K+1)^n square generators.  Bounded psi keeps the sequence flat;
     unbounded psi diverges with K.
     """
-    out = []
-    for K in K_list:
-        vals = [abs(complex(eval_psi(psi, row)))
-                for row in fourier_modes(int(K), psi.n)]
-        out.append(max(vals))
-    return np.array(out)
+    return np.array([_modulus(eval_psi(psi, fourier_modes(int(K), psi.n))).max()
+                     for K in K_list])
 
 
 def convergence_experiment(psi_sequence, A: OperatorTuple, x,

@@ -252,8 +252,13 @@ class BernsteinFunction:
     """Levy triple (c0, c1, mu) with an optional closed-form evaluator.
 
     ``closed_form`` evaluates psi(s) for Re s <= 0 (continuous up to the
-    boundary).  ``subordinator`` is the closed-form family of measures
-    nu_t with Laplace transform e^{t psi}, or None where none is known.
+    boundary).  It takes the points coordinate-first: an array whose row j
+    holds s_j, of shape (n, m) for m points, and returns psi at each column,
+    shape (m,) or anything that broadcasts to it.  It must act elementwise
+    over the trailing axes, so that one point and a set give the same bits;
+    ``eval_psi`` always calls it this way, a single point as m = 1.
+    ``subordinator`` is the closed-form family of measures nu_t with
+    Laplace transform e^{t psi}, or None where none is known.
     ``partials_finite[j]`` states whether d psi / d s_j remains finite as
     s -> -0 (None when unknown); ``bounded`` states whether psi is bounded
     on (-inf, 0)^n.
@@ -284,29 +289,46 @@ class BernsteinFunction:
         return eval_psi(self, s)
 
 
-def _check_argument(psi: BernsteinFunction, s) -> np.ndarray:
-    s = np.asarray(s)
-    if s.shape != (psi.n,):
+def _points(psi: BernsteinFunction, s):
+    """(S, single): s as an (m, n) complex point set, with ``single`` set
+    when s was one point of shape (n,).  Shape, finiteness and Re s_j <= 0
+    are checked here, once for the whole set."""
+    S = np.asarray(s)
+    single = S.ndim == 1
+    if S.ndim > 2 or S.shape[-1:] != (psi.n,):
         raise DimensionMismatchError(
-            "psi takes %d variables, got argument of shape %s" % (psi.n, s.shape))
-    s = s.astype(complex)
-    if np.any(s.real > _RE_TOL):
+            "psi takes %d variables, got argument of shape %s" % (psi.n, S.shape))
+    S = S.reshape(-1, psi.n).astype(complex)
+    if not np.isfinite(S).all():
+        raise ValueError("arguments must be finite")
+    if (S.real > _RE_TOL).any():
         raise ValueError("arguments must satisfy Re s_j <= 0")
-    return s
+    return S, single
 
 
 def _maybe_real(value: complex, s: np.ndarray):
-    if np.all(s.imag == 0):
+    if not s.imag.any():
         return float(np.real(value))
     return complex(value)
 
 
 def eval_psi(psi: BernsteinFunction, s):
-    """Evaluate psi at s (Re s_j <= 0), preferring the closed form."""
-    sv = _check_argument(psi, s)
+    """Evaluate psi at s (Re s_j <= 0), preferring the closed form.
+
+    ``s`` is one point of shape (n,), which gives a float (real s) or a
+    complex, or a point set of shape (m, n), which gives a complex array of
+    length m.  The closed form runs once on the whole set; without one,
+    each row goes through ``eval_via_levy``.
+    """
+    S, single = _points(psi, s)
     if psi.closed_form is not None:
-        return _maybe_real(psi.closed_form(sv), sv)
-    return eval_via_levy(psi, s)
+        vals = np.empty(len(S), dtype=complex)
+        vals[...] = psi.closed_form(S.T)
+    else:
+        vals = np.array([eval_via_levy(psi, z) for z in S], dtype=complex)
+    if single:
+        return _maybe_real(vals[0], S[0])
+    return vals
 
 
 def eval_via_levy(psi: BernsteinFunction, s, tol: float = 1e-9):
@@ -320,7 +342,11 @@ def eval_via_levy(psi: BernsteinFunction, s, tol: float = 1e-9):
     purely oscillatory tail; no cancellation-aware bound is attempted, so
     such points raise QuadratureError rather than return a value.
     """
-    sv = _check_argument(psi, s)
+    S, single = _points(psi, s)
+    if not single:
+        raise DimensionMismatchError("eval_via_levy takes one point of shape (%d,)"
+                                     % psi.n)
+    sv = S[0]
 
     def part_setup(p):
         z = complex(np.dot(sv, p.direction))
@@ -342,6 +368,18 @@ def eval_via_levy(psi: BernsteinFunction, s, tol: float = 1e-9):
 
 # ---------------------------------------------------------------------------
 # catalog
+
+
+def _dot(w, s):
+    """sum_j w_j s_j over the coordinate axis of s, elementwise in the rest.
+
+    Written out term by term rather than as np.dot, whose BLAS kernels
+    round differently for one point and for a set.
+    """
+    out = w[0] * s[0]
+    for j in range(1, len(w)):
+        out = out + w[j] * s[j]
+    return out
 
 
 def fractional_power(alpha: float) -> BernsteinFunction:
@@ -422,7 +460,7 @@ def linear(c1) -> BernsteinFunction:
     n = len(c1)
     return BernsteinFunction(
         n=n, c0=0.0, c1=c1, measure=LevyMeasure(n),
-        closed_form=lambda s: np.dot(np.asarray(c1), s),
+        closed_form=lambda s: _dot(c1, s),
         # nu_t is the unit point mass at t * c1
         subordinator=SubordinatorFamily(
             "atoms", atoms_at=lambda t: [(t * c1, 1.0)]),
@@ -535,7 +573,7 @@ def diagonal_lift(phi: BernsteinFunction, w) -> BernsteinFunction:
         f = phi.closed_form
 
         def closed(s):
-            return f(np.array([np.dot(w, s)]))
+            return f(_dot(w, s)[None])
 
     finite = None
     if phi.partials_finite is not None:

@@ -272,8 +272,7 @@ def apply_psi_spectral(psi: BernsteinFunction, A: OperatorTuple):
         raise ValueError("tuple carries no spectral data")
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
-    vals = np.array([complex(eval_psi(psi, row)) for row in A.spectral.joint])
-    return A.spectral.apply(vals)
+    return A.spectral.apply(eval_psi(psi, A.spectral.joint))
 
 
 def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):

@@ -306,6 +306,13 @@ def _partial_hypothesis(psi: BernsteinFunction):
     return all(finite), "heuristic"
 
 
+def _targets(psi: BernsteinFunction, points):
+    """psi at each joint spectral point (Python complex), in one call on the
+    point set."""
+    S = np.reshape([p.value for p in points], (-1, psi.n))
+    return eval_psi(psi, S).tolist()
+
+
 def _nearest(values, target):
     if len(values) == 0:
         return None, np.inf
@@ -354,27 +361,27 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                           verdict="pass" if dist <= thr else "fail")
 
     if part == 1:
-        for p in joint_residual_spectrum(A).points:
-            target = complex(eval_psi(psi, p.value))
+        points = joint_residual_spectrum(A).points
+        for p, target in zip(points, _targets(psi, points)):
             sigma = float(np.linalg.svd(target * np.eye(A.d) - F,
                                         compute_uv=False)[-1])
             rows.append(judge(p.value, target, sigma))
     elif part == 2:
-        for p in joint_point_spectrum(A).points:
-            target = complex(eval_psi(psi, p.value))
+        points = joint_point_spectrum(A).points
+        for p, target in zip(points, _targets(psi, points)):
             x = p.right_vector
             res = float(np.linalg.norm(F @ x - target * x))
             rows.append(judge(p.value, target, res))
     elif part == 3:
         resid = joint_residual_spectrum(A).points
+        targets = _targets(psi, resid)
         for i in range(len(evals)):
             alpha = complex(evals[i])
             x = evecs[:, i]
-            for p in resid:
+            for p, target in zip(resid, targets):
                 pairing = float(abs(p.left_vector.conj() @ x))
                 if pairing <= tol:
                     continue
-                target = complex(eval_psi(psi, p.value))
                 dist = abs(alpha - target)
                 thr = tol * (1.0 + abs(alpha))
                 rows.append(MappingRow(
@@ -383,14 +390,13 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                     evidence=pairing,
                     verdict="pass" if dist <= thr else "fail"))
     elif part == 4:
-        for p in approx.points:
-            target = complex(eval_psi(psi, p.value))
+        for p, target in zip(approx.points, _targets(psi, approx.points)):
             sigma = float(np.linalg.svd(F - target * np.eye(A.d),
                                         compute_uv=False)[-1])
             rows.append(judge(p.value, target, sigma))
     else:
-        for p in _union(approx, joint_residual_spectrum(A)).points:
-            target = complex(eval_psi(psi, p.value))
+        points = _union(approx, joint_residual_spectrum(A)).points
+        for p, target in zip(points, _targets(psi, points)):
             rows.append(judge(p.value, target, 0.0))
 
     return MappingReport(part=part, applicable=applicable, reason=reason,

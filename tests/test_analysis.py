@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from bpcalc.analysis import (boundedness_experiment, convergence_experiment,
-                             holomorphy_criterion, k_constant, moment_check,
-                             step_bound_check)
-from bpcalc.bernstein import (cone_combine, diagonal_lift, fractional_power,
-                              linear, log1m, poisson)
+from bpcalc.analysis import (_reach, _resolve_source, boundedness_experiment,
+                             convergence_experiment, holomorphy_criterion,
+                             k_constant, moment_check, step_bound_check)
+from bpcalc.bernstein import (cone_combine, diagonal_lift, eval_psi,
+                              fractional_power, linear, log1m, poisson)
+from bpcalc.semigroup import fourier_modes
 from bpcalc.semigroup import (DiagonalRayModel, make_commuting_random,
                               make_tuple)
 
@@ -173,6 +174,96 @@ class TestHolomorphyCriterion:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             holomorphy_criterion([np.pi], [0.5])
+
+
+# The per-point loops that the point-set evaluation replaced, kept as the
+# reference it must reproduce exactly.
+
+def _reach_per_point(psi, j, theta, t):
+    R = 1.0
+    e = np.exp(1j * theta)
+    probe = np.zeros(psi.n, dtype=complex)
+    while R < 1e30:
+        probe[j] = R * e
+        if abs(t * complex(eval_psi(psi, probe))) >= 20.0:
+            break
+        R *= 4.0
+    return R
+
+
+def _samples_per_point(models, psi, k_max=40):
+    resolved = [_resolve_source(m) for m in models]
+    n = len(models)
+    per_model = 160 if n == 1 else (40 if n == 2 else 12)
+    samples = []
+    for k in range(k_max + 1):
+        t = 2.0 ** -k
+        axes = []
+        for j, (_, sampler, theta) in enumerate(resolved):
+            reach = _reach_per_point(psi, j, theta, t) if theta is not None else 1.0
+            pts = np.asarray(sampler(t, reach))
+            if len(pts) > per_model:
+                idx = np.unique(np.linspace(0, len(pts) - 1, per_model).astype(int))
+                pts = pts[idx]
+            axes.append(pts)
+        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                        axis=-1)
+        worst = 0.0
+        for z in grid:
+            g = np.exp(t * complex(eval_psi(psi, z)))
+            worst = max(worst, abs(1.0 - g))
+        samples.append((t, worst))
+    return tuple(samples)
+
+
+POINTS = (-2.0 + 1.0j, -0.3)
+CRITERION_CONFIGS = [
+    ([np.pi], [1.0], log1m()),
+    ([3 * np.pi / 4], [2.0], fractional_power(0.5)),
+    ([np.pi, DiagonalRayModel(points=POINTS)], [1.0, 1.0],
+     diagonal_lift(log1m(), [1.0, 0.5])),
+]
+
+
+class TestPointSetRewrite:
+    @pytest.mark.parametrize("config", range(len(CRITERION_CONFIGS)))
+    def test_samples_match_per_point_loop(self, config):
+        models, bounds, psi = CRITERION_CONFIGS[config]
+        rep = holomorphy_criterion(models, bounds, psi=psi)
+        assert rep.samples == _samples_per_point(models, psi)
+
+    @pytest.mark.parametrize("config", range(len(CRITERION_CONFIGS)))
+    def test_reach_matches_per_point_loop(self, config):
+        models, _, psi = CRITERION_CONFIGS[config]
+        for j, model in enumerate(models):
+            if not isinstance(model, float):
+                continue
+            for k in range(41):
+                t = 2.0 ** -k
+                assert _reach(psi, j, model, t) == _reach_per_point(psi, j, model, t)
+
+    def test_reach_last_probe_and_cap(self):
+        # |psi| <= 2 never saturates; the drift saturates first at R = 4^49
+        for psi, R in ((poisson(), 4.0 ** 50), (linear([30.0 / 4.0 ** 49]), 4.0 ** 49)):
+            assert _reach(psi, 0, np.pi, 1.0) == _reach_per_point(psi, 0, np.pi, 1.0)
+            assert _reach(psi, 0, np.pi, 1.0) == R
+
+    def test_point_model_defect_matches_per_point(self):
+        rng = np.random.default_rng(5)
+        extra = -np.abs(rng.standard_normal(40)) + 3j * rng.standard_normal(40)
+        for pts in (POINTS, tuple(extra)):
+            model = DiagonalRayModel(points=pts)
+            for t in (1e-3, 0.3, 1.0, 7.5):
+                assert model.defect(t) == max(abs(1.0 - np.exp(t * complex(z)))
+                                              for z in pts)
+
+    def test_boundedness_matches_per_point(self):
+        for psi in (poisson(), fractional_power(0.5),
+                    diagonal_lift(log1m(), [1.0, 0.5])):
+            norms = boundedness_experiment(psi, [1, 7])
+            expected = [max(abs(complex(eval_psi(psi, row)))
+                            for row in fourier_modes(K, psi.n)) for K in (1, 7)]
+            assert list(norms) == expected
 
 
 class TestBoundedness:

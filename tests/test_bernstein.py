@@ -1,5 +1,7 @@
 """Function-class layer: construction, evaluation, structural operations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import exp1, gamma
@@ -232,6 +234,103 @@ class TestDomainValidation:
     def test_c1_sign_enforced(self):
         with pytest.raises(ValueError):
             B.linear([1.0, -2.0])
+
+
+def _set_members():
+    """Every catalog member and nested composites, keyed by arity."""
+    fp, ps, lg = B.fractional_power, B.poisson(), B.log1m()
+    one = [fp(0.5), fp(0.37), fp(1.0), ps, lg, B.linear([1.3]),
+           B.cone_combine([(0.7, fp(0.5)), (0.3, ps)]),
+           B.diagonal_lift(lg, [2.5]),
+           B.diagonal_lift(B.cone_combine([(1.1, ps), (0.4, fp(0.8))]), [0.3])]
+    two = [B.linear([0.4, 1.7]), B.direct_sum(ps, fp(0.5)),
+           B.diagonal_lift(lg, [1.0, 0.37]),
+           B.cone_combine([(0.5, B.direct_sum(lg, ps)),
+                           (1.2, B.diagonal_lift(fp(0.5), [0.3, 0.9]))])]
+    three = [B.linear([0.2, 0.0, 1.9]),
+             B.direct_sum(B.direct_sum(fp(0.5), ps), lg),
+             B.diagonal_lift(B.cone_combine([(0.6, fp(0.25)), (1.0, lg)]),
+                             [0.2, 1.1, 0.7]),
+             B.cone_combine([(0.3, B.direct_sum(ps, B.diagonal_lift(lg, [0.6, 1.9]))),
+                             (0.8, B.diagonal_lift(fp(0.75), [1.3, 0.2, 0.9]))])]
+    return {1: one, 2: two, 3: three}
+
+
+def _left_points(rng, m, n):
+    """m points of the closed left half-plane over several scales, with
+    real-only rows and rows on the imaginary axes."""
+    scale = rng.choice([1e-6, 1e-2, 1.0, 30.0, 1e5], size=(m, n))
+    S = (-np.abs(rng.standard_normal((m, n))) * scale
+         + 1j * rng.standard_normal((m, n)) * scale)
+    S[::5] = S[::5].real
+    S[1::7, 0] = 1j * S[1::7, 0].imag
+    return S
+
+
+class TestPointSets:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_set_equals_per_point(self, n):
+        rng = np.random.default_rng(100 + n)
+        for psi in _set_members()[n]:
+            S = _left_points(rng, 64, n)
+            vals = B.eval_psi(psi, S)
+            assert vals.shape == (64,) and vals.dtype == complex
+            each = np.array([complex(B.eval_psi(psi, z)) for z in S])
+            np.testing.assert_array_equal(vals, each)
+
+    def test_single_point_return_types(self):
+        psi = B.log1m()
+        assert type(B.eval_psi(psi, [-2.0])) is float
+        assert type(B.eval_psi(psi, np.array([-2.0 + 1.0j]))) is complex
+        assert B.eval_psi(psi, [-2.0]) == pytest.approx(-np.log(3.0), rel=1e-15)
+
+    def test_constant_form_broadcasts(self):
+        zero = B.linear([0.0])
+        np.testing.assert_array_equal(B.eval_psi(zero, -np.ones((4, 1))), np.zeros(4))
+        const = B.BernsteinFunction(n=2, c0=-0.5, c1=np.zeros(2),
+                                    measure=B.LevyMeasure(2),
+                                    closed_form=lambda s: -0.5)
+        vals = B.eval_psi(const, -np.ones((3, 2)))
+        assert vals.shape == (3,) and np.all(vals == -0.5)
+        assert B.eval_psi(const, [-1.0, -2.0]) == -0.5
+
+    def test_empty_set(self):
+        vals = B.eval_psi(B.linear([1.0, 2.0]), np.empty((0, 2)))
+        assert vals.shape == (0,)
+
+    def test_shape_rejected(self):
+        psi = B.diagonal_lift(B.log1m(), [1.0, 0.5])
+        for bad in (-1.0, -np.ones(3), -np.ones((4, 3)), -np.ones((4, 2, 1)),
+                    -np.ones((2, 2, 2))):
+            with pytest.raises(B.DimensionMismatchError):
+                B.eval_psi(psi, bad)
+
+    def test_bad_point_anywhere_in_set_rejected(self):
+        psi = B.direct_sum(B.poisson(), B.fractional_power(0.5))
+        assert B.eval_psi(psi, -np.ones((6, 2))).shape == (6,)
+        for bad in (0.5, 1e-6 + 1j, np.nan, -np.inf, complex(-1.0, np.inf),
+                    complex(np.nan, 0.0)):
+            S = -np.ones((6, 2), dtype=complex)
+            S[4, 1] = bad
+            with pytest.raises(ValueError, match="finite|Re s_j"):
+                B.eval_psi(psi, S)
+
+    def test_non_finite_single_point_rejected(self):
+        with pytest.raises(ValueError):
+            B.eval_psi(B.fractional_power(0.5), [np.nan])
+        with pytest.raises(ValueError):
+            B.eval_psi(B.poisson(), [-1 + np.inf * 1j])
+        with pytest.raises(ValueError):
+            B.eval_via_levy(B.log1m(), [np.nan])
+
+    def test_levy_fallback_row_by_row(self):
+        psi = replace(B.log1m(), closed_form=None)
+        S = np.array([[-1.0], [-0.5 + 2.0j], [-3.0 - 1.0j]])
+        vals = B.eval_psi(psi, S)
+        np.testing.assert_array_equal(vals, [B.eval_via_levy(psi, z) for z in S])
+        np.testing.assert_allclose(vals, B.eval_psi(B.log1m(), S), atol=1e-8)
+        with pytest.raises(B.DimensionMismatchError):
+            B.eval_via_levy(psi, S)
 
 
 class TestClassInvariants:

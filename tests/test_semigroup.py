@@ -1,11 +1,16 @@
 """Generator tuples, semigroup evaluation, bounds, ray defect."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, sqrtm
+from scipy.optimize import minimize_scalar
 
+import bpcalc
 from bpcalc import semigroup as S
 from bpcalc.bernstein import fractional_power
 from bpcalc.calculus import apply_psi
@@ -307,6 +312,43 @@ class TestRayDefect:
         expected = max(abs(1 - np.exp(t * z)) for z in (-1.0, -2.0 + 1.0j))
         assert model.defect(t) == pytest.approx(expected, rel=1e-12)
         assert model.defect(0.0) == 0.0
+
+    def test_matches_dense_reference(self):
+        # sup over (0, rho_max] of |1 - e^{rho e^{i theta}}| by a scan twenty
+        # times denser and a bounded scalar maximization on its bracket
+        for theta in np.linspace(np.pi / 2, np.pi, 41):
+            c, s = min(np.cos(theta), 0.0), np.sin(theta)
+            rho_max = 4.0 * np.pi if c == 0.0 else max(4.0 * np.pi, 21.0 / abs(c))
+            grid = np.linspace(0.0, rho_max, 400001)[1:]
+            vals = np.abs(1.0 - np.exp(grid * (c + 1j * s)))
+            k = int(np.argmax(vals))
+            res = minimize_scalar(
+                lambda r: -abs(1.0 - np.exp(r * (c + 1j * s))),
+                bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+                method="bounded", options={"xatol": 1e-12})
+            ref = max(float(vals[k]), -res.fun)
+            if c < 0:
+                ref = max(ref, 1.0 - np.exp(c * rho_max))
+            assert S.holomorphy_defect_ray(theta) == pytest.approx(ref, abs=1e-10)
+
+    def test_near_vertical_rays(self):
+        # the sup sits at the first half period pi / |sin(theta)|; a scan
+        # out to 21 / |cos(theta)| alone would step over the oscillation
+        for offset in (1e-8, 1e-6, 3e-4, 1e-2):
+            for theta in (np.pi / 2 + offset, 3 * np.pi / 2 - offset):
+                c, s = np.cos(theta), np.sin(theta)
+                rho = np.linspace(0.5, 1.5, 200001) * np.pi / abs(s)
+                ref = np.abs(1.0 - np.exp(rho * (c + 1j * s))).max()
+                assert S.holomorphy_defect_ray(theta) == pytest.approx(ref, abs=1e-9)
+
+    def test_package_import_leaves_out_scipy_optimize(self):
+        src = os.path.dirname(os.path.dirname(bpcalc.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        code = ("import sys, bpcalc, bpcalc.cli; "
+                "sys.exit(int('scipy.optimize' in sys.modules))")
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_model_requires_left_half_plane(self):
         with pytest.raises(ValueError):
