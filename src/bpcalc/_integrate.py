@@ -115,6 +115,7 @@ _KRONROD = np.array(_GK_WK + _GK_WK[-2::-1])
 _GAUSS = np.array(_GK_WG + _GK_WG[::-1])
 _QUAD_LIMIT = 6000   # most panels one segment may hold
 _QUAD_BATCH = 128    # most panels bisected in one round
+_R_CAP = 1e8         # largest truncation radius of integrate_radial
 
 
 def _gk21(f, a, b):
@@ -188,7 +189,7 @@ def _quad(f, a, b, tol, points=None):
 
 def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                      f_settle=None, f_decay=0.0, f_far_coeff=None,
-                     f_over_r=None, tol=1e-9, r_cap=1e8):
+                     f_over_r=None, tol=1e-9):
     """Integrate f(r) * m(r) dr over (0, inf) for a 1-D radial profile.
 
     ``part`` must expose: density(r), beta, sing_coeff (m(r) <= sing_coeff *
@@ -309,7 +310,7 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
             R = max(R, np.log(need) / f_decay)
     while tail_err(R) > budget:
         R *= 2.0
-        if R > r_cap:
+        if R > _R_CAP:
             raise QuadratureError(
                 "radial tail not resolvable to tolerance %.3g (remaining bound %.3g at R=%.3g)"
                 % (tol, tail_err(R / 2.0), R / 2.0),

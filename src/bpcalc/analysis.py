@@ -142,13 +142,14 @@ def _reach(psi: BernsteinFunction, j: int, theta: float, t: float) -> float:
     return float(radii[hit.argmax()]) if hit.any() else 4.0 ** 50
 
 
-def holomorphy_criterion(models, bounds, psi: Optional[BernsteinFunction] = None,
-                         k_max: int = 40) -> HolomorphyReport:
+def holomorphy_criterion(models, bounds,
+                         psi: Optional[BernsteinFunction] = None) -> HolomorphyReport:
     """Weighted-defect test sum_j C_j b_j < 2, C_j = prod_{k<j} M_k.
 
     When the criterion holds and ``psi`` is given, ||I - g_t(A)|| is also
-    measured on the dyadic grid t = 2^{-k} over the joint diagonal model,
-    and the limsup estimate (max of the last 10 grid points) is reported.
+    measured on the dyadic grid t = 2^{-k}, k = 0..40, over the joint
+    diagonal model, and the limsup estimate (max of the last 10 grid points)
+    is reported.
     """
     n = len(models)
     if len(bounds) != n:
@@ -170,7 +171,7 @@ def holomorphy_criterion(models, bounds, psi: Optional[BernsteinFunction] = None
 
     per_model = 160 if n == 1 else (40 if n == 2 else 12)
     samples = []
-    for k in range(k_max + 1):
+    for k in range(41):
         t = 2.0 ** -k
         axes = []
         for j, (_, sampler, theta) in enumerate(resolved):
@@ -208,14 +209,12 @@ def boundedness_experiment(psi: BernsteinFunction, K_list) -> np.ndarray:
                      for K in K_list])
 
 
-def convergence_experiment(psi_sequence, A: OperatorTuple, x,
-                           spot_grid=None) -> np.ndarray:
+def convergence_experiment(psi_sequence, A: OperatorTuple, x) -> np.ndarray:
     """||psi_k(A)x|| along a sequence of functions decaying pointwise to 0."""
     x = np.asarray(x, dtype=complex)
     first, last = psi_sequence[0], psi_sequence[-1]
-    if spot_grid is None:
-        spot_grid = [np.full(first.n, s) for s in (-5.0, -1.0, -0.1)]
-    for s in spot_grid:
+    for v in (-5.0, -1.0, -0.1):
+        s = np.full(first.n, v)
         v0 = abs(complex(eval_psi(first, s)))
         v1 = abs(complex(eval_psi(last, s)))
         if v1 > 0.05 * v0 + 1e-6:

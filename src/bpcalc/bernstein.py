@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import (erf, erfc, exp1, gamma as gamma_fn, gammainc,
                            gammaincc, gammaln)
 
-from ._integrate import QuadratureError, expm1c, integrate_measure
+from ._integrate import QuadratureError, integrate_measure
 
 __all__ = [
     "Atom", "RadialDensity", "LevyMeasure",
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _RE_TOL = 1e-12   # slack allowed past the closed left half-space boundary
+_POISSON_CAP = 10000   # largest atom index of a Poisson nu_t
 
 
 class DimensionMismatchError(ValueError):
@@ -201,15 +202,30 @@ class SubordinatorFamily:
 
 
 def _poisson_atoms(t: float):
-    atoms, mass, k, term = [], 0.0, 0, float(np.exp(-t))
-    while mass < 1.0 - 1e-12:
+    """Atoms k = 0, 1, ... with weights e^{-t} t^k / k! up to mass 1 - 1e-12.
+
+    Past t ~ 708, where e^{-t} is no normal float, the recurrence starts at
+    the first k with a normal weight, taken from its logarithm, and runs
+    until the weights past k = t are negligible; the sum is then normalized
+    to 1, since log weights of size ~t round to about 1e-12 relative.
+    """
+    k, term, tiny = 0, float(np.exp(-t)), np.finfo(float).tiny
+    scaled = term < tiny
+    if scaled:
+        ks = np.arange(_POISSON_CAP + 1.0)
+        log_w = ks * np.log(t) - t - gammaln(ks + 1.0)
+        k = int(np.argmax(log_w >= np.log(tiny)))
+        term = float(np.exp(log_w[k]))
+    atoms, mass = [], 0.0
+    while (k <= t or term > 1e-17 * mass) if scaled else mass < 1.0 - 1e-12:
+        if k > _POISSON_CAP:
+            raise ValueError("Poisson weights at t = %g need more than %d atoms"
+                             % (t, _POISSON_CAP))
         atoms.append((np.array([float(k)]), term))
         mass += term
         k += 1
         term *= t / k
-        if k > 10000:
-            break
-    return atoms
+    return [(loc, w / mass) for loc, w in atoms] if scaled else atoms
 
 
 def _smirnov_density(t: float) -> RadialDensity:
@@ -334,9 +350,9 @@ def eval_psi(psi: BernsteinFunction, s):
 def eval_via_levy(psi: BernsteinFunction, s, tol: float = 1e-9):
     """Evaluate psi at s by quadrature of its representation.
 
-    Used as the representation-consistency oracle against closed forms; the
-    returned value carries the c0 + c1.s part exactly and integrates
-    (e^{s.u} - 1) against each measure part with certified error control.
+    The representation-consistency oracle against closed forms: apply_psi's
+    profile route on the 1 x 1 diagonal tuple diag(s), with c0 + c1.s exact
+    and (e^{s.u} - 1) integrated against each part with certified error.
 
     Arguments with Re(s.direction) = 0 on a part of infinite mass have a
     purely oscillatory tail; no cancellation-aware bound is attempted, so
@@ -346,24 +362,9 @@ def eval_via_levy(psi: BernsteinFunction, s, tol: float = 1e-9):
     if not single:
         raise DimensionMismatchError("eval_via_levy takes one point of shape (%d,)"
                                      % psi.n)
-    sv = S[0]
-
-    def part_setup(p):
-        z = complex(np.dot(sv, p.direction))
-        if z == 0:
-            return None
-        # |e^{zr} - 1| <= |z| r near 0 and <= 2 globally (Re z <= 0);
-        # e^{zr} -> 0 at rate Re z when Re z < 0, so the integrand
-        # settles to -1.
-        return (lambda r: complex(expm1c(z * r)),
-                dict(f_zero=0.0, f_lipschitz=abs(z), f_sup=2.0,
-                     f_settle=-1.0, f_decay=max(0.0, -z.real), f_far_coeff=1.0,
-                     f_over_r=lambda r: z if r < 1e-250 else complex(expm1c(z * r)) / r))
-
-    value = integrate_measure(
-        complex(psi.c0) + complex(np.dot(psi.c1, sv)), psi.measure,
-        lambda loc: complex(expm1c(np.dot(sv, loc))), part_setup, tol)
-    return _maybe_real(value, sv)
+    # calculus imports this module, so the import waits for the call
+    from .calculus import _Profiles, _psi_integral
+    return _maybe_real(_psi_integral(psi, _Profiles(S), tol)[0], S[0])
 
 
 # ---------------------------------------------------------------------------

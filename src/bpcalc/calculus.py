@@ -14,8 +14,6 @@ exponential.  The two routes share no code that sees P, which is what the
 cross-route tests compare.
 """
 
-import warnings
-
 import numpy as np
 from scipy.linalg import expm, schur
 from scipy.special import gammaln, xlogy
@@ -166,10 +164,11 @@ class _Matrices:
 
 
 class _Profiles:
-    """Tuples with spectral data, where T(u) = P diag(e^{<u, lambda^(k)>}) P^{-1}.
+    """Tuples with spectral data, where T(u) = P diag(e^{<u, lambda^(k)>}) P^{-1},
+    or the diagonal tuple diag(s) of an (m, n) point set, where P = I.
 
     The similarity commutes with every integral, so each integrand is the
-    length-d profile of its eigenvalue factors and P is applied once, to the
+    length-m profile of its eigenvalue factors and P is applied once, to the
     integrated profile.  ||P diag(v) P^{-1}||_2 <= cond(P) ||v||_inf, so the
     profiles are integrated in the max-norm to tol / cond(P); on Re <= 0
     every factor |e^{rz}| is at most 1, so the bounds need neither ||B||_2
@@ -179,12 +178,11 @@ class _Profiles:
     m = 1.0
     compose = np.multiply
 
-    def __init__(self, spec, joint=None):
-        self.spec = spec
-        self.joint = spec.joint if joint is None else joint
-        self.n = self.joint.shape[1]
-        self.one = np.ones(len(self.joint), dtype=complex)
-        self.cond = max(1.0, float(spec.cond))
+    def __init__(self, joint, spec=None):
+        self.joint, self.spec = joint, spec
+        self.n = joint.shape[1]
+        self.one = np.ones(len(joint), dtype=complex)
+        self.cond = 1.0 if spec is None else max(1.0, float(spec.cond))
 
     def gen(self, j):
         return self.joint[:, j]
@@ -209,7 +207,7 @@ class _Profiles:
         return np.exp(self.joint @ np.asarray(u, dtype=float))
 
     def restrict(self, lo, hi):
-        return _Profiles(self.spec, self.joint[:, lo:hi])
+        return _Profiles(self.joint[:, lo:hi], self.spec)
 
     def w_integrand(self, lam, j):
         """make(w) -> (F, F/r) for the profile of V_j(r w_j) U_j(r w)."""
@@ -228,11 +226,12 @@ class _Profiles:
         return make
 
     def finish(self, value):
-        return self.spec.apply(value)
+        return value if self.spec is None else self.spec.apply(value)
 
 
 def _representation(A: OperatorTuple):
-    return _Matrices(A) if A.spectral is None else _Profiles(A.spectral)
+    spec = A.spectral
+    return _Matrices(A) if spec is None else _Profiles(spec.joint, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +242,14 @@ def apply_psi(psi: BernsteinFunction, A: OperatorTuple, tol: float = 1e-9):
     """c0 I + sum_j c1^j A_j + int (T(u) - I) dmu(u)."""
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
-    rep = _representation(A)
+    return _psi_integral(psi, _representation(A), tol)
+
+
+def _psi_integral(psi: BernsteinFunction, rep, tol: float):
+    """psi on the representation ``rep``: the operator for a tuple, the
+    vector of psi(s_k) for the profile of a point set."""
     base = complex(psi.c0) * rep.one
-    for j in range(A.n):
+    for j in range(rep.n):
         if psi.c1[j] != 0.0:
             base = base + psi.c1[j] * rep.gen(j)
 
@@ -321,13 +325,18 @@ def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
     return out
 
 
+def _family(psi: BernsteinFunction) -> SubordinatorFamily:
+    if psi.subordinator is None:
+        raise CatalogGapError(
+            "no closed-form subordination measure is known for this function")
+    return psi.subordinator
+
+
 def subordinated(psi: BernsteinFunction, A: OperatorTuple, t: float,
-                 tol: float = 1e-9, on_gap: str = "raise"):
+                 tol: float = 1e-9):
     """g_t(A) = int T(u) dnu_t(u).
 
-    ``on_gap`` controls functions without a closed-form nu_t: "raise" surfaces
-    CatalogGapError; "expm" substitutes exp(t * apply_psi(psi, A)) and warns,
-    so reports can flag the fallback.
+    Raises CatalogGapError for a function without a closed-form nu_t.
     """
     if t < 0:
         raise ValueError("subordination time must be nonnegative")
@@ -335,16 +344,8 @@ def subordinated(psi: BernsteinFunction, A: OperatorTuple, t: float,
         raise ValueError("function arity and tuple size differ")
     if t == 0:
         return np.eye(A.d, dtype=complex)
-    if psi.subordinator is None:
-        if on_gap != "expm":
-            raise CatalogGapError(
-                "no closed-form subordination measure is known for this function")
-        warnings.warn("no closed-form subordination measure; "
-                      "falling back to exp(t psi(A))", RuntimeWarning,
-                      stacklevel=2)
-        return expm(t * apply_psi(psi, A, tol))
     rep = _representation(A)
-    return rep.finish(_subordinated_family(psi.subordinator, rep, t,
+    return rep.finish(_subordinated_family(_family(psi), rep, t,
                                            tol / rep.cond))
 
 
@@ -352,18 +353,17 @@ def laplace_identity_error(psi: BernsteinFunction, t: float, s_grid,
                            tol: float = 1e-9) -> float:
     """max_s |int e^{s.u} dnu_t - e^{t psi(s)}| over the grid.
 
-    Evaluates the measure side through the same integration path as the
-    operator case, using 1x1 generator tuples diag(s_j).
+    The measure side is g_t on the diagonal tuple diag(s) of the whole grid,
+    one profile on the route subordinated takes for a spectral tuple.
     """
-    worst = 0.0
-    for s in s_grid:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        A = make_tuple([np.array([[sj]], dtype=complex) for sj in s],
-                       bounds=(1.0,) * len(s))
-        g = subordinated(psi, A, t, tol=tol)
-        target = np.exp(t * complex(eval_psi(psi, s)))
-        worst = max(worst, abs(complex(g[0, 0]) - target))
-    return worst
+    if t < 0:
+        raise ValueError("subordination time must be nonnegative")
+    fam = _family(psi)
+    S = np.asarray(s_grid, dtype=float).reshape(len(s_grid), -1)
+    target = np.exp(t * eval_psi(psi, S))
+    g = 1.0 if t == 0 else _subordinated_family(
+        fam, _Profiles(S.astype(complex)), t, tol)
+    return float(np.max(np.abs(g - target)))
 
 
 def generator_limit_check(psi: BernsteinFunction, A: OperatorTuple, x,

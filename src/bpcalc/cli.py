@@ -62,7 +62,6 @@ class ExperimentResult:
     kind: str
     rows: tuple
     wall: float
-    fallback: bool = False
     notes: tuple = ()
 
     @property
@@ -545,12 +544,12 @@ def _run_oracle(name, spec, cfg, ops, seed, tol, idx):
     if A.spectral is None:
         return ([Row(name, "oracle", "spectral_oracle", None, None,
                      "INAPPLICABLE")],
-                False, ("operator carries no spectral data",))
+                ("operator carries no spectral data",))
     S = apply_psi_spectral(psi, A)
     Q = apply_psi(psi, A, tol=_quad_tol(tol))
     rel = float(np.linalg.norm(Q - S, 2) / max(1.0, np.linalg.norm(S, 2)))
     return ([Row(name, "norm", "relative_error", rel, tol,
-                 _verdict(rel <= tol))], False, ())
+                 _verdict(rel <= tol))], ())
 
 
 def _run_subordination(name, spec, cfg, ops, seed, tol, idx):
@@ -589,8 +588,8 @@ def _run_subordination(name, spec, cfg, ops, seed, tol, idx):
     except CatalogGapError as exc:
         return ([Row(name, "family", "closed_form_family", None, None,
                      "INAPPLICABLE")],
-                True, (str(exc),))
-    return rows, False, ()
+                (str(exc),))
+    return rows, ()
 
 
 def _run_mapping(name, spec, cfg, ops, seed, tol, idx):
@@ -621,7 +620,7 @@ def _run_mapping(name, spec, cfg, ops, seed, tol, idx):
         else:
             rows.append(Row(name, "part%d" % part, "vacuous", None, None,
                             "PASS"))
-    return rows, False, tuple(notes)
+    return rows, tuple(notes)
 
 
 def _run_factorization(name, spec, cfg, ops, seed, tol, idx):
@@ -643,7 +642,7 @@ def _run_factorization(name, spec, cfg, ops, seed, tol, idx):
         r = factorization_check(psi, A, lam, tol=qtol, operator=F)
         rows.append(Row(name, "lambda%d" % k, "relative_residual", float(r),
                         tol, _verdict(r <= tol)))
-    return rows, False, ()
+    return rows, ()
 
 
 def _run_holomorphy(name, spec, cfg, ops, seed, tol, idx):
@@ -666,7 +665,7 @@ def _run_holomorphy(name, spec, cfg, ops, seed, tol, idx):
         rows.append(Row(name, "limsup", "measured_limsup",
                         rep.measured_limsup, cap,
                         _verdict(rep.measured_limsup <= cap)))
-    return rows, False, notes
+    return rows, notes
 
 
 def _run_moment(name, spec, cfg, ops, seed, tol, idx):
@@ -692,7 +691,7 @@ def _run_moment(name, spec, cfg, ops, seed, tol, idx):
     rows.append(Row(name, "trial%d" % worst[0], "worst_slack", worst[1],
                     -(tol * 1e-3), _verdict(worst[1] >= -(tol * 1e-3))))
     note = "worst slack %.12g at trial%d" % (worst[1], worst[0])
-    return rows, False, (note,)
+    return rows, (note,)
 
 
 def _run_boundedness(name, spec, cfg, ops, seed, tol, idx):
@@ -710,7 +709,7 @@ def _run_boundedness(name, spec, cfg, ops, seed, tol, idx):
             growth = float(norms[-1] / norms[0])
             rows.append(Row(name, "dichotomy", "growth_factor", growth, 10.0,
                             _verdict(growth > 10.0)))
-    return rows, False, ()
+    return rows, ()
 
 
 def _run_convergence(name, spec, cfg, ops, seed, tol, idx):
@@ -725,12 +724,12 @@ def _run_convergence(name, spec, cfg, ops, seed, tol, idx):
         if "decaying" not in str(exc):
             raise
         return ([Row(name, "decay", "pointwise_decay", None, None, "FAIL")],
-                False, (str(exc),))
+                (str(exc),))
     rows = [Row(name, ref, "residual", float(v), None, "PASS")
             for ref, v in zip(spec["functions"], res)]
     rows.append(Row(name, "final", "final_residual", float(res[-1]),
                     spec["target"], _verdict(res[-1] <= spec["target"])))
-    return rows, False, ()
+    return rows, ()
 
 
 @dataclass(frozen=True)
@@ -741,7 +740,7 @@ class _Experiment:
     _parse_experiment.  ``fields`` are the kind's own keys, which
     ``parse(raw, loc, n, functions, op_arity)`` turns into normalized spec
     entries; n is the arity of the experiment's function(s).  ``runner``
-    returns (rows, fallback, notes).
+    returns (rows, notes).
     """
 
     runner: Callable
@@ -775,9 +774,8 @@ def _run_experiment(cfg, spec, idx, ops, seed, tol) -> ExperimentResult:
     kind = spec["kind"]
     name = spec.get("id", "%s[%d]" % (kind, idx))
     start = time.perf_counter()
-    fallback = False
     try:
-        rows, fallback, notes = _EXPERIMENTS[kind].runner(
+        rows, notes = _EXPERIMENTS[kind].runner(
             name, spec, cfg, ops, seed, tol, idx)
     except _TupleInvalid as exc:
         rows = [Row(name, "setup", "tuple_validation", None, None, "FAIL")]
@@ -787,7 +785,7 @@ def _run_experiment(cfg, spec, idx, ops, seed, tol) -> ExperimentResult:
         rows = [Row(name, "error", type(exc).__name__, None, None, "ERROR")]
         notes = (str(exc),)
     return ExperimentResult(name=name, kind=kind, rows=tuple(rows),
-                            wall=time.perf_counter() - start, fallback=fallback,
+                            wall=time.perf_counter() - start,
                             notes=tuple(notes) + _sampled_bound_notes(spec, ops))
 
 
@@ -875,8 +873,6 @@ def _emit_text(report: RunReport) -> bytes:
     for res in report.experiments:
         for note in res.notes:
             notes.append("  %s: %s" % (res.name, note))
-        if res.fallback:
-            notes.append("  %s: closed-form fallback flagged" % res.name)
         bad = [r for r in res.rows if r.verdict in ("FAIL", "ERROR")]
         for r in bad[:5]:
             notes.append("  %s: %s %s %s exceeds %s [%s]"

@@ -326,12 +326,12 @@ class DiagonalRayModel:
         return float(np.hypot(g.real, g.imag).max())
 
 
-def holomorphy_defect_ray(theta: float, resolution: int = 20001) -> float:
+def holomorphy_defect_ray(theta: float) -> float:
     """sup_{rho > 0} |1 - e^{rho e^{i theta}}|, accurate to about 1e-8.
 
-    Dense scan of (0, rho_max], then four rescans of the two grid steps
-    around the best node, each on a 201-point grid (a hundredfold finer
-    per round).
+    Dense scan of (0, rho_max] on 20000 nodes, then four rescans of the two
+    grid steps around the best node, each on a 201-point grid (a hundredfold
+    finer per round).
     """
     if not (np.pi / 2 - 1e-12 <= theta <= 3 * np.pi / 2 + 1e-12):
         raise ValueError("theta must lie in [pi/2, 3pi/2]")
@@ -341,7 +341,7 @@ def holomorphy_defect_ray(theta: float, resolution: int = 20001) -> float:
     # within e^-21 of 1
     rho_max = min(21.0 / abs(c) if c < 0 else np.inf,
                   2.0 * np.pi / abs(s) if s != 0 else np.inf)
-    grid = np.linspace(0.0, rho_max, resolution)[1:]
+    grid = np.linspace(0.0, rho_max, 20001)[1:]
     best = 0.0
     for _ in range(5):
         vals = np.abs(1.0 - np.exp(grid * (c + 1j * s)))

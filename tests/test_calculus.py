@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm, sqrtm
 
+from bpcalc import calculus
 from bpcalc.bernstein import (cone_combine, diagonal_lift, direct_sum, eval_psi,
-                              fractional_power, linear, log1m, poisson)
+                              eval_via_levy, fractional_power, linear, log1m,
+                              poisson)
 from bpcalc.calculus import (CatalogGapError, _direction_evaluators,
                              _envelope, apply_psi,
                              apply_psi_spectral, factorization_check,
@@ -136,6 +138,20 @@ class TestApplyPsi:
         assert rho == pytest.approx(-0.5)
         assert np.isfinite(far) and far >= 1.0
 
+    @pytest.mark.parametrize("build,s", [
+        (lambda: fractional_power(0.5), [-2.0]),
+        (log1m, [-0.5 + 2.0j]),
+        (lambda: cone_combine([(0.5, poisson()), (1.2, log1m())]), [-3.0 - 1.0j]),
+        (lambda: direct_sum(poisson(), fractional_power(0.7)), [-1.0, -0.25 + 1.0j]),
+    ], ids=["frac05", "log1m", "cone", "dsum"])
+    def test_eval_via_levy_is_one_point_profile(self, build, s):
+        psi = build()
+        s = np.asarray(s, dtype=complex)
+        spec = SpectralData(joint=s[None, :], basis=np.eye(1, dtype=complex),
+                            cond=1.0)
+        T = make_tuple([np.array([[z]]) for z in s], spectral=spec)
+        assert complex(eval_via_levy(psi, s)) == apply_psi(psi, T)[0, 0]
+
 
 def stripped(A):
     # the same generators without spectral data: every node is an expm
@@ -238,14 +254,6 @@ class TestSubordinated:
         with pytest.raises(CatalogGapError):
             subordinated(fractional_power(0.3), A, 1.0)
 
-    def test_missing_family_exponential_fallback(self):
-        A = make_commuting_random(1, 3, seed=2)
-        psi = fractional_power(0.3)
-        with pytest.warns(RuntimeWarning):
-            got = subordinated(psi, A, 1.0, on_gap="expm")
-        expected = expm(apply_psi(psi, A))
-        assert opnorm(got - expected) <= 1e-8
-
     @pytest.mark.parametrize("build,n", [
         (lambda: diagonal_lift(cone_combine([(1.0, poisson())]), [1.0, 0.5]), 2),
         (lambda: direct_sum(poisson(), fractional_power(0.3)), 2),
@@ -256,20 +264,46 @@ class TestSubordinated:
         A = make_commuting_random(n, 3, seed=2)
         with pytest.raises(CatalogGapError):
             subordinated(psi, A, 1.0)
-        with pytest.warns(RuntimeWarning):
-            got = subordinated(psi, A, 1.0, on_gap="expm")
-        expected = expm(apply_psi(psi, A))
-        assert opnorm(got - expected) <= 1e-8 * max(1.0, opnorm(expected))
+
+    def test_poisson_large_time(self):
+        # e^{-t} underflows past t ~ 745: the weights start in log space
+        g = subordinated(poisson(), make_tuple([np.zeros((1, 1))]), 760.0)
+        assert abs(g[0, 0] - 1.0) <= 1e-12
+        a = -1e-3
+        g = subordinated(poisson(), scalar_tuple(a), 2000.0)
+        assert abs(g[0, 0] - np.exp(2000.0 * np.expm1(a))) <= 1e-12
+        with pytest.raises(ValueError, match="atoms"):
+            subordinated(poisson(), scalar_tuple(a), 1e5)
 
     @pytest.mark.parametrize("name,build,n", CATALOG_PAIRS)
     def test_laplace_identity(self, name, build, n):
-        if name == "frac03":
-            pytest.skip("no closed-form subordination density")
         psi = build()
         pts = np.linspace(-10.0, -0.1, 7)
         grid = [np.full(n, s) for s in pts]
         for t in (0.1, 1.0, 5.0):
-            assert laplace_identity_error(psi, t, grid) <= 1e-6
+            if name == "frac03":
+                with pytest.raises(CatalogGapError):
+                    laplace_identity_error(psi, t, grid)
+            else:
+                assert laplace_identity_error(psi, t, grid) <= 1e-6
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_sum(poisson(), fractional_power(0.5)),
+        lambda: cone_combine([(0.5, direct_sum(poisson(), fractional_power(0.5))),
+                              (1.2, diagonal_lift(log1m(), [1.0, 0.6]))]),
+    ], ids=["product", "convolution"])
+    def test_laplace_identity_on_plane_grid(self, build, monkeypatch):
+        # the whole grid is one profile: no tuple, no matrix exponential
+        calls = []
+        for name in ("expm", "make_tuple"):
+            real = getattr(calculus, name)
+            monkeypatch.setattr(calculus, name, lambda *a, _f=real, _n=name, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        psi = build()
+        grid = [[a, b] for a in (-5.0, -1.0, -0.1) for b in (-3.0, -0.5, -0.02)]
+        for t in (0.3, 2.0):
+            assert laplace_identity_error(psi, t, grid) <= 1e-9
+        assert calls == []
 
 
 class TestGeneratorLimit:

@@ -483,7 +483,7 @@ class TestRun:
         report = run(parse_config(doc))
         row = rows_for(report, "sub")[0]
         assert row.verdict == "INAPPLICABLE"
-        assert report.experiments[0].fallback
+        assert "no closed-form subordination measure" in report.experiments[0].notes[0]
         assert report.exit_code == 0
 
     def test_non_decaying_sequence_fails(self):

@@ -1,5 +1,7 @@
 """Joint spectra and the mapping theorem checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,24 @@ class TestMappingCheck:
         assert not rep.applicable
         assert rep.rows == ()
         assert rep.passed
+
+    @pytest.mark.parametrize("build,applicable", [
+        (lambda: fractional_power(0.5), False),
+        (log1m, True),
+    ], ids=["frac05", "log1m"])
+    def test_heuristic_partials_on_boundary_spectrum(self, build, applicable):
+        # without catalog partials, the slope probe toward -0 decides part 4
+        psi = replace(build(), partials_finite=None)
+        joint = np.array([[0.0], [-1.0]], dtype=complex)
+        spec = SpectralData(joint=joint, basis=np.eye(2, dtype=complex), cond=1.0)
+        A = make_tuple([np.diag(joint[:, 0])], spectral=spec)
+        rep = mapping_check(psi, A, 4, operator=apply_psi_spectral(psi, A))
+        assert rep.applicable is applicable
+        if applicable:
+            assert rep.reason.endswith("(heuristic)")
+            assert rep.passed and len(rep.rows) == 2
+        else:
+            assert rep.rows == ()
 
     def test_left_half_plane_hypothesis_reason(self):
         A = make_commuting_random(1, 4, seed=77)
