@@ -9,16 +9,23 @@ Each builder picks its integrand representation once.  On a tuple with
 spectral data, T(u) = P diag(e^{<u, lambda^(k)>}) P^{-1} and the similarity
 commutes with the integral: the quadrature runs on length-d eigenvalue
 profiles in the max-norm, to the budget tol / cond(P), and P is applied once
-to the result.  On a generator-only tuple every node is a d x d matrix
-exponential.  The two routes share no code that sees P, which is what the
-cross-route tests compare.
+to the result.  A generator-only tuple takes the same route in the block
+basis X of one reordered Schur form, where every A_j is z I + nilpotent on
+each block: its profiles hold the scalar jets e^{r <w, z>} (rw)^a / a! of
+every block (``_Profiles``).  Only a tuple whose basis is ill-conditioned,
+or whose blocks are not z I + nilpotent, takes one d x d matrix exponential
+per node (``_Matrices``); the cross-route tests force that route as the
+reference that shares no basis with the profiles.
 """
+
+import copy
 
 import numpy as np
 from scipy.linalg import expm, schur
 from scipy.special import gammaln, xlogy
 
 from ._integrate import expm1c, integrate_measure
+from ._schur import invariant_bases
 from .bernstein import (BernsteinFunction, LevyMeasure, SubordinatorFamily,
                         eval_psi)
 from .semigroup import OperatorTuple, make_tuple, semigroup_apply
@@ -116,6 +123,10 @@ def _envelope(A: OperatorTuple, w):
 # ---------------------------------------------------------------------------
 # integrand representations, chosen once per operator built
 
+_COND_MAX = 1e4                     # largest cond(X) of a block basis
+_ROUND = 64 * np.finfo(float).eps   # relative round-off of a computed block
+_NIL = 1e-12                        # largest jet term of a zero power N^a
+
 
 def _over_r(F, limit):
     """F(r)/r, returning the r -> 0 limit once r is subnormal-small."""
@@ -126,9 +137,60 @@ def _over_r(F, limit):
     return F_over_r
 
 
+def _peak(log_c, k, rho):
+    """max_e c_e sup_r r^k_e e^{-rho_e r} = c_e (k_e/rho_e)^k_e e^{-k_e},
+    from log c_e, in log space; 0 for no entry."""
+    if len(k) == 0:
+        return 0.0
+    return float(np.max(np.exp(log_c + xlogy(k, k / rho) - k)))
+
+
+def _nilpotent_powers(N, rho, m):
+    """[(a, N^a, ||N^a||_F)] for a = 0 and every multi-index |a| < m with
+    N^a = prod_j N_j^{a_j} nonzero, or None when a product of m of the N_j
+    is not zero to round-off.
+
+    ``N`` holds the m x m nilpotent parts of one block (None for a zero
+    part) and ``rho`` the decay rates -Re z_j.  Each index is reached once:
+    a grows by e_j only for j at or past its last nonzero component.  A
+    product counts as zero when its largest jet term over all rays,
+    ||N^a||_F e^{-|a|} prod_j (a_j / rho_j)^{a_j} / a_j!, is below _NIL.
+    """
+    zero = (0,) * len(N)
+    out = [(zero, np.eye(m, dtype=complex), 1.0)]
+    frontier = [(zero, out[0][1], 0)]
+    while frontier:
+        grown = []
+        for a, P, first in frontier:
+            for j in range(first, len(N)):
+                if N[j] is None:
+                    continue
+                b = a[:j] + (a[j] + 1,) + a[j + 1:]
+                Pb = P @ N[j]
+                nu = float(np.linalg.norm(Pb))
+                if nu == 0.0:
+                    continue
+                if sum(b) < m:
+                    out.append((b, Pb, nu))
+                    grown.append((b, Pb, j))
+                    continue
+                term = np.log(nu) - sum(b) + sum(
+                    xlogy(c, c / rho[i]) - gammaln(c + 1.0)
+                    for i, c in enumerate(b) if c)
+                if term > np.log(_NIL):
+                    return None
+        frontier = grown
+    return out
+
+
 class _Matrices:
-    """Generator-only tuples: every integrand value is a d x d matrix,
-    bounded through ||B||_2, prod M_j and the Schur envelope."""
+    """Every integrand value is a d x d matrix, one matrix exponential per
+    node, bounded through ||B||_2, prod M_j and the Schur envelope.
+
+    It is the fallback of generator-only tuples that ``_Profiles`` cannot
+    take, and the expm-only reference that the cross-route tests force
+    through the private builders.
+    """
 
     cond = 1.0
     compose = np.matmul
@@ -143,10 +205,13 @@ class _Matrices:
         return self.A.generators[j]
 
     def ray(self, w):
-        return _direction_evaluators(self.A, w)
+        """(T, delta, delta/r, Lipschitz constant, sup) of T(rw)."""
+        T, delta, ratio, nrm = _direction_evaluators(self.A, w)
+        return T, delta, ratio, nrm * self.m, self.m
 
     def envelope(self, w):
-        return _envelope(self.A, w)
+        """(rho, far, settled), as for _Profiles; nothing is settled."""
+        return _envelope(self.A, w) + (False,)
 
     def semigroup(self, u):
         return semigroup_apply(self.A, u)
@@ -159,79 +224,343 @@ class _Matrices:
     def w_integrand(self, lam, j):
         return _w_integrand(self.A, lam, j)
 
+    def w_bounds(self, lam, j):
+        return _w_axis_bounds(self, lam, j)
+
     def finish(self, value):
         return value
 
 
 class _Profiles:
-    """Tuples with spectral data, where T(u) = P diag(e^{<u, lambda^(k)>}) P^{-1},
-    or the diagonal tuple diag(s) of an (m, n) point set, where P = I.
+    """Integrands as profiles of scalar jets in one block basis X, Y = X^-1.
 
-    The similarity commutes with every integral, so each integrand is the
-    length-m profile of its eigenvalue factors and P is applied once, to the
-    integrated profile.  ||P diag(v) P^{-1}||_2 <= cond(P) ||v||_inf, so the
-    profiles are integrated in the max-norm to tol / cond(P); on Re <= 0
-    every factor |e^{rz}| is at most 1, so the bounds need neither ||B||_2
-    nor prod M_j.
+    On block i every A_j acts as z_ij I + N_ij with N_ij nilpotent, so
+
+        T(rw) = sum_i X_i e^{r <w, z_i>} sum_a (rw)^a / a! N_i^a Y_i,
+
+    with a over the multi-indices whose N_i^a = prod_j N_ij^{a_j} is nonzero
+    (the atomic-block Taylor step of Schur-Parlett, Davies & Higham, SIMAX
+    2003).  Each integrand is the profile of the entries
+    nu_ia e^{r <w, z_i>} (rw)^a / a!, nu_ia = ||N_i^a||_F (1 at a = 0), and
+    ``finish`` applies sum_ia e_ia X_i (N_i^a / nu_ia) Y_i once, to the
+    integrated profile e.  Its 2-norm is at most cond(X) K max|e|, K the
+    largest index count of a block, so profiles are integrated in the
+    max-norm to tol / (cond(X) K); that product is ``cond``.
+
+    A tuple with spectral data is the case X = P with 1 x 1 blocks and no
+    jets; the (m, n) point set of a scalar integral is its own diagonal
+    tuple, with X = I and ``finish`` returning the profile;
+    ``of_generators`` builds X for a generator-only tuple.  Without jets
+    every entry |e^{rz}| is at most 1 on Re <= 0, so no bound needs
+    ||B||_2 or prod M_j.
     """
 
-    m = 1.0
-    compose = np.multiply
+    m = 1.0    # sup_u of the max-norm of a profile without jets
 
     def __init__(self, joint, spec=None):
-        self.joint, self.spec = joint, spec
+        self.joint = joint
         self.n = joint.shape[1]
         self.one = np.ones(len(joint), dtype=complex)
-        self.cond = 1.0 if spec is None else max(1.0, float(spec.cond))
+        self.basis = self.inverse = self.sizes = self.jets = None
+        self.cond = 1.0
+        if spec is not None:
+            self.basis, self.inverse = spec.basis, spec.inverse
+            self.cond = max(1.0, float(spec.cond))
+
+    @classmethod
+    def of_generators(cls, A: OperatorTuple):
+        """The block profile of a generator-only tuple, or None when it must
+        fall back to _Matrices: cond(X) above _COND_MAX, a block that is not
+        z I + nilpotent to round-off, or a jet on a block with Re z_ij = 0,
+        where r^k e^{rz} does not decay.
+
+        X stacks the invariant subspaces of the eigenvalue clusters of
+        sum_j theta_j A_j (``invariant_bases``); B_ij = Y_i A_j X_i, z_ij =
+        tr(B_ij) / m_i and N_ij = B_ij - z_ij I.
+        """
+        mats = A.generators
+        try:
+            bases = invariant_bases(mats)
+        except np.linalg.LinAlgError:
+            return None
+        X = np.hstack(bases)
+        cond = float(np.linalg.cond(X))
+        if not cond <= _COND_MAX:
+            return None
+        Y = np.linalg.inv(X)
+        # parts of a computed block below these sizes are round-off
+        tiny = [_ROUND * cond * max(1.0, float(np.linalg.norm(G))) for G in mats]
+        rows, blocks, start = [], [], 0
+        for Q in bases:
+            m = Q.shape[1]
+            Yi = Y[start:start + m]
+            start += m
+            z, N = np.zeros(A.n, dtype=complex), []
+            for j, G in enumerate(mats):
+                B = Yi @ G @ Q
+                t = np.trace(B) / m
+                z[j] = complex(t.real if abs(t.real) > tiny[j] else 0.0,
+                               t.imag if abs(t.imag) > tiny[j] else 0.0)
+                Nj = B - z[j] * np.eye(m)
+                N.append(Nj if np.linalg.norm(Nj) > tiny[j] else None)
+            nilpotent = [Nj is not None for Nj in N]
+            if any(nilpotent) and (np.any(z.real > 0.0)
+                                   or np.any(z.real[nilpotent] == 0.0)):
+                return None
+            powers = _nilpotent_powers(N, -z.real, m)
+            if powers is None:
+                return None
+            rows.append(z)
+            blocks.append(powers)
+        counts = [len(p) for p in blocks]
+        sizes = np.array([Q.shape[1] for Q in bases])
+        out = cls(np.repeat(np.array(rows), counts, axis=0))
+        out.basis, out.inverse = X, Y
+        out.cond = cond * max(counts)
+        if max(counts) == 1:
+            out.sizes = sizes if np.any(sizes > 1) else None
+            return out
+        out.a = np.array([a for p in blocks for a, _, _ in p])
+        out.k = out.a.sum(axis=1)
+        out.head = out.k == 0
+        out.block = np.repeat(np.arange(len(blocks)), counts)
+        out.lognu = np.log([nu for p in blocks for _, _, nu in p])
+        # log of nu_a / a!, the constant part of each entry's coefficient
+        out.logw = out.lognu - gammaln(out.a + 1.0).sum(axis=1)
+        out.one = out.head.astype(complex)
+        out.jets = [np.array([P / nu for _, P, nu in p]) for p in blocks]
+        out.first, out._table = 0, None
+        return out
+
+    def _log_coeffs(self, w):
+        """log(nu_a w^a / a!) per entry; -inf where w^a = 0."""
+        cols = self.a[:, self.first:self.first + self.n]
+        return self.logw + xlogy(cols, w).sum(axis=1)
 
     def gen(self, j):
-        return self.joint[:, j]
+        if self.jets is None:
+            return self.joint[:, j]
+        unit = (self.k == 1) & (self.a[:, j] == 1)
+        return np.where(self.head, self.joint[:, j],
+                        np.where(unit, np.exp(self.logw), 0.0))
 
     def ray(self, w):
-        """(T, delta, ratio, max|z|) for the profile z of sum_j w_j A_j."""
-        z = self.joint @ np.asarray(w, dtype=float)
+        """(T, delta, delta/r, Lipschitz constant, sup) of the profile of
+        T(rw), the bounds in the max-norm.
+
+        A jet c r^k e^{rz} has sup c (k/rho)^k e^{-k} with rho = -Re z, and
+        its quotient by r peaks at c ((k-1)/rho)^{k-1} e^{-(k-1)}.
+        """
+        w = np.asarray(w, dtype=float)
+        z = self.joint @ w
+        if self.jets is None:
+            def T(r):
+                return np.exp(r * z)
+
+            def delta(r):
+                return expm1c(r * z)
+
+            return T, delta, _over_r(delta, z), float(np.max(np.abs(z))), 1.0
+        head, k = self.head, self.k
+        log_c = self._log_coeffs(w)
+        z_head = z[head]
 
         def T(r):
-            return np.exp(r * z)
+            return np.exp(r * z + (xlogy(k, r) + log_c))
 
         def delta(r):
-            return expm1c(r * z)
+            out = T(r)
+            out[head] = expm1c(r * z_head)
+            return out
 
-        return T, delta, _over_r(delta, z), float(np.max(np.abs(z)))
+        limit = np.where(k == 1, np.exp(log_c), 0.0).astype(complex)
+        limit[head] = z_head
+        live = ~head & np.isfinite(log_c)
+        kl, cl, rho = k[live], log_c[live], -z.real[live]
+        lip = max(float(np.max(np.abs(z_head))), _peak(cl, kl - 1, rho))
+        return T, delta, _over_r(delta, limit), lip, max(1.0, _peak(cl, kl, rho))
 
     def envelope(self, w):
-        rho = float(np.max((self.joint @ np.asarray(w, dtype=float)).real))
-        return (rho if rho < -1e-12 else 0.0), 1.0
+        """(rho, far, settled) with |T(rw) - settle| <= far e^{rho r} on every
+        entry, rho <= 0 (0 when no decay is certified).
+
+        ``settled`` marks the a = 0 entries with <w, z_i> = 0: there T is 1
+        and T - 1 is 0 at every r, so each builder gives them their own
+        settle value and they are left out of the rate.  A jet keeps half
+        its rate: c r^k e^{-rho r} <= c (2k/rho)^k e^{-k} e^{-rho r/2}.
+        """
+        w = np.asarray(w, dtype=float)
+        z = self.joint @ w
+        if self.jets is None:
+            still = z == 0
+            moving = z.real[~still]
+            if moving.size == 0:
+                return -1.0, 0.0, still
+            rho = float(np.max(moving))
+            return (rho if rho < -1e-12 else 0.0), 1.0, still
+        still = (z == 0) & self.head
+        log_c = self._log_coeffs(w)
+        live = ~self.head & np.isfinite(log_c)
+        heads = self.head & ~still
+        rates = np.concatenate((-z.real[heads], -0.5 * z.real[live]))
+        if rates.size == 0:
+            return -1.0, 0.0, still
+        rate = float(np.min(rates))
+        if rate <= 1e-12:
+            return 0.0, 1.0, still
+        far = _peak(log_c[live], self.k[live], -0.5 * z.real[live])
+        return -rate, max(far, 1.0 if np.any(heads) else 0.0), still
 
     def semigroup(self, u):
-        return np.exp(self.joint @ np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        if self.jets is None:
+            return np.exp(self.joint @ u)
+        return np.exp(self.joint @ u + self._log_coeffs(u))
 
     def restrict(self, lo, hi):
-        return _Profiles(self.joint[:, lo:hi], self.spec)
+        """The profile for generators lo..hi-1, on the same entries: those
+        indexed outside lo..hi-1 are zero."""
+        out = copy.copy(self)
+        out.joint = self.joint[:, lo:hi]
+        out.n = hi - lo
+        if self.jets is not None:
+            out.first = self.first + lo
+            inside = self.a[:, out.first:out.first + out.n].sum(axis=1)
+            out.logw = np.where(inside < self.k, -np.inf, self.logw)
+        return out
+
+    def compose(self, left, right):
+        """The profile of the product of two operators given as profiles:
+        on each block the truncated Cauchy product over multi-indices, the
+        entrywise product without jets."""
+        if self.jets is None:
+            return np.multiply(left, right)
+        if self._table is None:
+            # a + b by integer codes in base 2 max(a) + 2, so no component
+            # carries; pairs whose sum is no index have N^{a+b} = 0
+            base = 2 * int(self.a.max()) + 2
+            code = self.a @ base ** np.arange(self.a.shape[1]) \
+                + self.block * base ** self.a.shape[1]
+            order = np.argsort(code)
+            lhs, rhs = np.nonzero(self.block[:, None] == self.block[None, :])
+            total = code[lhs] + code[rhs] - self.block[lhs] * base ** self.a.shape[1]
+            pos = np.minimum(np.searchsorted(code[order], total), len(code) - 1)
+            hit = code[order][pos] == total
+            lhs, rhs, to = lhs[hit], rhs[hit], order[pos[hit]]
+            nu = self.lognu
+            self._table = (lhs, rhs, to, np.exp(nu[to] - nu[lhs] - nu[rhs]))
+        lhs, rhs, to, fac = self._table
+        out = np.zeros(np.broadcast(left, right).shape, dtype=complex)
+        np.add.at(out, to, left[lhs] * right[rhs] * fac)
+        return out
 
     def w_integrand(self, lam, j):
-        """make(w) -> (F, F/r) for the profile of V_j(r w_j) U_j(r w)."""
+        """make(w) -> (F, F/r) for the profile of V_j(r w_j) U_j(r w).
+
+        On block i the coefficient of N_ij^k in V_j(t) is c_k(t) =
+        int_0^t e^{(t-s) lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``; c_0 is
+        ``_v_diag``), and U_j contributes the jets of the generators before
+        j and e^{r <w, lam>} after it: entries indexed past j are zero.
+        """
         zj = self.joint[:, j]
+        if self.jets is None:
+            def make(w):
+                w = np.asarray(w, dtype=float)
+                pre = self.joint[:, :j] @ w[:j] if j > 0 else 0.0
+                post = complex(np.dot(w[j + 1:], lam[j + 1:]))
+
+                def F(r):
+                    return _v_diag(r * w[j], lam[j], zj) * np.exp(r * (pre + post))
+
+                return F, _over_r(F, w[j] * self.one)
+
+            return make
+        a, aj = self.a, self.a[:, j]
+        log_w = np.where(np.any(a[:, j + 1:] > 0, axis=1), -np.inf,
+                         self.logw + gammaln(aj + 1.0))
+        lift = self.k - aj          # powers of r from the U_j jets
+        jet_blocks = np.unique(self.block[~self.head])
+        in_jet = np.isin(self.block, jet_blocks)
+        row = np.searchsorted(jet_blocks, self.block[in_jet])
+        z_jet = zj[self.head][jet_blocks]
+        order = int(aj[in_jet & np.isfinite(log_w)].max()) + 1
 
         def make(w):
             w = np.asarray(w, dtype=float)
-            pre = self.joint[:, :j] @ w[:j] if j > 0 else 0.0
+            pre = self.joint[:, :j] @ w[:j]
             post = complex(np.dot(w[j + 1:], lam[j + 1:]))
+            log_c = log_w + xlogy(a[:, :j], w[:j]).sum(axis=1)
 
             def F(r):
-                return _v_diag(r * w[j], lam[j], zj) * np.exp(r * (pre + post))
+                t = r * w[j]
+                c = np.empty(len(zj), dtype=complex)
+                c[~in_jet] = _v_diag(t, lam[j], zj[~in_jet])
+                c[in_jet] = _v_jets(t, lam[j], z_jet, order)[row, aj[in_jet]]
+                return c * np.exp(r * (pre + post) + (xlogy(lift, r) + log_c))
 
             return F, _over_r(F, w[j] * self.one)
 
         return make
 
+    def w_bounds(self, lam, j):
+        """bounds(w) -> integrate_radial bounds of the W_j integrand.
+
+        |c_k(t)| <= t^{k+1} / (k+1)! e^{-t mu}, mu = -max(Re lam_j, Re z_ij),
+        so entry a is at most C r^{|a|+1} e^{-gamma r}, gamma the rate of
+        e^{-r w_j mu} U_j; the a = 0 entries keep |c_0| <= 1 / -Re lam_j.
+        """
+        if self.jets is None:
+            return _w_axis_bounds(self, lam, j)
+        a, aj, head = self.a, self.a[:, j], self.head
+        re = self.joint.real
+        mu = -np.maximum(lam[j].real, re[:, j])
+        log_w = np.where(np.any(a[:, j + 1:] > 0, axis=1), -np.inf,
+                         self.logw + gammaln(aj + 1.0) - gammaln(aj + 2.0))
+        zero = np.zeros_like(self.one)
+
+        def bounds(w):
+            w = np.asarray(w, dtype=float)
+            gamma = w[j] * mu - re[:, :j] @ w[:j] \
+                - float(np.dot(w[j + 1:], lam[j + 1:].real))
+            log_c = log_w + xlogy(a[:, :j], w[:j]).sum(axis=1) \
+                + xlogy(aj + 1.0, w[j])
+            jet = ~head & np.isfinite(log_c)
+            log_c_head = log_c[head]    # log w_j: c_0(t) <= t e^{-t mu}
+            k, log_c, g = self.k[jet] + 1, log_c[jet], gamma[jet]
+            kw = dict(f_lipschitz=max(w[j], _peak(log_c, k - 1, g)),
+                      f_sup=max(-1.0 / lam[j].real, _peak(log_c, k, g)))
+            rate = min(np.min(gamma[head]), np.min(g, initial=np.inf))
+            if rate > 1e-12:
+                far = max(_peak(log_c_head, np.ones(len(log_c_head)),
+                                0.5 * gamma[head]),
+                          _peak(log_c, k, 0.5 * g))
+                kw.update(f_settle=zero, f_decay=0.5 * rate, f_far_coeff=far)
+            return kw
+
+        return bounds
+
     def finish(self, value):
-        return value if self.spec is None else self.spec.apply(value)
+        if self.basis is None:
+            return value
+        if self.jets is None:
+            diag = value if self.sizes is None else np.repeat(value, self.sizes)
+            return (self.basis * diag) @ self.inverse
+        D = np.zeros(self.basis.shape, dtype=complex)
+        start = 0
+        for i, stack in enumerate(self.jets):
+            m = stack.shape[1]
+            D[start:start + m, start:start + m] = np.tensordot(
+                value[self.block == i], stack, axes=1)
+            start += m
+        return self.basis @ D @ self.inverse
 
 
 def _representation(A: OperatorTuple):
     spec = A.spectral
-    return _Matrices(A) if spec is None else _Profiles(spec.joint, spec)
+    if spec is not None:
+        return _Profiles(spec.joint, spec)
+    rep = _Profiles.of_generators(A)
+    return _Matrices(A) if rep is None else rep
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +584,16 @@ def _psi_integral(psi: BernsteinFunction, rep, tol: float):
 
     def part_setup(p):
         w = p.direction
-        _, delta, ratio, nrm = rep.ray(w)
-        if nrm == 0.0:
+        _, delta, ratio, lip, sup = rep.ray(w)
+        if lip == 0.0:
             return None
-        rho, far = rep.envelope(w)
-        kw = dict(f_zero=np.zeros_like(rep.one), f_lipschitz=nrm * rep.m,
-                  f_sup=rep.m + 1.0, f_over_r=ratio)
+        rho, far, settled = rep.envelope(w)
+        kw = dict(f_zero=np.zeros_like(rep.one), f_lipschitz=lip,
+                  f_sup=sup + 1.0, f_over_r=ratio)
         if rho < 0.0:
-            kw.update(f_settle=-rep.one, f_decay=-rho, f_far_coeff=far)
+            # T - I tends to -I, except where T stays at 1
+            kw.update(f_settle=np.where(settled, 0.0, -rep.one),
+                      f_decay=-rho, f_far_coeff=far)
         return delta, kw
 
     return rep.finish(integrate_measure(
@@ -299,13 +630,13 @@ def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
         return out
     if fam.kind == "density":
         def part_setup(p):
-            T, _, _, nrm = rep.ray(p.direction)
-            rho, far = rep.envelope(p.direction)
-            kw = dict(f_zero=rep.one, f_lipschitz=max(nrm, 1e-300) * rep.m,
-                      f_sup=rep.m)
+            T, _, _, lip, sup = rep.ray(p.direction)
+            rho, far, settled = rep.envelope(p.direction)
+            kw = dict(f_zero=rep.one, f_lipschitz=max(lip, 1e-300), f_sup=sup)
             if rho < 0.0:
-                kw.update(f_settle=np.zeros_like(rep.one), f_decay=-rho,
-                          f_far_coeff=far)
+                # T tends to 0, except where it stays at 1
+                kw.update(f_settle=np.where(settled, rep.one, 0.0),
+                          f_decay=-rho, f_far_coeff=far)
             return T, kw
 
         nu_t = LevyMeasure(rep.n, parts=[fam.density_at(t)])
@@ -428,6 +759,53 @@ def v_operator(lam: complex, A: OperatorTuple, j: int, u: float):
     return expm(u * M)[:d, d:]
 
 
+def _v_jets(t, lam, z, order):
+    """c_k(t) = int_0^t e^{(t-s) lam} e^{sz} s^k / k! ds for k < ``order``,
+    one row per entry of z.
+
+    c_k = d_{k+1} with d_p = t^p e^{tz} phi_p(x), x = t (lam - z), and
+    d_0 = e^{t lam}.  Order p comes from the upward recurrence
+    d_p = (d_{p-1} - e^{tz} t^{p-1}/(p-1)!) / (lam - z) while p <= |x|, and
+    otherwise from the Taylor series of phi_order followed by the downward
+    recurrence d_{p-1} = (lam - z) d_p + e^{tz} t^{p-1}/(p-1)!: each is
+    stable on its side of |x|, and the scaling by t^p e^{tz} keeps every
+    term finite for Re z, Re lam <= 0.
+    """
+    z = np.asarray(z, dtype=complex)
+    gap = lam - z
+    size = np.abs(t * gap)
+    q = np.arange(order)
+    g = np.exp(t * z[:, None] + (xlogy(q, t) - gammaln(q + 1.0)))
+    out = np.empty((len(z), order), dtype=complex)
+    up = np.flatnonzero(size >= 1.0)
+    if len(up):
+        d = np.full(len(up), np.exp(t * lam), dtype=complex)
+        for p in range(1, order + 1):
+            d = (d - g[up, p - 1]) / gap[up]
+            out[up, p - 1] = d
+    down = np.flatnonzero(size < order)
+    if len(down):
+        x = t * gap[down]
+        term = np.ones(len(down), dtype=complex)
+        series = term.copy()
+        for m in range(1, 4 * order + 60):
+            term = term * x / (order + m)
+            series = series + term
+            if np.all(np.abs(term) <= 1e-17 * np.abs(series)):
+                break
+        d = series * np.exp(t * z[down] + xlogy(order, t) - gammaln(order + 1.0))
+        vals = np.empty((len(down), order), dtype=complex)
+        vals[:, -1] = d
+        for p in range(order, 1, -1):
+            d = gap[down] * d + g[down, p - 1]
+            vals[:, p - 2] = d
+        take = np.arange(1, order + 1) > size[down, None]
+        rows = out[down]
+        rows[take] = vals[take]
+        out[down] = rows
+    return out
+
+
 def _w_integrand(A: OperatorTuple, lam, j: int):
     """make(w) -> (F, F/r) with F(r) = V_j(r w_j) U_j(r w) along a ray
     direction w."""
@@ -449,6 +827,32 @@ def _w_integrand(A: OperatorTuple, lam, j: int):
     return make
 
 
+def _w_axis_bounds(rep, lam, j: int):
+    """bounds(w) -> integrate_radial bounds of the W_j integrand from the
+    envelope of each generator: ||V_j(t)|| <= t e^{t max(Re lam_j, rho_j)}
+    times prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times prod M."""
+    envs = []
+    for l in range(rep.n):
+        rho, far, settled = rep.envelope(np.eye(rep.n)[l])
+        # an eigenvalue 0 of A_l leaves U_j undamped along e_l
+        envs.append((0.0, 1.0) if np.any(settled) else (rho, far))
+    zero = np.zeros_like(rep.one)
+
+    def bounds(w):
+        parts = [w[j] * max(lam[j].real, envs[j][0])]
+        parts += [w[l] * envs[l][0] for l in range(j)]
+        parts += [w[k] * lam[k].real for k in range(j + 1, rep.n)]
+        gamma = -sum(parts)
+        kw = dict(f_lipschitz=w[j] * rep.m, f_sup=rep.m / (-lam[j].real))
+        if gamma > 1e-12:
+            far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
+                * 2.0 / (np.e * gamma)
+            kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
+        return kw
+
+    return bounds
+
+
 def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
                tol: float = 1e-9):
     """W_j^lambda = c1^j I + int V_j(u_j) U_j(u) dmu(u), Re lambda_j < 0."""
@@ -457,30 +861,21 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
         raise ValueError("lambda must have one component per generator")
     if np.any(lam.real >= 0):
         raise ValueError("w_operator requires Re lambda_j < 0")
-    rep = _representation(A)
+    return _w_integral(psi, _representation(A), lam, j, tol)
+
+
+def _w_integral(psi: BernsteinFunction, rep, lam, j: int, tol: float):
+    """W_j on the representation ``rep``."""
     zero = np.zeros_like(rep.one)
     make = rep.w_integrand(lam, j)
-    envs = [rep.envelope(np.eye(A.n)[l]) for l in range(A.n)]
-
-    def tail_rate(w):
-        parts = [w[j] * max(lam[j].real, envs[j][0])]
-        parts += [w[l] * envs[l][0] for l in range(j)]
-        parts += [w[k] * lam[k].real for k in range(j + 1, A.n)]
-        return -sum(parts)
+    bounds = rep.w_bounds(lam, j)
 
     def part_setup(p):
         w = p.direction
         if w[j] == 0.0:
             return None
         F, F_over_r = make(w)
-        gamma = tail_rate(w)
-        kw = dict(f_zero=zero, f_lipschitz=w[j] * rep.m,
-                  f_sup=rep.m / (-lam[j].real), f_over_r=F_over_r)
-        if gamma > 1e-12:
-            far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
-                * 2.0 / (np.e * gamma)
-            kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
-        return F, kw
+        return F, dict(bounds(w), f_zero=zero, f_over_r=F_over_r)
 
     return rep.finish(integrate_measure(
         psi.c1[j] * rep.one, psi.measure, lambda loc: make(loc)[0](1.0),

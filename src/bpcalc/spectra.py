@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.lapack import ztrsen
 
+# _THETA is re-exported: the spectrum tests step along it
+from ._schur import _THETA, _clusters, invariant_bases  # noqa: F401
 from .bernstein import BernsteinFunction, eval_psi
 from .calculus import apply_psi
 from .semigroup import OperatorTuple
@@ -66,30 +66,6 @@ class JointSpectrumResult:
         if not self.points:
             return np.zeros((0, 0), dtype=complex)
         return np.array([p.value for p in self.points])
-
-
-# weights of the combination C = sum_j theta_j A_j: 1 and fractional parts of
-# square roots of primes, linearly independent over the rationals, so that
-# distinct points of a lattice spectrum such as i Z^n keep distinct
-# combinations (past eight generators the weights repeat; coincidences only
-# enlarge a cluster, which the block solve separates)
-_THETA = np.concatenate(([1.0], np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0]) % 1.0))
-
-
-def _clusters(vals, radius):
-    """Single-linkage groups of ``vals`` at ``radius``: one index array per
-    group, in the order of each group's first member."""
-    vals = np.asarray(vals)
-    near = np.abs(vals[:, None] - vals[None, :]) <= radius
-    # every index takes the smallest label among its neighbours until none
-    # changes; each group then carries the index of its first member
-    labels = np.arange(len(vals))
-    while True:
-        low = np.min(np.where(near, labels, len(vals)), axis=1)
-        if np.array_equal(low, labels):
-            break
-        labels = low
-    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
 
 def _block_eigvecs(blocks, tol):
@@ -142,23 +118,9 @@ def _common_eigvecs(mats, tol):
     then O(d^2) reordering and O(n d^2) products per cluster, plus O(m^3)
     per cluster of size m: O(n d^3) when the clusters are small.
     """
-    d = mats[0].shape[0]
-    C = sum(t * G for t, G in zip(np.resize(_THETA, len(mats)), mats))
-    T, Z = schur(C, output="complex")
-    radius = 1e-6 * max(1.0, float(np.linalg.norm(C, 2)))
     out = []
-    for member in _clusters(np.diag(T), radius):
-        m = len(member)
-        if member[-1] == m - 1:
-            Q = Z[:, :m]
-        else:
-            select = np.zeros(d, dtype=np.int32)
-            select[member] = 1
-            _, Q, _, _, _, _, info = ztrsen(select, T, Z, job="N")
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    "Schur reordering failed for an eigenvalue cluster")
-            Q = Q[:, :m]
+    for Q in invariant_bases(mats):
+        m = Q.shape[1]
         if m == 1:
             x = Q[:, 0]
             out.append((np.array([x.conj() @ G @ x for G in mats]), Q))

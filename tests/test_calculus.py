@@ -154,7 +154,8 @@ class TestApplyPsi:
 
 
 def stripped(A):
-    # the same generators without spectral data: every node is an expm
+    # the same generators without spectral data: the profiles run in a Schur
+    # block basis, never in P
     return make_tuple(A.generators, bounds=A.bounds)
 
 
@@ -169,8 +170,9 @@ CROSS_ROUTE = [p for p in CATALOG_PAIRS
 
 class TestProfilesAgainstMatrices:
     """A spectral tuple integrates eigenvalue profiles and applies P once;
-    its stripped copy integrates d x d matrices and never sees P, so the
-    two routes share no eigendecomposition."""
+    its stripped copy integrates them in the basis of a reordered Schur form
+    and never sees P.  Both are eigenbasis routes: the expm-only reference
+    is TestBlockJetsAgainstMatrices."""
 
     @pytest.mark.parametrize("d", [8, 24])
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
@@ -189,7 +191,6 @@ class TestProfilesAgainstMatrices:
 
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
     def test_w_operator(self, name, build, n):
-        # d = 8: a generator-only W_j costs one 2d x 2d expm per node
         psi = build()
         A = make_commuting_random(n, 8, seed=8 + n)
         lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:n]
@@ -204,6 +205,125 @@ class TestProfilesAgainstMatrices:
     def test_dense_reference(self, build, reference):
         A = make_commuting_random(1, 48, seed=48)
         assert rel_gap(apply_psi(build(), A), reference(A.generators[0])) <= 1e-8
+
+
+def j3():
+    # the theorem suite's explicit operator: one 3 x 3 Jordan block at -1
+    return make_tuple([-np.eye(3) + np.diag(np.ones(2), 1)])
+
+
+# generator-only tuples by arity: Jordan polynomials, stripped diagonalizable
+# tuples and the explicit j3
+GENERATOR_ONLY = {
+    1: {"jordan8": lambda: make_jordan_polynomial(1, 8, seed=81),
+        "jordan16": lambda: make_jordan_polynomial(1, 16, seed=161),
+        "stripped8": lambda: stripped(make_commuting_random(1, 8, seed=18)),
+        "j3": j3},
+    2: {"jordan8": lambda: make_jordan_polynomial(2, 8, seed=82),
+        "stripped8": lambda: stripped(make_commuting_random(2, 8, seed=28))},
+}
+JET_CASES = [pytest.param(build, tup, id="%s-%s" % (name, key))
+             for name, build, n in CROSS_ROUTE
+             for key, tup in GENERATOR_ONLY[n].items()]
+
+
+class TestBlockJetsAgainstMatrices:
+    """A generator-only tuple integrates scalar jets in the block basis of
+    one Schur form.  The reference forces the expm-only _Matrices route
+    through the private builders, which shares no basis with it."""
+
+    @pytest.mark.parametrize("build,tup", JET_CASES)
+    def test_apply_psi(self, build, tup):
+        psi, A = build(), tup()
+        assert isinstance(calculus._representation(A), calculus._Profiles)
+        ref = calculus._psi_integral(psi, calculus._Matrices(A), 1e-9)
+        assert rel_gap(apply_psi(psi, A), ref) <= 1e-8
+
+    @pytest.mark.parametrize("build,tup", JET_CASES)
+    def test_subordinated(self, build, tup):
+        psi, A = build(), tup()
+        ref = calculus._subordinated_family(psi.subordinator,
+                                            calculus._Matrices(A), 0.5, 1e-9)
+        assert rel_gap(subordinated(psi, A, 0.5), ref) <= 1e-8
+
+    @pytest.mark.parametrize("build,tup", JET_CASES)
+    def test_w_operator(self, build, tup):
+        psi, A = build(), tup()
+        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:A.n]
+        for j in range(A.n):
+            ref = calculus._w_integral(psi, calculus._Matrices(A), lam, j, 1e-9)
+            assert rel_gap(w_operator(psi, A, lam, j), ref) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["lift", "dsum"])
+    def test_no_matrix_exponential(self, name, monkeypatch):
+        calls = []
+        real = calculus.expm
+        monkeypatch.setattr(calculus, "expm",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        psi = {p[0]: p[1] for p in CROSS_ROUTE}[name]()
+        A = make_jordan_polynomial(2, 16, seed=216)
+        apply_psi(psi, A)
+        subordinated(psi, A, 0.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
+    def test_factorization_at_d24(self, name, build, n):
+        psi = build()
+        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:n]
+        A = make_commuting_random(n, 24, seed=24 + n)
+        for B in (make_jordan_polynomial(n, 24, seed=24 + n), stripped(A)):
+            assert factorization_check(psi, B, lam) <= 1e-8
+        for j in range(n):
+            assert rel_gap(w_operator(psi, stripped(A), lam, j),
+                           w_operator(psi, A, lam, j)) <= 1e-8
+
+    @pytest.mark.parametrize("build,reference", [
+        (lambda: fractional_power(0.5), lambda G: -sqrtm(-G)),
+        (log1m, lambda G: -logm(np.eye(len(G)) - G)),
+    ], ids=["frac05", "log1m"])
+    def test_similar_jordan_block(self, build, reference):
+        # S J S^-1 with cond(S) = 10: rounding splits its Schur diagonal at
+        # about eps^(1/6), whichever route the tuple then takes
+        rng = np.random.default_rng(6)
+        U, _, Vh = np.linalg.svd(rng.standard_normal((6, 6)))
+        S = (U * np.geomspace(1.0, 0.1, 6)) @ Vh
+        J = -1.5 * np.eye(6) + np.diag(np.ones(5), 1)
+        A = make_tuple([S @ J @ np.linalg.inv(S)])
+        assert rel_gap(apply_psi(build(), A), reference(A.generators[0])) <= 1e-8
+
+
+class TestSemisimpleZero:
+    """An eigenvalue 0 leaves T at 1 on its eigenvector: psi(A) is 0 and g_t
+    is 1 there, which the settle values give exactly, while the other
+    entries decay."""
+
+    PROJ = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    EIG = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+
+    def tuples(self):
+        D = np.diag([-1.0, 0.0]).astype(complex)
+        joint = np.array([[-1.0], [0.0]], dtype=complex)
+        yield make_tuple([D]), np.eye(2)
+        yield make_tuple([D], spectral=SpectralData(
+            joint=joint, basis=np.eye(2, dtype=complex), cond=1.0)), np.eye(2)
+        yield make_tuple([-self.PROJ]), self.EIG
+        yield make_tuple([-self.PROJ], spectral=SpectralData(
+            joint=joint, basis=self.EIG, cond=1.0)), self.EIG
+
+    def test_apply_psi_and_subordinated(self):
+        psi = fractional_power(0.5)
+        for A, Q in self.tuples():
+            psi_ref = Q @ np.diag([-1.0, 0.0]) @ Q.conj().T
+            g_ref = Q @ np.diag([np.exp(-0.5), 1.0]) @ Q.conj().T
+            assert opnorm(apply_psi(psi, A) - psi_ref) <= 1e-9
+            assert opnorm(subordinated(psi, A, 0.5) - g_ref) <= 1e-9
+
+    def test_mapping_part_one(self):
+        from bpcalc.spectra import mapping_check
+        for A, _ in self.tuples():
+            report = mapping_check(fractional_power(0.5), A, 1)
+            assert report.rows and report.passed
+            assert max(r.distance for r in report.rows) <= 1e-9
 
 
 class TestSubordinated:

@@ -11,6 +11,7 @@ from scipy.linalg import expm, sqrtm
 from scipy.optimize import minimize_scalar
 
 import bpcalc
+from bpcalc import calculus
 from bpcalc import semigroup as S
 from bpcalc.bernstein import fractional_power
 from bpcalc.calculus import apply_psi
@@ -247,6 +248,15 @@ class TestLogNormRoute:
         A = S.make_tuple(family(d))
         assert A.bounds == (1.0, 1.0)
         assert A.bound_kinds == ("lognorm", "lognorm")
+
+    def test_d120_representations(self):
+        # the Jordan family is one block in the basis I; the triangular
+        # family's eigenbasis has a condition number near 1e30, past the cap
+        # of the block profiles, so it takes the expm-only route
+        rep = calculus._representation(S.make_tuple(jordan(120, n=1)))
+        assert isinstance(rep, calculus._Profiles) and rep.cond == 120.0
+        rep = calculus._representation(S.make_tuple(triangular(120, n=1)))
+        assert isinstance(rep, calculus._Matrices)
 
     @pytest.mark.parametrize("family", [jordan, triangular])
     def test_apply_psi_d120(self, family):
