@@ -5,20 +5,23 @@ with the same certified-error quadrature used for scalar evaluation; the
 subordinated family g_t(A) integrates T(u) against the closed-form measures
 nu_t where the catalog has them.
 
-Each builder picks its integrand representation once.  On a tuple with
-spectral data, T(u) = P diag(e^{<u, lambda^(k)>}) P^{-1} and the similarity
-commutes with the integral: the quadrature runs on length-d eigenvalue
-profiles in the max-norm, to the budget tol / cond(P), and P is applied once
-to the result.  A generator-only tuple takes the same route in the block
-basis X of one reordered Schur form, where every A_j is z I + nilpotent on
-each block: its profiles hold the scalar jets e^{r <w, z>} (rw)^a / a! of
-every block (``_Profiles``).  Only a tuple whose basis is ill-conditioned,
-or whose blocks are not z I + nilpotent, takes one d x d matrix exponential
-per node (``_Matrices``); the cross-route tests force that route as the
-reference that shares no basis with the profiles.
+Each builder picks its integrand representation once.  The profile route
+(``_Profiles``) works in one block basis X, where every A_j is z I +
+nilpotent on each block: the quadrature runs on the profile of the scalar
+jets e^{r <w, z>} (rw)^a / a! of every block, in the max-norm, and X is
+applied once to the result.  A generator-only tuple takes X from one
+reordered Schur form.  A tuple with spectral data, T(u) = P diag(e^{<u,
+lambda^(k)>}) P^{-1}, is the jet-free case X = P, with 1 x 1 blocks and
+only the index a = 0, and the (m, n) point set of a scalar integral is the
+jet-free case without a basis: the same code serves all three.  Only a
+tuple whose basis is ill-conditioned, or whose blocks are not z I +
+nilpotent, takes one d x d matrix exponential per node (``_Matrices``); the
+cross-route tests force that route as the reference that shares neither
+basis nor integrand code with the profiles.
 """
 
 import copy
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -127,6 +130,9 @@ _COND_MAX = 1e4                     # largest cond(X) of a block basis
 _ROUND = 64 * np.finfo(float).eps   # relative round-off of a computed block
 _NIL = 1e-12                        # largest jet term of a zero power N^a
 
+# the block basis X of a generator-only tuple, as SpectralData holds P
+_Basis = namedtuple("_Basis", "basis inverse cond")
+
 
 def _over_r(F, limit):
     """F(r)/r, returning the r -> 0 limit once r is subnormal-small."""
@@ -225,7 +231,25 @@ class _Matrices:
         return _w_integrand(self.A, lam, j)
 
     def w_bounds(self, lam, j):
-        return _w_axis_bounds(self, lam, j)
+        """bounds(w) -> integrate_radial bounds of the W_j integrand from the
+        envelope of each generator: ||V_j(t)|| <= t e^{t max(Re lam_j, rho_j)}
+        times prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times prod M."""
+        envs = [_envelope(self.A, e) for e in np.eye(self.n)]
+        zero = np.zeros_like(self.one)
+
+        def bounds(w):
+            parts = [w[j] * max(lam[j].real, envs[j][0])]
+            parts += [w[l] * envs[l][0] for l in range(j)]
+            parts += [w[k] * lam[k].real for k in range(j + 1, self.n)]
+            gamma = -sum(parts)
+            kw = dict(f_lipschitz=w[j] * self.m, f_sup=self.m / (-lam[j].real))
+            if gamma > 1e-12:
+                far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
+                    * 2.0 / (np.e * gamma)
+                kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
+            return kw
+
+        return bounds
 
     def finish(self, value):
         return value
@@ -247,25 +271,45 @@ class _Profiles:
     largest index count of a block, so profiles are integrated in the
     max-norm to tol / (cond(X) K); that product is ``cond``.
 
-    A tuple with spectral data is the case X = P with 1 x 1 blocks and no
-    jets; the (m, n) point set of a scalar integral is its own diagonal
-    tuple, with X = I and ``finish`` returning the profile;
-    ``of_generators`` builds X for a generator-only tuple.  Without jets
-    every entry |e^{rz}| is at most 1 on Re <= 0, so no bound needs
-    ||B||_2 or prod M_j.
+    The entries with a = 0 are the heads; the others are jets.  A tuple
+    with spectral data is the jet-free case X = P, with 1 x 1 blocks, the
+    one index a = 0 and nu = 1 on each; the (m, n) point set of a scalar
+    integral is its own diagonal tuple, with no basis and ``finish``
+    returning the profile.  ``of_generators`` builds X and the jets of a
+    generator-only tuple.  Every formula serves all three; the per-node
+    evaluators compute the head formula on every entry and overwrite the
+    jet entries only where there are any.
     """
 
-    m = 1.0    # sup_u of the max-norm of a profile without jets
-
-    def __init__(self, joint, spec=None):
-        self.joint = joint
-        self.n = joint.shape[1]
-        self.one = np.ones(len(joint), dtype=complex)
-        self.basis = self.inverse = self.sizes = self.jets = None
+    def __init__(self, joint, spec=None, powers=None):
+        """``joint`` holds one row z_i per block and ``spec`` the basis
+        (``basis``, ``inverse``, ``cond``), None for a point set.  ``powers``
+        lists the (a, N_i^a, nu_ia) of each block (``_nilpotent_powers``);
+        without it every block is 1 x 1 with the one index a = 0."""
+        count, self.n = joint.shape
+        if powers is None:
+            counts = self.sizes = np.ones(count, dtype=int)
+            self.a, self.lognu = np.zeros(joint.shape, dtype=int), np.zeros(count)
+            self.jets = None      # finish needs no stacks without jets
+        else:
+            counts = np.array([len(p) for p in powers])
+            self.sizes = np.array([len(p[0][1]) for p in powers])
+            self.a = np.array([a for p in powers for a, _, _ in p])
+            self.lognu = np.log([nu for p in powers for _, _, nu in p])
+            self.jets = [np.array([P / nu for _, P, nu in p]) for p in powers]
+        self.block = np.repeat(np.arange(count), counts)
+        self.joint = joint[self.block]
+        self.k = self.a.sum(axis=1)
+        self.head = self.k == 0
+        # log of nu_a / a!, the constant part of each entry's coefficient
+        self.logw = self.lognu - gammaln(self.a + 1.0).sum(axis=1)
+        self.one = self.head.astype(complex)
+        self.first, self._table = 0, None
+        self.basis = self.inverse = None
         self.cond = 1.0
         if spec is not None:
             self.basis, self.inverse = spec.basis, spec.inverse
-            self.cond = max(1.0, float(spec.cond))
+            self.cond = max(1.0, float(spec.cond)) * int(counts.max())
 
     @classmethod
     def of_generators(cls, A: OperatorTuple):
@@ -312,25 +356,7 @@ class _Profiles:
                 return None
             rows.append(z)
             blocks.append(powers)
-        counts = [len(p) for p in blocks]
-        sizes = np.array([Q.shape[1] for Q in bases])
-        out = cls(np.repeat(np.array(rows), counts, axis=0))
-        out.basis, out.inverse = X, Y
-        out.cond = cond * max(counts)
-        if max(counts) == 1:
-            out.sizes = sizes if np.any(sizes > 1) else None
-            return out
-        out.a = np.array([a for p in blocks for a, _, _ in p])
-        out.k = out.a.sum(axis=1)
-        out.head = out.k == 0
-        out.block = np.repeat(np.arange(len(blocks)), counts)
-        out.lognu = np.log([nu for p in blocks for _, _, nu in p])
-        # log of nu_a / a!, the constant part of each entry's coefficient
-        out.logw = out.lognu - gammaln(out.a + 1.0).sum(axis=1)
-        out.one = out.head.astype(complex)
-        out.jets = [np.array([P / nu for _, P, nu in p]) for p in blocks]
-        out.first, out._table = 0, None
-        return out
+        return cls(np.array(rows), _Basis(X, Y, cond), blocks)
 
     def _log_coeffs(self, w):
         """log(nu_a w^a / a!) per entry; -inf where w^a = 0."""
@@ -338,8 +364,6 @@ class _Profiles:
         return self.logw + xlogy(cols, w).sum(axis=1)
 
     def gen(self, j):
-        if self.jets is None:
-            return self.joint[:, j]
         unit = (self.k == 1) & (self.a[:, j] == 1)
         return np.where(self.head, self.joint[:, j],
                         np.where(unit, np.exp(self.logw), 0.0))
@@ -353,31 +377,27 @@ class _Profiles:
         """
         w = np.asarray(w, dtype=float)
         z = self.joint @ w
-        if self.jets is None:
-            def T(r):
-                return np.exp(r * z)
-
-            def delta(r):
-                return expm1c(r * z)
-
-            return T, delta, _over_r(delta, z), float(np.max(np.abs(z))), 1.0
         head, k = self.head, self.k
         log_c = self._log_coeffs(w)
-        z_head = z[head]
+        jet = np.flatnonzero(~head)
+        has_jet = len(jet) > 0
+        z_jet, k_jet, c_jet = z[jet], k[jet], log_c[jet]
 
-        def T(r):
-            return np.exp(r * z + (xlogy(k, r) + log_c))
-
-        def delta(r):
-            out = T(r)
-            out[head] = expm1c(r * z_head)
+        def with_jets(out, r):
+            if has_jet:
+                out[jet] = np.exp(r * z_jet + (xlogy(k_jet, r) + c_jet))
             return out
 
-        limit = np.where(k == 1, np.exp(log_c), 0.0).astype(complex)
-        limit[head] = z_head
+        def T(r):
+            return with_jets(np.exp(r * z), r)
+
+        def delta(r):
+            return with_jets(expm1c(r * z), r)
+
+        limit = np.where(head, z, np.where(k == 1, np.exp(log_c), 0.0))
         live = ~head & np.isfinite(log_c)
         kl, cl, rho = k[live], log_c[live], -z.real[live]
-        lip = max(float(np.max(np.abs(z_head))), _peak(cl, kl - 1, rho))
+        lip = max(float(np.max(np.abs(z[head]))), _peak(cl, kl - 1, rho))
         return T, delta, _over_r(delta, limit), lip, max(1.0, _peak(cl, kl, rho))
 
     def envelope(self, w):
@@ -391,13 +411,6 @@ class _Profiles:
         """
         w = np.asarray(w, dtype=float)
         z = self.joint @ w
-        if self.jets is None:
-            still = z == 0
-            moving = z.real[~still]
-            if moving.size == 0:
-                return -1.0, 0.0, still
-            rho = float(np.max(moving))
-            return (rho if rho < -1e-12 else 0.0), 1.0, still
         still = (z == 0) & self.head
         log_c = self._log_coeffs(w)
         live = ~self.head & np.isfinite(log_c)
@@ -413,8 +426,6 @@ class _Profiles:
 
     def semigroup(self, u):
         u = np.asarray(u, dtype=float)
-        if self.jets is None:
-            return np.exp(self.joint @ u)
         return np.exp(self.joint @ u + self._log_coeffs(u))
 
     def restrict(self, lo, hi):
@@ -423,18 +434,15 @@ class _Profiles:
         out = copy.copy(self)
         out.joint = self.joint[:, lo:hi]
         out.n = hi - lo
-        if self.jets is not None:
-            out.first = self.first + lo
-            inside = self.a[:, out.first:out.first + out.n].sum(axis=1)
-            out.logw = np.where(inside < self.k, -np.inf, self.logw)
+        out.first = self.first + lo
+        inside = self.a[:, out.first:out.first + out.n].sum(axis=1)
+        out.logw = np.where(inside < self.k, -np.inf, self.logw)
         return out
 
     def compose(self, left, right):
         """The profile of the product of two operators given as profiles:
-        on each block the truncated Cauchy product over multi-indices, the
-        entrywise product without jets."""
-        if self.jets is None:
-            return np.multiply(left, right)
+        on each block the truncated Cauchy product over multi-indices (the
+        entrywise product on 1 x 1 blocks)."""
         if self._table is None:
             # a + b by integer codes in base 2 max(a) + 2, so no component
             # carries; pairs whose sum is no index have N^{a+b} = 0
@@ -461,42 +469,37 @@ class _Profiles:
         int_0^t e^{(t-s) lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``; c_0 is
         ``_v_diag``), and U_j contributes the jets of the generators before
         j and e^{r <w, lam>} after it: entries indexed past j are zero.
+        Every entry of a block that carries a jet takes c_k from ``_v_jets``.
         """
         zj = self.joint[:, j]
-        if self.jets is None:
-            def make(w):
-                w = np.asarray(w, dtype=float)
-                pre = self.joint[:, :j] @ w[:j] if j > 0 else 0.0
-                post = complex(np.dot(w[j + 1:], lam[j + 1:]))
-
-                def F(r):
-                    return _v_diag(r * w[j], lam[j], zj) * np.exp(r * (pre + post))
-
-                return F, _over_r(F, w[j] * self.one)
-
-            return make
         a, aj = self.a, self.a[:, j]
         log_w = np.where(np.any(a[:, j + 1:] > 0, axis=1), -np.inf,
                          self.logw + gammaln(aj + 1.0))
-        lift = self.k - aj          # powers of r from the U_j jets
         jet_blocks = np.unique(self.block[~self.head])
-        in_jet = np.isin(self.block, jet_blocks)
-        row = np.searchsorted(jet_blocks, self.block[in_jet])
-        z_jet = zj[self.head][jet_blocks]
-        order = int(aj[in_jet & np.isfinite(log_w)].max()) + 1
+        in_jet = np.flatnonzero(np.isin(self.block, jet_blocks))
+        has_jet = len(in_jet) > 0
+        if has_jet:
+            row = np.searchsorted(jet_blocks, self.block[in_jet])
+            z_jet = zj[self.head][jet_blocks]
+            a_jet = aj[in_jet]
+            order = int(a_jet[np.isfinite(log_w[in_jet])].max()) + 1
+            lift = self.k[in_jet] - a_jet     # powers of r from the U_j jets
 
         def make(w):
             w = np.asarray(w, dtype=float)
             pre = self.joint[:, :j] @ w[:j]
             post = complex(np.dot(w[j + 1:], lam[j + 1:]))
-            log_c = log_w + xlogy(a[:, :j], w[:j]).sum(axis=1)
+            if has_jet:
+                pre_jet = pre[in_jet] + post
+                log_c = (log_w + xlogy(a[:, :j], w[:j]).sum(axis=1))[in_jet]
 
             def F(r):
                 t = r * w[j]
-                c = np.empty(len(zj), dtype=complex)
-                c[~in_jet] = _v_diag(t, lam[j], zj[~in_jet])
-                c[in_jet] = _v_jets(t, lam[j], z_jet, order)[row, aj[in_jet]]
-                return c * np.exp(r * (pre + post) + (xlogy(lift, r) + log_c))
+                out = _v_diag(t, lam[j], zj) * np.exp(r * (pre + post))
+                if has_jet:
+                    out[in_jet] = _v_jets(t, lam[j], z_jet, order)[row, a_jet] \
+                        * np.exp(r * pre_jet + (xlogy(lift, r) + log_c))
+                return out
 
             return F, _over_r(F, w[j] * self.one)
 
@@ -508,33 +511,42 @@ class _Profiles:
         |c_k(t)| <= t^{k+1} / (k+1)! e^{-t mu}, mu = -max(Re lam_j, Re z_ij),
         so entry a is at most C r^{|a|+1} e^{-gamma r}, gamma the rate of
         e^{-r w_j mu} U_j; the a = 0 entries keep |c_0| <= 1 / -Re lam_j.
+        A head with z_ij = 0, sum_{l<j} w_l z_il = 0 and w_l = 0 past j
+        does not decay: there c_0(t) = (e^{t lam_j} - 1) / lam_j and U_j = 1,
+        so it settles at -1 / lam_j, within e^{t Re lam_j} / |lam_j|.
         """
-        if self.jets is None:
-            return _w_axis_bounds(self, lam, j)
         a, aj, head = self.a, self.a[:, j], self.head
         re = self.joint.real
         mu = -np.maximum(lam[j].real, re[:, j])
         log_w = np.where(np.any(a[:, j + 1:] > 0, axis=1), -np.inf,
                          self.logw + gammaln(aj + 1.0) - gammaln(aj + 2.0))
-        zero = np.zeros_like(self.one)
+        zero_j = head & (self.joint[:, j] == 0)
 
         def bounds(w):
             w = np.asarray(w, dtype=float)
             gamma = w[j] * mu - re[:, :j] @ w[:j] \
                 - float(np.dot(w[j + 1:], lam[j + 1:].real))
+            still = zero_j & (self.joint[:, :j] @ w[:j] == 0) \
+                & (not np.any(w[j + 1:]))
             log_c = log_w + xlogy(a[:, :j], w[:j]).sum(axis=1) \
                 + xlogy(aj + 1.0, w[j])
             jet = ~head & np.isfinite(log_c)
-            log_c_head = log_c[head]    # log w_j: c_0(t) <= t e^{-t mu}
+            moving = head & ~still
+            log_c_head = log_c[moving]    # log w_j: c_0(t) <= t e^{-t mu}
             k, log_c, g = self.k[jet] + 1, log_c[jet], gamma[jet]
             kw = dict(f_lipschitz=max(w[j], _peak(log_c, k - 1, g)),
                       f_sup=max(-1.0 / lam[j].real, _peak(log_c, k, g)))
-            rate = min(np.min(gamma[head]), np.min(g, initial=np.inf))
+            settles = bool(np.any(still))
+            rate = min(np.min(gamma[moving], initial=np.inf),
+                       np.min(g, initial=np.inf),
+                       -w[j] * lam[j].real if settles else np.inf)
             if rate > 1e-12:
                 far = max(_peak(log_c_head, np.ones(len(log_c_head)),
-                                0.5 * gamma[head]),
-                          _peak(log_c, k, 0.5 * g))
-                kw.update(f_settle=zero, f_decay=0.5 * rate, f_far_coeff=far)
+                                0.5 * gamma[moving]),
+                          _peak(log_c, k, 0.5 * g),
+                          1.0 / abs(lam[j]) if settles else 0.0)
+                kw.update(f_settle=np.where(still, -1.0 / lam[j], 0.0),
+                          f_decay=0.5 * rate, f_far_coeff=far)
             return kw
 
         return bounds
@@ -542,9 +554,9 @@ class _Profiles:
     def finish(self, value):
         if self.basis is None:
             return value
-        if self.jets is None:
-            diag = value if self.sizes is None else np.repeat(value, self.sizes)
-            return (self.basis * diag) @ self.inverse
+        if np.all(self.head):
+            # no jets: X diag(e) Y in O(d^2)
+            return (self.basis * np.repeat(value, self.sizes)) @ self.inverse
         D = np.zeros(self.basis.shape, dtype=complex)
         start = 0
         for i, stack in enumerate(self.jets):
@@ -825,32 +837,6 @@ def _w_integrand(A: OperatorTuple, lam, j: int):
         return F, _over_r(F, w[j] * np.eye(A.d, dtype=complex))
 
     return make
-
-
-def _w_axis_bounds(rep, lam, j: int):
-    """bounds(w) -> integrate_radial bounds of the W_j integrand from the
-    envelope of each generator: ||V_j(t)|| <= t e^{t max(Re lam_j, rho_j)}
-    times prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times prod M."""
-    envs = []
-    for l in range(rep.n):
-        rho, far, settled = rep.envelope(np.eye(rep.n)[l])
-        # an eigenvalue 0 of A_l leaves U_j undamped along e_l
-        envs.append((0.0, 1.0) if np.any(settled) else (rho, far))
-    zero = np.zeros_like(rep.one)
-
-    def bounds(w):
-        parts = [w[j] * max(lam[j].real, envs[j][0])]
-        parts += [w[l] * envs[l][0] for l in range(j)]
-        parts += [w[k] * lam[k].real for k in range(j + 1, rep.n)]
-        gamma = -sum(parts)
-        kw = dict(f_lipschitz=w[j] * rep.m, f_sup=rep.m / (-lam[j].real))
-        if gamma > 1e-12:
-            far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
-                * 2.0 / (np.e * gamma)
-            kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
-        return kw
-
-    return bounds
 
 
 def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,

@@ -171,8 +171,10 @@ CROSS_ROUTE = [p for p in CATALOG_PAIRS
 class TestProfilesAgainstMatrices:
     """A spectral tuple integrates eigenvalue profiles and applies P once;
     its stripped copy integrates them in the basis of a reordered Schur form
-    and never sees P.  Both are eigenbasis routes: the expm-only reference
-    is TestBlockJetsAgainstMatrices."""
+    and never sees P.  Both run the same profile code and differ only in
+    their basis, so the spectral tuple is also checked against the
+    expm-only _Matrices route, forced through the private builders, which
+    shares neither basis nor integrand code with it."""
 
     @pytest.mark.parametrize("d", [8, 24])
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
@@ -197,6 +199,28 @@ class TestProfilesAgainstMatrices:
         for j in range(n):
             assert rel_gap(w_operator(psi, A, lam, j),
                            w_operator(psi, stripped(A), lam, j)) <= 1e-8
+
+    @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
+    def test_apply_psi_against_matrices(self, name, build, n):
+        psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
+        ref = calculus._psi_integral(psi, calculus._Matrices(A), 1e-9)
+        assert rel_gap(apply_psi(psi, A), ref) <= 1e-8
+
+    @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
+    def test_subordinated_against_matrices(self, name, build, n):
+        # dsum composes through a product, cone through a convolution
+        psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
+        ref = calculus._subordinated_family(psi.subordinator,
+                                            calculus._Matrices(A), 0.5, 1e-9)
+        assert rel_gap(subordinated(psi, A, 0.5), ref) <= 1e-8
+
+    @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
+    def test_w_operator_against_matrices(self, name, build, n):
+        psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
+        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:n]
+        for j in range(n):
+            ref = calculus._w_integral(psi, calculus._Matrices(A), lam, j, 1e-9)
+            assert rel_gap(w_operator(psi, A, lam, j), ref) <= 1e-8
 
     @pytest.mark.parametrize("build,reference", [
         (lambda: fractional_power(0.5), lambda G: -sqrtm(-G)),
@@ -277,6 +301,37 @@ class TestBlockJetsAgainstMatrices:
             assert rel_gap(w_operator(psi, stripped(A), lam, j),
                            w_operator(psi, A, lam, j)) <= 1e-8
 
+    def test_jets_only_where_a_block_carries_one(self, monkeypatch):
+        # the W integrand runs the jet recurrences per node only when a
+        # block carries a jet; the Jordan tuple shows the counter is live
+        calls = []
+        real = calculus._v_jets
+        monkeypatch.setattr(calculus, "_v_jets",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        psi, lam = fractional_power(0.5), np.array([-0.8 + 0.3j])
+        A = make_commuting_random(1, 8, seed=9)
+        for B in (A, stripped(A)):
+            factorization_check(psi, B, lam)
+        assert calls == []
+        factorization_check(psi, make_jordan_polynomial(1, 8, seed=81), lam)
+        assert calls
+
+    def test_repeated_semisimple_eigenvalue(self):
+        # one 2 x 2 block z I with no nilpotent part and one 1 x 1 block:
+        # the profile has an entry per block, and finish repeats them
+        P = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        Pinv = np.linalg.inv(P)
+        A = make_tuple([P @ np.diag([-1.0, -1.0, -2.0]) @ Pinv])
+        rep = calculus._representation(A)
+        assert isinstance(rep, calculus._Profiles)
+        assert sorted(rep.sizes) == [1, 2] and np.all(rep.head)
+        psi = log1m()
+        at = eval_psi(psi, np.array([[-1.0], [-1.0], [-2.0]]))
+        assert rel_gap(apply_psi(psi, A), P @ np.diag(at) @ Pinv) <= 1e-8
+        g_ref = P @ np.diag(np.exp(0.5 * at)) @ Pinv
+        assert rel_gap(subordinated(psi, A, 0.5), g_ref) <= 1e-8
+        assert factorization_check(psi, A, np.array([-0.8 + 0.3j])) <= 1e-8
+
     @pytest.mark.parametrize("build,reference", [
         (lambda: fractional_power(0.5), lambda G: -sqrtm(-G)),
         (log1m, lambda G: -logm(np.eye(len(G)) - G)),
@@ -317,6 +372,21 @@ class TestSemisimpleZero:
             g_ref = Q @ np.diag([np.exp(-0.5), 1.0]) @ Q.conj().T
             assert opnorm(apply_psi(psi, A) - psi_ref) <= 1e-9
             assert opnorm(subordinated(psi, A, 0.5) - g_ref) <= 1e-9
+
+    def test_w_operator_and_factorization(self):
+        # W_j is the divided difference (psi(lam) - psi(z)) / (lam - z) on
+        # each eigenvector; at z = 0 the W integrand settles at -1/lam
+        psi, lam = fractional_power(0.5), np.array([-0.5 + 1.0j])
+        dd = [(eval_psi(psi, lam) - eval_psi(psi, np.array([z]))) / (lam[0] - z)
+              for z in (-1.0, 0.0)]
+        for A, Q in self.tuples():
+            W_ref = Q @ np.diag(dd) @ Q.conj().T
+            assert opnorm(w_operator(psi, A, lam, 0) - W_ref) <= 1e-9
+            assert factorization_check(psi, A, lam) <= 1e-9
+        # a zero generator: along e_2 every entry of W_2 settles
+        A = make_tuple([np.diag([-1.0, -2.0]), np.zeros((2, 2))])
+        psi = direct_sum(poisson(), fractional_power(0.5))
+        assert factorization_check(psi, A, [-1.0, -1.0]) <= 1e-9
 
     def test_mapping_part_one(self):
         from bpcalc.spectra import mapping_check
