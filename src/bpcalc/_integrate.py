@@ -12,8 +12,7 @@ parts share one strategy:
     origin singularity m(r) = O(r^-beta) into a decaying smooth integrand;
   * on [split, R] the integrand is integrated in v = log r as well, with R
     chosen from tail-mass bounds and, when available, the exponential decay
-    of f; the log scale puts few nodes where f*m is already negligible and
-    each node (an expm of r*B for operator integrands) is dearest;
+    of f; the log scale puts few nodes where f*m is already negligible;
   * beyond R, if f settles to a known limit and the tail mass is exact, the
     settled part is added back in closed form.
 
@@ -64,8 +63,9 @@ def expm1c(z):
 
 
 def _norm(x) -> float:
-    # A 1-D value is a profile of eigenvalue factors, whose caller applies
-    # the eigenbasis to it once and bounds the result through the max-norm;
+    # A 1-D value is a profile (of the scalar jets of a block basis, or of
+    # a point set), whose caller applies the basis, if any, once and bounds
+    # the result through the max-norm;
     # a matrix is measured by its flattened 2-norm, which dominates the
     # spectral norm, so absolute tolerances are conservative for matrices.
     if np.ndim(x) == 0:

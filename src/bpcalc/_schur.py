@@ -1,12 +1,15 @@
-"""Invariant subspaces of a commuting tuple from one reordered Schur form.
+"""The block split of a commuting tuple, from one reordered Schur form.
 
 Both the joint spectra (``spectra``) and the block-jet integrands of
 ``calculus`` split the space the same way: one complex Schur form of a
 generic combination C = sum_j theta_j A_j, its diagonal clustered, and each
 cluster moved to the front with ``ztrsen`` so that the leading Schur vectors
 span its invariant subspace.  Every A_j commutes with C and so leaves that
-subspace invariant (Corless, Gianni & Trager, ISSAC 1997).
+subspace invariant (Corless, Gianni & Trager, ISSAC 1997).  ``Blocks`` is
+that split, computed once per tuple as ``OperatorTuple.blocks``.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
@@ -36,30 +39,42 @@ def _clusters(vals, radius):
     return [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
 
-def invariant_bases(mats):
-    """One orthonormal d x m basis Q per eigenvalue cluster of C, in the
-    order of the clusters' first Schur positions.
-
-    The clusters are the single-linkage groups of the Schur diagonal at
-    radius 1e-6 max(1, ||C||_2).  Cost: one d x d Schur form and norm, then
-    O(d^2) reordering per cluster.  Raises LinAlgError when ``ztrsen``
-    cannot reorder a cluster.
+class Blocks:
+    """The split of commuting ``mats``: X = ``basis`` = [Q_1 ... Q_k], Q_i =
+    ``bases[i]`` an orthonormal basis of the invariant subspace of the i-th
+    eigenvalue cluster of C (single-linkage groups of the Schur diagonal at
+    radius 1e-6 max(1, ||C||_2), in order of first Schur position), and
+    ``compressions[i][j]`` = Q_i^* A_j Q_i.  ``inverse`` and ``cond`` of X
+    are formed on first use.  Cost: one d x d Schur form and norm, then
+    O(d^2) reordering and O(n d^2 m_i) products per cluster of size m_i.
+    Raises LinAlgError when ``ztrsen`` cannot reorder a cluster.
     """
-    d = mats[0].shape[0]
-    C = sum(t * G for t, G in zip(np.resize(_THETA, len(mats)), mats))
-    T, Z = schur(C, output="complex")
-    radius = 1e-6 * max(1.0, float(np.linalg.norm(C, 2)))
-    out = []
-    for member in _clusters(np.diag(T), radius):
-        m = len(member)
-        if member[-1] == m - 1:
-            out.append(Z[:, :m])
-            continue
-        select = np.zeros(d, dtype=np.int32)
-        select[member] = 1
-        _, Q, _, _, _, _, info = ztrsen(select, T, Z, job="N")
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                "Schur reordering failed for an eigenvalue cluster")
-        out.append(Q[:, :m])
-    return out
+
+    def __init__(self, mats):
+        d = mats[0].shape[0]
+        C = sum(t * G for t, G in zip(np.resize(_THETA, len(mats)), mats))
+        T, Z = schur(C, output="complex")
+        radius = 1e-6 * max(1.0, float(np.linalg.norm(C, 2)))
+        leading = []
+        for member in _clusters(np.diag(T), radius):
+            select = np.zeros(d, dtype=np.int32)
+            select[member] = 1
+            _, Q, _, _, _, _, info = ztrsen(select, T, Z, job="N")
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    "Schur reordering failed for an eigenvalue cluster")
+            leading.append(Q[:, :len(member)])
+        # one d x d basis: the d x d reorderings are dropped once copied in
+        self.basis = np.hstack(leading)
+        edges = np.cumsum([0] + [Q.shape[1] for Q in leading])
+        self.bases = [self.basis[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+        self.compressions = [[Q.conj().T @ G @ Q for G in mats]
+                             for Q in self.bases]
+
+    @cached_property
+    def inverse(self):
+        return np.linalg.inv(self.basis)
+
+    @cached_property
+    def cond(self):
+        return float(np.linalg.cond(self.basis))

@@ -9,26 +9,25 @@ Each builder picks its integrand representation once.  The profile route
 (``_Profiles``) works in one block basis X, where every A_j is z I +
 nilpotent on each block: the quadrature runs on the profile of the scalar
 jets e^{r <w, z>} (rw)^a / a! of every block, in the max-norm, and X is
-applied once to the result.  A generator-only tuple takes X from one
-reordered Schur form.  A tuple with spectral data, T(u) = P diag(e^{<u,
-lambda^(k)>}) P^{-1}, is the jet-free case X = P, with 1 x 1 blocks and
-only the index a = 0, and the (m, n) point set of a scalar integral is the
-jet-free case without a basis: the same code serves all three.  Only a
-tuple whose basis is ill-conditioned, or whose blocks are not z I +
-nilpotent, takes one d x d matrix exponential per node (``_Matrices``); the
-cross-route tests force that route as the reference that shares neither
+applied once to the result.  A generator-only tuple takes X from its block
+split (``OperatorTuple.blocks``: one reordered Schur form per tuple, which
+the joint spectra read too).  A tuple with spectral data, T(u) =
+P diag(e^{<u, lambda^(k)>}) P^{-1}, is the jet-free case X = P, with 1 x 1
+blocks and only the index a = 0, and the (m, n) point set of a scalar
+integral is the jet-free case without a basis: the same code serves all
+three.  Only a tuple whose basis is ill-conditioned, or whose blocks are not
+z I + nilpotent, takes one d x d matrix exponential per node (``_Matrices``);
+the cross-route tests force that route as the reference that shares neither
 basis nor integrand code with the profiles.
 """
 
 import copy
-from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import expm, schur
 from scipy.special import gammaln, xlogy
 
 from ._integrate import expm1c, integrate_measure
-from ._schur import invariant_bases
 from .bernstein import (BernsteinFunction, LevyMeasure, SubordinatorFamily,
                         eval_psi)
 from .semigroup import OperatorTuple, make_tuple, semigroup_apply
@@ -63,32 +62,16 @@ def _direction_evaluators(A: OperatorTuple, w):
     def T(r):
         return expm(r * B)
 
-    def series_ratio(r):
-        # (e^{rB} - I)/r = B (I + rB/2 + (rB)^2/6 + ...), truncated once the
-        # a-priori bound (r ||B||)^k / (k+1)! on the k-th term is below 1e-18
-        acc = eye.copy()
-        term = eye
-        bound = 1.0
-        k = 1
-        while True:
-            term = (r / (k + 1.0)) * (term @ B)
-            bound *= r * nrm / (k + 1.0)
-            acc = acc + term
-            k += 1
-            if bound < 1e-18 or k > 30:
-                break
-        return B @ acc
-
     def ratio(r):
-        if r < _TINY_R:
-            return B.copy()
         if r * nrm < 0.25:
-            return series_ratio(r)
+            # B phi1(rB), phi1(rB) = int_0^1 e^{s rB} ds: no cancellation,
+            # and exactly B at r = 0
+            return B @ _van_loan(r * B, 0.0, 1.0)
         return (expm(r * B) - eye) / r
 
     def delta(r):
         if r * nrm < 0.25:
-            return r * series_ratio(r)
+            return r * ratio(r)
         return expm(r * B) - eye
 
     return T, delta, ratio, nrm
@@ -129,9 +112,6 @@ def _envelope(A: OperatorTuple, w):
 _COND_MAX = 1e4                     # largest cond(X) of a block basis
 _ROUND = 64 * np.finfo(float).eps   # relative round-off of a computed block
 _NIL = 1e-12                        # largest jet term of a zero power N^a
-
-# the block basis X of a generator-only tuple, as SpectralData holds P
-_Basis = namedtuple("_Basis", "basis inverse cond")
 
 
 def _over_r(F, limit):
@@ -275,15 +255,16 @@ class _Profiles:
     with spectral data is the jet-free case X = P, with 1 x 1 blocks, the
     one index a = 0 and nu = 1 on each; the (m, n) point set of a scalar
     integral is its own diagonal tuple, with no basis and ``finish``
-    returning the profile.  ``of_generators`` builds X and the jets of a
-    generator-only tuple.  Every formula serves all three; the per-node
-    evaluators compute the head formula on every entry and overwrite the
-    jet entries only where there are any.
+    returning the profile.  ``of_generators`` reads X from the block split
+    of a generator-only tuple and builds its jets.  Every formula serves all
+    three; the per-node evaluators compute the head formula on every entry
+    and overwrite the jet entries only where there are any.
     """
 
     def __init__(self, joint, spec=None, powers=None):
         """``joint`` holds one row z_i per block and ``spec`` the basis
-        (``basis``, ``inverse``, ``cond``), None for a point set.  ``powers``
+        (``basis``, ``inverse``, ``cond``: the ``SpectralData`` or the
+        ``_schur.Blocks`` of the tuple), None for a point set.  ``powers``
         lists the (a, N_i^a, nu_ia) of each block (``_nilpotent_powers``);
         without it every block is 1 x 1 with the one index a = 0."""
         count, self.n = joint.shape
@@ -318,30 +299,24 @@ class _Profiles:
         z I + nilpotent to round-off, or a jet on a block with Re z_ij = 0,
         where r^k e^{rz} does not decay.
 
-        X stacks the invariant subspaces of the eigenvalue clusters of
-        sum_j theta_j A_j (``invariant_bases``); B_ij = Y_i A_j X_i, z_ij =
-        tr(B_ij) / m_i and N_ij = B_ij - z_ij I.
+        X and the blocks B_ij = Q_i^* A_j Q_i of A_j on its column slices
+        Q_i come from the tuple's split ``A.blocks``; each B_ij splits as
+        z_ij I + N_ij, z_ij = tr(B_ij) / m_i.
         """
-        mats = A.generators
         try:
-            bases = invariant_bases(mats)
+            split = A.blocks
         except np.linalg.LinAlgError:
             return None
-        X = np.hstack(bases)
-        cond = float(np.linalg.cond(X))
-        if not cond <= _COND_MAX:
+        if not split.cond <= _COND_MAX:
             return None
-        Y = np.linalg.inv(X)
         # parts of a computed block below these sizes are round-off
-        tiny = [_ROUND * cond * max(1.0, float(np.linalg.norm(G))) for G in mats]
-        rows, blocks, start = [], [], 0
-        for Q in bases:
-            m = Q.shape[1]
-            Yi = Y[start:start + m]
-            start += m
+        tiny = [_ROUND * split.cond * max(1.0, float(np.linalg.norm(G)))
+                for G in A.generators]
+        rows, blocks = [], []
+        for compressed in split.compressions:
+            m = len(compressed[0])
             z, N = np.zeros(A.n, dtype=complex), []
-            for j, G in enumerate(mats):
-                B = Yi @ G @ Q
+            for j, B in enumerate(compressed):
                 t = np.trace(B) / m
                 z[j] = complex(t.real if abs(t.real) > tiny[j] else 0.0,
                                t.imag if abs(t.imag) > tiny[j] else 0.0)
@@ -356,7 +331,7 @@ class _Profiles:
                 return None
             rows.append(z)
             blocks.append(powers)
-        return cls(np.array(rows), _Basis(X, Y, cond), blocks)
+        return cls(np.array(rows), split, blocks)
 
     def _log_coeffs(self, w):
         """log(nu_a w^a / a!) per entry; -inf where w^a = 0."""
@@ -753,22 +728,25 @@ def _v_diag(t, lam, z):
     return out
 
 
-def v_operator(lam: complex, A: OperatorTuple, j: int, u: float):
-    """V_j^lambda(u) = int_0^u e^{(u-s) lambda} T_j(s) ds.
-
-    It is the upper-right block of exp(u [[A_j, I], [0, lambda I]]) (Van
-    Loan, "Computing integrals involving the matrix exponential", 1978).
-    """
-    if u < 0:
-        raise ValueError("upper limit must be nonnegative")
-    d = A.d
-    if u == 0:
-        return np.zeros((d, d), dtype=complex)
+def _van_loan(G, lam, u):
+    """int_0^u e^{(u-s) lam} e^{sG} ds, the upper-right block of
+    exp(u [[G, I], [0, lam I]]) (Van Loan, "Computing integrals involving
+    the matrix exponential", 1978)."""
+    d = len(G)
     M = np.zeros((2 * d, 2 * d), dtype=complex)
-    M[:d, :d] = A.generators[j]
+    M[:d, :d] = G
     M[:d, d:] = np.eye(d)
     M[d:, d:] = lam * np.eye(d)
     return expm(u * M)[:d, d:]
+
+
+def v_operator(lam: complex, A: OperatorTuple, j: int, u: float):
+    """V_j^lambda(u) = int_0^u e^{(u-s) lambda} T_j(s) ds, by ``_van_loan``."""
+    if u < 0:
+        raise ValueError("upper limit must be nonnegative")
+    if u == 0:
+        return np.zeros((A.d, A.d), dtype=complex)
+    return _van_loan(A.generators[j], lam, u)
 
 
 def _v_jets(t, lam, z, order):

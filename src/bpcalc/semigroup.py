@@ -7,10 +7,13 @@ covers the spectra that no finite matrix can host.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
+
+from ._schur import Blocks
 
 __all__ = [
     "SpectralData", "OperatorTuple", "DiagonalRayModel",
@@ -49,7 +52,7 @@ class SpectralData:
 class OperatorTuple:
     n: int
     d: int
-    generators: tuple          # n complex d x d arrays
+    generators: tuple          # n read-only complex d x d arrays
     bounds: tuple              # M_j >= 1, see estimate_bound
     bound_kinds: tuple         # how each M_j was obtained, from BOUND_KINDS
     commutator_residual: float
@@ -58,9 +61,22 @@ class OperatorTuple:
     def norm(self, j: int) -> float:
         return float(np.linalg.norm(self.generators[j], 2))
 
+    @cached_property
+    def blocks(self) -> Blocks:
+        """The block split (``_schur.Blocks``), formed once, on first use."""
+        return Blocks(self.generators)
+
+
+def _frozen(g) -> np.ndarray:
+    """``g``, marked read-only, so that make_tuple shares it uncopied."""
+    g.flags.writeable = False
+    return g
+
 
 def _as_matrices(generators) -> tuple:
-    mats = tuple(np.asarray(g, dtype=complex) for g in generators)
+    mats = tuple(g if isinstance(g, np.ndarray) and g.dtype == complex
+                 and not g.flags.writeable else _frozen(np.array(g, dtype=complex))
+                 for g in generators)
     d = mats[0].shape[0]
     for g in mats:
         if g.shape != (d, d):
@@ -77,7 +93,8 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
     spectrum reaching into the open right half-plane, and spectral data that
     does not reproduce the generators.  Without ``bounds`` each M_j comes
     from estimate_bound; ``bound_kinds`` records how passed-in bounds were
-    obtained (default "given").
+    obtained (default "given").  The generators are kept read-only: an
+    array that already is read-only is shared, any other is copied.
     """
     mats = _as_matrices(generators)
     n, d = len(mats), mats[0].shape[0]
@@ -154,7 +171,7 @@ def make_commuting_random(n: int, d: int, seed,
     joint = (rng.uniform(re_lo, re_hi, (d, n))
              + 1j * rng.uniform(im_lo, im_hi, (d, n)))
     spec = SpectralData(joint=joint, basis=P, cond=cond)
-    gens = [P @ np.diag(joint[:, j]) @ spec.inverse for j in range(n)]
+    gens = [_frozen(P @ np.diag(joint[:, j]) @ spec.inverse) for j in range(n)]
     return make_tuple(gens, spectral=spec)
 
 
@@ -175,14 +192,14 @@ def make_jordan_polynomial(n: int, d: int, seed,
         b0 = rng.uniform(*re_box) + 1j * rng.uniform(-1.0, 1.0)
         a1 = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
         a2 = rng.uniform(0.0, 0.5) * np.exp(2j * np.pi * rng.uniform())
-        gens.append(b0 * np.eye(d, dtype=complex) + a1 * N + a2 * (N @ N))
+        gens.append(_frozen(b0 * np.eye(d, dtype=complex) + a1 * N + a2 * (N @ N)))
     return make_tuple(gens)
 
 
 def adjoint(A: OperatorTuple) -> OperatorTuple:
     """The adjoint tuple; semigroup bounds carry over since
     ||exp(t A*)|| = ||exp(t A)||."""
-    gens = [g.conj().T for g in A.generators]
+    gens = [_frozen(g.conj().T) for g in A.generators]
     spec = None
     if A.spectral is not None:
         spec = SpectralData(joint=A.spectral.joint.conj(),
@@ -283,7 +300,7 @@ def fourier_translation_model(K: int, n: int = 1) -> OperatorTuple:
     polynomials: eigenvalues i*k for k = -K..K, tensored over n axes."""
     joint = fourier_modes(K, n)
     d = len(joint)
-    gens = [np.diag(joint[:, j]) for j in range(n)]
+    gens = [_frozen(np.diag(joint[:, j])) for j in range(n)]
     spec = SpectralData(joint=joint, basis=np.eye(d, dtype=complex), cond=1.0)
     return make_tuple(gens, spectral=spec)
 

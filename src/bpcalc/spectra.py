@@ -6,16 +6,14 @@ eigenvectors, equivalently the point spectrum of the adjoint tuple), the
 approximate spectrum (smallest singular value of the stacked shifts, which
 collapses onto the point spectrum in finite dimension), and their union.
 
-Common eigenvectors come from one reordered complex Schur form of a fixed
-combination sum_j theta_j A_j (Corless, Gianni & Trager, ISSAC 1997): each
-eigenvalue cluster of its diagonal is moved to the front, and the joint
-eigenvalues are read inside that cluster's invariant subspace, directly for
-a simple eigenvalue and by a kernel solve on m x m blocks for a cluster of
-size m.  The cost is one d x d Schur form plus the per-cluster work, O(d^3)
-for a tuple with d distinct joint eigenvalues.  The residual spectrum runs
-the same route on the adjoint tuple; the certificates (the stacked singular
-value per approximate point, the corank per residual point) cost one SVD of
-a d x nd or nd x d stack each.
+Common eigenvectors come from the tuple's block split ``A.blocks``
+(``_schur``: one reordered Schur form per tuple, shared with ``calculus``):
+the joint eigenvalues are read inside each eigenvalue cluster's invariant
+subspace, directly for a simple eigenvalue and by a kernel solve on the
+m x m compressions of the A_j for a cluster of size m, O(d^3) in all for d
+distinct joint eigenvalues.  The residual spectrum splits the adjoint
+tuple; the certificates (the stacked singular value per approximate point,
+the corank per residual point) cost one SVD of a d x nd or nd x d stack each.
 """
 
 from dataclasses import dataclass
@@ -23,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-# _THETA is re-exported: the spectrum tests step along it
-from ._schur import _THETA, _clusters, invariant_bases  # noqa: F401
+from ._schur import Blocks, _clusters
 from .bernstein import BernsteinFunction, eval_psi
 from .calculus import apply_psi
 from .semigroup import OperatorTuple
@@ -103,29 +100,20 @@ def _block_eigvecs(blocks, tol):
     return out
 
 
-def _common_eigvecs(mats, tol):
-    """All (lam, Q) with Q an orthonormal basis of the joint eigenspace.
+def _common_eigvecs(split: Blocks, tol):
+    """All (lam, Q) with Q an orthonormal basis of the joint eigenspace,
+    from the block split ``split`` (``_schur.Blocks``).
 
-    Reordered Schur route (Corless, Gianni & Trager, ISSAC 1997): one
-    complex Schur form of C = sum_j theta_j A_j, its diagonal clustered,
-    and each cluster moved to the front (``ztrsen``) so that the leading
-    Schur vectors span its invariant subspace, which every A_j leaves
-    invariant because it commutes with C.  A cluster of one eigenvalue
-    gives lam_j = x^* A_j x directly; a larger one (a Jordan block, a
-    repeated eigenvalue, or distinct joint eigenvalues whose
-    theta-combinations coincide) is solved by ``_block_eigvecs`` on the
-    m x m compressions of the A_j.  Cost: one d x d Schur form and norm,
-    then O(d^2) reordering and O(n d^2) products per cluster, plus O(m^3)
-    per cluster of size m: O(n d^3) when the clusters are small.
+    A cluster of one eigenvalue gives lam_j = x^* A_j x, its 1 x 1
+    compression; a larger one (a Jordan block, a repeated eigenvalue, or
+    distinct joint eigenvalues whose theta-combinations coincide) is solved
+    by ``_block_eigvecs`` on its m x m compressions, in O(m^3).
     """
     out = []
-    for Q in invariant_bases(mats):
-        m = Q.shape[1]
-        if m == 1:
-            x = Q[:, 0]
-            out.append((np.array([x.conj() @ G @ x for G in mats]), Q))
+    for Q, blocks in zip(split.bases, split.compressions):
+        if Q.shape[1] == 1:
+            out.append((np.array([B[0, 0] for B in blocks]), Q))
         else:
-            blocks = [Q.conj().T @ G @ Q for G in mats]
             out.extend((lam, Q @ K) for lam, K in _block_eigvecs(blocks, tol))
     return out
 
@@ -137,12 +125,11 @@ def _max_residual(mats, lam, x):
 
 def joint_point_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
     """Tuples lam admitting a common eigenvector, certificates attached."""
-    mats = list(A.generators)
     pts = []
-    for lam, Q in _common_eigvecs(mats, tol):
+    for lam, Q in _common_eigvecs(A.blocks, tol):
         x = Q[:, 0]
         x = x / np.linalg.norm(x)
-        if _max_residual(mats, lam, x) > tol:
+        if _max_residual(A.generators, lam, x) > tol:
             continue
         pts.append(SpectrumPoint(value=lam, right_vector=x,
                                  multiplicity=Q.shape[1]))
@@ -159,7 +146,7 @@ def joint_residual_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectru
     flipped = [rev @ G @ rev for G in star]
     eye = np.eye(A.d)
     pts = []
-    for mu, Q in _common_eigvecs(flipped, tol):
+    for mu, Q in _common_eigvecs(Blocks(flipped), tol):
         f = rev @ Q[:, 0]
         f = f / np.linalg.norm(f)
         if _max_residual(star, mu, f) > tol:
@@ -286,9 +273,13 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                   tol: float = 1e-6, operator=None) -> MappingReport:
     """One inclusion of the mapping theorem, as a per-point report.
 
-    ``operator`` lets callers reuse a precomputed psi(A); by default the
-    measure-integral route is used so the two sides of each inclusion come
-    from independent computations.
+    ``operator`` lets callers reuse a precomputed psi(A); by default it is
+    ``apply_psi``.  On a generator-only tuple both sides read the tuple's
+    block split (``A.blocks``): psi(A) is assembled in its basis and the
+    joint spectrum is read from its clusters.  The values stay independent:
+    psi(A) comes from quadrature of the Levy integral and psi(lambda) from
+    the closed form at each joint point, and the eigenvalues of psi(A) are
+    taken by LAPACK (``eig``) from the assembled matrix, not from the split.
     """
     if part not in (1, 2, 3, 4, 5):
         raise ValueError("part must be 1..5")

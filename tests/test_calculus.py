@@ -627,8 +627,8 @@ def log1m_pair():
 
 
 class TestSeriesRatio:
-    """(e^{rB} - I)/r below r ||B|| = 0.25 comes from a Taylor series cut by
-    the a-priori bound on its terms."""
+    """(e^{rB} - I)/r below r ||B|| = 0.25 is B phi1(rB), phi1(rB) the
+    upper-right block of exp([[rB, I], [0, 0]]) (Van Loan, 1978)."""
 
     TUPLES = [lambda: make_jordan_polynomial(1, 8, seed=3),
               lambda: make_jordan_polynomial(2, 6, seed=4),
@@ -652,15 +652,11 @@ class TestSeriesRatio:
 
     @pytest.mark.parametrize("build", TUPLES, ids=["jordan", "jordan2", "stripped"])
     def test_small_r_against_block_exponential(self, build):
-        # B phi1(rB), with phi1(rB) the upper-right block of
-        # exp([[rB, I], [0, 0]]) (Van Loan, 1978)
+        # an independent reference: the Taylor series B + rB^2/2 + r^2 B^3/6,
+        # whose first dropped term is below (r ||B||)^3 ||B|| / 24 <= 5e-17 ||B||
         B, ratio, nrm = self.ray(build())
-        d = len(B)
-        for x in (1e-8, 1e-5, 1e-3, 0.1):
+        for x in (0.0, 1e-12, 1e-8, 1e-5):
             r = x / nrm
-            M = np.zeros((2 * d, 2 * d), dtype=complex)
-            M[:d, :d] = r * B
-            M[:d, d:] = np.eye(d)
-            ref = B @ expm(M)[:d, d:]
+            ref = B + (r / 2.0) * (B @ B) + (r * r / 6.0) * (B @ B @ B)
             assert opnorm(ratio(r) - ref) <= 1e-14 * opnorm(ref)
 

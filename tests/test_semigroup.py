@@ -69,6 +69,32 @@ class TestConstruction:
             assert np.allclose(B.generators[j], A.generators[j], atol=1e-12)
 
 
+class TestReadOnlyGenerators:
+    def test_caller_mutation_leaves_tuple_unchanged(self):
+        G = np.diag([-1 + 0j, -2])
+        A = S.make_tuple([G])
+        G[0, 0] = 5
+        assert A.generators[0][0, 0] == -1
+        assert A.bounds == (1.0,) and A.bound_kinds == ("lognorm",)
+        with pytest.raises(ValueError):
+            A.generators[0][0, 0] = 5
+        assert A.generators[0][0, 0] == -1
+
+    @pytest.mark.parametrize("build", [
+        lambda: S.make_commuting_random(2, 4, seed=5),
+        lambda: S.make_jordan_polynomial(2, 4, seed=3),
+        lambda: S.adjoint(S.make_jordan_polynomial(1, 4, seed=3)),
+        lambda: S.fourier_translation_model(2)],
+        ids=["random", "jordan", "adjoint", "fourier"])
+    def test_read_only_arrays_are_shared(self, build):
+        # the constructors freeze what they build, and a tuple rebuilt from
+        # another tuple's generators keeps them without a copy
+        A = build()
+        B = S.make_tuple(A.generators)
+        for G, H in zip(A.generators, B.generators):
+            assert not G.flags.writeable and H is G
+
+
 class TestSemigroupEvaluation:
     def test_zero_parameter_is_identity(self):
         A = S.make_commuting_random(2, 4, seed=1)

@@ -5,13 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bpcalc import _schur
+from bpcalc._schur import _THETA
 from bpcalc.bernstein import (diagonal_lift, eval_psi, fractional_power,
                               linear, log1m, poisson)
-from bpcalc.calculus import apply_psi, apply_psi_spectral
+from bpcalc.calculus import (apply_psi, apply_psi_spectral,
+                             factorization_check, subordinated, w_operator)
 from bpcalc.semigroup import (SpectralData, fourier_translation_model,
                               make_commuting_random, make_jordan_polynomial,
                               make_tuple)
-from bpcalc.spectra import (_THETA, joint_approximate_spectrum,
+from bpcalc.spectra import (joint_approximate_spectrum,
                             joint_point_spectrum, joint_residual_spectrum,
                             joint_spectrum, mapping_check, stacked_residual)
 
@@ -162,6 +165,55 @@ class TestReorderedSchur:
             first, second = spectrum(A).values(), spectrum(A).values()
             assert first.shape == (24, 2)
             assert np.array_equal(first, second)
+
+
+SPLIT_TUPLES = [lambda: make_jordan_polynomial(2, 8, seed=3),
+                lambda: make_tuple(make_commuting_random(1, 8, seed=5).generators)]
+
+
+class TestBlockSplit:
+    """A tuple's block split is computed once and shared by the calculus
+    and the joint spectra; its bases are slices of one d x d basis."""
+
+    @pytest.mark.parametrize("build", SPLIT_TUPLES, ids=["jordan", "stripped"])
+    def test_one_schur_form_per_tuple(self, build, monkeypatch):
+        calls = []
+        schur = _schur.schur
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(_schur, "schur", counted)
+        A = build()
+        psi = fractional_power(0.5) if A.n == 1 \
+            else diagonal_lift(fractional_power(0.5), [1.0, 0.6])
+        lam = [-0.9 + 0.1j] * A.n
+        apply_psi(psi, A)
+        subordinated(psi, A, 0.5)
+        w_operator(psi, A, lam, 0)
+        factorization_check(psi, A, lam)
+        joint_point_spectrum(A)
+        joint_approximate_spectrum(A)
+        for part in (2, 4):
+            assert mapping_check(psi, A, part).passed
+        assert len(calls) == 1
+        # the adjoint tuple has its own split
+        joint_residual_spectrum(A)
+        joint_residual_spectrum(A)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("build", SPLIT_TUPLES + [
+        lambda: make_commuting_random(2, 24, seed=7), colliding_tuple],
+        ids=["jordan", "stripped", "spectral", "colliding"])
+    def test_bases_are_slices_of_one_basis(self, build):
+        A = build()
+        split = A.blocks
+        assert A.blocks is split
+        assert sum(Q.shape[1] for Q in split.bases) == A.d
+        for Q, blocks in zip(split.bases, split.compressions):
+            assert np.shares_memory(Q, split.basis)
+            assert [B.shape for B in blocks] == [(Q.shape[1],) * 2] * A.n
 
 
 class TestResidualSpectrum:
