@@ -19,6 +19,11 @@ three.  Only a tuple whose basis is ill-conditioned, or whose blocks are not
 z I + nilpotent, takes one d x d matrix exponential per node (``_Matrices``);
 the cross-route tests force that route as the reference that shares neither
 basis nor integrand code with the profiles.
+
+Either representation makes one set-up per ray direction w: ``ray(w)``
+returns the evaluators of T(rw) together with their quadrature bounds
+(Lipschitz constant, sup and decay envelope), and the ``make(w)`` of
+``w_integrand`` returns the W_j integrand with its bounds.
 """
 
 import copy
@@ -43,67 +48,6 @@ _TINY_R = 1e-250
 
 class CatalogGapError(LookupError):
     """No closed-form subordination measure is known for this function."""
-
-
-# ---------------------------------------------------------------------------
-# semigroup evaluation along a ray, with certified envelopes
-
-
-def _direction_evaluators(A: OperatorTuple, w):
-    """Return (T, delta, ratio, nrm) with T(r) = exp(r B) for
-    B = sum_j w_j A_j, delta(r) = T(r) - I computed without cancellation,
-    ratio(r) = delta(r)/r and nrm = ||B||_2.
-    """
-    w = np.asarray(w, dtype=float)
-    B = sum(w[j] * A.generators[j] for j in range(A.n))
-    nrm = float(np.linalg.norm(B, 2))
-    eye = np.eye(A.d, dtype=complex)
-
-    def T(r):
-        return expm(r * B)
-
-    def ratio(r):
-        if r * nrm < 0.25:
-            # B phi1(rB), phi1(rB) = int_0^1 e^{s rB} ds: no cancellation,
-            # and exactly B at r = 0
-            return B @ _van_loan(r * B, 0.0, 1.0)
-        return (expm(r * B) - eye) / r
-
-    def delta(r):
-        if r * nrm < 0.25:
-            return r * ratio(r)
-        return expm(r * B) - eye
-
-    return T, delta, ratio, nrm
-
-
-def _envelope(A: OperatorTuple, w):
-    """Certified (rho, far) with ||T(rw)|| <= far * e^{rho r} for all r >= 0,
-    rho <= 0.  Falls back to (0, prod M_j) when no strict decay is certified.
-    """
-    w = np.asarray(w, dtype=float)
-    m_prod = float(np.prod(A.bounds))
-    B = sum(w[j] * A.generators[j] for j in range(A.n))
-    Tmat, _ = schur(B, output="complex")
-    rho0 = float(np.max(np.diag(Tmat).real))
-    if rho0 >= -1e-12:
-        return 0.0, m_prod
-    N = np.triu(Tmat, 1)
-    nrmN = float(np.linalg.norm(N, 2))
-    if nrmN < 1e-14:
-        return rho0, 1.0
-    # ||e^{r(D+N)}|| <= e^{rho0 r} sum_{k<d} (r ||N||)^k / k!; absorb the
-    # polynomial factor into half the decay rate (its peaks sit below
-    # (d-1)/half, so the grid covers the sup).  The series is summed in log
-    # space, since its terms leave the float range from d ~ 120 on; xlogy
-    # makes the k = 0 term 0 * log 0 = 0 at r = 0.
-    half = -0.5 * rho0
-    grid = np.linspace(0.0, 4.0 * (A.d + 1) / half, 4096)
-    k = np.arange(A.d)[:, None]
-    log_terms = xlogy(k, grid * nrmN) - gammaln(k + 1.0)
-    log_vals = np.logaddexp.reduce(log_terms, axis=0) - half * grid
-    far = float(np.exp(np.max(log_vals))) * 1.05
-    return rho0 * 0.5, far
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +115,9 @@ def _nilpotent_powers(N, rho, m):
 
 class _Matrices:
     """Every integrand value is a d x d matrix, one matrix exponential per
-    node, bounded through ||B||_2, prod M_j and the Schur envelope.
+    node.  One set-up per ray direction w forms B = sum_j w_j A_j and
+    returns its evaluators with their bounds: the Lipschitz constant
+    ||B||_2 prod M_j, the sup prod M_j and the Schur envelope of B.
 
     It is the fallback of generator-only tuples that ``_Profiles`` cannot
     take, and the expm-only reference that the cross-route tests force
@@ -191,13 +137,51 @@ class _Matrices:
         return self.A.generators[j]
 
     def ray(self, w):
-        """(T, delta, delta/r, Lipschitz constant, sup) of T(rw)."""
-        T, delta, ratio, nrm = _direction_evaluators(self.A, w)
-        return T, delta, ratio, nrm * self.m, self.m
+        """(T, delta, delta/r, Lipschitz constant, sup, rho, far, settled)
+        of T(rw) = exp(rB): delta(r) = T(r) - I without cancellation, and
+        ||T(rw)|| <= far e^{rho r} for all r >= 0 with rho <= 0, certified
+        by the Schur form of B, or (0, prod M_j) when no strict decay is.
+        Nothing is settled.
+        """
+        w = np.asarray(w, dtype=float)
+        B = sum(w[j] * self.A.generators[j] for j in range(self.n))
+        nrm = float(np.linalg.norm(B, 2))
 
-    def envelope(self, w):
-        """(rho, far, settled), as for _Profiles; nothing is settled."""
-        return _envelope(self.A, w) + (False,)
+        def T(r):
+            return expm(r * B)
+
+        def ratio(r):
+            if r * nrm < 0.25:
+                # B phi1(rB), phi1(rB) = int_0^1 e^{s rB} ds: no cancellation,
+                # and exactly B at r = 0
+                return B @ _van_loan(r * B, 0.0, 1.0)
+            return (expm(r * B) - self.one) / r
+
+        def delta(r):
+            if r * nrm < 0.25:
+                return r * ratio(r)
+            return expm(r * B) - self.one
+
+        Tmat, _ = schur(B, output="complex")
+        rho = float(np.max(np.diag(Tmat).real))
+        nrmN = float(np.linalg.norm(np.triu(Tmat, 1), 2))
+        if rho >= -1e-12:
+            rho, far = 0.0, self.m
+        elif nrmN < 1e-14:
+            far = 1.0
+        else:
+            # ||e^{r(D+N)}|| <= e^{rho r} sum_{k<d} (r ||N||)^k / k!; absorb
+            # the polynomial factor into half the decay rate (its peaks sit
+            # below (d-1)/half, so the grid covers the sup).  The series is
+            # summed in log space, since its terms leave the float range from
+            # d ~ 120 on; xlogy makes the k = 0 term 0 * log 0 = 0 at r = 0.
+            half = -0.5 * rho
+            grid = np.linspace(0.0, 4.0 * (len(B) + 1) / half, 4096)
+            k = np.arange(len(B))[:, None]
+            log_terms = xlogy(k, grid * nrmN) - gammaln(k + 1.0)
+            log_vals = np.logaddexp.reduce(log_terms, axis=0) - half * grid
+            rho, far = rho * 0.5, float(np.exp(np.max(log_vals))) * 1.05
+        return T, delta, ratio, nrm * self.m, self.m, rho, far, False
 
     def semigroup(self, u):
         return semigroup_apply(self.A, u)
@@ -208,16 +192,27 @@ class _Matrices:
                                     bound_kinds=A.bound_kinds[lo:hi]))
 
     def w_integrand(self, lam, j):
-        return _w_integrand(self.A, lam, j)
-
-    def w_bounds(self, lam, j):
-        """bounds(w) -> integrate_radial bounds of the W_j integrand from the
-        envelope of each generator: ||V_j(t)|| <= t e^{t max(Re lam_j, rho_j)}
-        times prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times prod M."""
-        envs = [_envelope(self.A, e) for e in np.eye(self.n)]
+        """make(w) -> (F, F/r, bounds) for F(r) = V_j(r w_j) U_j(r w), bounds
+        the integrate_radial keywords from the envelope (rho_l, far_l) of
+        each generator: ||V_j(t)|| <= t e^{t max(Re lam_j, rho_j)} times
+        prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times prod M."""
+        A = self.A
+        envs = [self.ray(e)[5:7] for e in np.eye(self.n)]
         zero = np.zeros_like(self.one)
 
-        def bounds(w):
+        def make(w):
+            w = np.asarray(w, dtype=float)
+
+            def U(r):
+                out = self.one
+                for l in range(j):
+                    if w[l] > 0:
+                        out = out @ expm(r * w[l] * A.generators[l])
+                return complex(np.exp(r * np.dot(w[j + 1:], lam[j + 1:]))) * out
+
+            def F(r):
+                return v_operator(lam[j], A, j, r * w[j]) @ U(r)
+
             parts = [w[j] * max(lam[j].real, envs[j][0])]
             parts += [w[l] * envs[l][0] for l in range(j)]
             parts += [w[k] * lam[k].real for k in range(j + 1, self.n)]
@@ -227,9 +222,9 @@ class _Matrices:
                 far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
                     * 2.0 / (np.e * gamma)
                 kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
-            return kw
+            return F, _over_r(F, w[j] * self.one), kw
 
-        return bounds
+        return make
 
     def finish(self, value):
         return value
@@ -258,7 +253,9 @@ class _Profiles:
     returning the profile.  ``of_generators`` reads X from the block split
     of a generator-only tuple and builds its jets.  Every formula serves all
     three; the per-node evaluators compute the head formula on every entry
-    and overwrite the jet entries only where there are any.
+    and overwrite the jet entries only where there are any.  One set-up per
+    ray forms z = joint @ w, the log coefficients and the live-jet mask once
+    and derives the evaluators and their bounds from them.
     """
 
     def __init__(self, joint, spec=None, powers=None):
@@ -344,11 +341,18 @@ class _Profiles:
                         np.where(unit, np.exp(self.logw), 0.0))
 
     def ray(self, w):
-        """(T, delta, delta/r, Lipschitz constant, sup) of the profile of
-        T(rw), the bounds in the max-norm.
+        """(T, delta, delta/r, Lipschitz constant, sup, rho, far, settled) of
+        the profile of T(rw), the bounds in the max-norm, with
+        |T(rw) - settle| <= far e^{rho r} on every entry, rho <= 0 (0 when
+        no decay is certified).
 
         A jet c r^k e^{rz} has sup c (k/rho)^k e^{-k} with rho = -Re z, and
-        its quotient by r peaks at c ((k-1)/rho)^{k-1} e^{-(k-1)}.
+        its quotient by r peaks at c ((k-1)/rho)^{k-1} e^{-(k-1)}; in the
+        envelope a jet keeps half its rate, c r^k e^{-rho r} <=
+        c (2k/rho)^k e^{-k} e^{-rho r/2}.  ``settled`` marks the a = 0
+        entries with <w, z_i> = 0: there T is 1 and T - 1 is 0 at every r,
+        so each builder gives them their own settle value and they are left
+        out of the rate.
         """
         w = np.asarray(w, dtype=float)
         z = self.joint @ w
@@ -373,31 +377,19 @@ class _Profiles:
         live = ~head & np.isfinite(log_c)
         kl, cl, rho = k[live], log_c[live], -z.real[live]
         lip = max(float(np.max(np.abs(z[head]))), _peak(cl, kl - 1, rho))
-        return T, delta, _over_r(delta, limit), lip, max(1.0, _peak(cl, kl, rho))
-
-    def envelope(self, w):
-        """(rho, far, settled) with |T(rw) - settle| <= far e^{rho r} on every
-        entry, rho <= 0 (0 when no decay is certified).
-
-        ``settled`` marks the a = 0 entries with <w, z_i> = 0: there T is 1
-        and T - 1 is 0 at every r, so each builder gives them their own
-        settle value and they are left out of the rate.  A jet keeps half
-        its rate: c r^k e^{-rho r} <= c (2k/rho)^k e^{-k} e^{-rho r/2}.
-        """
-        w = np.asarray(w, dtype=float)
-        z = self.joint @ w
-        still = (z == 0) & self.head
-        log_c = self._log_coeffs(w)
-        live = ~self.head & np.isfinite(log_c)
-        heads = self.head & ~still
-        rates = np.concatenate((-z.real[heads], -0.5 * z.real[live]))
+        sup = max(1.0, _peak(cl, kl, rho))
+        still = (z == 0) & head
+        heads = head & ~still
+        rates = np.concatenate((-z.real[heads], 0.5 * rho))
+        rate = float(np.min(rates, initial=np.inf))
         if rates.size == 0:
-            return -1.0, 0.0, still
-        rate = float(np.min(rates))
-        if rate <= 1e-12:
-            return 0.0, 1.0, still
-        far = _peak(log_c[live], self.k[live], -0.5 * z.real[live])
-        return -rate, max(far, 1.0 if np.any(heads) else 0.0), still
+            decay, far = -1.0, 0.0
+        elif rate <= 1e-12:
+            decay, far = 0.0, 1.0
+        else:
+            decay = -rate
+            far = max(_peak(cl, kl, 0.5 * rho), 1.0 if np.any(heads) else 0.0)
+        return T, delta, _over_r(delta, limit), lip, sup, decay, far, still
 
     def semigroup(self, u):
         u = np.asarray(u, dtype=float)
@@ -438,50 +430,14 @@ class _Profiles:
         return out
 
     def w_integrand(self, lam, j):
-        """make(w) -> (F, F/r) for the profile of V_j(r w_j) U_j(r w).
+        """make(w) -> (F, F/r, bounds) for the profile of V_j(r w_j) U_j(r w),
+        bounds the integrate_radial keywords.
 
         On block i the coefficient of N_ij^k in V_j(t) is c_k(t) =
         int_0^t e^{(t-s) lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``; c_0 is
         ``_v_diag``), and U_j contributes the jets of the generators before
         j and e^{r <w, lam>} after it: entries indexed past j are zero.
         Every entry of a block that carries a jet takes c_k from ``_v_jets``.
-        """
-        zj = self.joint[:, j]
-        a, aj = self.a, self.a[:, j]
-        log_w = np.where(np.any(a[:, j + 1:] > 0, axis=1), -np.inf,
-                         self.logw + gammaln(aj + 1.0))
-        jet_blocks = np.unique(self.block[~self.head])
-        in_jet = np.flatnonzero(np.isin(self.block, jet_blocks))
-        has_jet = len(in_jet) > 0
-        if has_jet:
-            row = np.searchsorted(jet_blocks, self.block[in_jet])
-            z_jet = zj[self.head][jet_blocks]
-            a_jet = aj[in_jet]
-            order = int(a_jet[np.isfinite(log_w[in_jet])].max()) + 1
-            lift = self.k[in_jet] - a_jet     # powers of r from the U_j jets
-
-        def make(w):
-            w = np.asarray(w, dtype=float)
-            pre = self.joint[:, :j] @ w[:j]
-            post = complex(np.dot(w[j + 1:], lam[j + 1:]))
-            if has_jet:
-                pre_jet = pre[in_jet] + post
-                log_c = (log_w + xlogy(a[:, :j], w[:j]).sum(axis=1))[in_jet]
-
-            def F(r):
-                t = r * w[j]
-                out = _v_diag(t, lam[j], zj) * np.exp(r * (pre + post))
-                if has_jet:
-                    out[in_jet] = _v_jets(t, lam[j], z_jet, order)[row, a_jet] \
-                        * np.exp(r * pre_jet + (xlogy(lift, r) + log_c))
-                return out
-
-            return F, _over_r(F, w[j] * self.one)
-
-        return make
-
-    def w_bounds(self, lam, j):
-        """bounds(w) -> integrate_radial bounds of the W_j integrand.
 
         |c_k(t)| <= t^{k+1} / (k+1)! e^{-t mu}, mu = -max(Re lam_j, Re z_ij),
         so entry a is at most C r^{|a|+1} e^{-gamma r}, gamma the rate of
@@ -490,21 +446,44 @@ class _Profiles:
         does not decay: there c_0(t) = (e^{t lam_j} - 1) / lam_j and U_j = 1,
         so it settles at -1 / lam_j, within e^{t Re lam_j} / |lam_j|.
         """
+        zj, re = self.joint[:, j], self.joint.real
         a, aj, head = self.a, self.a[:, j], self.head
-        re = self.joint.real
         mu = -np.maximum(lam[j].real, re[:, j])
         log_w = np.where(np.any(a[:, j + 1:] > 0, axis=1), -np.inf,
-                         self.logw + gammaln(aj + 1.0) - gammaln(aj + 2.0))
-        zero_j = head & (self.joint[:, j] == 0)
+                         self.logw + gammaln(aj + 1.0))
+        log_b = log_w - gammaln(aj + 2.0)
+        zero_j = head & (zj == 0)
+        jet_blocks = np.unique(self.block[~head])
+        in_jet = np.flatnonzero(np.isin(self.block, jet_blocks))
+        has_jet = len(in_jet) > 0
+        if has_jet:
+            row = np.searchsorted(jet_blocks, self.block[in_jet])
+            z_jet = zj[head][jet_blocks]
+            a_jet = aj[in_jet]
+            order = int(a_jet[np.isfinite(log_w[in_jet])].max()) + 1
+            lift = self.k[in_jet] - a_jet     # powers of r from the U_j jets
 
-        def bounds(w):
+        def make(w):
             w = np.asarray(w, dtype=float)
+            pre = self.joint[:, :j] @ w[:j]
+            post = complex(np.dot(w[j + 1:], lam[j + 1:]))
+            log_u = xlogy(a[:, :j], w[:j]).sum(axis=1)
+            if has_jet:
+                pre_jet = pre[in_jet] + post
+                c_jet = (log_w + log_u)[in_jet]
+
+            def F(r):
+                t = r * w[j]
+                out = _v_diag(t, lam[j], zj) * np.exp(r * (pre + post))
+                if has_jet:
+                    out[in_jet] = _v_jets(t, lam[j], z_jet, order)[row, a_jet] \
+                        * np.exp(r * pre_jet + (xlogy(lift, r) + c_jet))
+                return out
+
             gamma = w[j] * mu - re[:, :j] @ w[:j] \
                 - float(np.dot(w[j + 1:], lam[j + 1:].real))
-            still = zero_j & (self.joint[:, :j] @ w[:j] == 0) \
-                & (not np.any(w[j + 1:]))
-            log_c = log_w + xlogy(a[:, :j], w[:j]).sum(axis=1) \
-                + xlogy(aj + 1.0, w[j])
+            still = zero_j & (pre == 0) & (not np.any(w[j + 1:]))
+            log_c = log_b + log_u + xlogy(aj + 1.0, w[j])
             jet = ~head & np.isfinite(log_c)
             moving = head & ~still
             log_c_head = log_c[moving]    # log w_j: c_0(t) <= t e^{-t mu}
@@ -522,9 +501,9 @@ class _Profiles:
                           1.0 / abs(lam[j]) if settles else 0.0)
                 kw.update(f_settle=np.where(still, -1.0 / lam[j], 0.0),
                           f_decay=0.5 * rate, f_far_coeff=far)
-            return kw
+            return F, _over_r(F, w[j] * self.one), kw
 
-        return bounds
+        return make
 
     def finish(self, value):
         if self.basis is None:
@@ -570,11 +549,9 @@ def _psi_integral(psi: BernsteinFunction, rep, tol: float):
             base = base + psi.c1[j] * rep.gen(j)
 
     def part_setup(p):
-        w = p.direction
-        _, delta, ratio, lip, sup = rep.ray(w)
+        _, delta, ratio, lip, sup, rho, far, settled = rep.ray(p.direction)
         if lip == 0.0:
             return None
-        rho, far, settled = rep.envelope(w)
         kw = dict(f_zero=np.zeros_like(rep.one), f_lipschitz=lip,
                   f_sup=sup + 1.0, f_over_r=ratio)
         if rho < 0.0:
@@ -617,8 +594,7 @@ def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
         return out
     if fam.kind == "density":
         def part_setup(p):
-            T, _, _, lip, sup = rep.ray(p.direction)
-            rho, far, settled = rep.envelope(p.direction)
+            T, _, _, lip, sup, rho, far, settled = rep.ray(p.direction)
             kw = dict(f_zero=rep.one, f_lipschitz=max(lip, 1e-300), f_sup=sup)
             if rho < 0.0:
                 # T tends to 0, except where it stays at 1
@@ -796,27 +772,6 @@ def _v_jets(t, lam, z, order):
     return out
 
 
-def _w_integrand(A: OperatorTuple, lam, j: int):
-    """make(w) -> (F, F/r) with F(r) = V_j(r w_j) U_j(r w) along a ray
-    direction w."""
-    def make(w):
-        w = np.asarray(w, dtype=float)
-
-        def U(r):
-            out = np.eye(A.d, dtype=complex)
-            for l in range(j):
-                if w[l] > 0:
-                    out = out @ expm(r * w[l] * A.generators[l])
-            return complex(np.exp(r * np.dot(w[j + 1:], lam[j + 1:]))) * out
-
-        def F(r):
-            return v_operator(lam[j], A, j, r * w[j]) @ U(r)
-
-        return F, _over_r(F, w[j] * np.eye(A.d, dtype=complex))
-
-    return make
-
-
 def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
                tol: float = 1e-9):
     """W_j^lambda = c1^j I + int V_j(u_j) U_j(u) dmu(u), Re lambda_j < 0."""
@@ -832,14 +787,12 @@ def _w_integral(psi: BernsteinFunction, rep, lam, j: int, tol: float):
     """W_j on the representation ``rep``."""
     zero = np.zeros_like(rep.one)
     make = rep.w_integrand(lam, j)
-    bounds = rep.w_bounds(lam, j)
 
     def part_setup(p):
-        w = p.direction
-        if w[j] == 0.0:
+        if p.direction[j] == 0.0:
             return None
-        F, F_over_r = make(w)
-        return F, dict(bounds(w), f_zero=zero, f_over_r=F_over_r)
+        F, F_over_r, kw = make(p.direction)
+        return F, dict(kw, f_zero=zero, f_over_r=F_over_r)
 
     return rep.finish(integrate_measure(
         psi.c1[j] * rep.one, psi.measure, lambda loc: make(loc)[0](1.0),

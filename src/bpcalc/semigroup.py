@@ -33,15 +33,17 @@ BOUND_KINDS = ("spectral", "lognorm", "sampled", "given")
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Joint eigenstructure: row k of ``joint`` is the eigenvalue tuple of
-    the shared eigenvector P[:, k]; ``inverse`` is P^{-1}, computed once."""
+    the shared eigenvector P[:, k].  ``inverse`` is P^{-1} and ``cond`` is
+    cond(P) in the 2-norm, both derived from ``basis`` once."""
 
     joint: np.ndarray       # d x n complex
     basis: np.ndarray       # d x d, columns are joint eigenvectors
-    cond: float
     inverse: np.ndarray = field(init=False, repr=False)
+    cond: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inverse", np.linalg.inv(self.basis))
+        object.__setattr__(self, "cond", float(np.linalg.cond(self.basis)))
 
     def apply(self, values) -> np.ndarray:
         """P diag(values) P^{-1}: eigenvector k is scaled by values[k]."""
@@ -74,9 +76,11 @@ def _frozen(g) -> np.ndarray:
 
 
 def _as_matrices(generators) -> tuple:
+    # a read-only view may still be written through its base, so only an
+    # array that owns its data is shared
     mats = tuple(g if isinstance(g, np.ndarray) and g.dtype == complex
-                 and not g.flags.writeable else _frozen(np.array(g, dtype=complex))
-                 for g in generators)
+                 and not g.flags.writeable and g.base is None
+                 else _frozen(np.array(g, dtype=complex)) for g in generators)
     d = mats[0].shape[0]
     for g in mats:
         if g.shape != (d, d):
@@ -93,8 +97,8 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
     spectrum reaching into the open right half-plane, and spectral data that
     does not reproduce the generators.  Without ``bounds`` each M_j comes
     from estimate_bound; ``bound_kinds`` records how passed-in bounds were
-    obtained (default "given").  The generators are kept read-only: an
-    array that already is read-only is shared, any other is copied.
+    obtained (default "given").  The generators are kept read-only: a
+    read-only array that owns its data is shared, any other is copied.
     """
     mats = _as_matrices(generators)
     n, d = len(mats), mats[0].shape[0]
@@ -162,15 +166,14 @@ def make_commuting_random(n: int, d: int, seed,
         target = rng.uniform(1.0, max_cond) if d > 1 else 1.0
         sigma = np.geomspace(1.0, 1.0 / target, d)
         P = (U * sigma) @ Vh
-        cond = float(np.linalg.cond(P))
-        if cond <= max_cond * (1.0 + 1e-9):
+        joint = (rng.uniform(re_lo, re_hi, (d, n))
+                 + 1j * rng.uniform(im_lo, im_hi, (d, n)))
+        spec = SpectralData(joint=joint, basis=P)
+        if spec.cond <= max_cond * (1.0 + 1e-9):
             break
     else:
         raise RuntimeError("could not draw a basis with bounded conditioning")
 
-    joint = (rng.uniform(re_lo, re_hi, (d, n))
-             + 1j * rng.uniform(im_lo, im_hi, (d, n)))
-    spec = SpectralData(joint=joint, basis=P, cond=cond)
     gens = [_frozen(P @ np.diag(joint[:, j]) @ spec.inverse) for j in range(n)]
     return make_tuple(gens, spectral=spec)
 
@@ -199,12 +202,12 @@ def make_jordan_polynomial(n: int, d: int, seed,
 def adjoint(A: OperatorTuple) -> OperatorTuple:
     """The adjoint tuple; semigroup bounds carry over since
     ||exp(t A*)|| = ||exp(t A)||."""
-    gens = [_frozen(g.conj().T) for g in A.generators]
+    # conj of the transposed view is a new array that owns its data
+    gens = [_frozen(g.T.conj()) for g in A.generators]
     spec = None
     if A.spectral is not None:
         spec = SpectralData(joint=A.spectral.joint.conj(),
-                            basis=A.spectral.inverse.conj().T,
-                            cond=A.spectral.cond)
+                            basis=A.spectral.inverse.conj().T)
     return make_tuple(gens, spectral=spec, bounds=A.bounds,
                       bound_kinds=A.bound_kinds)
 
@@ -301,7 +304,7 @@ def fourier_translation_model(K: int, n: int = 1) -> OperatorTuple:
     joint = fourier_modes(K, n)
     d = len(joint)
     gens = [_frozen(np.diag(joint[:, j])) for j in range(n)]
-    spec = SpectralData(joint=joint, basis=np.eye(d, dtype=complex), cond=1.0)
+    spec = SpectralData(joint=joint, basis=np.eye(d, dtype=complex))
     return make_tuple(gens, spectral=spec)
 
 

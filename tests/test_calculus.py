@@ -11,12 +11,12 @@ from bpcalc import calculus
 from bpcalc.bernstein import (cone_combine, diagonal_lift, direct_sum, eval_psi,
                               eval_via_levy, fractional_power, linear, log1m,
                               poisson)
-from bpcalc.calculus import (CatalogGapError, _direction_evaluators,
-                             _envelope, apply_psi,
+from bpcalc.calculus import (CatalogGapError, _Matrices, apply_psi,
                              apply_psi_spectral, factorization_check,
                              generator_limit_check, laplace_identity_error,
                              subordinated, v_operator, w_operator,
                              w_operator_bound)
+from bpcalc._schur import _THETA
 from bpcalc.semigroup import (SpectralData, make_commuting_random,
                               make_jordan_polynomial, make_tuple,
                               semigroup_apply)
@@ -37,7 +37,7 @@ def shifted(A, eps):
     spec = None
     if A.spectral is not None:
         spec = SpectralData(joint=A.spectral.joint - eps,
-                            basis=A.spectral.basis, cond=A.spectral.cond)
+                            basis=A.spectral.basis)
     return make_tuple(gens, spectral=spec, bounds=A.bounds)
 
 
@@ -134,7 +134,7 @@ class TestApplyPsi:
         A = make_tuple([-np.eye(d) + 0.5 * N], bounds=[1e3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho, far = _envelope(A, np.array([1.0]))
+            rho, far = _Matrices(A).ray(np.array([1.0]))[5:7]
         assert rho == pytest.approx(-0.5)
         assert np.isfinite(far) and far >= 1.0
 
@@ -147,8 +147,7 @@ class TestApplyPsi:
     def test_eval_via_levy_is_one_point_profile(self, build, s):
         psi = build()
         s = np.asarray(s, dtype=complex)
-        spec = SpectralData(joint=s[None, :], basis=np.eye(1, dtype=complex),
-                            cond=1.0)
+        spec = SpectralData(joint=s[None, :], basis=np.eye(1, dtype=complex))
         T = make_tuple([np.array([[z]]) for z in s], spectral=spec)
         assert complex(eval_via_levy(psi, s)) == apply_psi(psi, T)[0, 0]
 
@@ -347,6 +346,39 @@ class TestBlockJetsAgainstMatrices:
         assert rel_gap(apply_psi(build(), A), reference(A.generators[0])) <= 1e-8
 
 
+class TestNonNilpotentFallback:
+    """Two distinct joint eigenvalues with the same theta-combination share
+    one Schur cluster, where no A_j is z I + nilpotent: the tuple falls back
+    to _Matrices, checked against the spectral original's profile route."""
+
+    @staticmethod
+    def pair():
+        P = make_commuting_random(2, 4, seed=3, max_cond=4).spectral
+        lam = np.array([-1.0 + 0.5j, -0.7 - 0.2j])
+        joint = np.array([lam, lam + 0.4j * np.array([_THETA[1], -_THETA[0]]),
+                          [-2.0 + 1.0j, -1.5], [-0.6 - 1.0j, -2.2 + 0.3j]])
+        spec = SpectralData(joint=joint, basis=P.basis)
+        A = make_tuple([spec.apply(joint[:, j]) for j in range(2)],
+                       spectral=spec)
+        return A, stripped(A)
+
+    def test_takes_matrices(self):
+        _, B = self.pair()
+        assert B.blocks.cond <= calculus._COND_MAX
+        assert sorted(len(c[0]) for c in B.blocks.compressions) == [1, 1, 2]
+        assert calculus._Profiles.of_generators(B) is None
+        assert isinstance(calculus._representation(B), calculus._Matrices)
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_sum(fractional_power(0.5), log1m()),
+        lambda: direct_sum(poisson(), log1m())], ids=["frac-log", "poisson-log"])
+    def test_against_spectral(self, build):
+        psi, (A, B) = build(), self.pair()
+        assert rel_gap(apply_psi(psi, B), apply_psi_spectral(psi, A)) <= 1e-8
+        assert rel_gap(subordinated(psi, B, 0.5),
+                       subordinated(psi, A, 0.5)) <= 1e-8
+
+
 class TestSemisimpleZero:
     """An eigenvalue 0 leaves T at 1 on its eigenvector: psi(A) is 0 and g_t
     is 1 there, which the settle values give exactly, while the other
@@ -360,10 +392,10 @@ class TestSemisimpleZero:
         joint = np.array([[-1.0], [0.0]], dtype=complex)
         yield make_tuple([D]), np.eye(2)
         yield make_tuple([D], spectral=SpectralData(
-            joint=joint, basis=np.eye(2, dtype=complex), cond=1.0)), np.eye(2)
+            joint=joint, basis=np.eye(2, dtype=complex))), np.eye(2)
         yield make_tuple([-self.PROJ]), self.EIG
         yield make_tuple([-self.PROJ], spectral=SpectralData(
-            joint=joint, basis=self.EIG, cond=1.0)), self.EIG
+            joint=joint, basis=self.EIG)), self.EIG
 
     def test_apply_psi_and_subordinated(self):
         psi = fractional_power(0.5)
@@ -638,8 +670,8 @@ class TestSeriesRatio:
     def ray(A):
         w = np.ones(A.n) / A.n
         B = sum(w[j] * A.generators[j] for j in range(A.n))
-        _, _, ratio, nrm = _direction_evaluators(A, w)
-        return B, ratio, nrm
+        ratio = _Matrices(A).ray(w)[2]
+        return B, ratio, float(np.linalg.norm(B, 2))
 
     @pytest.mark.parametrize("build", TUPLES, ids=["jordan", "jordan2", "stripped"])
     def test_against_expm(self, build):

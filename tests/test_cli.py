@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from bpcalc.bernstein import CATALOG, catalog_ids
+from bpcalc.calculus import apply_psi, factorization_check
 from bpcalc.cli import (_EXPERIMENT_KINDS, _EXPERIMENTS, ConfigError,
+                        ExperimentResult, Row, _build_operator,
                         config_document, emit_report, _load_config_text, main,
                         parse_config, run)
+from bpcalc.semigroup import make_commuting_random
 
 
 def small_doc():
@@ -513,6 +516,96 @@ class TestRun:
         assert abs(rows["defect"].value - 1.0) < 1e-6
         assert rows["weighted_sum"].verdict == "PASS"
         assert rows["measured_limsup"].value <= rows["weighted_sum"].value + 0.05
+
+    def test_oracle_inapplicable_on_explicit_matrices(self):
+        doc = {
+            "functions": [{"id": "fp", "catalog": "fractional_power",
+                           "parameters": {"alpha": 0.5}}],
+            "operators": [{"id": "m", "matrices": [[[-1.0, 1.0], [0.0, -2.0]]]}],
+            "experiments": [{"kind": "oracle_equivalence", "id": "x",
+                             "function": "fp", "operator": "m"}],
+        }
+        report = run(parse_config(doc))
+        (row,) = rows_for(report, "x")
+        assert (row.quantity, row.value, row.verdict) == \
+            ("spectral_oracle", None, "INAPPLICABLE")
+        res = report.experiments[0]
+        assert res.verdict == "INAPPLICABLE"
+        assert res.notes == ("operator carries no spectral data",)
+        assert report.verdict == "PASS" and report.exit_code == 0
+
+    def test_mapping_hypothesis_inapplicable(self):
+        # eigenvalue 0 lies in the approximate spectrum, and the square root
+        # has an infinite partial derivative at -0
+        doc = {
+            "functions": [{"id": "fp", "catalog": "fractional_power",
+                           "parameters": {"alpha": 0.5}}],
+            "operators": [{"id": "m", "matrices": [[[0.0, 0.0], [0.0, -1.0]]]}],
+            "experiments": [{"kind": "spectral_mapping", "id": "map",
+                             "function": "fp", "operator": "m",
+                             "parts": [4]}],
+        }
+        report = run(parse_config(doc))
+        (row,) = rows_for(report, "map")
+        assert (row.case_id, row.quantity, row.verdict) == \
+            ("part4", "hypothesis", "INAPPLICABLE")
+        assert report.experiments[0].notes == (
+            "part 4 inapplicable: boundary spectrum and infinite partial "
+            "derivative at -0",)
+        assert report.exit_code == 0
+
+    def test_factorization_with_explicit_lambdas(self):
+        doc = {
+            "functions": [{"id": "lg", "catalog": "log1m"}],
+            "operators": [{"id": "a", "random": {"n": 1, "d": 4, "seed": 3}}],
+            "experiments": [{"kind": "factorization", "id": "fac",
+                             "function": "lg", "operator": "a",
+                             "lambdas": [[[-0.8, 0.3]], [[-1.5, -0.2]]]}],
+        }
+        cfg = parse_config(doc)
+        rows = rows_for(run(cfg), "fac")
+        assert [(r.case_id, r.quantity, r.verdict) for r in rows] == [
+            ("lambda0", "relative_residual", "PASS"),
+            ("lambda1", "relative_residual", "PASS")]
+        A, psi = _build_operator(cfg.operator_spec("a")), cfg.functions["lg"]
+        F = apply_psi(psi, A, tol=1e-9)
+        for r, lam in zip(rows, ([-0.8 + 0.3j], [-1.5 - 0.2j])):
+            assert r.value == factorization_check(psi, A, lam, tol=1e-9,
+                                                  operator=F)
+
+    def test_random_operator_with_box(self):
+        box = [[-2.0, -1.0], [0.0, 0.5]]
+        doc = {
+            "functions": [{"id": "fp", "catalog": "fractional_power",
+                           "parameters": {"alpha": 0.5}}],
+            "operators": [{"id": "a", "random": {"n": 1, "d": 3, "seed": 4,
+                                                 "box": box}}],
+            "experiments": [{"kind": "oracle_equivalence", "id": "x",
+                             "function": "fp", "operator": "a"}],
+        }
+        cfg = parse_config(doc)
+        A = _build_operator(cfg.operator_spec("a"))
+        joint = A.spectral.joint
+        assert np.all((joint.real >= -2.0) & (joint.real <= -1.0))
+        assert np.all((joint.imag >= 0.0) & (joint.imag <= 0.5))
+        ref = make_commuting_random(1, 3, seed=4, spectral_box=((-2.0, -1.0),
+                                                                (0.0, 0.5)))
+        assert all(np.array_equal(G, H)
+                   for G, H in zip(A.generators, ref.generators))
+        assert run(cfg).verdict == "PASS"
+
+    @pytest.mark.parametrize("kinds,verdict", [
+        (("PASS", "INAPPLICABLE", "FAIL", "ERROR"), "ERROR"),
+        (("ERROR", "FAIL"), "ERROR"),
+        (("PASS", "INAPPLICABLE", "FAIL"), "FAIL"),
+        (("INAPPLICABLE", "FAIL"), "FAIL"),
+        (("INAPPLICABLE", "INAPPLICABLE"), "INAPPLICABLE"),
+        (("INAPPLICABLE", "PASS"), "PASS"),
+        ((), "PASS")])
+    def test_experiment_verdict_precedence(self, kinds, verdict):
+        rows = tuple(Row("x", "c%d" % i, "q", None, None, k)
+                     for i, k in enumerate(kinds))
+        assert ExperimentResult("x", "k", rows, 0.0).verdict == verdict
 
     def test_psi_of_a_computed_once_per_experiment(self, monkeypatch):
         # one apply_psi per mapping and per factorization experiment, and

@@ -80,6 +80,16 @@ class TestReadOnlyGenerators:
             A.generators[0][0, 0] = 5
         assert A.generators[0][0, 0] == -1
 
+    def test_read_only_view_is_copied(self):
+        # a read-only view of a writable array still changes through its base
+        G = np.diag([-1 + 0j, -2])
+        V = G.view()
+        V.flags.writeable = False
+        A = S.make_tuple([V])
+        G[0, 0] = 5
+        assert A.generators[0] is not V and A.generators[0][0, 0] == -1
+        assert A.bound_kinds == ("lognorm",)
+
     @pytest.mark.parametrize("build", [
         lambda: S.make_commuting_random(2, 4, seed=5),
         lambda: S.make_jordan_polynomial(2, 4, seed=3),
@@ -93,6 +103,31 @@ class TestReadOnlyGenerators:
         B = S.make_tuple(A.generators)
         for G, H in zip(A.generators, B.generators):
             assert not G.flags.writeable and H is G
+
+
+class TestSpectralConditioning:
+    def test_cond_is_derived_from_basis(self):
+        # cond(P) = 9.03 here: a caller-given cond = 1 would have certified
+        # M = 1 against a true sup of ||e^{tA}|| near 3.3
+        P = S.make_commuting_random(1, 6, seed=1).spectral
+        spec = S.SpectralData(joint=P.joint, basis=P.basis)
+        assert spec.cond == float(np.linalg.cond(P.basis))
+        assert spec.cond == pytest.approx(9.03, abs=0.01)
+        with pytest.raises(TypeError):
+            S.SpectralData(joint=P.joint, basis=P.basis, cond=1.0)
+        A = S.make_tuple([spec.apply(P.joint[:, 0])], spectral=spec)
+        assert A.bounds == (spec.cond,) and A.bound_kinds == ("spectral",)
+        sup = max(np.linalg.norm(expm(t * A.generators[0]), 2)
+                  for t in np.linspace(0.0, 5.0, 101))
+        assert 3.0 < sup <= A.bounds[0]
+
+    def test_one_conditioning_svd_per_random_tuple(self, monkeypatch):
+        calls = []
+        real = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        A = S.make_commuting_random(2, 8, seed=3)
+        assert len(calls) == 1 and A.bounds == (A.spectral.cond,) * 2
 
 
 class TestSemigroupEvaluation:

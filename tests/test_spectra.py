@@ -39,7 +39,7 @@ def over_basis(joint, seed):
     """P diag(joint[:, j]) P^-1 over a random basis with cond(P) <= 4."""
     d, n = joint.shape
     P = make_commuting_random(n, d, seed=seed, max_cond=4).spectral
-    spec = SpectralData(joint=joint, basis=P.basis, cond=P.cond)
+    spec = SpectralData(joint=joint, basis=P.basis)
     return make_tuple([spec.apply(joint[:, j]) for j in range(n)],
                       spectral=spec, bounds=(P.cond,) * n)
 
@@ -364,7 +364,7 @@ class TestMappingCheck:
         # without catalog partials, the slope probe toward -0 decides part 4
         psi = replace(build(), partials_finite=None)
         joint = np.array([[0.0], [-1.0]], dtype=complex)
-        spec = SpectralData(joint=joint, basis=np.eye(2, dtype=complex), cond=1.0)
+        spec = SpectralData(joint=joint, basis=np.eye(2, dtype=complex))
         A = make_tuple([np.diag(joint[:, 0])], spectral=spec)
         rep = mapping_check(psi, A, 4, operator=apply_psi_spectral(psi, A))
         assert rep.applicable is applicable
