@@ -335,7 +335,8 @@ def integrate_measure(base, measure, atom_term, part_setup, tol):
     """base + sum_atoms mass * atom_term(location) + sum_parts int f dpart.
 
     ``part_setup(part)`` returns (f, kwargs of integrate_radial other than
-    tol), or None when the part contributes nothing.  Each part gets
+    tol, lift), lift mapping the integral of f into the space of ``base``,
+    or None when the part contributes nothing.  Each part gets
     ``tol / len(parts)``; QuadratureError is raised when the summed error
     estimate exceeds 4 * tol.
     """
@@ -348,9 +349,9 @@ def integrate_measure(base, measure, atom_term, part_setup, tol):
         setup = part_setup(p)
         if setup is None:
             continue
-        f, kw = setup
+        f, kw, lift = setup
         val, err = integrate_radial(f, p, tol=tol / len(parts), **kw)
-        value = value + val
+        value = value + lift(val)
         err_total += err
     if err_total > 4.0 * tol:
         raise QuadratureError(

@@ -163,7 +163,8 @@ class LevyMeasure:
             # remainder carries zero residual
             return (lambda r: min(wnorm * r, 1.0),
                     dict(f_zero=0.0, f_lipschitz=wnorm, f_sup=1.0,
-                         f_settle=1.0, f_decay=0.0, f_far_coeff=0.0))
+                         f_settle=1.0, f_decay=0.0, f_far_coeff=0.0),
+                    lambda v: v)
 
         total = integrate_measure(
             0.0, self, lambda loc: min(float(np.linalg.norm(loc)), 1.0),

@@ -5,37 +5,38 @@ with the same certified-error quadrature used for scalar evaluation; the
 subordinated family g_t(A) integrates T(u) against the closed-form measures
 nu_t where the catalog has them.
 
-Each builder picks its integrand representation once.  The profile route
-(``_Profiles``) works in one block basis X, where every A_j is z I +
-nilpotent on each block: the quadrature runs on the profile of the scalar
-jets e^{r <w, z>} (rw)^a / a! of every block, in the max-norm, and X is
-applied once to the result.  A generator-only tuple takes X from its block
-split (``OperatorTuple.blocks``: one reordered Schur form per tuple, which
-the joint spectra read too).  A tuple with spectral data, T(u) =
-P diag(e^{<u, lambda^(k)>}) P^{-1}, is the jet-free case X = P, with 1 x 1
-blocks and only the index a = 0, and the (m, n) point set of a scalar
-integral is the jet-free case without a basis: the same code serves all
-three.  Only a tuple whose basis is ill-conditioned, or whose blocks are not
-z I + nilpotent, takes one d x d matrix exponential per node (``_Matrices``);
-the cross-route tests force that route as the reference that shares neither
+Each tuple holds one integrand representation (``OperatorTuple.
+representation``).  The profile route (``_Profiles``) works in one block
+basis X, where every A_j is z I + nilpotent on each block: along a ray w the
+quadrature runs on the profile of the m_i scalar jets e^{r z_w} r^k / k! of
+each block (the powers of N_w = sum_j w_j N_j), in the max-norm; each ray's
+integral is lifted to block-diagonal coefficients, which the builders sum
+and compose block by block, and X is applied once to the result.  A
+generator-only tuple takes X from its block split (``OperatorTuple.blocks``,
+which the joint spectra read too).  A tuple with spectral data is the
+jet-free case X = P with 1 x 1 blocks, and the (m, n) point set of a scalar
+integral the jet-free case without a basis: one code serves all three.  Only
+a tuple whose basis is ill-conditioned, or whose blocks are not z I +
+nilpotent, takes one d x d matrix exponential per node (``_Matrices``); the
+cross-route tests force that route as the reference that shares neither
 basis nor integrand code with the profiles.
 
 Either representation makes one set-up per ray direction w: ``ray(w)``
-returns the evaluators of T(rw) together with their quadrature bounds
-(Lipschitz constant, sup and decay envelope), and the ``make(w)`` of
-``w_integrand`` returns the W_j integrand with its bounds.
+returns the evaluators of T(rw) with their quadrature bounds and lift, and
+the ``make(w)`` of ``w_integrand`` the W_j integrand with its own.
 """
 
 import copy
+from collections import namedtuple
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import block_diag, expm, schur
 from scipy.special import gammaln, xlogy
 
 from ._integrate import expm1c, integrate_measure
 from .bernstein import (BernsteinFunction, LevyMeasure, SubordinatorFamily,
                         eval_psi)
-from .semigroup import OperatorTuple, make_tuple, semigroup_apply
+from .semigroup import OperatorTuple, make_tuple
 
 __all__ = [
     "CatalogGapError", "apply_psi", "apply_psi_spectral", "subordinated",
@@ -51,11 +52,11 @@ class CatalogGapError(LookupError):
 
 
 # ---------------------------------------------------------------------------
-# integrand representations, chosen once per operator built
+# integrand representations, chosen once per tuple
 
 _COND_MAX = 1e4                     # largest cond(X) of a block basis
 _ROUND = 64 * np.finfo(float).eps   # relative round-off of a computed block
-_NIL = 1e-12                        # largest jet term of a zero power N^a
+_NIL = 1e-12                        # largest jet term of a zero power N^m
 
 
 def _over_r(F, limit):
@@ -75,42 +76,30 @@ def _peak(log_c, k, rho):
     return float(np.max(np.exp(log_c + xlogy(k, k / rho) - k)))
 
 
-def _nilpotent_powers(N, rho, m):
-    """[(a, N^a, ||N^a||_F)] for a = 0 and every multi-index |a| < m with
-    N^a = prod_j N_j^{a_j} nonzero, or None when a product of m of the N_j
-    is not zero to round-off.
+def _powers(N, m):
+    """(N^k / nu_k for k < m while N^k is nonzero, log nu_k), nu_k =
+    ||N^k||_F (I, 0 at k = 0), from normalized powers past the float range."""
+    stack, log_nu = [np.eye(m, dtype=complex)], [0.0]
+    for _ in range(1, m):
+        P = stack[-1] @ N
+        size = float(np.linalg.norm(P))
+        if size == 0.0:
+            break
+        stack.append(P / size)
+        log_nu.append(log_nu[-1] + np.log(size))
+    return np.array(stack), np.array(log_nu)
 
-    ``N`` holds the m x m nilpotent parts of one block (None for a zero
-    part) and ``rho`` the decay rates -Re z_j.  Each index is reached once:
-    a grows by e_j only for j at or past its last nonzero component.  A
-    product counts as zero when its largest jet term over all rays,
-    ||N^a||_F e^{-|a|} prod_j (a_j / rho_j)^{a_j} / a_j!, is below _NIL.
-    """
-    zero = (0,) * len(N)
-    out = [(zero, np.eye(m, dtype=complex), 1.0)]
-    frontier = [(zero, out[0][1], 0)]
-    while frontier:
-        grown = []
-        for a, P, first in frontier:
-            for j in range(first, len(N)):
-                if N[j] is None:
-                    continue
-                b = a[:j] + (a[j] + 1,) + a[j + 1:]
-                Pb = P @ N[j]
-                nu = float(np.linalg.norm(Pb))
-                if nu == 0.0:
-                    continue
-                if sum(b) < m:
-                    out.append((b, Pb, nu))
-                    grown.append((b, Pb, j))
-                    continue
-                term = np.log(nu) - sum(b) + sum(
-                    xlogy(c, c / rho[i]) - gammaln(c + 1.0)
-                    for i, c in enumerate(b) if c)
-                if term > np.log(_NIL):
-                    return None
-        frontier = grown
-    return out
+
+# one set-up per ray direction w: evaluators of T(rw), T(rw) - I and their
+# quotient by r, the Lipschitz constant at 0, the sup, the envelope ||T(rw) -
+# settle|| <= far e^{rho r} (rho <= 0; T stays 1 where ``settled``), T(0),
+# and the lift of a value of the ray to a value of the representation
+_Ray = namedtuple("_Ray", "T delta ratio lip sup rho far settled one lift")
+
+
+def _pad(head, size):
+    """A profile with ``head`` on the heads and 0 on every jet."""
+    return np.concatenate((head, np.zeros(size - len(head), dtype=head.dtype)))
 
 
 class _Matrices:
@@ -137,12 +126,10 @@ class _Matrices:
         return self.A.generators[j]
 
     def ray(self, w):
-        """(T, delta, delta/r, Lipschitz constant, sup, rho, far, settled)
-        of T(rw) = exp(rB): delta(r) = T(r) - I without cancellation, and
-        ||T(rw)|| <= far e^{rho r} for all r >= 0 with rho <= 0, certified
-        by the Schur form of B, or (0, prod M_j) when no strict decay is.
-        Nothing is settled.
-        """
+        """The ``_Ray`` of T(rw) = exp(rB): delta(r) = T(r) - I without
+        cancellation, and ||T(rw)|| <= far e^{rho r} for all r >= 0 with
+        rho <= 0, certified by the Schur form of B, or (0, prod M_j) when no
+        strict decay is.  Nothing is settled, and values are matrices."""
         w = np.asarray(w, dtype=float)
         B = sum(w[j] * self.A.generators[j] for j in range(self.n))
         nrm = float(np.linalg.norm(B, 2))
@@ -181,10 +168,9 @@ class _Matrices:
             log_terms = xlogy(k, grid * nrmN) - gammaln(k + 1.0)
             log_vals = np.logaddexp.reduce(log_terms, axis=0) - half * grid
             rho, far = rho * 0.5, float(np.exp(np.max(log_vals))) * 1.05
-        return T, delta, ratio, nrm * self.m, self.m, rho, far, False
-
-    def semigroup(self, u):
-        return semigroup_apply(self.A, u)
+        # values are matrices: the lift is the identity, as ``finish`` is
+        return _Ray(T, delta, ratio, nrm * self.m, self.m, rho, far, False,
+                    self.one, self.finish)
 
     def restrict(self, lo, hi):
         A = self.A
@@ -192,10 +178,11 @@ class _Matrices:
                                     bound_kinds=A.bound_kinds[lo:hi]))
 
     def w_integrand(self, lam, j):
-        """make(w) -> (F, F/r, bounds) for F(r) = V_j(r w_j) U_j(r w), bounds
-        the integrate_radial keywords from the envelope (rho_l, far_l) of
-        each generator: ||V_j(t)|| <= t e^{t max(Re lam_j, rho_j)} times
-        prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times prod M."""
+        """(make, 1): make(w) -> (F, bounds, lift) for F(r) = V_j(r w_j)
+        U_j(r w), bounds the integrate_radial keywords from the envelope
+        (rho_l, far_l) of each generator: ||V_j(t)|| <= t e^{t max(Re lam_j,
+        rho_j)} times prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times
+        prod M."""
         A = self.A
         envs = [self.ray(e)[5:7] for e in np.eye(self.n)]
         zero = np.zeros_like(self.one)
@@ -217,14 +204,15 @@ class _Matrices:
             parts += [w[l] * envs[l][0] for l in range(j)]
             parts += [w[k] * lam[k].real for k in range(j + 1, self.n)]
             gamma = -sum(parts)
-            kw = dict(f_lipschitz=w[j] * self.m, f_sup=self.m / (-lam[j].real))
+            kw = dict(f_zero=zero, f_over_r=_over_r(F, w[j] * self.one),
+                      f_lipschitz=w[j] * self.m, f_sup=self.m / (-lam[j].real))
             if gamma > 1e-12:
                 far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
                     * 2.0 / (np.e * gamma)
                 kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
-            return F, _over_r(F, w[j] * self.one), kw
+            return F, kw, self.finish
 
-        return make
+        return make, 1.0
 
     def finish(self, value):
         return value
@@ -233,61 +221,43 @@ class _Matrices:
 class _Profiles:
     """Integrands as profiles of scalar jets in one block basis X, Y = X^-1.
 
-    On block i every A_j acts as z_ij I + N_ij with N_ij nilpotent, so
+    On block i every A_j acts as z_ij I + N_ij with N_ij nilpotent, so T(rw)
+    acts there as e^{r z_iw} sum_{k < m_i} r^k / k! N_iw^k, z_iw = <w, z_i>,
+    N_iw = sum_j w_j N_ij (the atomic-block Taylor step of Schur-Parlett,
+    Davies & Higham, SIMAX 2003).  A ray integrates the profile of the heads
+    e^{r z_iw} and the jets nu_ik e^{r z_iw} r^k / k!, nu_ik = ||N_iw^k||_F,
+    of the nonzero powers: at most m_i entries per block, whatever n is.  Its
+    ``lift`` turns the integrated profile e into the coefficients sum_k e_ik
+    N_iw^k / nu_ik of each block, which the builders add and ``compose``
+    multiplies; ``finish`` applies X D Y once.  A lifted part has 2-norm at
+    most cond(X) m_i max|e|, so profiles are integrated in the max-norm to
+    tol / (cond(X) max m_i), ``cond``.
 
-        T(rw) = sum_i X_i e^{r <w, z_i>} sum_a (rw)^a / a! N_i^a Y_i,
-
-    with a over the multi-indices whose N_i^a = prod_j N_ij^{a_j} is nonzero
-    (the atomic-block Taylor step of Schur-Parlett, Davies & Higham, SIMAX
-    2003).  Each integrand is the profile of the entries
-    nu_ia e^{r <w, z_i>} (rw)^a / a!, nu_ia = ||N_i^a||_F (1 at a = 0), and
-    ``finish`` applies sum_ia e_ia X_i (N_i^a / nu_ia) Y_i once, to the
-    integrated profile e.  Its 2-norm is at most cond(X) K max|e|, K the
-    largest index count of a block, so profiles are integrated in the
-    max-norm to tol / (cond(X) K); that product is ``cond``.
-
-    The entries with a = 0 are the heads; the others are jets.  A tuple
-    with spectral data is the jet-free case X = P, with 1 x 1 blocks, the
-    one index a = 0 and nu = 1 on each; the (m, n) point set of a scalar
-    integral is its own diagonal tuple, with no basis and ``finish``
-    returning the profile.  ``of_generators`` reads X from the block split
-    of a generator-only tuple and builds its jets.  Every formula serves all
-    three; the per-node evaluators compute the head formula on every entry
-    and overwrite the jet entries only where there are any.  One set-up per
-    ray forms z = joint @ w, the log coefficients and the live-jet mask once
-    and derives the evaluators and their bounds from them.
+    A tuple with spectral data is the jet-free case X = P with 1 x 1 blocks,
+    and the (m, n) point set of a scalar integral its own diagonal tuple
+    with no basis; ``of_generators`` reads X and the nilpotent parts from
+    the block split of a generator-only tuple.  One code serves all three.
     """
 
-    def __init__(self, joint, spec=None, powers=None):
-        """``joint`` holds one row z_i per block and ``spec`` the basis
-        (``basis``, ``inverse``, ``cond``: the ``SpectralData`` or the
-        ``_schur.Blocks`` of the tuple), None for a point set.  ``powers``
-        lists the (a, N_i^a, nu_ia) of each block (``_nilpotent_powers``);
-        without it every block is 1 x 1 with the one index a = 0."""
+    def __init__(self, joint, spec=None, jets=()):
+        """``joint`` holds one row z_i per block, ``spec`` the basis (the
+        ``SpectralData`` or the ``_schur.Blocks`` of the tuple; None for a
+        point set), and ``jets`` the (i, N_i) of each block of size m_i > 1,
+        N_i the n x m_i x m_i stack of its nilpotent parts."""
         count, self.n = joint.shape
-        if powers is None:
-            counts = self.sizes = np.ones(count, dtype=int)
-            self.a, self.lognu = np.zeros(joint.shape, dtype=int), np.zeros(count)
-            self.jets = None      # finish needs no stacks without jets
-        else:
-            counts = np.array([len(p) for p in powers])
-            self.sizes = np.array([len(p[0][1]) for p in powers])
-            self.a = np.array([a for p in powers for a, _, _ in p])
-            self.lognu = np.log([nu for p in powers for _, _, nu in p])
-            self.jets = [np.array([P / nu for _, P, nu in p]) for p in powers]
-        self.block = np.repeat(np.arange(count), counts)
-        self.joint = joint[self.block]
-        self.k = self.a.sum(axis=1)
-        self.head = self.k == 0
-        # log of nu_a / a!, the constant part of each entry's coefficient
-        self.logw = self.lognu - gammaln(self.a + 1.0).sum(axis=1)
-        self.one = self.head.astype(complex)
-        self.first, self._table = 0, None
+        self.joint, self.jets = joint, list(jets)
+        self.sizes = np.ones(count, dtype=int)
+        for i, N in self.jets:
+            self.sizes[i] = len(N[0])
+        # block i holds the m_i x m_i coefficients ending at ends[i]
+        self.ends = np.cumsum(self.sizes ** 2)
+        self.one = self._scalar(np.ones(count, dtype=complex))
         self.basis = self.inverse = None
-        self.cond = 1.0
+        self.scale = 1.0
         if spec is not None:
             self.basis, self.inverse = spec.basis, spec.inverse
-            self.cond = max(1.0, float(spec.cond)) * int(counts.max())
+            self.scale = max(1.0, float(spec.cond))
+        self.cond = self.scale * int(self.sizes.max())
 
     @classmethod
     def of_generators(cls, A: OperatorTuple):
@@ -296,9 +266,12 @@ class _Profiles:
         z I + nilpotent to round-off, or a jet on a block with Re z_ij = 0,
         where r^k e^{rz} does not decay.
 
-        X and the blocks B_ij = Q_i^* A_j Q_i of A_j on its column slices
-        Q_i come from the tuple's split ``A.blocks``; each B_ij splits as
-        z_ij I + N_ij, z_ij = tr(B_ij) / m_i.
+        X and the blocks B_ij = Q_i^* A_j Q_i come from the tuple's split
+        ``A.blocks``; B_ij = z_ij I + N_ij, z_ij = tr(B_ij) / m_i.  N_ij is
+        nilpotent when the largest jet term of N_ij^m, ||N_ij^m||_F (m /
+        rho_j)^m e^{-m} / m!, rho_j = -Re z_ij, is below _NIL; the N_ij
+        commute, so every N_iw is then nilpotent too.  A block z_i I with
+        no nilpotent part is m_i blocks of size 1.
         """
         try:
             split = A.blocks
@@ -309,63 +282,99 @@ class _Profiles:
         # parts of a computed block below these sizes are round-off
         tiny = [_ROUND * split.cond * max(1.0, float(np.linalg.norm(G)))
                 for G in A.generators]
-        rows, blocks = [], []
+        rows, jets = [], []
         for compressed in split.compressions:
             m = len(compressed[0])
-            z, N = np.zeros(A.n, dtype=complex), []
+            z, N = np.zeros(A.n, dtype=complex), np.zeros((A.n, m, m), dtype=complex)
+            nilpotent = np.zeros(A.n, dtype=bool)
             for j, B in enumerate(compressed):
                 t = np.trace(B) / m
                 z[j] = complex(t.real if abs(t.real) > tiny[j] else 0.0,
                                t.imag if abs(t.imag) > tiny[j] else 0.0)
-                Nj = B - z[j] * np.eye(m)
-                N.append(Nj if np.linalg.norm(Nj) > tiny[j] else None)
-            nilpotent = [Nj is not None for Nj in N]
-            if any(nilpotent) and (np.any(z.real > 0.0)
-                                   or np.any(z.real[nilpotent] == 0.0)):
+                N[j] = B - z[j] * np.eye(m)
+                nilpotent[j] = np.linalg.norm(N[j]) > tiny[j]
+            N[~nilpotent] = 0.0
+            if not np.any(nilpotent):
+                rows += [z] * m
+                continue
+            rho = -z.real[nilpotent]
+            if np.any(z.real > 0.0) or np.any(rho == 0.0):
                 return None
-            powers = _nilpotent_powers(N, -z.real, m)
-            if powers is None:
+            nu = np.linalg.norm(np.linalg.matrix_power(N[nilpotent], m), axis=(1, 2))
+            if np.any(xlogy(1.0, nu) - m + xlogy(m, m / rho) - gammaln(m + 1.0)
+                      > np.log(_NIL)):
                 return None
+            jets.append((len(rows), N))
             rows.append(z)
-            blocks.append(powers)
-        return cls(np.array(rows), split, blocks)
+        return cls(np.array(rows), split, jets)
 
-    def _log_coeffs(self, w):
-        """log(nu_a w^a / a!) per entry; -inf where w^a = 0."""
-        cols = self.a[:, self.first:self.first + self.n]
-        return self.logw + xlogy(cols, w).sum(axis=1)
+    def _span(self, i):
+        return slice(self.ends[i] - self.sizes[i] ** 2, self.ends[i])
+
+    def _scalar(self, v):
+        """The coefficients v_i I of every block."""
+        out = np.repeat(v, self.sizes ** 2)
+        for i, N in self.jets:
+            out[self._span(i)] *= np.eye(len(N[0])).ravel()
+        return out
+
+    def _products(self, count, stacks):
+        """(size, columns, lift) of a profile with an entry per product V_k
+        U_p, k + p < m_i, on each block i of ``stacks`` = [(i, V, log nu_V,
+        U, log nu_U)], V_0 = U_0 = I: the head (0, 0) at i, the others from
+        ``count`` on.  The columns are (position, block, k, p, log nu_k +
+        log nu_p) of those entries; ``lift`` maps a profile e to the
+        coefficients sum_kp e_kp V_k U_p there and e_i I on other blocks."""
+        blocks, cols, size = [], [], count
+        for i, V, log_v, U, log_u in stacks:
+            k, p = np.nonzero(np.add.outer(np.arange(len(V)), np.arange(len(U)))
+                              < self.sizes[i])
+            pos = np.r_[i, size:size + len(k) - 1]
+            size += len(k) - 1
+            blocks.append((i, pos, k, p, V, U))
+            cols.append((pos, np.full(len(k), i), k, p, log_v[k] + log_u[p]))
+
+        def lift(e):
+            out = self._scalar(e[:count])
+            for i, pos, k, p, V, U in blocks:
+                E = np.zeros((len(U), len(V)), dtype=complex)
+                E[p, k] = e[pos]
+                D = np.tensordot(E, V, axes=1)
+                D = D[0] if len(U) == 1 else (D @ U).sum(axis=0)
+                out[self._span(i)] = D.ravel()
+            return out
+
+        empty = [np.zeros(0, dtype=int)] * 4 + [np.zeros(0)]
+        return size, [np.concatenate(c) for c in zip(*cols)] or empty, lift
 
     def gen(self, j):
-        unit = (self.k == 1) & (self.a[:, j] == 1)
-        return np.where(self.head, self.joint[:, j],
-                        np.where(unit, np.exp(self.logw), 0.0))
+        out = self._scalar(self.joint[:, j])
+        for i, N in self.jets:
+            out[self._span(i)] += N[j].ravel()
+        return out
 
     def ray(self, w):
-        """(T, delta, delta/r, Lipschitz constant, sup, rho, far, settled) of
-        the profile of T(rw), the bounds in the max-norm, with
-        |T(rw) - settle| <= far e^{rho r} on every entry, rho <= 0 (0 when
-        no decay is certified).
-
-        A jet c r^k e^{rz} has sup c (k/rho)^k e^{-k} with rho = -Re z, and
-        its quotient by r peaks at c ((k-1)/rho)^{k-1} e^{-(k-1)}; in the
-        envelope a jet keeps half its rate, c r^k e^{-rho r} <=
-        c (2k/rho)^k e^{-k} e^{-rho r/2}.  ``settled`` marks the a = 0
-        entries with <w, z_i> = 0: there T is 1 and T - 1 is 0 at every r,
-        so each builder gives them their own settle value and they are left
-        out of the rate.
-        """
+        """The ``_Ray`` of the profile of T(rw), bounds in the max-norm; rho
+        is 0 when no decay is certified.  A jet c r^k e^{rz} has sup c
+        (k/rho)^k e^{-k} with rho = -Re z, and its quotient by r peaks at c
+        ((k-1)/rho)^{k-1} e^{-(k-1)}; in the envelope a jet keeps half its
+        rate, c r^k e^{-rho r} <= c (2k/rho)^k e^{-k} e^{-rho r/2}.
+        ``settled`` marks the heads with z_iw = 0: there T is 1 and T - 1 is
+        0 at every r, so each builder gives them their own settle value and
+        they are left out of the rate."""
         w = np.asarray(w, dtype=float)
         z = self.joint @ w
-        head, k = self.head, self.k
-        log_c = self._log_coeffs(w)
-        jet = np.flatnonzero(~head)
-        has_jet = len(jet) > 0
-        z_jet, k_jet, c_jet = z[jet], k[jet], log_c[jet]
+        count = len(z)
+        stacks = [(i,) + _powers(np.tensordot(w, N, axes=1), len(N[0]))
+                  + (np.eye(len(N[0]))[None], np.zeros(1)) for i, N in self.jets]
+        size, (pos, block, k, _, log_nu), lift = self._products(count, stacks)
+        jet = pos >= count
+        k, z_jet = k[jet], z[block[jet]]
+        c_jet = log_nu[jet] - gammaln(k + 1.0)     # log nu_k / k!
 
-        def with_jets(out, r):
-            if has_jet:
-                out[jet] = np.exp(r * z_jet + (xlogy(k_jet, r) + c_jet))
-            return out
+        def with_jets(head, r):
+            return head if size == count else np.concatenate(
+                (head, np.exp(r * z_jet + (xlogy(k, r) + c_jet))))
 
         def T(r):
             return with_jets(np.exp(r * z), r)
@@ -373,14 +382,12 @@ class _Profiles:
         def delta(r):
             return with_jets(expm1c(r * z), r)
 
-        limit = np.where(head, z, np.where(k == 1, np.exp(log_c), 0.0))
-        live = ~head & np.isfinite(log_c)
-        kl, cl, rho = k[live], log_c[live], -z.real[live]
-        lip = max(float(np.max(np.abs(z[head]))), _peak(cl, kl - 1, rho))
-        sup = max(1.0, _peak(cl, kl, rho))
-        still = (z == 0) & head
-        heads = head & ~still
-        rates = np.concatenate((-z.real[heads], 0.5 * rho))
+        limit = np.concatenate((z, np.where(k == 1, np.exp(c_jet), 0.0)))
+        rho = -z_jet.real
+        lip = max(float(np.max(np.abs(z))), _peak(c_jet, k - 1, rho))
+        sup = max(1.0, _peak(c_jet, k, rho))
+        still = z == 0
+        rates = np.concatenate((-z.real[~still], 0.5 * rho))
         rate = float(np.min(rates, initial=np.inf))
         if rates.size == 0:
             decay, far = -1.0, 0.0
@@ -388,108 +395,93 @@ class _Profiles:
             decay, far = 0.0, 1.0
         else:
             decay = -rate
-            far = max(_peak(cl, kl, 0.5 * rho), 1.0 if np.any(heads) else 0.0)
-        return T, delta, _over_r(delta, limit), lip, sup, decay, far, still
-
-    def semigroup(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.exp(self.joint @ u + self._log_coeffs(u))
+            far = max(_peak(c_jet, k, 0.5 * rho), 1.0 if np.any(~still) else 0.0)
+        return _Ray(T, delta, _over_r(delta, limit), lip, sup, decay, far,
+                    _pad(still, size), _pad(np.ones(count, dtype=complex), size),
+                    lift)
 
     def restrict(self, lo, hi):
-        """The profile for generators lo..hi-1, on the same entries: those
-        indexed outside lo..hi-1 are zero."""
+        """The profile for generators lo..hi-1, in the same blocks."""
         out = copy.copy(self)
         out.joint = self.joint[:, lo:hi]
         out.n = hi - lo
-        out.first = self.first + lo
-        inside = self.a[:, out.first:out.first + out.n].sum(axis=1)
-        out.logw = np.where(inside < self.k, -np.inf, self.logw)
+        out.jets = [(i, N[lo:hi]) for i, N in self.jets]
         return out
 
     def compose(self, left, right):
-        """The profile of the product of two operators given as profiles:
-        on each block the truncated Cauchy product over multi-indices (the
-        entrywise product on 1 x 1 blocks)."""
-        if self._table is None:
-            # a + b by integer codes in base 2 max(a) + 2, so no component
-            # carries; pairs whose sum is no index have N^{a+b} = 0
-            base = 2 * int(self.a.max()) + 2
-            code = self.a @ base ** np.arange(self.a.shape[1]) \
-                + self.block * base ** self.a.shape[1]
-            order = np.argsort(code)
-            lhs, rhs = np.nonzero(self.block[:, None] == self.block[None, :])
-            total = code[lhs] + code[rhs] - self.block[lhs] * base ** self.a.shape[1]
-            pos = np.minimum(np.searchsorted(code[order], total), len(code) - 1)
-            hit = code[order][pos] == total
-            lhs, rhs, to = lhs[hit], rhs[hit], order[pos[hit]]
-            nu = self.lognu
-            self._table = (lhs, rhs, to, np.exp(nu[to] - nu[lhs] - nu[rhs]))
-        lhs, rhs, to, fac = self._table
-        out = np.zeros(np.broadcast(left, right).shape, dtype=complex)
-        np.add.at(out, to, left[lhs] * right[rhs] * fac)
+        """The coefficients of the product of two operators: block by block,
+        entrywise on 1 x 1 blocks."""
+        out = left * right
+        for i, N in self.jets:
+            m, span = len(N[0]), self._span(i)
+            out[span] = (left[span].reshape(m, m)
+                         @ right[span].reshape(m, m)).ravel()
         return out
 
     def w_integrand(self, lam, j):
-        """make(w) -> (F, F/r, bounds) for the profile of V_j(r w_j) U_j(r w),
-        bounds the integrate_radial keywords.
+        """(make, budget divisor): make(w) -> (F, bounds, lift) for the
+        profile of V_j(r w_j) U_j(r w), bounds the integrate_radial keywords.
 
-        On block i the coefficient of N_ij^k in V_j(t) is c_k(t) =
-        int_0^t e^{(t-s) lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``; c_0 is
-        ``_v_diag``), and U_j contributes the jets of the generators before
-        j and e^{r <w, lam>} after it: entries indexed past j are zero.
-        Every entry of a block that carries a jet takes c_k from ``_v_jets``.
+        On block i, V_j(t) = sum_k c_k(t) N_ij^k, c_k(t) = int_0^t e^{(t-s)
+        lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``, c_0 also ``_v_diag``),
+        and U_j(rw) = e^{r (<w, z_i>_{<j} + <w, lam>_{>j})} sum_p r^p / p!
+        N_U^p.  Entry (k, p) is nu_k nu_p c_k(r w_j) e^{...} r^p / p!, nu the
+        Frobenius norms of N_ij^k and N_U^p, so ||N_ij^k N_U^p||_2 <= nu_k
+        nu_p; the divisor is cond(X) times the largest pair count.
 
         |c_k(t)| <= t^{k+1} / (k+1)! e^{-t mu}, mu = -max(Re lam_j, Re z_ij),
-        so entry a is at most C r^{|a|+1} e^{-gamma r}, gamma the rate of
-        e^{-r w_j mu} U_j; the a = 0 entries keep |c_0| <= 1 / -Re lam_j.
-        A head with z_ij = 0, sum_{l<j} w_l z_il = 0 and w_l = 0 past j
-        does not decay: there c_0(t) = (e^{t lam_j} - 1) / lam_j and U_j = 1,
-        so it settles at -1 / lam_j, within e^{t Re lam_j} / |lam_j|.
+        so entry (k, p) is at most C r^{k+p+1} e^{-gamma r}, gamma the rate
+        of e^{-r w_j mu} U_j; the heads keep |c_0| <= 1 / -Re lam_j.  A head
+        with z_ij = 0, sum_{l<j} w_l z_il = 0 and w_l = 0 past j does not
+        decay: there c_0(t) = (e^{t lam_j} - 1) / lam_j and U_j = 1, so it
+        settles at -1 / lam_j, within e^{t Re lam_j} / |lam_j|.
         """
         zj, re = self.joint[:, j], self.joint.real
-        a, aj, head = self.a, self.a[:, j], self.head
+        count = len(zj)
         mu = -np.maximum(lam[j].real, re[:, j])
-        log_w = np.where(np.any(a[:, j + 1:] > 0, axis=1), -np.inf,
-                         self.logw + gammaln(aj + 1.0))
-        log_b = log_w - gammaln(aj + 2.0)
-        zero_j = head & (zj == 0)
-        jet_blocks = np.unique(self.block[~head])
-        in_jet = np.flatnonzero(np.isin(self.block, jet_blocks))
-        has_jet = len(in_jet) > 0
-        if has_jet:
-            row = np.searchsorted(jet_blocks, self.block[in_jet])
-            z_jet = zj[head][jet_blocks]
-            a_jet = aj[in_jet]
-            order = int(a_jet[np.isfinite(log_w[in_jet])].max()) + 1
-            lift = self.k[in_jet] - a_jet     # powers of r from the U_j jets
+        blocks = [(i, N) + _powers(N[j], len(N[0])) for i, N in self.jets]
+        # the most pairs of a block: k < len(V), and p < m_i if N_U can be
+        # nonzero, else p = 0
+        pairs = max([1] + [sum(min(len(N[0]) if np.any(N[:j]) else 1, len(N[0]) - k)
+                               for k in range(len(V))) for _, N, V, _ in blocks])
+        rows = np.array([i for i, _ in self.jets], dtype=int)
+        z_jet = zj[rows]
+        order = max((len(V) for _, _, V, _ in blocks), default=1)
 
         def make(w):
             w = np.asarray(w, dtype=float)
             pre = self.joint[:, :j] @ w[:j]
             post = complex(np.dot(w[j + 1:], lam[j + 1:]))
-            log_u = xlogy(a[:, :j], w[:j]).sum(axis=1)
-            if has_jet:
-                pre_jet = pre[in_jet] + post
-                c_jet = (log_w + log_u)[in_jet]
+            gamma = w[j] * mu - re[:, :j] @ w[:j] \
+                - float(np.dot(w[j + 1:], lam[j + 1:].real))
+            size, (at, block, k, p, log_nu), lift = self._products(count, [
+                (i, V, log_v) + _powers(np.tensordot(w[:j], N[:j], axes=1), len(N[0]))
+                for i, N, V, log_v in blocks])
+            row = np.searchsorted(rows, block)
+            pre_jet = pre[block] + post
+            log_e = log_nu - gammaln(p + 1.0)
 
             def F(r):
                 t = r * w[j]
                 out = _v_diag(t, lam[j], zj) * np.exp(r * (pre + post))
-                if has_jet:
-                    out[in_jet] = _v_jets(t, lam[j], z_jet, order)[row, a_jet] \
-                        * np.exp(r * pre_jet + (xlogy(lift, r) + c_jet))
+                if not blocks:
+                    return out
+                out = _pad(out, size)
+                out[at] = _v_jets(t, lam[j], z_jet, order)[row, k] \
+                    * np.exp(r * pre_jet + (xlogy(p, r) + log_e))
                 return out
 
-            gamma = w[j] * mu - re[:, :j] @ w[:j] \
-                - float(np.dot(w[j + 1:], lam[j + 1:].real))
-            still = zero_j & (pre == 0) & (not np.any(w[j + 1:]))
-            log_c = log_b + log_u + xlogy(aj + 1.0, w[j])
-            jet = ~head & np.isfinite(log_c)
-            moving = head & ~still
-            log_c_head = log_c[moving]    # log w_j: c_0(t) <= t e^{-t mu}
-            k, log_c, g = self.k[jet] + 1, log_c[jet], gamma[jet]
-            kw = dict(f_lipschitz=max(w[j], _peak(log_c, k - 1, g)),
-                      f_sup=max(-1.0 / lam[j].real, _peak(log_c, k, g)))
+            still = (zj == 0) & (pre == 0) & (not np.any(w[j + 1:]))
+            moving = ~still
+            log_c_head = np.full(np.count_nonzero(moving), xlogy(1.0, w[j]))
+            jet = k + p > 0     # c_0(t) <= t e^{-t mu} on the heads
+            ktot = (k + p + 1)[jet]
+            log_c = (log_e - gammaln(k + 2.0) + xlogy(k + 1.0, w[j]))[jet]
+            g = gamma[block][jet]
+            kw = dict(f_zero=np.zeros(size, dtype=complex),
+                      f_over_r=_over_r(F, w[j] * _pad(np.ones(count, dtype=complex), size)),
+                      f_lipschitz=max(w[j], _peak(log_c, ktot - 1, g)),
+                      f_sup=max(-1.0 / lam[j].real, _peak(log_c, ktot, g)))
             settles = bool(np.any(still))
             rate = min(np.min(gamma[moving], initial=np.inf),
                        np.min(g, initial=np.inf),
@@ -497,36 +489,30 @@ class _Profiles:
             if rate > 1e-12:
                 far = max(_peak(log_c_head, np.ones(len(log_c_head)),
                                 0.5 * gamma[moving]),
-                          _peak(log_c, k, 0.5 * g),
+                          _peak(log_c, ktot, 0.5 * g),
                           1.0 / abs(lam[j]) if settles else 0.0)
-                kw.update(f_settle=np.where(still, -1.0 / lam[j], 0.0),
+                kw.update(f_settle=_pad(np.where(still, -1.0 / lam[j], 0.0), size),
                           f_decay=0.5 * rate, f_far_coeff=far)
-            return F, _over_r(F, w[j] * self.one), kw
+            return F, kw, lift
 
-        return make
+        return make, self.scale * pairs
 
     def finish(self, value):
         if self.basis is None:
             return value
-        if np.all(self.head):
-            # no jets: X diag(e) Y in O(d^2)
-            return (self.basis * np.repeat(value, self.sizes)) @ self.inverse
-        D = np.zeros(self.basis.shape, dtype=complex)
-        start = 0
-        for i, stack in enumerate(self.jets):
-            m = stack.shape[1]
-            D[start:start + m, start:start + m] = np.tensordot(
-                value[self.block == i], stack, axes=1)
-            start += m
+        if not self.jets:
+            # 1 x 1 blocks: X diag(e) Y in O(d^2)
+            return (self.basis * value) @ self.inverse
+        D = block_diag(*(value[self._span(i)].reshape(m, m)
+                         for i, m in enumerate(self.sizes)))
         return self.basis @ D @ self.inverse
 
 
 def _representation(A: OperatorTuple):
-    spec = A.spectral
-    if spec is not None:
-        return _Profiles(spec.joint, spec)
-    rep = _Profiles.of_generators(A)
-    return _Matrices(A) if rep is None else rep
+    """A's integrand representation, held as ``A.representation``."""
+    if A.spectral is not None:
+        return _Profiles(A.spectral.joint, A.spectral)
+    return _Profiles.of_generators(A) or _Matrices(A)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +523,7 @@ def apply_psi(psi: BernsteinFunction, A: OperatorTuple, tol: float = 1e-9):
     """c0 I + sum_j c1^j A_j + int (T(u) - I) dmu(u)."""
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
-    return _psi_integral(psi, _representation(A), tol)
+    return _psi_integral(psi, A.representation, tol)
 
 
 def _psi_integral(psi: BernsteinFunction, rep, tol: float):
@@ -548,21 +534,24 @@ def _psi_integral(psi: BernsteinFunction, rep, tol: float):
         if psi.c1[j] != 0.0:
             base = base + psi.c1[j] * rep.gen(j)
 
-    def part_setup(p):
-        _, delta, ratio, lip, sup, rho, far, settled = rep.ray(p.direction)
-        if lip == 0.0:
-            return None
-        kw = dict(f_zero=np.zeros_like(rep.one), f_lipschitz=lip,
-                  f_sup=sup + 1.0, f_over_r=ratio)
-        if rho < 0.0:
-            # T - I tends to -I, except where T stays at 1
-            kw.update(f_settle=np.where(settled, 0.0, -rep.one),
-                      f_decay=-rho, f_far_coeff=far)
-        return delta, kw
+    def atom(loc):
+        ray = rep.ray(loc)
+        return ray.lift(ray.delta(1.0))
 
-    return rep.finish(integrate_measure(
-        base, psi.measure, lambda loc: rep.ray(loc)[1](1.0), part_setup,
-        tol / rep.cond))
+    def part_setup(p):
+        ray = rep.ray(p.direction)
+        if ray.lip == 0.0:
+            return None
+        kw = dict(f_zero=np.zeros_like(ray.one), f_lipschitz=ray.lip,
+                  f_sup=ray.sup + 1.0, f_over_r=ray.ratio)
+        if ray.rho < 0.0:
+            # T - I tends to -I, except where T stays at 1
+            kw.update(f_settle=np.where(ray.settled, 0.0, -ray.one),
+                      f_decay=-ray.rho, f_far_coeff=ray.far)
+        return ray.delta, kw, ray.lift
+
+    return rep.finish(integrate_measure(base, psi.measure, atom, part_setup,
+                                        tol / rep.cond))
 
 
 def apply_psi_spectral(psi: BernsteinFunction, A: OperatorTuple):
@@ -588,19 +577,30 @@ def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):
 
 def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
     if fam.kind == "atoms":
-        out = np.zeros_like(rep.one)
+        # T(u) is the ray u / max_j u_j at r = max_j u_j, one sum and lift per
+        # direction; T(0) = I on every ray, so the mass at 0 opens the first
+        rays, sums, still = {}, {}, 0.0
         for loc, mass in fam.atoms_at(t):
-            out = out + mass * rep.semigroup(loc)
-        return out
+            r = float(np.max(loc))
+            if r == 0.0:
+                still += mass
+                continue
+            key = (loc / r).tobytes()
+            if key not in rays:
+                rays[key] = rep.ray(loc / r)
+                sums[key], still = still * rays[key].one, 0.0
+            sums[key] = sums[key] + mass * rays[key].T(r)
+        return sum((rays[k].lift(v) for k, v in sums.items()), still * rep.one)
     if fam.kind == "density":
         def part_setup(p):
-            T, _, _, lip, sup, rho, far, settled = rep.ray(p.direction)
-            kw = dict(f_zero=rep.one, f_lipschitz=max(lip, 1e-300), f_sup=sup)
-            if rho < 0.0:
+            ray = rep.ray(p.direction)
+            kw = dict(f_zero=ray.one, f_lipschitz=max(ray.lip, 1e-300),
+                      f_sup=ray.sup)
+            if ray.rho < 0.0:
                 # T tends to 0, except where it stays at 1
-                kw.update(f_settle=np.where(settled, rep.one, 0.0),
-                          f_decay=-rho, f_far_coeff=far)
-            return T, kw
+                kw.update(f_settle=np.where(ray.settled, ray.one, 0.0),
+                          f_decay=-ray.rho, f_far_coeff=ray.far)
+            return ray.T, kw, ray.lift
 
         nu_t = LevyMeasure(rep.n, parts=[fam.density_at(t)])
         return integrate_measure(0.0, nu_t, None, part_setup, tol)
@@ -638,7 +638,7 @@ def subordinated(psi: BernsteinFunction, A: OperatorTuple, t: float,
         raise ValueError("function arity and tuple size differ")
     if t == 0:
         return np.eye(A.d, dtype=complex)
-    rep = _representation(A)
+    rep = A.representation
     return rep.finish(_subordinated_family(_family(psi), rep, t,
                                            tol / rep.cond))
 
@@ -780,23 +780,22 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
         raise ValueError("lambda must have one component per generator")
     if np.any(lam.real >= 0):
         raise ValueError("w_operator requires Re lambda_j < 0")
-    return _w_integral(psi, _representation(A), lam, j, tol)
+    return _w_integral(psi, A.representation, lam, j, tol)
 
 
 def _w_integral(psi: BernsteinFunction, rep, lam, j: int, tol: float):
     """W_j on the representation ``rep``."""
-    zero = np.zeros_like(rep.one)
-    make = rep.w_integrand(lam, j)
+    make, cond = rep.w_integrand(lam, j)
+
+    def atom(loc):
+        F, _, lift = make(loc)
+        return lift(F(1.0))
 
     def part_setup(p):
-        if p.direction[j] == 0.0:
-            return None
-        F, F_over_r, kw = make(p.direction)
-        return F, dict(kw, f_zero=zero, f_over_r=F_over_r)
+        return None if p.direction[j] == 0.0 else make(p.direction)
 
-    return rep.finish(integrate_measure(
-        psi.c1[j] * rep.one, psi.measure, lambda loc: make(loc)[0](1.0),
-        part_setup, tol / rep.cond))
+    return rep.finish(integrate_measure(psi.c1[j] * rep.one, psi.measure,
+                                        atom, part_setup, tol / cond))
 
 
 def w_operator_bound(psi: BernsteinFunction, A: OperatorTuple, lam, j: int) -> float:

@@ -68,6 +68,13 @@ class OperatorTuple:
         """The block split (``_schur.Blocks``), formed once, on first use."""
         return Blocks(self.generators)
 
+    @cached_property
+    def representation(self):
+        """The integrand representation of ``calculus`` (its block profile,
+        or the expm-only fallback), formed once, on first use."""
+        from .calculus import _representation   # calculus imports this module
+        return _representation(self)
+
 
 def _frozen(g) -> np.ndarray:
     """``g``, marked read-only, so that make_tuple shares it uncopied."""

@@ -162,9 +162,16 @@ def rel_gap(got, ref):
     return opnorm(got - ref) / max(1.0, opnorm(ref))
 
 
-# every member whose triple has a measure part (poisson: an atom)
+# every member whose triple has a measure part (poisson: an atom), and two
+# of arity 3: a lift along one ray, and a 2 + 1 direct sum whose g_t
+# restricts the tuple and composes the halves
 CROSS_ROUTE = [p for p in CATALOG_PAIRS
-               if p[0] in ("frac05", "poisson", "log1m", "lift", "dsum", "cone")]
+               if p[0] in ("frac05", "poisson", "log1m", "lift", "dsum", "cone")] + [
+    ("lift3", lambda: diagonal_lift(log1m(), [1.0, 0.5, 0.25]), 3),
+    ("dsum3", lambda: direct_sum(diagonal_lift(log1m(), [1.0, 0.6]), poisson()), 3),
+]
+# one lambda_j per generator, Re lambda_j < 0
+LAM = np.array([-0.8 + 0.3j, -1.1 - 0.6j, -0.6 + 0.9j])
 
 
 class TestProfilesAgainstMatrices:
@@ -194,7 +201,7 @@ class TestProfilesAgainstMatrices:
     def test_w_operator(self, name, build, n):
         psi = build()
         A = make_commuting_random(n, 8, seed=8 + n)
-        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:n]
+        lam = LAM[:n]
         for j in range(n):
             assert rel_gap(w_operator(psi, A, lam, j),
                            w_operator(psi, stripped(A), lam, j)) <= 1e-8
@@ -216,7 +223,7 @@ class TestProfilesAgainstMatrices:
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
     def test_w_operator_against_matrices(self, name, build, n):
         psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
-        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:n]
+        lam = LAM[:n]
         for j in range(n):
             ref = calculus._w_integral(psi, calculus._Matrices(A), lam, j, 1e-9)
             assert rel_gap(w_operator(psi, A, lam, j), ref) <= 1e-8
@@ -244,6 +251,7 @@ GENERATOR_ONLY = {
         "j3": j3},
     2: {"jordan8": lambda: make_jordan_polynomial(2, 8, seed=82),
         "stripped8": lambda: stripped(make_commuting_random(2, 8, seed=28))},
+    3: {"jordan8": lambda: make_jordan_polynomial(3, 8, seed=83)},
 }
 JET_CASES = [pytest.param(build, tup, id="%s-%s" % (name, key))
              for name, build, n in CROSS_ROUTE
@@ -272,7 +280,7 @@ class TestBlockJetsAgainstMatrices:
     @pytest.mark.parametrize("build,tup", JET_CASES)
     def test_w_operator(self, build, tup):
         psi, A = build(), tup()
-        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:A.n]
+        lam = LAM[:A.n]
         for j in range(A.n):
             ref = calculus._w_integral(psi, calculus._Matrices(A), lam, j, 1e-9)
             assert rel_gap(w_operator(psi, A, lam, j), ref) <= 1e-8
@@ -292,7 +300,7 @@ class TestBlockJetsAgainstMatrices:
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
     def test_factorization_at_d24(self, name, build, n):
         psi = build()
-        lam = np.array([-0.8 + 0.3j, -1.1 - 0.6j])[:n]
+        lam = LAM[:n]
         A = make_commuting_random(n, 24, seed=24 + n)
         for B in (make_jordan_polynomial(n, 24, seed=24 + n), stripped(A)):
             assert factorization_check(psi, B, lam) <= 1e-8
@@ -316,14 +324,16 @@ class TestBlockJetsAgainstMatrices:
         assert calls
 
     def test_repeated_semisimple_eigenvalue(self):
-        # one 2 x 2 block z I with no nilpotent part and one 1 x 1 block:
-        # the profile has an entry per block, and finish repeats them
+        # one 2 x 2 cluster z I with no nilpotent part and one 1 x 1
+        # cluster: the 2 x 2 one is two 1 x 1 blocks, and no ray has a jet
         P = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
         Pinv = np.linalg.inv(P)
         A = make_tuple([P @ np.diag([-1.0, -1.0, -2.0]) @ Pinv])
+        assert sorted(len(c[0]) for c in A.blocks.compressions) == [1, 2]
         rep = calculus._representation(A)
         assert isinstance(rep, calculus._Profiles)
-        assert sorted(rep.sizes) == [1, 2] and np.all(rep.head)
+        assert list(rep.sizes) == [1, 1, 1] and rep.jets == []
+        assert len(rep.ray([1.0]).one) == 3
         psi = log1m()
         at = eval_psi(psi, np.array([[-1.0], [-1.0], [-2.0]]))
         assert rel_gap(apply_psi(psi, A), P @ np.diag(at) @ Pinv) <= 1e-8
@@ -344,6 +354,88 @@ class TestBlockJetsAgainstMatrices:
         J = -1.5 * np.eye(6) + np.diag(np.ones(5), 1)
         A = make_tuple([S @ J @ np.linalg.inv(S)])
         assert rel_gap(apply_psi(build(), A), reference(A.generators[0])) <= 1e-8
+
+
+class TestRayJets:
+    """Along a ray the profile of T(rw) has at most m_i entries per block,
+    and the W_j profile at most m_i (m_i + 1) / 2, whatever n is."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ray_entries_at_most_d(self, n):
+        A = make_jordan_polynomial(n, 24, seed=24 + n)
+        rep = calculus._representation(A)
+        assert isinstance(rep, calculus._Profiles) and rep.cond == 24.0
+        rng = np.random.default_rng(n)
+        for w in [np.ones(n) / np.sqrt(n), *np.eye(n), *rng.uniform(0, 1, (3, n))]:
+            ray = rep.ray(w)
+            assert len(ray.one) == len(ray.T(0.5)) == 24
+        for j in range(n):
+            make, budget = rep.w_integrand(LAM[:n], j)
+            assert budget == (24.0 if j == 0 else 24.0 * 25 / 2)
+            F, kw, _ = make(np.ones(n) / np.sqrt(n))
+            assert len(F(0.5)) <= (24 if j == 0 else 24 * 25 // 2)
+
+    def test_apply_psi_memory_at_d64(self):
+        # a jet per multi-index of (N_1, N_2) would store 2 x 2080 dense
+        # 64 x 64 powers (about 270 MB) for this tuple; ray jets keep O(n d^2)
+        import tracemalloc
+        psi = diagonal_lift(log1m(), [1.0, 0.5])
+        A = make_jordan_polynomial(2, 64, seed=1)
+        tracemalloc.start()
+        try:
+            F = apply_psi(psi, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert np.all(np.isfinite(F))
+
+    def test_representation_cached_per_tuple(self, monkeypatch):
+        calls = []
+        real = calculus._Profiles.of_generators.__func__
+        monkeypatch.setattr(calculus._Profiles, "of_generators", classmethod(
+            lambda cls, A: calls.append(1) or real(cls, A)))
+        A = make_jordan_polynomial(2, 8, seed=82)
+        psi = diagonal_lift(log1m(), [1.0, 0.5])
+        apply_psi(psi, A)
+        subordinated(psi, A, 0.5)
+        factorization_check(psi, A, LAM[:2])
+        assert calls == [1]
+        B = make_commuting_random(1, 6, seed=1)
+        assert B.representation is B.representation
+
+
+class TestFarAtoms:
+    """Atoms far out on a large Jordan block, J = -I + shift at d = 120:
+    ||(uN)^k|| leaves the float range once u^119 > 1e308, while T(u) and
+    the results stay finite."""
+
+    J = -np.eye(120) + np.diag(np.ones(119), 1)
+
+    def test_apply_psi_atom(self):
+        # psi(s) = e^{400 s} - 1 has its one atom at u = 400
+        F = apply_psi(diagonal_lift(poisson(), [400.0]), make_tuple([self.J]))
+        assert rel_gap(F, expm(400.0 * self.J) - np.eye(120)) <= 1e-8
+
+    @pytest.mark.parametrize("t", [400.0, 720.0])
+    def test_poisson_subordination(self, t):
+        # g_t = exp(t (e^J - I)); past t ~ 708 the atom weights are scaled
+        g = subordinated(poisson(), make_tuple([self.J]), t)
+        assert rel_gap(g, expm(t * (expm(self.J) - np.eye(120)))) <= 1e-8
+
+    @pytest.mark.parametrize("route", ["profiles", "matrices"])
+    def test_one_ray_per_direction(self, route, monkeypatch):
+        # every atom of a Poisson family lies on one direction
+        A = make_jordan_polynomial(2, 8, seed=82)
+        rep = calculus._Matrices(A) if route == "matrices" else A.representation
+        calls = []
+        real = type(rep).ray
+        monkeypatch.setattr(type(rep), "ray",
+                            lambda self, w: calls.append(1) or real(self, w))
+        fam = diagonal_lift(poisson(), [1.0, 0.5]).subordinator
+        assert len(fam.atoms_at(5.0)) > 10
+        calculus._subordinated_family(fam, rep, 5.0, 1e-9)
+        assert calls == [1]
 
 
 class TestNonNilpotentFallback:

@@ -56,7 +56,8 @@ def test_driver_accepts_initial_panel_and_counts_nodes():
 def _log1m_setup(f):
     # e^{-r} - 1 against the log1m density, with its exact settle term
     return lambda p: (f, dict(f_zero=0.0, f_lipschitz=1.0, f_sup=2.0,
-                              f_settle=-1.0, f_decay=1.0, f_far_coeff=1.0))
+                              f_settle=-1.0, f_decay=1.0, f_far_coeff=1.0),
+                      lambda v: v)
 
 
 def test_measure_value_matches_closed_form():
