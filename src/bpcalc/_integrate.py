@@ -24,9 +24,9 @@ and raises QuadratureError on a non-finite value or estimate.
 The caller supplies the analytic ingredients (Lipschitz coefficient at the
 origin, sup bound, decay rate, settle value); this module assembles them into
 a value plus a certified error estimate.  ``integrate_measure`` applies that
-to a whole measure, atoms plus parts: psi(s), psi(A), the factorization
-cofactors W_j, the density families of g_t(A) and int min(|u|, 1) dmu all go
-through it.
+to a whole measure, atoms plus parts, with one set-up per ray direction:
+psi(s), psi(A) and the factorization cofactors W_j against mu, g_t(A)
+against nu_t, and int min(|u|, 1) dmu all go through it.
 """
 
 from __future__ import annotations
@@ -331,25 +331,40 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
     return value, err_total
 
 
-def integrate_measure(base, measure, atom_term, part_setup, tol):
-    """base + sum_atoms mass * atom_term(location) + sum_parts int f dpart.
+def integrate_measure(base, measure, part_setup, tol):
+    """base + sum_atoms mass * f(radius) + sum_parts int f dpart.
 
-    ``part_setup(part)`` returns (f, kwargs of integrate_radial other than
-    tol, lift), lift mapping the integral of f into the space of ``base``,
-    or None when the part contributes nothing.  Each part gets
-    ``tol / len(parts)``; QuadratureError is raised when the summed error
-    estimate exceeds 4 * tol.
+    ``part_setup(direction)`` returns, for the ray along ``direction``,
+    (f, kwargs of integrate_radial other than tol, lift): f a function of
+    the radius and lift mapping its values into the space of ``base``; or
+    None when the ray contributes nothing.  It is called once per direction.
+    The atoms of one direction add mass * f(radius) in order, starting from
+    0.0, and their sum is lifted once; atoms come before density parts.
+    Each part gets ``tol / len(parts)``; QuadratureError is raised when the
+    summed error estimate exceeds 4 * tol.
     """
-    value = base
+    setups, sums = {}, {}
+
+    def setup(w):
+        key = w.tobytes()
+        if key not in setups:
+            setups[key] = part_setup(w)
+        return key, setups[key]
+
     for a in measure.atoms:
-        value = value + a.mass * atom_term(a.location)
+        key, ray = setup(a.direction)
+        if ray is not None:
+            sums[key] = sums.get(key, 0.0) + a.mass * ray[0](a.radius)
+    value = base
+    for key, total in sums.items():
+        value = value + setups[key][2](total)
     parts = measure.parts
     err_total = 0.0
     for p in parts:
-        setup = part_setup(p)
-        if setup is None:
+        _, ray = setup(p.direction)
+        if ray is None:
             continue
-        f, kw, lift = setup
+        f, kw, lift = ray
         val, err = integrate_radial(f, p, tol=tol / len(parts), **kw)
         value = value + lift(val)
         err_total += err

@@ -13,6 +13,9 @@ from a closed form or by quadrature of the representation, and builds new
 members by conic combination, direct sum, and diagonal lift.  Each
 constructor attaches the closed-form subordination family nu_t where one is
 known; ``CATALOG`` declares every member once for string-id construction.
+Each nu_t is a ``LevyMeasure`` as mu is, with atoms on rays (mass at the
+origin an atom of radius 0), or the convolution of child families; a direct
+sum or a lift pushes mu and every nu_t forward by one linear map.
 """
 
 from __future__ import annotations
@@ -51,18 +54,27 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Atom:
-    """Point mass at ``location`` in R+^n \\ {0}."""
+    """Point mass at ``radius * direction`` in R+^n.
 
-    location: np.ndarray
+    ``Atom(location, mass)`` is the point mass at ``location``, radius 1.
+    Atoms on one direction share one ray in ``integrate_measure``.  Radius
+    0 is the origin, where T(0) = I on every ray; only a subordination
+    measure nu_t puts mass there.
+    """
+
+    direction: np.ndarray
     mass: float
+    radius: float = 1.0
 
     def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float)
-        object.__setattr__(self, "location", loc)
+        w = np.asarray(self.direction, dtype=float)
+        object.__setattr__(self, "direction", w)
         if self.mass <= 0:
             raise ValueError("atom mass must be positive")
-        if np.any(loc < 0) or not np.any(loc > 0):
+        if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("atom location must lie in R+^n away from 0")
+        if not self.radius >= 0:
+            raise ValueError("atom radius must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,25 +128,20 @@ class RadialDensity:
             total_mass=None if self.total_mass is None else a * self.total_mass,
         )
 
-    def embedded(self, n: int, offset: int) -> "RadialDensity":
-        w = np.zeros(n)
-        w[offset:offset + len(self.direction)] = self.direction
-        return replace(self, direction=w)
-
-    def pushforward(self, w: np.ndarray) -> "RadialDensity":
-        """Lift a 1-D profile along r -> r*w (the diagonal-ray support)."""
-        return replace(self, direction=w)
-
 
 class LevyMeasure:
-    """Structural jump measure: atoms plus parametric density parts."""
+    """Structural measure on R+^n: atoms plus parametric density parts.
+
+    It models both the jump measure mu of a triple and the subordination
+    measures nu_t, which may put an atom at the origin.
+    """
 
     def __init__(self, n: int, atoms: Sequence[Atom] = (), parts: Sequence = ()):
         self.n = int(n)
         self.atoms = tuple(atoms)
         self.parts = tuple(parts)
         for a in self.atoms:
-            if len(a.location) != self.n:
+            if len(a.direction) != self.n:
                 raise DimensionMismatchError("atom dimension mismatch")
         for p in self.parts:
             if not isinstance(p, RadialDensity):
@@ -157,8 +164,8 @@ class LevyMeasure:
 
     def min_integral(self, tol: float = 1e-9) -> float:
         """int min(|u|, 1) dmu, the convergence functional of the triple."""
-        def part_setup(p):
-            wnorm = float(np.linalg.norm(p.direction))
+        def part_setup(w):
+            wnorm = float(np.linalg.norm(w))
             # min(w*r, 1) is exactly 1 past the split, so the settled
             # remainder carries zero residual
             return (lambda r: min(wnorm * r, 1.0),
@@ -166,15 +173,12 @@ class LevyMeasure:
                          f_settle=1.0, f_decay=0.0, f_far_coeff=0.0),
                     lambda v: v)
 
-        total = integrate_measure(
-            0.0, self, lambda loc: min(float(np.linalg.norm(loc)), 1.0),
-            part_setup, tol)
-        return float(np.real(total))
+        return float(np.real(integrate_measure(0.0, self, part_setup, tol)))
 
     def mass_outside(self, delta: float) -> float:
         """Upper bound on mu(|u| > delta); finite for every delta > 0."""
         total = sum(a.mass for a in self.atoms
-                    if float(np.linalg.norm(a.location)) > delta)
+                    if a.radius * float(np.linalg.norm(a.direction)) > delta)
         for p in self.parts:
             wnorm = float(np.linalg.norm(p.direction))
             total += float(p.tail_mass(delta / wnorm))
@@ -187,23 +191,37 @@ class LevyMeasure:
 
 @dataclass(frozen=True, eq=False)
 class SubordinatorFamily:
-    """Closed-form nu_t family attached to a catalog member.
+    """Closed-form family of the measures nu_t with Laplace transform
+    e^{t psi}, attached to a catalog member.
 
-    kinds: "atoms" (t -> [(location, mass)]), "density" (t -> 1-D radial
-    profile along its direction), "product" (independent blocks of a direct
-    sum), "convolution" (cone combination: time reparametrized children).
+    ``measure_at(t)`` returns nu_t as a ``LevyMeasure``.  A family without
+    it is the convolution of its ``children`` at times weights_i t: the
+    family of sum_i weights_i psi_i, since e^{t sum_i a_i psi_i} = prod_i
+    e^{(a_i t) psi_i}.
     """
 
-    kind: str
-    atoms_at: Optional[Callable] = None
-    density_at: Optional[Callable] = None
+    measure_at: Optional[Callable] = None
     children: tuple = ()
     weights: tuple = ()
-    split: int = 0
 
 
-def _poisson_atoms(t: float):
-    """Atoms k = 0, 1, ... with weights e^{-t} t^k / k! up to mass 1 - 1e-12.
+def _mapped(x, L: np.ndarray):
+    """The pushforward by u -> L u of a ``LevyMeasure``, or of every nu_t
+    of a ``SubordinatorFamily``: directions map, while radii, masses and
+    radial profiles stay."""
+    if isinstance(x, SubordinatorFamily):
+        if x.measure_at is None:
+            return SubordinatorFamily(
+                children=tuple(_mapped(c, L) for c in x.children), weights=x.weights)
+        return SubordinatorFamily(lambda t: _mapped(x.measure_at(t), L))
+    return LevyMeasure(
+        len(L), atoms=[Atom(L @ a.direction, a.mass, a.radius) for a in x.atoms],
+        parts=[replace(p, direction=L @ p.direction) for p in x.parts])
+
+
+def _poisson_measure(t: float) -> LevyMeasure:
+    """nu_t of Poisson: atoms at k = 0, 1, ... with weights e^{-t} t^k / k!
+    up to mass 1 - 1e-12, the one at k = 0 of radius 0.
 
     Past t ~ 708, where e^{-t} is no normal float, the recurrence starts at
     the first k with a normal weight, taken from its logarithm, and runs
@@ -222,16 +240,19 @@ def _poisson_atoms(t: float):
         if k > _POISSON_CAP:
             raise ValueError("Poisson weights at t = %g need more than %d atoms"
                              % (t, _POISSON_CAP))
-        atoms.append((np.array([float(k)]), term))
+        atoms.append((k, term))
         mass += term
         k += 1
         term *= t / k
-    return [(loc, w / mass) for loc, w in atoms] if scaled else atoms
+    axis = np.ones(1)
+    return LevyMeasure(1, atoms=[Atom(axis, w / mass if scaled else w, float(k))
+                                 for k, w in atoms])
 
 
-def _smirnov_density(t: float) -> RadialDensity:
+def _smirnov_measure(t: float) -> LevyMeasure:
+    """nu_t of -(-s)^(1/2): the Levy-Smirnov density."""
     c = t / (2.0 * np.sqrt(np.pi))
-    return RadialDensity(
+    return LevyMeasure(1, parts=[RadialDensity(
         direction=np.array([1.0]),
         density=lambda r: c * r ** -1.5 * np.exp(-t * t / (4.0 * r)),
         beta=1.5,
@@ -242,11 +263,12 @@ def _smirnov_density(t: float) -> RadialDensity:
         log_density=lambda v: np.log(c) - 1.5 * v - 0.25 * t * t * np.exp(-v),
         total_mass=1.0,
         hints=(t * t / 6.0, t * t),
-    )
+    )])
 
 
-def _gamma_density(t: float) -> RadialDensity:
-    return RadialDensity(
+def _gamma_measure(t: float) -> LevyMeasure:
+    """nu_t of -log(1 - s): the Gamma(t, 1) density."""
+    return LevyMeasure(1, parts=[RadialDensity(
         direction=np.array([1.0]),
         density=lambda r: np.exp((t - 1.0) * np.log(r) - r - gammaln(t)),
         beta=max(0.0, 1.0 - t),
@@ -257,7 +279,7 @@ def _gamma_density(t: float) -> RadialDensity:
         log_density=lambda v: (t - 1.0) * v - np.exp(v) - float(gammaln(t)),
         total_mass=1.0,
         hints=(max(t - 1.0, 0.5 * t),),
-    )
+    )])
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +422,7 @@ def fractional_power(alpha: float) -> BernsteinFunction:
         # nu_t is the unit point mass at t
         return BernsteinFunction(
             n=1, c0=0.0, c1=np.array([1.0]), measure=LevyMeasure(1),
-            closed_form=closed,
-            subordinator=SubordinatorFamily(
-                "atoms", atoms_at=lambda t: [(np.array([t]), 1.0)]),
+            closed_form=closed, subordinator=linear([1.0]).subordinator,
             partials_finite=(True,), bounded=False)
 
     coeff = alpha / gamma_fn(1.0 - alpha)
@@ -419,7 +439,7 @@ def fractional_power(alpha: float) -> BernsteinFunction:
     )
     family = None
     if alpha == 0.5:
-        family = SubordinatorFamily("density", density_at=_smirnov_density)
+        family = SubordinatorFamily(_smirnov_measure)
     return BernsteinFunction(
         n=1, c0=0.0, c1=np.array([0.0]), measure=LevyMeasure(1, parts=[part]),
         closed_form=closed, subordinator=family,
@@ -432,7 +452,7 @@ def poisson() -> BernsteinFunction:
         n=1, c0=0.0, c1=np.array([0.0]),
         measure=LevyMeasure(1, atoms=[Atom(np.array([1.0]), 1.0)]),
         closed_form=lambda s: np.exp(s[0]) - 1.0,
-        subordinator=SubordinatorFamily("atoms", atoms_at=_poisson_atoms),
+        subordinator=SubordinatorFamily(_poisson_measure),
         partials_finite=(True,), bounded=True)
 
 
@@ -452,7 +472,7 @@ def log1m() -> BernsteinFunction:
     return BernsteinFunction(
         n=1, c0=0.0, c1=np.array([0.0]), measure=LevyMeasure(1, parts=[part]),
         closed_form=lambda s: -np.log(1.0 - s[0]),
-        subordinator=SubordinatorFamily("density", density_at=_gamma_density),
+        subordinator=SubordinatorFamily(_gamma_measure),
         partials_finite=(True,), bounded=False)
 
 
@@ -463,9 +483,9 @@ def linear(c1) -> BernsteinFunction:
     return BernsteinFunction(
         n=n, c0=0.0, c1=c1, measure=LevyMeasure(n),
         closed_form=lambda s: _dot(c1, s),
-        # nu_t is the unit point mass at t * c1
-        subordinator=SubordinatorFamily(
-            "atoms", atoms_at=lambda t: [(t * c1, 1.0)]),
+        # nu_t is the unit point mass at t * c1, on the ray along c1
+        subordinator=SubordinatorFamily(lambda t: LevyMeasure(n, atoms=[
+            Atom(c1, 1.0, t) if c1.any() else Atom(np.ones(n), 1.0, 0.0)])),
         partials_finite=(True,) * n, bounded=bool(np.all(c1 == 0)))
 
 
@@ -485,7 +505,8 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
 
     c0 = sum(a * p.c0 for a, p in live)
     c1 = sum(a * p.c1 for a, p in live)
-    atoms = [Atom(at.location, a * at.mass) for a, p in live for at in p.measure.atoms]
+    atoms = [Atom(at.direction, a * at.mass, at.radius)
+             for a, p in live for at in p.measure.atoms]
     parts = [pt.scaled(a) for a, p in live for pt in p.measure.parts]
 
     closed = None
@@ -505,7 +526,7 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
     if all(p.subordinator is not None for _, p in live):
         # e^{t sum a_i psi_i} = prod e^{(a_i t) psi_i}: convolve the children
         family = SubordinatorFamily(
-            "convolution", children=tuple(p.subordinator for _, p in live),
+            children=tuple(p.subordinator for _, p in live),
             weights=tuple(a for a, _ in live))
 
     return BernsteinFunction(
@@ -518,17 +539,14 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
 def direct_sum(psi1: BernsteinFunction, psi2: BernsteinFunction) -> BernsteinFunction:
     """psi(s) = psi1(s_1..s_m) + psi2(s_{m+1}..s_{m+k}).
 
-    The measure lives on the two coordinate subspaces: each part of psi1 is
-    embedded with trailing zeros, each part of psi2 with leading zeros.
+    The measure lives on the two coordinate subspaces: psi1's is embedded
+    with trailing zeros, psi2's with leading zeros.  So is each nu_t, whose
+    family is the convolution of the two embedded families.
     """
-    m, k = psi1.n, psi2.n
-    n = m + k
-    atoms = [Atom(np.concatenate([a.location, np.zeros(k)]), a.mass)
-             for a in psi1.measure.atoms]
-    atoms += [Atom(np.concatenate([np.zeros(m), a.location]), a.mass)
-              for a in psi2.measure.atoms]
-    parts = [p.embedded(n, 0) for p in psi1.measure.parts]
-    parts += [p.embedded(n, m) for p in psi2.measure.parts]
+    m = psi1.n
+    n = m + psi2.n
+    embed = (np.eye(n)[:, :m], np.eye(n)[:, m:])
+    mu1, mu2 = (_mapped(p.measure, E) for p, E in zip((psi1, psi2), embed))
 
     closed = None
     if psi1.closed_form is not None and psi2.closed_form is not None:
@@ -546,11 +564,14 @@ def direct_sum(psi1: BernsteinFunction, psi2: BernsteinFunction) -> BernsteinFun
     family = None
     if psi1.subordinator is not None and psi2.subordinator is not None:
         family = SubordinatorFamily(
-            "product", children=(psi1.subordinator, psi2.subordinator), split=m)
+            children=tuple(_mapped(p.subordinator, E)
+                           for p, E in zip((psi1, psi2), embed)),
+            weights=(1.0, 1.0))
 
     return BernsteinFunction(
         n=n, c0=psi1.c0 + psi2.c0, c1=np.concatenate([psi1.c1, psi2.c1]),
-        measure=LevyMeasure(n, atoms=atoms, parts=parts),
+        measure=LevyMeasure(n, atoms=mu1.atoms + mu2.atoms,
+                            parts=mu1.parts + mu2.parts),
         closed_form=closed, subordinator=family,
         partials_finite=finite, bounded=bounded)
 
@@ -558,8 +579,8 @@ def direct_sum(psi1: BernsteinFunction, psi2: BernsteinFunction) -> BernsteinFun
 def diagonal_lift(phi: BernsteinFunction, w) -> BernsteinFunction:
     """psi(s) = phi(w . s) for a 1-variable phi and weight vector w >= 0.
 
-    The measure is the pushforward of phi's measure along r -> r*w, which is
-    a genuine diagonal-ray density when w has two or more positive entries.
+    The measure, and each nu_t, is the pushforward of phi's along u -> u w,
+    a genuine diagonal-ray measure when w has two or more positive entries.
     """
     if phi.n != 1:
         raise DimensionMismatchError("diagonal_lift lifts one-variable functions")
@@ -567,8 +588,7 @@ def diagonal_lift(phi: BernsteinFunction, w) -> BernsteinFunction:
     if w.ndim != 1 or np.any(w < 0) or not np.any(w > 0):
         raise ValueError("weight vector must be nonzero with nonnegative entries")
     n = len(w)
-    atoms = [Atom(a.location[0] * w, a.mass) for a in phi.measure.atoms]
-    parts = [p.pushforward(w) for p in phi.measure.parts]
+    L = w[:, None]
 
     closed = None
     if phi.closed_form is not None:
@@ -581,20 +601,10 @@ def diagonal_lift(phi: BernsteinFunction, w) -> BernsteinFunction:
     if phi.partials_finite is not None:
         finite = tuple(bool(w[j] == 0 or phi.partials_finite[0]) for j in range(n))
 
-    # nu_t is the pushforward of phi's nu_t along r -> r*w; no closed form
-    # is attached for a composite (convolution) base
-    base, family = phi.subordinator, None
-    if base is not None and base.kind == "atoms":
-        family = SubordinatorFamily(
-            "atoms", atoms_at=lambda t: [(float(loc[0]) * w, m)
-                                         for loc, m in base.atoms_at(t)])
-    elif base is not None and base.kind == "density":
-        family = SubordinatorFamily(
-            "density", density_at=lambda t: base.density_at(t).pushforward(w))
+    family = None if phi.subordinator is None else _mapped(phi.subordinator, L)
 
     return BernsteinFunction(
-        n=n, c0=phi.c0, c1=phi.c1[0] * w,
-        measure=LevyMeasure(n, atoms=atoms, parts=parts),
+        n=n, c0=phi.c0, c1=phi.c1[0] * w, measure=_mapped(phi.measure, L),
         closed_form=closed, subordinator=family,
         partials_finite=finite, bounded=phi.bounded)
 

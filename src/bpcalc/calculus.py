@@ -3,7 +3,10 @@
 psi(A) follows the measure-structured integral c0 I + c1.A + int (T(u)-I) dmu
 with the same certified-error quadrature used for scalar evaluation; the
 subordinated family g_t(A) integrates T(u) against the closed-form measures
-nu_t where the catalog has them.
+nu_t where the catalog has them.  mu and nu_t are both ``LevyMeasure``s, so
+psi(A), the cofactors W_j and g_t(A) walk them with the one
+``integrate_measure``; a family that is a convolution (a cone combination or
+a direct sum) composes the g_t of its children.
 
 Each tuple holds one integrand representation (``OperatorTuple.
 representation``).  The profile route (``_Profiles``) works in one block
@@ -26,7 +29,6 @@ returns the evaluators of T(rw) with their quadrature bounds and lift, and
 the ``make(w)`` of ``w_integrand`` the W_j integrand with its own.
 """
 
-import copy
 from collections import namedtuple
 
 import numpy as np
@@ -34,9 +36,8 @@ from scipy.linalg import block_diag, expm, schur
 from scipy.special import gammaln, xlogy
 
 from ._integrate import expm1c, integrate_measure
-from .bernstein import (BernsteinFunction, LevyMeasure, SubordinatorFamily,
-                        eval_psi)
-from .semigroup import OperatorTuple, make_tuple
+from .bernstein import BernsteinFunction, SubordinatorFamily, eval_psi
+from .semigroup import OperatorTuple
 
 __all__ = [
     "CatalogGapError", "apply_psi", "apply_psi_spectral", "subordinated",
@@ -171,11 +172,6 @@ class _Matrices:
         # values are matrices: the lift is the identity, as ``finish`` is
         return _Ray(T, delta, ratio, nrm * self.m, self.m, rho, far, False,
                     self.one, self.finish)
-
-    def restrict(self, lo, hi):
-        A = self.A
-        return _Matrices(make_tuple(A.generators[lo:hi], bounds=A.bounds[lo:hi],
-                                    bound_kinds=A.bound_kinds[lo:hi]))
 
     def w_integrand(self, lam, j):
         """(make, 1): make(w) -> (F, bounds, lift) for F(r) = V_j(r w_j)
@@ -400,14 +396,6 @@ class _Profiles:
                     _pad(still, size), _pad(np.ones(count, dtype=complex), size),
                     lift)
 
-    def restrict(self, lo, hi):
-        """The profile for generators lo..hi-1, in the same blocks."""
-        out = copy.copy(self)
-        out.joint = self.joint[:, lo:hi]
-        out.n = hi - lo
-        out.jets = [(i, N[lo:hi]) for i, N in self.jets]
-        return out
-
     def compose(self, left, right):
         """The coefficients of the product of two operators: block by block,
         entrywise on 1 x 1 blocks."""
@@ -534,12 +522,8 @@ def _psi_integral(psi: BernsteinFunction, rep, tol: float):
         if psi.c1[j] != 0.0:
             base = base + psi.c1[j] * rep.gen(j)
 
-    def atom(loc):
-        ray = rep.ray(loc)
-        return ray.lift(ray.delta(1.0))
-
-    def part_setup(p):
-        ray = rep.ray(p.direction)
+    def part_setup(w):
+        ray = rep.ray(w)
         if ray.lip == 0.0:
             return None
         kw = dict(f_zero=np.zeros_like(ray.one), f_lipschitz=ray.lip,
@@ -550,7 +534,7 @@ def _psi_integral(psi: BernsteinFunction, rep, tol: float):
                       f_decay=-ray.rho, f_far_coeff=ray.far)
         return ray.delta, kw, ray.lift
 
-    return rep.finish(integrate_measure(base, psi.measure, atom, part_setup,
+    return rep.finish(integrate_measure(base, psi.measure, part_setup,
                                         tol / rep.cond))
 
 
@@ -576,24 +560,10 @@ def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):
 
 
 def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
-    if fam.kind == "atoms":
-        # T(u) is the ray u / max_j u_j at r = max_j u_j, one sum and lift per
-        # direction; T(0) = I on every ray, so the mass at 0 opens the first
-        rays, sums, still = {}, {}, 0.0
-        for loc, mass in fam.atoms_at(t):
-            r = float(np.max(loc))
-            if r == 0.0:
-                still += mass
-                continue
-            key = (loc / r).tobytes()
-            if key not in rays:
-                rays[key] = rep.ray(loc / r)
-                sums[key], still = still * rays[key].one, 0.0
-            sums[key] = sums[key] + mass * rays[key].T(r)
-        return sum((rays[k].lift(v) for k, v in sums.items()), still * rep.one)
-    if fam.kind == "density":
-        def part_setup(p):
-            ray = rep.ray(p.direction)
+    """int T(u) dnu_t(u) on the representation ``rep``, before ``finish``."""
+    if fam.measure_at is not None:
+        def part_setup(w):
+            ray = rep.ray(w)
             kw = dict(f_zero=ray.one, f_lipschitz=max(ray.lip, 1e-300),
                       f_sup=ray.sup)
             if ray.rho < 0.0:
@@ -602,16 +572,7 @@ def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
                           f_decay=-ray.rho, f_far_coeff=ray.far)
             return ray.T, kw, ray.lift
 
-        nu_t = LevyMeasure(rep.n, parts=[fam.density_at(t)])
-        return integrate_measure(0.0, nu_t, None, part_setup, tol)
-    if fam.kind == "product":
-        m = fam.split
-        left = _subordinated_family(fam.children[0], rep.restrict(0, m),
-                                    t, tol / 2.0)
-        right = _subordinated_family(fam.children[1], rep.restrict(m, rep.n),
-                                     t, tol / 2.0)
-        return rep.compose(left, right)
-    # convolution
+        return integrate_measure(0.0, fam.measure_at(t), part_setup, tol)
     out = rep.one
     for a, child in zip(fam.weights, fam.children):
         out = rep.compose(out, _subordinated_family(child, rep, a * t,
@@ -786,16 +747,9 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
 def _w_integral(psi: BernsteinFunction, rep, lam, j: int, tol: float):
     """W_j on the representation ``rep``."""
     make, cond = rep.w_integrand(lam, j)
-
-    def atom(loc):
-        F, _, lift = make(loc)
-        return lift(F(1.0))
-
-    def part_setup(p):
-        return None if p.direction[j] == 0.0 else make(p.direction)
-
-    return rep.finish(integrate_measure(psi.c1[j] * rep.one, psi.measure,
-                                        atom, part_setup, tol / cond))
+    return rep.finish(integrate_measure(
+        psi.c1[j] * rep.one, psi.measure,
+        lambda w: None if w[j] == 0.0 else make(w), tol / cond))
 
 
 def w_operator_bound(psi: BernsteinFunction, A: OperatorTuple, lam, j: int) -> float:

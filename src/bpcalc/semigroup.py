@@ -60,9 +60,6 @@ class OperatorTuple:
     commutator_residual: float
     spectral: Optional[SpectralData] = None
 
-    def norm(self, j: int) -> float:
-        return float(np.linalg.norm(self.generators[j], 2))
-
     @cached_property
     def blocks(self) -> Blocks:
         """The block split (``_schur.Blocks``), formed once, on first use."""

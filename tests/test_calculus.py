@@ -162,11 +162,14 @@ def rel_gap(got, ref):
     return opnorm(got - ref) / max(1.0, opnorm(ref))
 
 
-# every member whose triple has a measure part (poisson: an atom), and two
-# of arity 3: a lift along one ray, and a 2 + 1 direct sum whose g_t
-# restricts the tuple and composes the halves
+# every member whose triple has a measure part (poisson: an atom), one with
+# a drift c1 != 0 on two generators, whose nu_t convolves an atom of radius
+# t with a lifted density, and two of arity 3: a lift along one ray, and a
+# 2 + 1 direct sum whose g_t convolves the embedded families of its halves
 CROSS_ROUTE = [p for p in CATALOG_PAIRS
                if p[0] in ("frac05", "poisson", "log1m", "lift", "dsum", "cone")] + [
+    ("drift_cone", lambda: cone_combine([(1.0, linear([1.0, 0.5])),
+                                         (1.0, diagonal_lift(log1m(), [1.0, 0.5]))]), 2),
     ("lift3", lambda: diagonal_lift(log1m(), [1.0, 0.5, 0.25]), 3),
     ("dsum3", lambda: direct_sum(diagonal_lift(log1m(), [1.0, 0.6]), poisson()), 3),
 ]
@@ -214,7 +217,7 @@ class TestProfilesAgainstMatrices:
 
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
     def test_subordinated_against_matrices(self, name, build, n):
-        # dsum composes through a product, cone through a convolution
+        # dsum and cone compose through a convolution
         psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
         ref = calculus._subordinated_family(psi.subordinator,
                                             calculus._Matrices(A), 0.5, 1e-9)
@@ -425,17 +428,21 @@ class TestFarAtoms:
 
     @pytest.mark.parametrize("route", ["profiles", "matrices"])
     def test_one_ray_per_direction(self, route, monkeypatch):
-        # every atom of a Poisson family lies on one direction
+        # every atom of a lifted Poisson family lies on the lift's direction,
+        # including the off-axis and inexact weights
         A = make_jordan_polynomial(2, 8, seed=82)
         rep = calculus._Matrices(A) if route == "matrices" else A.representation
         calls = []
         real = type(rep).ray
         monkeypatch.setattr(type(rep), "ray",
                             lambda self, w: calls.append(1) or real(self, w))
-        fam = diagonal_lift(poisson(), [1.0, 0.5]).subordinator
-        assert len(fam.atoms_at(5.0)) > 10
-        calculus._subordinated_family(fam, rep, 5.0, 1e-9)
-        assert calls == [1]
+        for w in ([1.0, 0.5], [0.3, 0.7], [1.0 / 3.0, 1.0]):
+            fam = diagonal_lift(poisson(), w).subordinator
+            for t in (0.5, 5.0, 50.0):
+                assert len(fam.measure_at(t).atoms) > 10
+                calls.clear()
+                calculus._subordinated_family(fam, rep, t, 1e-9)
+                assert calls == [1], (w, t)
 
 
 class TestNonNilpotentFallback:
@@ -569,15 +576,26 @@ class TestSubordinated:
             subordinated(fractional_power(0.3), A, 1.0)
 
     @pytest.mark.parametrize("build,n", [
-        (lambda: diagonal_lift(cone_combine([(1.0, poisson())]), [1.0, 0.5]), 2),
         (lambda: direct_sum(poisson(), fractional_power(0.3)), 2),
-    ], ids=["lift_of_cone", "sum_with_gap"])
+    ], ids=["sum_with_gap"])
     def test_composite_gap(self, build, n):
-        # a lift of a convolution, and a sum with a gap block, carry no family
+        # a sum with a gap block carries no family
         psi = build()
         A = make_commuting_random(n, 3, seed=2)
         with pytest.raises(CatalogGapError):
             subordinated(psi, A, 1.0)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    def test_lift_of_cone(self, t):
+        # the lift of a convolution convolves the lifted children
+        psi = diagonal_lift(cone_combine([(1.0, poisson()), (0.5, log1m())]),
+                            [1.0, 0.5])
+        A = make_commuting_random(2, 3, seed=2)
+        expected = expm(t * apply_psi(psi, A, tol=1e-10))
+        got = subordinated(psi, A, t)
+        assert opnorm(got - expected) <= 1e-6 * max(1.0, opnorm(expected))
+        grid = [np.full(2, s) for s in np.linspace(-10.0, -0.1, 7)]
+        assert laplace_identity_error(psi, t, grid) <= 1e-6
 
     def test_poisson_large_time(self):
         # e^{-t} underflows past t ~ 745: the weights start in log space
@@ -607,12 +625,11 @@ class TestSubordinated:
                               (1.2, diagonal_lift(log1m(), [1.0, 0.6]))]),
     ], ids=["product", "convolution"])
     def test_laplace_identity_on_plane_grid(self, build, monkeypatch):
-        # the whole grid is one profile: no tuple, no matrix exponential
+        # the whole grid is one profile: no matrix exponential
         calls = []
-        for name in ("expm", "make_tuple"):
-            real = getattr(calculus, name)
-            monkeypatch.setattr(calculus, name, lambda *a, _f=real, _n=name, **kw:
-                                calls.append(_n) or _f(*a, **kw))
+        real = calculus.expm
+        monkeypatch.setattr(calculus, "expm",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
         psi = build()
         grid = [[a, b] for a in (-5.0, -1.0, -0.1) for b in (-3.0, -0.5, -0.02)]
         for t in (0.3, 2.0):

@@ -55,14 +55,14 @@ def test_driver_accepts_initial_panel_and_counts_nodes():
 
 def _log1m_setup(f):
     # e^{-r} - 1 against the log1m density, with its exact settle term
-    return lambda p: (f, dict(f_zero=0.0, f_lipschitz=1.0, f_sup=2.0,
+    return lambda w: (f, dict(f_zero=0.0, f_lipschitz=1.0, f_sup=2.0,
                               f_settle=-1.0, f_decay=1.0, f_far_coeff=1.0),
                       lambda v: v)
 
 
 def test_measure_value_matches_closed_form():
     psi = log1m()
-    value = integrate_measure(0.0, psi.measure, None,
+    value = integrate_measure(0.0, psi.measure,
                               _log1m_setup(lambda r: float(np.expm1(-r))), 1e-10)
     assert value == pytest.approx(-np.log(2.0), abs=1e-9)
 
@@ -74,7 +74,7 @@ def test_nan_integrand_raises_from_measure():
         return np.nan if 2.0 < r < 3.0 else float(np.expm1(-r))
 
     with pytest.raises(QuadratureError):
-        integrate_measure(0.0, log1m().measure, None, _log1m_setup(f), 1e-9)
+        integrate_measure(0.0, log1m().measure, _log1m_setup(f), 1e-9)
 
 
 def test_limit_surfaces_as_quadrature_error(monkeypatch):
@@ -86,7 +86,7 @@ def test_limit_surfaces_as_quadrature_error(monkeypatch):
         return float(np.expm1(-r)) * (1.0 + 0.5 * np.sin(1e4 * r))
 
     with pytest.raises(QuadratureError):
-        integrate_measure(0.0, log1m().measure, None, _log1m_setup(f), 1e-10)
+        integrate_measure(0.0, log1m().measure, _log1m_setup(f), 1e-10)
 
 
 def test_jordan_log1m_evaluation_count(monkeypatch):
