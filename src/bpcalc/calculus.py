@@ -8,25 +8,22 @@ psi(A), the cofactors W_j and g_t(A) walk them with the one
 ``integrate_measure``; a family that is a convolution (a cone combination or
 a direct sum) composes the g_t of its children.
 
-Each tuple holds one integrand representation (``OperatorTuple.
-representation``).  The profile route (``_Profiles``) works in one block
-basis X, where every A_j is z I + nilpotent on each block: along a ray w the
-quadrature runs on the profile of the m_i scalar jets e^{r z_w} r^k / k! of
-each block (the powers of N_w = sum_j w_j N_j), in the max-norm; each ray's
-integral is lifted to block-diagonal coefficients, which the builders sum
-and compose block by block, and X is applied once to the result.  A
-generator-only tuple takes X from its block split (``OperatorTuple.blocks``,
-which the joint spectra read too).  A tuple with spectral data is the
-jet-free case X = P with 1 x 1 blocks, and the (m, n) point set of a scalar
-integral the jet-free case without a basis: one code serves all three.  Only
-a tuple whose basis is ill-conditioned, or whose blocks are not z I +
-nilpotent, takes one d x d matrix exponential per node (``_Matrices``); the
-cross-route tests force that route as the reference that shares neither
-basis nor integrand code with the profiles.
+Each tuple holds one integrand representation, a ``_Profiles`` in one block
+basis X (``OperatorTuple.representation``).  Along a ray w the quadrature
+runs, in the max-norm, on one profile: the scalar jets e^{r z_w} r^k / k! of
+each block that is z I + nilpotent, and the entries of e^{r B_w} of each
+other, dense, block.  Each ray's integral is lifted to block-diagonal
+coefficients, which the builders sum and compose block by block, and X is
+applied once to the result.  A generator-only tuple takes X from its block
+split (``OperatorTuple.blocks``, which the joint spectra read too), or X = I
+and one dense block when that basis is ill-conditioned; a tuple with
+spectral data is the jet-free case X = P, and the point set of a scalar
+integral the jet-free case without a basis.  The cross-route tests force
+that one dense block (``_Profiles.one_block``) as the expm-only reference.
 
-Either representation makes one set-up per ray direction w: ``ray(w)``
-returns the evaluators of T(rw) with their quadrature bounds and lift, and
-the ``make(w)`` of ``w_integrand`` the W_j integrand with its own.
+One set-up per ray direction w: ``ray(w)`` returns the evaluators of T(rw)
+with their quadrature bounds and lift, and the ``make(w)`` of
+``w_integrand`` the W_j integrand with its own.
 """
 
 from collections import namedtuple
@@ -103,147 +100,77 @@ def _pad(head, size):
     return np.concatenate((head, np.zeros(size - len(head), dtype=head.dtype)))
 
 
-class _Matrices:
-    """Every integrand value is a d x d matrix, one matrix exponential per
-    node.  One set-up per ray direction w forms B = sum_j w_j A_j and
-    returns its evaluators with their bounds: the Lipschitz constant
-    ||B||_2 prod M_j, the sup prod M_j and the Schur envelope of B.
+def _schur_envelope(B, bound):
+    """(rho, far) with ||e^{rB}||_2 <= far e^{rho r} for r >= 0, rho <= 0,
+    from the Schur form D + N of B; (0, ``bound``) without strict decay.
 
-    It is the fallback of generator-only tuples that ``_Profiles`` cannot
-    take, and the expm-only reference that the cross-route tests force
-    through the private builders.
+    ||e^{r(D+N)}|| <= e^{alpha r} sum_{k<m} (r ||N||)^k / k!, alpha = max Re
+    D, and half the rate absorbs that factor.  Its sup is read on a grid past
+    its peaks (below (m-1) / half); between nodes h apart its log moves at
+    rate at most max(||N||, half), so the grid max times e^{max(||N||, half)
+    h} is certified.  The series is summed in log space, since its terms
+    leave the float range from m ~ 120 on; xlogy makes 0 * log 0 = 0 at r = 0.
     """
+    T, _ = schur(B, output="complex")
+    rho = float(np.max(np.diag(T).real))
+    nrm = float(np.linalg.norm(np.triu(T, 1), 2))
+    if rho >= -1e-12:
+        return 0.0, bound
+    if nrm < 1e-14:
+        return rho, 1.0
+    half = -0.5 * rho
+    grid, h = np.linspace(0.0, 4.0 * (len(B) + 1) / half, 4096, retstep=True)
+    k = np.arange(len(B))[:, None]
+    log_terms = xlogy(k, grid * nrm) - gammaln(k + 1.0)
+    log_vals = np.logaddexp.reduce(log_terms, axis=0) - half * grid
+    return 0.5 * rho, float(np.exp(np.max(log_vals) + max(nrm, half) * h))
 
-    cond = 1.0
-    compose = np.matmul
 
-    def __init__(self, A: OperatorTuple):
-        self.A = A
-        self.n = A.n
-        self.one = np.eye(A.d, dtype=complex)
-        self.m = float(np.prod(A.bounds))   # sup_u ||T(u)||
-
-    def gen(self, j):
-        return self.A.generators[j]
-
-    def ray(self, w):
-        """The ``_Ray`` of T(rw) = exp(rB): delta(r) = T(r) - I without
-        cancellation, and ||T(rw)|| <= far e^{rho r} for all r >= 0 with
-        rho <= 0, certified by the Schur form of B, or (0, prod M_j) when no
-        strict decay is.  Nothing is settled, and values are matrices."""
-        w = np.asarray(w, dtype=float)
-        B = sum(w[j] * self.A.generators[j] for j in range(self.n))
-        nrm = float(np.linalg.norm(B, 2))
-
-        def T(r):
-            return expm(r * B)
-
-        def ratio(r):
-            if r * nrm < 0.25:
-                # B phi1(rB), phi1(rB) = int_0^1 e^{s rB} ds: no cancellation,
-                # and exactly B at r = 0
-                return B @ _van_loan(r * B, 0.0, 1.0)
-            return (expm(r * B) - self.one) / r
-
-        def delta(r):
-            if r * nrm < 0.25:
-                return r * ratio(r)
-            return expm(r * B) - self.one
-
-        Tmat, _ = schur(B, output="complex")
-        rho = float(np.max(np.diag(Tmat).real))
-        nrmN = float(np.linalg.norm(np.triu(Tmat, 1), 2))
-        if rho >= -1e-12:
-            rho, far = 0.0, self.m
-        elif nrmN < 1e-14:
-            far = 1.0
-        else:
-            # ||e^{r(D+N)}|| <= e^{rho r} sum_{k<d} (r ||N||)^k / k!; absorb
-            # the polynomial factor into half the decay rate (its peaks sit
-            # below (d-1)/half, so the grid covers the sup).  The series is
-            # summed in log space, since its terms leave the float range from
-            # d ~ 120 on; xlogy makes the k = 0 term 0 * log 0 = 0 at r = 0.
-            half = -0.5 * rho
-            grid = np.linspace(0.0, 4.0 * (len(B) + 1) / half, 4096)
-            k = np.arange(len(B))[:, None]
-            log_terms = xlogy(k, grid * nrmN) - gammaln(k + 1.0)
-            log_vals = np.logaddexp.reduce(log_terms, axis=0) - half * grid
-            rho, far = rho * 0.5, float(np.exp(np.max(log_vals))) * 1.05
-        # values are matrices: the lift is the identity, as ``finish`` is
-        return _Ray(T, delta, ratio, nrm * self.m, self.m, rho, far, False,
-                    self.one, self.finish)
-
-    def w_integrand(self, lam, j):
-        """(make, 1): make(w) -> (F, bounds, lift) for F(r) = V_j(r w_j)
-        U_j(r w), bounds the integrate_radial keywords from the envelope
-        (rho_l, far_l) of each generator: ||V_j(t)|| <= t e^{t max(Re lam_j,
-        rho_j)} times prod M, and ||U_j(rw)|| <= e^{r sum_l w_l rho_l} times
-        prod M."""
-        A = self.A
-        envs = [self.ray(e)[5:7] for e in np.eye(self.n)]
-        zero = np.zeros_like(self.one)
-
-        def make(w):
-            w = np.asarray(w, dtype=float)
-
-            def U(r):
-                out = self.one
-                for l in range(j):
-                    if w[l] > 0:
-                        out = out @ expm(r * w[l] * A.generators[l])
-                return complex(np.exp(r * np.dot(w[j + 1:], lam[j + 1:]))) * out
-
-            def F(r):
-                return v_operator(lam[j], A, j, r * w[j]) @ U(r)
-
-            parts = [w[j] * max(lam[j].real, envs[j][0])]
-            parts += [w[l] * envs[l][0] for l in range(j)]
-            parts += [w[k] * lam[k].real for k in range(j + 1, self.n)]
-            gamma = -sum(parts)
-            kw = dict(f_zero=zero, f_over_r=_over_r(F, w[j] * self.one),
-                      f_lipschitz=w[j] * self.m, f_sup=self.m / (-lam[j].real))
-            if gamma > 1e-12:
-                far = w[j] * float(np.prod([envs[l][1] for l in range(j + 1)])) \
-                    * 2.0 / (np.e * gamma)
-                kw.update(f_settle=zero, f_decay=0.5 * gamma, f_far_coeff=far)
-            return F, kw, self.finish
-
-        return make, 1.0
-
-    def finish(self, value):
-        return value
+# the basis of a representation: X, X^-1 and cond(X)
+_Basis = namedtuple("_Basis", "basis inverse cond")
 
 
 class _Profiles:
-    """Integrands as profiles of scalar jets in one block basis X, Y = X^-1.
+    """Integrands as profiles in one block basis X, Y = X^-1.
 
-    On block i every A_j acts as z_ij I + N_ij with N_ij nilpotent, so T(rw)
-    acts there as e^{r z_iw} sum_{k < m_i} r^k / k! N_iw^k, z_iw = <w, z_i>,
-    N_iw = sum_j w_j N_ij (the atomic-block Taylor step of Schur-Parlett,
-    Davies & Higham, SIMAX 2003).  A ray integrates the profile of the heads
-    e^{r z_iw} and the jets nu_ik e^{r z_iw} r^k / k!, nu_ik = ||N_iw^k||_F,
-    of the nonzero powers: at most m_i entries per block, whatever n is.  Its
-    ``lift`` turns the integrated profile e into the coefficients sum_k e_ik
-    N_iw^k / nu_ik of each block, which the builders add and ``compose``
-    multiplies; ``finish`` applies X D Y once.  A lifted part has 2-norm at
-    most cond(X) m_i max|e|, so profiles are integrated in the max-norm to
-    tol / (cond(X) max m_i), ``cond``.
+    On block i every A_j acts as B_ij = z_ij I + N_ij, so T(rw) acts there
+    as e^{r B_iw}, B_iw = z_iw I + N_iw, z_iw = <w, z_i>, N_iw = sum_j w_j
+    N_ij.  The route is chosen per block, as in Schur-Parlett (Davies &
+    Higham, SIMAX 2003).  A jet block, whose N_ij are nilpotent, integrates
+    the heads e^{r z_iw} and the jets nu_ik e^{r z_iw} r^k / k!, nu_ik =
+    ||N_iw^k||_F, of the nonzero powers: at most K_i = min(m_i, 1 + sum_j
+    (nu_ij - 1)) entries, nu_ij the number of nonzero powers of N_ij.  A
+    dense block integrates the m_i^2 entries of e^{r B_iw}, K_i = m_i.
+
+    A ray's ``lift`` turns the integrated profile e into the coefficients
+    of each block (sum_k e_ik N_iw^k / nu_ik on a jet block), which the
+    builders add and ``compose`` multiplies; ``finish`` applies X D Y once.
+    A lifted part has 2-norm at most cond(X) K_i max|e|, so profiles are
+    integrated in the max-norm to tol / (cond(X) max K_i), ``cond``.
 
     A tuple with spectral data is the jet-free case X = P with 1 x 1 blocks,
     and the (m, n) point set of a scalar integral its own diagonal tuple
-    with no basis; ``of_generators`` reads X and the nilpotent parts from
-    the block split of a generator-only tuple.  One code serves all three.
+    with no basis; ``of_generators`` reads X and the blocks from the split
+    of a generator-only tuple.  One code serves all three.
     """
 
-    def __init__(self, joint, spec=None, jets=()):
+    def __init__(self, joint, spec=None, jets=(), dense=(), bound=1.0):
         """``joint`` holds one row z_i per block, ``spec`` the basis (the
-        ``SpectralData`` or the ``_schur.Blocks`` of the tuple; None for a
-        point set), and ``jets`` the (i, N_i) of each block of size m_i > 1,
-        N_i the n x m_i x m_i stack of its nilpotent parts."""
+        ``SpectralData`` or ``_schur.Blocks`` of the tuple, a ``_Basis``, or
+        None for a point set), ``jets`` and ``dense`` the (i, N_i) of each
+        block of size m_i > 1, N_i the n x m_i x m_i stack of its parts, and
+        ``bound`` prod_j M_j, which bounds every ||e^{B_iu}||_2: a block of
+        T(u) is a compression of T(u)."""
         count, self.n = joint.shape
-        self.joint, self.jets = joint, list(jets)
+        self.joint, self.jets, self.dense = joint, list(jets), list(dense)
+        self.stacks = self.jets + self.dense
+        # the stack B_i = z_i I + N_i of each dense block; with none, every
+        # entry is bounded as a head is, by 1
+        self.mats = [joint[i][:, None, None] * np.eye(len(N[0])) + N
+                     for i, N in self.dense]
+        self.bound = bound if self.dense else 1.0
         self.sizes = np.ones(count, dtype=int)
-        for i, N in self.jets:
+        for i, N in self.stacks:
             self.sizes[i] = len(N[0])
         # block i holds the m_i x m_i coefficients ending at ends[i]
         self.ends = np.cumsum(self.sizes ** 2)
@@ -253,32 +180,39 @@ class _Profiles:
         if spec is not None:
             self.basis, self.inverse = spec.basis, spec.inverse
             self.scale = max(1.0, float(spec.cond))
-        self.cond = self.scale * int(self.sizes.max())
+        most = [1] + [len(N[0]) for _, N in self.dense]
+        for _, N in self.jets:
+            m = len(N[0])
+            # all m powers are nonzero once one N_ij^(m-1) is
+            if not any(np.any(np.linalg.matrix_power(G, m - 1)) for G in N):
+                m = min(m, 1 + sum(len(_powers(G, m)[0]) - 1 for G in N))
+            most.append(m)
+        self.cond = self.scale * max(most)
 
     @classmethod
     def of_generators(cls, A: OperatorTuple):
-        """The block profile of a generator-only tuple, or None when it must
-        fall back to _Matrices: cond(X) above _COND_MAX, a block that is not
-        z I + nilpotent to round-off, or a jet on a block with Re z_ij = 0,
-        where r^k e^{rz} does not decay.
+        """The block profile of a generator-only tuple.
 
         X and the blocks B_ij = Q_i^* A_j Q_i come from the tuple's split
         ``A.blocks``; B_ij = z_ij I + N_ij, z_ij = tr(B_ij) / m_i.  N_ij is
         nilpotent when the largest jet term of N_ij^m, ||N_ij^m||_F (m /
         rho_j)^m e^{-m} / m!, rho_j = -Re z_ij, is below _NIL; the N_ij
         commute, so every N_iw is then nilpotent too.  A block z_i I with
-        no nilpotent part is m_i blocks of size 1.
+        no nilpotent part is m_i blocks of size 1.  A block that is not z I
+        + nilpotent, or whose jet r^k e^{rz} would not decay (Re z_ij = 0),
+        is dense.  A split that fails, or whose cond(X) passes _COND_MAX,
+        gives way to ``one_block``.
         """
         try:
             split = A.blocks
         except np.linalg.LinAlgError:
-            return None
+            return cls.one_block(A)
         if not split.cond <= _COND_MAX:
-            return None
+            return cls.one_block(A)
         # parts of a computed block below these sizes are round-off
         tiny = [_ROUND * split.cond * max(1.0, float(np.linalg.norm(G)))
                 for G in A.generators]
-        rows, jets = [], []
+        rows, jets, dense = [], [], []
         for compressed in split.compressions:
             m = len(compressed[0])
             z, N = np.zeros(A.n, dtype=complex), np.zeros((A.n, m, m), dtype=complex)
@@ -294,15 +228,26 @@ class _Profiles:
                 rows += [z] * m
                 continue
             rho = -z.real[nilpotent]
-            if np.any(z.real > 0.0) or np.any(rho == 0.0):
-                return None
-            nu = np.linalg.norm(np.linalg.matrix_power(N[nilpotent], m), axis=(1, 2))
-            if np.any(xlogy(1.0, nu) - m + xlogy(m, m / rho) - gammaln(m + 1.0)
-                      > np.log(_NIL)):
-                return None
-            jets.append((len(rows), N))
+            jet = not (np.any(z.real > 0.0) or np.any(rho == 0.0))
+            if jet:
+                nu = np.linalg.norm(np.linalg.matrix_power(N[nilpotent], m), axis=(1, 2))
+                jet = not np.any(xlogy(1.0, nu) - m + xlogy(m, m / rho)
+                                 - gammaln(m + 1.0) > np.log(_NIL))
+            (jets if jet else dense).append((len(rows), N))
             rows.append(z)
-        return cls(np.array(rows), split, jets)
+        return cls(np.array(rows), split, jets, dense, float(np.prod(A.bounds)))
+
+    @classmethod
+    def one_block(cls, A: OperatorTuple):
+        """One dense block over the whole space in the basis I: B_j = A_j,
+        z_j = tr(A_j) / d.  Every value is a d x d matrix exponential; the
+        cross-route tests take it as the reference that shares no basis and
+        no jet code with the other profiles."""
+        z = np.array([np.trace(G) / A.d for G in A.generators])
+        N = np.array([G - zj * np.eye(A.d) for G, zj in zip(A.generators, z)])
+        eye = np.eye(A.d, dtype=complex)
+        return cls(z[None, :], _Basis(eye, eye, 1.0), dense=[(0, N)],
+                   bound=float(np.prod(A.bounds)))
 
     def _span(self, i):
         return slice(self.ends[i] - self.sizes[i] ** 2, self.ends[i])
@@ -310,17 +255,19 @@ class _Profiles:
     def _scalar(self, v):
         """The coefficients v_i I of every block."""
         out = np.repeat(v, self.sizes ** 2)
-        for i, N in self.jets:
+        for i, N in self.stacks:
             out[self._span(i)] *= np.eye(len(N[0])).ravel()
         return out
 
     def _products(self, count, stacks):
-        """(size, columns, lift) of a profile with an entry per product V_k
-        U_p, k + p < m_i, on each block i of ``stacks`` = [(i, V, log nu_V,
-        U, log nu_U)], V_0 = U_0 = I: the head (0, 0) at i, the others from
-        ``count`` on.  The columns are (position, block, k, p, log nu_k +
-        log nu_p) of those entries; ``lift`` maps a profile e to the
-        coefficients sum_kp e_kp V_k U_p there and e_i I on other blocks."""
+        """(size, full, columns, lift) of a profile with an entry per product
+        V_k U_p, k + p < m_i, on each block i of ``stacks`` = [(i, V, log
+        nu_V, U, log nu_U)], V_0 = U_0 = I: the head (0, 0) at i, the others
+        from ``count`` on, and then, up to ``full``, the m_i^2 entries of
+        each dense block.  The columns are (position, block, k, p, log nu_k
+        + log nu_p) of the products; ``lift`` maps a profile e to the
+        coefficients sum_kp e_kp V_k U_p there, the entries on a dense block
+        (its head is integrated along, but not read) and e_i I elsewhere."""
         blocks, cols, size = [], [], count
         for i, V, log_v, U, log_u in stacks:
             k, p = np.nonzero(np.add.outer(np.arange(len(V)), np.arange(len(U)))
@@ -329,6 +276,10 @@ class _Profiles:
             size += len(k) - 1
             blocks.append((i, pos, k, p, V, U))
             cols.append((pos, np.full(len(k), i), k, p, log_v[k] + log_u[p]))
+        spans, full = [], size
+        for i, N in self.dense:
+            spans.append((self._span(i), slice(full, full + len(N[0]) ** 2)))
+            full = spans[-1][1].stop
 
         def lift(e):
             out = self._scalar(e[:count])
@@ -338,14 +289,22 @@ class _Profiles:
                 D = np.tensordot(E, V, axes=1)
                 D = D[0] if len(U) == 1 else (D @ U).sum(axis=0)
                 out[self._span(i)] = D.ravel()
+            for span, at in spans:
+                out[span] = e[at]
             return out
 
         empty = [np.zeros(0, dtype=int)] * 4 + [np.zeros(0)]
-        return size, [np.concatenate(c) for c in zip(*cols)] or empty, lift
+        return size, full, [np.concatenate(c) for c in zip(*cols)] or empty, lift
+
+    def _eye(self, size):
+        """The profile of I: 1 on the heads, 0 on the ``size`` - count jets,
+        then the entries of I on each dense block."""
+        return np.concatenate([_pad(np.ones(len(self.joint), dtype=complex), size)]
+                              + [np.eye(len(B[0])).ravel() for B in self.mats])
 
     def gen(self, j):
         out = self._scalar(self.joint[:, j])
-        for i, N in self.jets:
+        for i, N in self.stacks:
             out[self._span(i)] += N[j].ravel()
         return out
 
@@ -354,7 +313,9 @@ class _Profiles:
         is 0 when no decay is certified.  A jet c r^k e^{rz} has sup c
         (k/rho)^k e^{-k} with rho = -Re z, and its quotient by r peaks at c
         ((k-1)/rho)^{k-1} e^{-(k-1)}; in the envelope a jet keeps half its
-        rate, c r^k e^{-rho r} <= c (2k/rho)^k e^{-k} e^{-rho r/2}.
+        rate, c r^k e^{-rho r} <= c (2k/rho)^k e^{-k} e^{-rho r/2}.  The
+        entries of a dense block B are bounded by ||e^{rB}||_2: by prod M_j,
+        by r ||B||_2 prod M_j away from I, and by its Schur envelope.
         ``settled`` marks the heads with z_iw = 0: there T is 1 and T - 1 is
         0 at every r, so each builder gives them their own settle value and
         they are left out of the rate."""
@@ -363,27 +324,41 @@ class _Profiles:
         count = len(z)
         stacks = [(i,) + _powers(np.tensordot(w, N, axes=1), len(N[0]))
                   + (np.eye(len(N[0]))[None], np.zeros(1)) for i, N in self.jets]
-        size, (pos, block, k, _, log_nu), lift = self._products(count, stacks)
+        size, full, (pos, block, k, _, log_nu), lift = self._products(count, stacks)
         jet = pos >= count
         k, z_jet = k[jet], z[block[jet]]
         c_jet = log_nu[jet] - gammaln(k + 1.0)     # log nu_k / k!
+        # each dense block B_iw with ||B_iw||_2 and its Schur envelope
+        dense = [(B, float(np.linalg.norm(B, 2))) + _schur_envelope(B, self.bound)
+                 for B in (np.tensordot(w, G, axes=1) for G in self.mats)]
 
-        def with_jets(head, r):
-            return head if size == count else np.concatenate(
-                (head, np.exp(r * z_jet + (xlogy(k, r) + c_jet))))
+        def extend(head, r, block_value):
+            jets = [np.exp(r * z_jet + (xlogy(k, r) + c_jet))] if size > count else []
+            return head if full == count else np.concatenate(
+                [head] + jets + [block_value(B, nrm, r).ravel() for B, nrm, _, _ in dense])
 
         def T(r):
-            return with_jets(np.exp(r * z), r)
+            return extend(np.exp(r * z), r, lambda B, nrm, r: expm(r * B))
+
+        def dense_delta(B, nrm, r):
+            # below r ||B|| = 0.25, r B phi1(rB) with phi1(rB) = int_0^1
+            # e^{s rB} ds: no cancellation
+            if r * nrm < 0.25:
+                return r * (B @ _van_loan(r * B, 0.0, 1.0))
+            return expm(r * B) - np.eye(len(B))
 
         def delta(r):
-            return with_jets(expm1c(r * z), r)
+            return extend(expm1c(r * z), r, dense_delta)
 
-        limit = np.concatenate((z, np.where(k == 1, np.exp(c_jet), 0.0)))
+        limit = np.concatenate([z, np.where(k == 1, np.exp(c_jet), 0.0)]
+                               + [B.ravel() for B, _, _, _ in dense])
         rho = -z_jet.real
-        lip = max(float(np.max(np.abs(z))), _peak(c_jet, k - 1, rho))
-        sup = max(1.0, _peak(c_jet, k, rho))
+        lip = max([float(np.max(np.abs(z))), _peak(c_jet, k - 1, rho)]
+                  + [nrm * self.bound for _, nrm, _, _ in dense])
+        sup = max(self.bound, _peak(c_jet, k, rho))
         still = z == 0
-        rates = np.concatenate((-z.real[~still], 0.5 * rho))
+        rates = np.concatenate((-z.real[~still], 0.5 * rho,
+                                [-rho_d for _, _, rho_d, _ in dense]))
         rate = float(np.min(rates, initial=np.inf))
         if rates.size == 0:
             decay, far = -1.0, 0.0
@@ -391,16 +366,16 @@ class _Profiles:
             decay, far = 0.0, 1.0
         else:
             decay = -rate
-            far = max(_peak(c_jet, k, 0.5 * rho), 1.0 if np.any(~still) else 0.0)
+            far = max([_peak(c_jet, k, 0.5 * rho), 1.0 if np.any(~still) else 0.0]
+                      + [far_d for _, _, _, far_d in dense])
         return _Ray(T, delta, _over_r(delta, limit), lip, sup, decay, far,
-                    _pad(still, size), _pad(np.ones(count, dtype=complex), size),
-                    lift)
+                    _pad(still, full), self._eye(size), lift)
 
     def compose(self, left, right):
         """The coefficients of the product of two operators: block by block,
         entrywise on 1 x 1 blocks."""
         out = left * right
-        for i, N in self.jets:
+        for i, N in self.stacks:
             m, span = len(N[0]), self._span(i)
             out[span] = (left[span].reshape(m, m)
                          @ right[span].reshape(m, m)).ravel()
@@ -410,12 +385,13 @@ class _Profiles:
         """(make, budget divisor): make(w) -> (F, bounds, lift) for the
         profile of V_j(r w_j) U_j(r w), bounds the integrate_radial keywords.
 
-        On block i, V_j(t) = sum_k c_k(t) N_ij^k, c_k(t) = int_0^t e^{(t-s)
-        lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``, c_0 also ``_v_diag``),
-        and U_j(rw) = e^{r (<w, z_i>_{<j} + <w, lam>_{>j})} sum_p r^p / p!
-        N_U^p.  Entry (k, p) is nu_k nu_p c_k(r w_j) e^{...} r^p / p!, nu the
-        Frobenius norms of N_ij^k and N_U^p, so ||N_ij^k N_U^p||_2 <= nu_k
-        nu_p; the divisor is cond(X) times the largest pair count.
+        On a jet block i, V_j(t) = sum_k c_k(t) N_ij^k, c_k(t) = int_0^t
+        e^{(t-s) lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``, c_0 also
+        ``_v_diag``), and U_j(rw) = e^{r (<w, z_i>_{<j} + <w, lam>_{>j})}
+        sum_p r^p / p! N_U^p.  Entry (k, p) is nu_k nu_p c_k(r w_j) e^{...}
+        r^p / p!, nu the Frobenius norms of N_ij^k and N_U^p, so ||N_ij^k
+        N_U^p||_2 <= nu_k nu_p; the divisor is cond(X) times the largest
+        pair count, or m_i of a dense block if that is larger.
 
         |c_k(t)| <= t^{k+1} / (k+1)! e^{-t mu}, mu = -max(Re lam_j, Re z_ij),
         so entry (k, p) is at most C r^{k+p+1} e^{-gamma r}, gamma the rate
@@ -423,6 +399,10 @@ class _Profiles:
         with z_ij = 0, sum_{l<j} w_l z_il = 0 and w_l = 0 past j does not
         decay: there c_0(t) = (e^{t lam_j} - 1) / lam_j and U_j = 1, so it
         settles at -1 / lam_j, within e^{t Re lam_j} / |lam_j|.
+
+        A dense block takes V_j from ``_van_loan`` and U_j = prod_{l<j} e^{r
+        w_l B_il} e^{r <w, lam>_{>j}}; with the Schur envelopes (rho_l, far_l)
+        of its B_il, ||V_j(t)|| <= far_j t e^{t max(Re lam_j, rho_j)}.
         """
         zj, re = self.joint[:, j], self.joint.real
         count = len(zj)
@@ -431,32 +411,45 @@ class _Profiles:
         # the most pairs of a block: k < len(V), and p < m_i if N_U can be
         # nonzero, else p = 0
         pairs = max([1] + [sum(min(len(N[0]) if np.any(N[:j]) else 1, len(N[0]) - k)
-                               for k in range(len(V))) for _, N, V, _ in blocks])
+                               for k in range(len(V))) for _, N, V, _ in blocks]
+                    + [len(N[0]) for _, N in self.dense])
         rows = np.array([i for i, _ in self.jets], dtype=int)
         z_jet = zj[rows]
         order = max((len(V) for _, _, V, _ in blocks), default=1)
+        # each dense block, the rates rho_l of its envelopes and prod far_l
+        envs = [np.array([_schur_envelope(G, self.bound) for G in B[:j + 1]])
+                for B in self.mats]
+        dense = [(B, e[:, 0], float(np.prod(e[:, 1]))) for B, e in zip(self.mats, envs)]
 
         def make(w):
             w = np.asarray(w, dtype=float)
             pre = self.joint[:, :j] @ w[:j]
             post = complex(np.dot(w[j + 1:], lam[j + 1:]))
-            gamma = w[j] * mu - re[:, :j] @ w[:j] \
-                - float(np.dot(w[j + 1:], lam[j + 1:].real))
-            size, (at, block, k, p, log_nu), lift = self._products(count, [
+            post_re = float(np.dot(w[j + 1:], lam[j + 1:].real))
+            gamma = w[j] * mu - re[:, :j] @ w[:j] - post_re
+            size, full, (at, block, k, p, log_nu), lift = self._products(count, [
                 (i, V, log_v) + _powers(np.tensordot(w[:j], N[:j], axes=1), len(N[0]))
                 for i, N, V, log_v in blocks])
             row = np.searchsorted(rows, block)
             pre_jet = pre[block] + post
             log_e = log_nu - gammaln(p + 1.0)
 
+            def dense_value(B, r):
+                out = _van_loan(B[j], lam[j], r * w[j])
+                for l in range(j):
+                    if w[l] > 0:
+                        out = out @ expm(r * w[l] * B[l])
+                return (complex(np.exp(r * post)) * out).ravel()
+
             def F(r):
                 t = r * w[j]
                 out = _v_diag(t, lam[j], zj) * np.exp(r * (pre + post))
-                if not blocks:
-                    return out
-                out = _pad(out, size)
-                out[at] = _v_jets(t, lam[j], z_jet, order)[row, k] \
-                    * np.exp(r * pre_jet + (xlogy(p, r) + log_e))
+                if blocks:
+                    out = _pad(out, size)
+                    out[at] = _v_jets(t, lam[j], z_jet, order)[row, k] \
+                        * np.exp(r * pre_jet + (xlogy(p, r) + log_e))
+                if dense:
+                    out = np.concatenate([out] + [dense_value(B, r) for B, _, _ in dense])
                 return out
 
             still = (zj == 0) & (pre == 0) & (not np.any(w[j + 1:]))
@@ -466,20 +459,26 @@ class _Profiles:
             ktot = (k + p + 1)[jet]
             log_c = (log_e - gammaln(k + 2.0) + xlogy(k + 1.0, w[j]))[jet]
             g = gamma[block][jet]
-            kw = dict(f_zero=np.zeros(size, dtype=complex),
-                      f_over_r=_over_r(F, w[j] * _pad(np.ones(count, dtype=complex), size)),
-                      f_lipschitz=max(w[j], _peak(log_c, ktot - 1, g)),
-                      f_sup=max(-1.0 / lam[j].real, _peak(log_c, ktot, g)))
+            # the rate of each dense block and the coefficient of r e^{-rate r}
+            tails = [(-w[j] * max(lam[j].real, rho[j]) - rho[:j] @ w[:j] - post_re,
+                      w[j] * far) for _, rho, far in dense]
+            kw = dict(f_zero=np.zeros(full, dtype=complex),
+                      f_over_r=_over_r(F, w[j] * self._eye(size)),
+                      f_lipschitz=max(w[j] * self.bound, _peak(log_c, ktot - 1, g)),
+                      f_sup=max(self.bound / -lam[j].real, _peak(log_c, ktot, g)))
             settles = bool(np.any(still))
-            rate = min(np.min(gamma[moving], initial=np.inf),
-                       np.min(g, initial=np.inf),
-                       -w[j] * lam[j].real if settles else np.inf)
+            rate = min([np.min(gamma[moving], initial=np.inf),
+                        np.min(g, initial=np.inf),
+                        -w[j] * lam[j].real if settles else np.inf]
+                       + [g_d for g_d, _ in tails])
             if rate > 1e-12:
-                far = max(_peak(log_c_head, np.ones(len(log_c_head)),
-                                0.5 * gamma[moving]),
-                          _peak(log_c, ktot, 0.5 * g),
-                          1.0 / abs(lam[j]) if settles else 0.0)
-                kw.update(f_settle=_pad(np.where(still, -1.0 / lam[j], 0.0), size),
+                # r e^{-rate r} <= (2 / (e rate)) e^{-rate r / 2}
+                far = max([_peak(log_c_head, np.ones(len(log_c_head)),
+                                 0.5 * gamma[moving]),
+                           _peak(log_c, ktot, 0.5 * g),
+                           1.0 / abs(lam[j]) if settles else 0.0]
+                          + [c * 2.0 / (np.e * g_d) for g_d, c in tails])
+                kw.update(f_settle=_pad(np.where(still, -1.0 / lam[j], 0.0), full),
                           f_decay=0.5 * rate, f_far_coeff=far)
             return F, kw, lift
 
@@ -488,7 +487,7 @@ class _Profiles:
     def finish(self, value):
         if self.basis is None:
             return value
-        if not self.jets:
+        if not self.stacks:
             # 1 x 1 blocks: X diag(e) Y in O(d^2)
             return (self.basis * value) @ self.inverse
         D = block_diag(*(value[self._span(i)].reshape(m, m)
@@ -500,7 +499,7 @@ def _representation(A: OperatorTuple):
     """A's integrand representation, held as ``A.representation``."""
     if A.spectral is not None:
         return _Profiles(A.spectral.joint, A.spectral)
-    return _Profiles.of_generators(A) or _Matrices(A)
+    return _Profiles.of_generators(A)
 
 
 # ---------------------------------------------------------------------------

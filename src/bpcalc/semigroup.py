@@ -67,8 +67,8 @@ class OperatorTuple:
 
     @cached_property
     def representation(self):
-        """The integrand representation of ``calculus`` (its block profile,
-        or the expm-only fallback), formed once, on first use."""
+        """The integrand representation of ``calculus`` (its block profile),
+        formed once, on first use."""
         from .calculus import _representation   # calculus imports this module
         return _representation(self)
 

@@ -5,13 +5,13 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy.linalg import expm, logm, sqrtm
+from scipy.linalg import block_diag, expm, logm, sqrtm
 
 from bpcalc import calculus
 from bpcalc.bernstein import (cone_combine, diagonal_lift, direct_sum, eval_psi,
                               eval_via_levy, fractional_power, linear, log1m,
                               poisson)
-from bpcalc.calculus import (CatalogGapError, _Matrices, apply_psi,
+from bpcalc.calculus import (CatalogGapError, _Profiles, apply_psi,
                              apply_psi_spectral, factorization_check,
                              generator_limit_check, laplace_identity_error,
                              subordinated, v_operator, w_operator,
@@ -134,7 +134,7 @@ class TestApplyPsi:
         A = make_tuple([-np.eye(d) + 0.5 * N], bounds=[1e3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho, far = _Matrices(A).ray(np.array([1.0]))[5:7]
+            rho, far = _Profiles.one_block(A).ray(np.array([1.0]))[5:7]
         assert rho == pytest.approx(-0.5)
         assert np.isfinite(far) and far >= 1.0
 
@@ -162,6 +162,13 @@ def rel_gap(got, ref):
     return opnorm(got - ref) / max(1.0, opnorm(ref))
 
 
+def one_block_subordinated(psi, A, t):
+    # g_t on the expm-only reference: one dense block over the whole space
+    rep = _Profiles.one_block(A)
+    return rep.finish(calculus._subordinated_family(psi.subordinator, rep, t,
+                                                    1e-9 / rep.cond))
+
+
 # every member whose triple has a measure part (poisson: an atom), one with
 # a drift c1 != 0 on two generators, whose nu_t convolves an atom of radius
 # t with a lifted density, and two of arity 3: a lift along one ray, and a
@@ -182,8 +189,8 @@ class TestProfilesAgainstMatrices:
     its stripped copy integrates them in the basis of a reordered Schur form
     and never sees P.  Both run the same profile code and differ only in
     their basis, so the spectral tuple is also checked against the
-    expm-only _Matrices route, forced through the private builders, which
-    shares neither basis nor integrand code with it."""
+    expm-only route of one dense block over the whole space, forced through
+    the private builders, which shares neither basis nor jet code with it."""
 
     @pytest.mark.parametrize("d", [8, 24])
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
@@ -212,15 +219,14 @@ class TestProfilesAgainstMatrices:
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
     def test_apply_psi_against_matrices(self, name, build, n):
         psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
-        ref = calculus._psi_integral(psi, calculus._Matrices(A), 1e-9)
+        ref = calculus._psi_integral(psi, _Profiles.one_block(A), 1e-9)
         assert rel_gap(apply_psi(psi, A), ref) <= 1e-8
 
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
     def test_subordinated_against_matrices(self, name, build, n):
         # dsum and cone compose through a convolution
         psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
-        ref = calculus._subordinated_family(psi.subordinator,
-                                            calculus._Matrices(A), 0.5, 1e-9)
+        ref = one_block_subordinated(psi, A, 0.5)
         assert rel_gap(subordinated(psi, A, 0.5), ref) <= 1e-8
 
     @pytest.mark.parametrize("name,build,n", CROSS_ROUTE)
@@ -228,7 +234,7 @@ class TestProfilesAgainstMatrices:
         psi, A = build(), make_commuting_random(n, 8, seed=8 + n)
         lam = LAM[:n]
         for j in range(n):
-            ref = calculus._w_integral(psi, calculus._Matrices(A), lam, j, 1e-9)
+            ref = calculus._w_integral(psi, _Profiles.one_block(A), lam, j, 1e-9)
             assert rel_gap(w_operator(psi, A, lam, j), ref) <= 1e-8
 
     @pytest.mark.parametrize("build,reference", [
@@ -263,21 +269,21 @@ JET_CASES = [pytest.param(build, tup, id="%s-%s" % (name, key))
 
 class TestBlockJetsAgainstMatrices:
     """A generator-only tuple integrates scalar jets in the block basis of
-    one Schur form.  The reference forces the expm-only _Matrices route
-    through the private builders, which shares no basis with it."""
+    one Schur form.  The reference forces the expm-only route of one dense
+    block over the whole space through the private builders, which shares
+    no basis with it."""
 
     @pytest.mark.parametrize("build,tup", JET_CASES)
     def test_apply_psi(self, build, tup):
         psi, A = build(), tup()
         assert isinstance(calculus._representation(A), calculus._Profiles)
-        ref = calculus._psi_integral(psi, calculus._Matrices(A), 1e-9)
+        ref = calculus._psi_integral(psi, _Profiles.one_block(A), 1e-9)
         assert rel_gap(apply_psi(psi, A), ref) <= 1e-8
 
     @pytest.mark.parametrize("build,tup", JET_CASES)
     def test_subordinated(self, build, tup):
         psi, A = build(), tup()
-        ref = calculus._subordinated_family(psi.subordinator,
-                                            calculus._Matrices(A), 0.5, 1e-9)
+        ref = one_block_subordinated(psi, A, 0.5)
         assert rel_gap(subordinated(psi, A, 0.5), ref) <= 1e-8
 
     @pytest.mark.parametrize("build,tup", JET_CASES)
@@ -285,7 +291,7 @@ class TestBlockJetsAgainstMatrices:
         psi, A = build(), tup()
         lam = LAM[:A.n]
         for j in range(A.n):
-            ref = calculus._w_integral(psi, calculus._Matrices(A), lam, j, 1e-9)
+            ref = calculus._w_integral(psi, _Profiles.one_block(A), lam, j, 1e-9)
             assert rel_gap(w_operator(psi, A, lam, j), ref) <= 1e-8
 
     @pytest.mark.parametrize("name", ["lift", "dsum"])
@@ -351,12 +357,17 @@ class TestBlockJetsAgainstMatrices:
     def test_similar_jordan_block(self, build, reference):
         # S J S^-1 with cond(S) = 10: rounding splits its Schur diagonal at
         # about eps^(1/6), whichever route the tuple then takes
-        rng = np.random.default_rng(6)
-        U, _, Vh = np.linalg.svd(rng.standard_normal((6, 6)))
-        S = (U * np.geomspace(1.0, 0.1, 6)) @ Vh
-        J = -1.5 * np.eye(6) + np.diag(np.ones(5), 1)
-        A = make_tuple([S @ J @ np.linalg.inv(S)])
+        A = make_tuple([similar_jordan_block()])
         assert rel_gap(apply_psi(build(), A), reference(A.generators[0])) <= 1e-8
+
+
+def similar_jordan_block():
+    # S J S^-1, J = -1.5 I + shift at d = 6, cond(S) = 10
+    rng = np.random.default_rng(6)
+    U, _, Vh = np.linalg.svd(rng.standard_normal((6, 6)))
+    S = (U * np.geomspace(1.0, 0.1, 6)) @ Vh
+    J = -1.5 * np.eye(6) + np.diag(np.ones(5), 1)
+    return S @ J @ np.linalg.inv(S)
 
 
 class TestRayJets:
@@ -431,7 +442,7 @@ class TestFarAtoms:
         # every atom of a lifted Poisson family lies on the lift's direction,
         # including the off-axis and inexact weights
         A = make_jordan_polynomial(2, 8, seed=82)
-        rep = calculus._Matrices(A) if route == "matrices" else A.representation
+        rep = _Profiles.one_block(A) if route == "matrices" else A.representation
         calls = []
         real = type(rep).ray
         monkeypatch.setattr(type(rep), "ray",
@@ -447,8 +458,8 @@ class TestFarAtoms:
 
 class TestNonNilpotentFallback:
     """Two distinct joint eigenvalues with the same theta-combination share
-    one Schur cluster, where no A_j is z I + nilpotent: the tuple falls back
-    to _Matrices, checked against the spectral original's profile route."""
+    one Schur cluster, where no A_j is z I + nilpotent: that block is dense,
+    checked against the spectral original's profile route."""
 
     @staticmethod
     def pair():
@@ -465,8 +476,9 @@ class TestNonNilpotentFallback:
         _, B = self.pair()
         assert B.blocks.cond <= calculus._COND_MAX
         assert sorted(len(c[0]) for c in B.blocks.compressions) == [1, 1, 2]
-        assert calculus._Profiles.of_generators(B) is None
-        assert isinstance(calculus._representation(B), calculus._Matrices)
+        rep = calculus._representation(B)
+        assert isinstance(rep, calculus._Profiles)
+        assert [len(N[0]) for _, N in rep.dense] == [2] and rep.jets == []
 
     @pytest.mark.parametrize("build", [
         lambda: direct_sum(fractional_power(0.5), log1m()),
@@ -779,8 +791,10 @@ class TestSeriesRatio:
     def ray(A):
         w = np.ones(A.n) / A.n
         B = sum(w[j] * A.generators[j] for j in range(A.n))
-        ratio = _Matrices(A).ray(w)[2]
-        return B, ratio, float(np.linalg.norm(B, 2))
+        rep = _Profiles.one_block(A)
+        ray = rep.ray(w)
+        return (B, lambda r: rep.finish(ray.lift(ray.ratio(r))),
+                float(np.linalg.norm(B, 2)))
 
     @pytest.mark.parametrize("build", TUPLES, ids=["jordan", "jordan2", "stripped"])
     def test_against_expm(self, build):
@@ -801,3 +815,94 @@ class TestSeriesRatio:
             ref = B + (r / 2.0) * (B @ B) + (r * r / 6.0) * (B @ B @ B)
             assert opnorm(ratio(r) - ref) <= 1e-14 * opnorm(ref)
 
+
+
+class TestDenseBlocks:
+    """The route is chosen per block: a block that is not z I + nilpotent
+    integrates the entries of its own matrix exponential, and a tuple whose
+    block basis is ill-conditioned is one dense block in the basis I."""
+
+    @staticmethod
+    def mixed():
+        # the theta pair (two 1 x 1 blocks and one 2 x 2 collision) next to
+        # a 3 x 3 block z I + nilpotent
+        A, _ = TestNonNilpotentFallback.pair()
+        N = np.diag(np.ones(2), 1)
+        jet = [-1.2 * np.eye(3) + N, (-0.8 + 0.3j) * np.eye(3) + 0.5 * N]
+        return A, make_tuple([block_diag(G, H) for G, H in zip(A.generators, jet)])
+
+    def test_blocks_take_their_own_route(self):
+        _, B = self.mixed()
+        rep = B.representation
+        assert isinstance(rep, calculus._Profiles)
+        assert sorted(rep.sizes) == [1, 1, 2, 3]
+        assert [len(N[0]) for _, N in rep.dense] == [2]
+        assert [len(N[0]) for _, N in rep.jets] == [3]
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_sum(fractional_power(0.5), log1m()),
+        lambda: direct_sum(poisson(), log1m()),
+        lambda: diagonal_lift(log1m(), [1.0, 0.6])],
+        ids=["frac-log", "poisson-log", "lift"])
+    def test_against_one_block_and_spectral(self, build):
+        # the pair's 4 x 4 corner is also the spectral original's result
+        psi, (A, B) = build(), self.mixed()
+        lam = LAM[:2]
+        cases = [(apply_psi(psi, B), calculus._psi_integral(
+                      psi, _Profiles.one_block(B), 1e-9), apply_psi(psi, A)),
+                 (subordinated(psi, B, 0.5), one_block_subordinated(psi, B, 0.5),
+                  subordinated(psi, A, 0.5))]
+        cases += [(w_operator(psi, B, lam, j), calculus._w_integral(
+                       psi, _Profiles.one_block(B), lam, j, 1e-9),
+                   w_operator(psi, A, lam, j)) for j in range(2)]
+        for got, dense, spectral in cases:
+            assert rel_gap(got, dense) <= 1e-8
+            assert rel_gap(got[:4, :4], spectral) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["similar", "theta"])
+    def test_expm_only_on_dense_blocks(self, case, monkeypatch):
+        # every matrix exponential has the size of a dense block, counting
+        # each _van_loan call once, by the size of its block
+        if case == "similar":
+            A = make_tuple([similar_jordan_block()])
+            psi = fractional_power(0.5)
+            ref = -sqrtm(-A.generators[0])
+        else:
+            A = TestNonNilpotentFallback.pair()[1]
+            psi = direct_sum(fractional_power(0.5), log1m())
+            ref = -sqrtm(-A.generators[0]) - logm(np.eye(4) - A.generators[1])
+        sizes, inside = [], []
+        real_expm, real_van_loan = calculus.expm, calculus._van_loan
+
+        def van_loan(G, lam, u):
+            sizes.append(len(G))
+            inside.append(1)
+            try:
+                return real_van_loan(G, lam, u)
+            finally:
+                inside.pop()
+
+        def expm_(M, *a, **kw):
+            if not inside:
+                sizes.append(len(M))
+            return real_expm(M, *a, **kw)
+        monkeypatch.setattr(calculus, "expm", expm_)
+        monkeypatch.setattr(calculus, "_van_loan", van_loan)
+        rep = calculus._representation(A)
+        assert isinstance(rep, calculus._Profiles)
+        assert rel_gap(apply_psi(psi, A), ref) <= 1e-8
+        assert rel_gap(subordinated(psi, A, 0.5), expm(0.5 * ref)) <= 1e-8
+        assert set(sizes) == {len(N[0]) for _, N in rep.dense}
+        assert set(sizes) == ({6} if case == "similar" else {2})
+
+    def test_budget_counts_nonzero_powers(self):
+        # J_2 + J_1 at one eigenvalue: N^2 = 0, so a ray has 2 entries and
+        # the budget divides by 2, not by the block size 3
+        J = -np.eye(3)
+        J[0, 1] = 1.0
+        A = make_tuple([J])
+        assert A.representation.cond == 2.0
+        assert len(A.representation.ray([1.0]).one) == 2
+        psi = fractional_power(0.5)
+        assert rel_gap(apply_psi(psi, A), -sqrtm(-J)) <= 1e-8
+        assert rel_gap(subordinated(psi, A, 0.5), expm(-0.5 * sqrtm(-J))) <= 1e-8

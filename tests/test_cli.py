@@ -573,6 +573,29 @@ class TestRun:
             assert r.value == factorization_check(psi, A, lam, tol=1e-9,
                                                   operator=F)
 
+    def test_explicit_similar_jordan_block(self):
+        # S J S^-1 with cond(S) = 10: its Schur diagonal splits into six
+        # clusters with an ill-conditioned basis, so every operator runs on
+        # one dense 6 x 6 block
+        rng = np.random.default_rng(6)
+        U, _, Vh = np.linalg.svd(rng.standard_normal((6, 6)))
+        S = (U * np.geomspace(1.0, 0.1, 6)) @ Vh
+        G = S @ (-1.5 * np.eye(6) + np.diag(np.ones(5), 1)) @ np.linalg.inv(S)
+        doc = {
+            "functions": [{"id": "fp", "catalog": "fractional_power",
+                           "parameters": {"alpha": 0.5}}],
+            "operators": [{"id": "m", "matrices": [G.tolist()]}],
+            "experiments": [{"kind": "factorization", "id": "fac",
+                             "function": "fp", "operator": "m"},
+                            {"kind": "subordination", "id": "sub",
+                             "function": "fp", "operator": "m"}],
+        }
+        report = run(parse_config(doc))
+        fac, sub = rows_for(report, "fac"), rows_for(report, "sub")
+        assert len(fac) == 5 and len(sub) == 12
+        assert all(r.verdict == "PASS" for r in fac + sub)
+        assert report.verdict == "PASS" and report.exit_code == 0
+
     def test_random_operator_with_box(self):
         box = [[-2.0, -1.0], [0.0, 0.5]]
         doc = {

@@ -7,8 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm, sqrtm
+from scipy.linalg import expm, schur, sqrtm
 from scipy.optimize import minimize_scalar
+from scipy.special import gammaln, xlogy
 
 import bpcalc
 from bpcalc import calculus
@@ -313,11 +314,34 @@ class TestLogNormRoute:
     def test_d120_representations(self):
         # the Jordan family is one block in the basis I; the triangular
         # family's eigenbasis has a condition number near 1e30, past the cap
-        # of the block profiles, so it takes the expm-only route
+        # of the block profiles, so it takes the expm-only route of one
+        # dense block over the whole space
         rep = calculus._representation(S.make_tuple(jordan(120, n=1)))
         assert isinstance(rep, calculus._Profiles) and rep.cond == 120.0
         rep = calculus._representation(S.make_tuple(triangular(120, n=1)))
-        assert isinstance(rep, calculus._Matrices)
+        assert isinstance(rep, calculus._Profiles) and rep.jets == []
+        assert [len(N[0]) for _, N in rep.dense] == [120]
+        assert np.array_equal(rep.basis, np.eye(120))
+
+    @pytest.mark.parametrize("family", [jordan, triangular])
+    def test_schur_envelope_covers_finer_grid(self, family):
+        # the Schur envelope of a dense block is certified between its grid
+        # nodes: a 16 times finer resampling of the polynomial factor
+        # sum_k (r ||N||)^k / k! e^{-half r} stays below ``far``
+        B = family(120, n=1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, far = calculus._schur_envelope(B, 1.0)
+        T = schur(B, output="complex")[0]
+        nrm = np.linalg.norm(np.triu(T, 1), 2)
+        half = -0.5 * np.max(T.diagonal().real)
+        assert rho == -half and np.isfinite(far)
+        grid, h = np.linspace(0.0, 4.0 * 121 / half, 4096, retstep=True)
+        k = np.arange(120)[:, None]
+        fine = max(np.max(np.logaddexp.reduce(
+            xlogy(k, (grid + s) * nrm) - gammaln(k + 1.0), axis=0) - half * (grid + s))
+            for s in np.arange(16) * h / 16)
+        assert np.exp(fine) <= far <= 1.2 * np.exp(fine)
 
     @pytest.mark.parametrize("family", [jordan, triangular])
     def test_apply_psi_d120(self, family):
