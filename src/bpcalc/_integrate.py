@@ -19,7 +19,10 @@ parts share one strategy:
 Each segment goes to ``_quad``, an adaptive Gauss-Kronrod (G10/K21) driver
 with QUADPACK's error estimate and global error control (Piessens et al.,
 QUADPACK, 1983).  It returns as soon as the initial panels meet the target
-and raises QuadratureError on a non-finite value or estimate.
+and raises QuadratureError on a non-finite value or estimate.  Its
+integrand takes a panel's 21 nodes at once and returns one row per node:
+``integrate_radial`` maps them to radii and weighs them by the density in
+one array call each, and calls f once per node with a 0-d radius.
 
 The caller supplies the analytic ingredients (Lipschitz coefficient at the
 origin, sup bound, decay rate, settle value); this module assembles them into
@@ -43,23 +46,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, error_estimate: float | None = None):
         super().__init__(message)
         self.error_estimate = error_estimate
-
-
-def expm1c(z):
-    """exp(z) - 1 without cancellation, for real or complex arguments.
-
-    The naive exp(z) - 1 loses all significant digits for |z| ~ 1e-12 and
-    below; multiplied by a singular density r**-beta that noise dominates
-    the integral, so every e^{z} - 1 integrand in this package goes through
-    here.  Real part uses expm1(x)*cos(y) - 2*sin(y/2)**2, both terms exact
-    to machine precision.
-    """
-    z = np.asarray(z)
-    if np.isrealobj(z):
-        return np.expm1(z)
-    x, y = z.real, z.imag
-    return (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
-            + 1j * np.exp(x) * np.sin(y))
 
 
 def _norm(x) -> float:
@@ -119,9 +105,10 @@ _R_CAP = 1e8         # largest truncation radius of integrate_radial
 
 
 def _gk21(f, a, b):
-    """One G10/K21 panel: (integral, error estimate, rounding term)."""
+    """One G10/K21 panel: (integral, error estimate, rounding term); f
+    takes the 21 nodes as one array and returns one row per node."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fv = np.array([f(c + h * x) for x in _NODES])
+    fv = np.asarray(f(c + h * _NODES))
     shape = (-1,) + (1,) * (fv.ndim - 1)
     # elementwise products summed over the node axis: a BLAS dot here can
     # start a threaded kernel that slows every later small expm
@@ -149,8 +136,9 @@ def _quad(f, a, b, tol, points=None):
     excess, and an exit at the rounding level or at _QUAD_LIMIT panels (the
     caller compares the returned estimate, rounding included, with its
     budget).  Unlike quad_vec, which always bisects once, it tests both
-    exits on the initial panels too.  f is called once per node with a
-    scalar, and a non-finite value or estimate raises QuadratureError.
+    exits on the initial panels too.  f is called once per panel with the
+    array of its 21 nodes and returns one row per node; a non-finite value
+    or estimate raises QuadratureError.
     """
     epsabs, epsrel = 0.25 * tol, 1e-12
     edges = [a]
@@ -212,7 +200,10 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                     beta close to 2, where density(r) itself overflows.
 
     Every bound and the error estimate use the max-norm for a 1-D (vector)
-    integrand and the flattened 2-norm for a matrix.
+    integrand and the flattened 2-norm for a matrix.  f and f_over_r are
+    called once per quadrature node with a 0-d radius; the change of
+    variables and the density weight of a panel's nodes are one array
+    call each, so part.density and part.log_density take arrays.
 
     Returns (value, error_estimate).
     """
@@ -228,10 +219,15 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
     logm = getattr(part, "log_density", None)
     compensated = f_over_r is not None and logm is not None
 
+    def rows(fn, r, weight):
+        # one call of fn per node, each with a 0-d r, times its weight
+        vals = np.array([fn(x) for x in r])
+        return vals * weight.reshape((-1,) + (1,) * (vals.ndim - 1))
+
     def g_log(v):
         # f * m dr in v = log r
         r = np.exp(v)
-        return f(r) * (m(r) * r)
+        return rows(f, r, m(r) * r)
 
     def log_hints(lo, hi):
         return _interior_points((np.log(h) for h in part.hints if h > 0), lo, hi)
@@ -279,7 +275,8 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
 
             def g(t):
                 v = np.log(t) / p_exp
-                return f_over_r(np.exp(v)) * (np.exp(logm(v) + 2.0 * v - np.log(t)) / p_exp)
+                return rows(f_over_r, np.exp(v),
+                            np.exp(logm(v) + 2.0 * v - np.log(t)) / p_exp)
 
             seg, err = _quad(g, t0, t1, tol, points=pts)
         else:
@@ -402,12 +399,13 @@ def integrate_orthant(part, f, *, f_sup, tol=1e-9, r_cap=1e5):
     pts0 = _interior_points(part.hints, 0.0, radii[0])
 
     def outer(u2):
-        val, _ = _quad(lambda u1: f(np.array([u1, u2])) * part.density(np.array([u1, u2])),
-                       0.0, radii[0], inner_tol, points=pts0)
+        val, _ = _quad(lambda u1s: np.array([f(np.array([u1, u2])) * part.density(
+            np.array([u1, u2])) for u1 in u1s]), 0.0, radii[0], inner_tol, points=pts0)
         return val
 
     pts1 = _interior_points(part.hints, 0.0, radii[1])
-    value, err = _quad(outer, 0.0, radii[1], tol, points=pts1)
+    value, err = _quad(lambda u2s: np.array([outer(u2) for u2 in u2s]),
+                       0.0, radii[1], tol, points=pts1)
     return value, err + err_tail
 
 

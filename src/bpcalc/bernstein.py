@@ -88,16 +88,18 @@ class RadialDensity:
     ``total_mass`` is None for infinite measures.  ``log_density`` maps
     v = log r to log m(e**v); supplying it lets quadrature work below the
     radius where density itself would overflow (beta close to 2).
+    ``density`` and ``log_density`` act elementwise on an array of radii
+    (of log radii): quadrature weighs the nodes of a panel in one call.
     """
 
     direction: np.ndarray
-    density: Callable[[float], float]
+    density: Callable[[np.ndarray], np.ndarray]
     beta: float
     sing_coeff: float
     tail_mass: Callable[[float], float]
     tail_exact: bool = False
     mass_below: Optional[Callable[[float], float]] = None
-    log_density: Optional[Callable[[float], float]] = None
+    log_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     total_mass: Optional[float] = None
     hints: tuple = ()
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm, schur
 from scipy.special import gammaln, xlogy
 
-from ._integrate import expm1c, integrate_measure
+from ._integrate import integrate_measure
 from .bernstein import BernsteinFunction, SubordinatorFamily, eval_psi
 from .semigroup import OperatorTuple
 
@@ -334,10 +334,12 @@ class _Profiles:
 
         def extend(head, r, block_value):
             jets = [np.exp(r * z_jet + (xlogy(k, r) + c_jet))] if size > count else []
-            return head if full == count else np.concatenate(
+            return np.concatenate(
                 [head] + jets + [block_value(B, nrm, r).ravel() for B, nrm, _, _ in dense])
 
         def T(r):
+            if full == count:
+                return np.exp(r * z)
             return extend(np.exp(r * z), r, lambda B, nrm, r: expm(r * B))
 
         def dense_delta(B, nrm, r):
@@ -348,7 +350,11 @@ class _Profiles:
             return expm(r * B) - np.eye(len(B))
 
         def delta(r):
-            return extend(expm1c(r * z), r, dense_delta)
+            # numpy's complex expm1 is cancellation-free: expm1(x) cos y -
+            # 2 sin^2(y/2) + i e^x sin y
+            if full == count:
+                return np.expm1(r * z)
+            return extend(np.expm1(r * z), r, dense_delta)
 
         limit = np.concatenate([z, np.where(k == 1, np.exp(c_jet), 0.0)]
                                + [B.ravel() for B, _, _, _ in dense])
@@ -405,6 +411,7 @@ class _Profiles:
         of its B_il, ||V_j(t)|| <= far_j t e^{t max(Re lam_j, rho_j)}.
         """
         zj, re = self.joint[:, j], self.joint.real
+        gap = zj - lam[j]
         count = len(zj)
         mu = -np.maximum(lam[j].real, re[:, j])
         blocks = [(i, N) + _powers(N[j], len(N[0])) for i, N in self.jets]
@@ -431,7 +438,8 @@ class _Profiles:
                 (i, V, log_v) + _powers(np.tensordot(w[:j], N[:j], axes=1), len(N[0]))
                 for i, N, V, log_v in blocks])
             row = np.searchsorted(rows, block)
-            pre_jet = pre[block] + post
+            shift = pre + post
+            pre_jet = shift[block]
             log_e = log_nu - gammaln(p + 1.0)
 
             def dense_value(B, r):
@@ -443,7 +451,7 @@ class _Profiles:
 
             def F(r):
                 t = r * w[j]
-                out = _v_diag(t, lam[j], zj) * np.exp(r * (pre + post))
+                out = _v_diag(t, lam[j], zj, gap) * np.exp(r * shift)
                 if blocks:
                     out = _pad(out, size)
                     out[at] = _v_jets(t, lam[j], z_jet, order)[row, k] \
@@ -638,30 +646,22 @@ def generator_limit_check(psi: BernsteinFunction, A: OperatorTuple, x,
 # proof operators
 
 
-def _phi1(x):
-    """(e^x - 1)/x with the removable singularity filled in."""
-    x = np.asarray(x, dtype=complex)
-    out = np.ones_like(x)
-    big = np.abs(x) > _TINY_R
-    out[big] = expm1c(x[big]) / x[big]
-    return out
+def _v_diag(t, lam, z, gap):
+    """Eigenvalue profile t e^{t lam} phi1(t gap) of V(t), gap = z - lam,
+    phi1(x) = (e^x - 1)/x filled in with 1 below |x| = _TINY_R.
 
-
-def _v_diag(t, lam, z):
-    """Eigenvalue profile t e^{t lam} phi1(t (z - lam)) of V(t).
-
-    Large separations switch to (e^{tz} - e^{t lam})/(z - lam): both
-    exponentials stay bounded on the left half-plane while the phi1 factor
-    would overflow, and cancellation only matters when t(z - lam) is small.
+    Large separations, |x| > 20, switch to (e^{tz} - e^{t lam})/(z - lam):
+    both exponentials stay bounded on the left half-plane while the phi1
+    factor would overflow, and cancellation only matters when t(z - lam) is
+    small.  Both forms are evaluated on every entry and joined by where, so
+    the overflow or 0/0 of the form not taken is silenced, never used.
     """
-    z = np.asarray(z, dtype=complex)
-    x = t * (z - lam)
-    out = np.empty_like(x)
-    small = np.abs(x) <= 20.0
-    out[small] = t * np.exp(t * lam) * _phi1(x[small])
-    big = ~small
-    out[big] = (np.exp(t * z[big]) - np.exp(t * lam)) / (z[big] - lam)
-    return out
+    x = t * gap
+    size, e_lam = np.abs(x), np.exp(t * lam)
+    with np.errstate(all="ignore"):
+        near = t * e_lam * np.where(size > _TINY_R, np.expm1(x) / x, 1.0)
+        far = (np.exp(t * z) - e_lam) / gap
+    return np.where(size <= 20.0, near, far)
 
 
 def _van_loan(G, lam, u):

@@ -37,6 +37,21 @@ class TestConstruction:
             drawn = np.sort_complex(A.spectral.joint[:, j])
             assert np.max(np.abs(ev - drawn)) < 1e-8
 
+    @pytest.mark.parametrize("factor,accepted", [(0.9, True), (1.1, False)])
+    def test_spectral_check_reads_the_two_norm(self, factor, accepted):
+        # the generator P D P^-1 + cI leaves E = -cI: ||E||_2 = c, ||E||_F =
+        # 2c at d = 4, so c = 0.9 cap is accepted although ||E||_F > cap
+        spec = S.make_commuting_random(1, 4, seed=2).spectral
+        G = spec.apply(spec.joint[:, 0])
+        cap = S._SPECTRAL_REL * np.linalg.norm(G, 2) + 1e-13
+        shifted = G + factor * cap * np.eye(4)
+        assert np.linalg.norm(factor * cap * np.eye(4)) > cap
+        if accepted:
+            assert S.make_tuple([shifted], spectral=spec).n == 1
+        else:
+            with pytest.raises(ValueError, match="does not reproduce"):
+                S.make_tuple([shifted], spectral=spec)
+
     def test_conditioning_cap(self):
         for seed in range(5):
             A = S.make_commuting_random(2, 8, seed=seed)
