@@ -13,9 +13,12 @@ one pair: one untraced ``perfbench/run.py`` run per side of
 ``run_seconds`` (from BENCHMARK.json), one run at a time, the parent first
 on odd seeds and the change first on even ones.
 Each run's end-to-end metrics (``setup_s``, ``pass_s``, ``peak_rss_mb``),
-its ``correct``, ``attempted`` and ``failed`` are kept, and every metric is
-summarised by the medians and quartiles of both sides, the number of pairs
-in which the change is better and the relative change of the medians.
+its ``correct``, ``attempted`` and ``failed`` are kept, and so are its
+per-operation-kind medians (``build_s``, ``mapping_s``, ... from the
+``detail`` of the run's record line), which show the layer a change
+targets.  Every metric is summarised by the medians and quartiles of both
+sides, the number of pairs in which the change is better and the relative
+change of the medians; the per-kind ones under ``detail``.
 Seeds given with ``--traced-seeds`` are also run once per side with
 ``--trace 1``, and their per-layer metrics are stored as they are.  The
 machine record of the first run (nproc, Python, numpy, scipy, BLAS, thread
@@ -113,6 +116,7 @@ def main(argv=None):
 
         for workload, count in pairs.items():
             runs = {"parent": [], "change": []}
+            details = {"parent": [], "change": []}
             for seed in range(1, count + 1):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for name in order:
@@ -120,6 +124,8 @@ def main(argv=None):
                                               seconds, 0)
                     out["machine"] = out["machine"] or record["machine"]
                     runs[name].append(result)
+                    details[name].append({k: v["value"]
+                                          for k, v in record["detail"].items()})
                     print("%s seed %d %s: %s" % (workload, seed, name, {
                         k: round(v["value"], 4)
                         for k, v in result["metrics"].items()}), file=sys.stderr)
@@ -134,6 +140,15 @@ def main(argv=None):
                     *[[r["metrics"][metric]["value"] for r in runs[name]]
                       for name in ("parent", "change")])
                 out["notes"].append(note(workload, metric, entry[metric]))
+            # op kinds timed in every run of both sides, in a fixed order
+            kinds = sorted(set.intersection(*(set(d) for side in details.values()
+                                              for d in side)))
+            entry["detail"] = {}
+            for kind in kinds:
+                entry["detail"][kind] = summary(
+                    *[[d[kind] for d in details[name]]
+                      for name in ("parent", "change")])
+                out["notes"].append(note(workload, kind, entry["detail"][kind]))
             out["workloads"][workload] = entry
 
             for seed in args.traced_seeds:

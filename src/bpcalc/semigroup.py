@@ -113,24 +113,33 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
     mats = _as_matrices(generators)
     n, d = len(mats), mats[0].shape[0]
 
-    norms = [max(_norm2(g), 1e-300) for g in mats]
+    # ||g||_F / sqrt(d) <= ||g||_2 (shrunk past rounding) decides both checks
+    # that read the norms wherever it can; the SVD only where it cannot
+    lower = [np.linalg.norm(g) / np.sqrt(d) * (1.0 - 1e-12) for g in mats]
+
+    def norm(j):
+        return max(_norm2(mats[j]), 1e-300)
+
     residual = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             residual = max(residual, _norm2(mats[i] @ mats[j] - mats[j] @ mats[i]))
-    if residual > _COMMUTE_REL * max(norms) ** 2:
-        raise ValueError(
-            "tuple is not commuting: residual %.3g exceeds %.3g"
-            % (residual, _COMMUTE_REL * max(norms) ** 2))
+    if residual > _COMMUTE_REL * max(lower) ** 2:
+        limit = _COMMUTE_REL * max(norm(j) for j in range(n)) ** 2
+        if residual > limit:
+            raise ValueError("tuple is not commuting: residual %.3g exceeds %.3g"
+                             % (residual, limit))
 
     omegas = [None] * n
     if spectral is not None:
         for j in range(n):
             error = spectral.apply(spectral.joint[:, j]) - mats[j]
-            cap = _SPECTRAL_REL * norms[j] + 1e-13
-            # ||E||_2 <= ||E||_F: the SVD only decides past the cheap bound
-            if np.linalg.norm(error) > cap and _norm2(error) > cap:
-                raise ValueError("spectral data does not reproduce generator %d" % j)
+            frobenius = np.linalg.norm(error)
+            # ||E||_2 <= ||E||_F: the SVDs only decide past the cheap bounds
+            if frobenius > _SPECTRAL_REL * lower[j] + 1e-13:
+                cap = _SPECTRAL_REL * norm(j) + 1e-13
+                if frobenius > cap and _norm2(error) > cap:
+                    raise ValueError("spectral data does not reproduce generator %d" % j)
         if np.any(spectral.joint.real > _RE_TOL):
             raise ValueError("joint spectrum leaves the closed left half-plane")
     else:

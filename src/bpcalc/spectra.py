@@ -12,16 +12,23 @@ the joint eigenvalues are read inside each eigenvalue cluster's invariant
 subspace, directly for a simple eigenvalue and by a kernel solve on the
 m x m compressions of the A_j for a cluster of size m, O(d^3) in all for d
 distinct joint eigenvalues.  The residual spectrum splits the adjoint
-tuple; the certificates (the stacked singular value per approximate point,
-the corank per residual point) cost one SVD of a d x nd or nd x d stack each.
+tuple.  Each certificate (the stacked singular value per approximate point,
+the corank per residual point) is the stacked residual of one unit vector,
+which bounds the smallest singular value of the stack from above: one
+inverse-iteration step on the split's triangular Schur factor gives that
+vector in O(n d^2) (Lui, SIMAX 1997).  Only where it misses the scaled
+tolerance does an SVD of the d x nd or nd x d stack give the exact value.
+Eigenvector tests and certificates are scaled by max(1, ||C||_2), so that a
+tuple of large norm keeps its points.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import schur
 
-from ._schur import Blocks, _clusters
+from ._schur import Blocks, _clusters, near_null
 from .bernstein import BernsteinFunction, eval_psi
 from .calculus import apply_psi
 from .semigroup import OperatorTuple
@@ -38,12 +45,19 @@ __all__ = [
 class SpectrumPoint:
     """One joint spectrum point with whichever certificates were computed.
 
-    ``right_vector``: unit x with max_j ||A_j x - lam_j x|| <= tol.
-    ``left_vector``: unit f with max_j ||A_j^* f - conj(lam_j) f|| <= tol.
-    ``residual``: smallest singular value of the vertical stack of
-    (A_j - lam_j I), the approximate-spectrum certificate.
-    ``corank``: smallest singular value of the horizontal stack of
-    (lam_j I - A_j), evidence that the joint range is not dense.
+    ``right_vector``: unit x with max_j ||A_j x - lam_j x|| <= tol s, s =
+    max(1, ||C||_2) the scale of the tuple's split; on an approximate-
+    spectrum point, the x that ``residual`` is read from.
+    ``left_vector``: unit f with max_j ||A_j^* f - conj(lam_j) f|| <= tol s'
+    (s' the scale of the adjoint split), the f that ``corank`` is read from.
+    ``residual``: sqrt(sum_j ||(A_j - lam_j) x||^2) for the returned x, an
+    upper bound on the smallest singular value of the vertical stack of
+    (A_j - lam_j I), the approximate-spectrum certificate; where it exceeds
+    tol s, that singular value itself, from an SVD, with x its minimizer.
+    ``corank``: sqrt(sum_j ||(A_j^* - conj(lam_j)) f||^2) for the returned
+    f, an upper bound on the smallest singular value of the horizontal
+    stack of (lam_j I - A_j), evidence that the joint range is not dense;
+    where it exceeds tol s', that singular value, with f its minimizer.
     """
 
     value: np.ndarray
@@ -123,13 +137,21 @@ def _max_residual(mats, lam, x):
                for j in range(len(mats)))
 
 
+def _stacked(mats, lams, X):
+    """sqrt(sum_j ||(mats_j - lam_j) x||^2) for each column x of ``X`` and
+    its row lam of ``lams``."""
+    return np.sqrt(sum(np.sum(np.abs(G @ X - X * lams[:, j]) ** 2, axis=0)
+                       for j, G in enumerate(mats)))
+
+
 def joint_point_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
     """Tuples lam admitting a common eigenvector, certificates attached."""
+    split = A.blocks
     pts = []
-    for lam, Q in _common_eigvecs(A.blocks, tol):
+    for lam, Q in _common_eigvecs(split, tol):
         x = Q[:, 0]
         x = x / np.linalg.norm(x)
-        if _max_residual(A.generators, lam, x) > tol:
+        if _max_residual(A.generators, lam, x) > tol * split.scale:
             continue
         pts.append(SpectrumPoint(value=lam, right_vector=x,
                                  multiplicity=Q.shape[1]))
@@ -142,21 +164,39 @@ def joint_residual_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectru
     # reversal similarity: the adjoint of an upper-triangular generator is
     # lower triangular, where the eigensolver splits defective eigenvalues;
     # flipping restores triangular form and costs nothing for other inputs
+    # (as products, not slices: they turn the -0.0 imaginary parts of the
+    # conjugates into +0.0, on which the Schur form's rounding depends)
     rev = np.eye(A.d)[::-1]
-    flipped = [rev @ G @ rev for G in star]
-    eye = np.eye(A.d)
-    pts = []
-    for mu, Q in _common_eigvecs(Blocks(flipped), tol):
-        f = rev @ Q[:, 0]
+    split = Blocks([rev @ G @ rev for G in star])
+    limit = tol * split.scale
+    found = []
+    for mu, Q in _common_eigvecs(split, tol):
+        f = Q[::-1, 0]
         f = f / np.linalg.norm(f)
-        if _max_residual(star, mu, f) > tol:
-            continue
+        if _max_residual(star, mu, f) <= limit:
+            found.append((mu, Q.shape[1]))
+    # the corank certificates: left vectors from the adjoint split's Schur
+    # factor, or the exact value where one misses
+    mus = np.reshape([mu for mu, _ in found], (-1, A.n))
+    left = split.near_null(mus)[::-1]
+    pts = []
+    for (mu, m), f, corank in zip(found, left.T, _stacked(star, mus, left)):
         lam = np.conj(mu)
-        stack = np.hstack([lam[j] * eye - A.generators[j] for j in range(A.n)])
-        corank = float(np.linalg.svd(stack, compute_uv=False)[-1])
-        pts.append(SpectrumPoint(value=lam, left_vector=f, corank=corank,
-                                 multiplicity=Q.shape[1]))
+        if corank > limit:
+            corank, f = _corank(A, lam)
+        pts.append(SpectrumPoint(value=lam, left_vector=f, corank=float(corank),
+                                 multiplicity=m))
     return JointSpectrumResult(points=tuple(pts), tol=tol)
+
+
+def _corank(A: OperatorTuple, lam):
+    """min over unit f of sqrt(sum_j ||(A_j^* - conj(lam_j)) f||^2), the
+    smallest singular value of the horizontal stack of (lam_j I - A_j), with
+    minimizer."""
+    eye = np.eye(A.d)
+    stack = np.hstack([lam[j] * eye - A.generators[j] for j in range(A.n)])
+    U, s_vals, _ = np.linalg.svd(stack, full_matrices=False)
+    return float(s_vals[-1]), U[:, -1]
 
 
 def stacked_residual(A: OperatorTuple, lam):
@@ -175,32 +215,56 @@ def joint_approximate_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpec
     (unit-sphere compactness turns approximate eigenvectors into exact
     ones), so the value set is shared and only the certificate differs.
     """
+    split = A.blocks
     base = joint_point_spectrum(A, tol)
+    lams = np.reshape(base.values(), (-1, A.n))
+    X = split.near_null(lams)
     pts = []
-    for p in base.points:
-        res, x = stacked_residual(A, p.value)
+    for p, x, res in zip(base.points, X.T, _stacked(A.generators, lams, X)):
+        if res > tol * split.scale:
+            res, x = stacked_residual(A, p.value)
         pts.append(SpectrumPoint(value=p.value, right_vector=x,
-                                 residual=res, multiplicity=p.multiplicity))
+                                 residual=float(res),
+                                 multiplicity=p.multiplicity))
     return JointSpectrumResult(points=tuple(pts), tol=tol)
+
+
+def _merged(p: SpectrumPoint, q: SpectrumPoint) -> SpectrumPoint:
+    """Point p with the left vector and corank of residual point q."""
+    return SpectrumPoint(value=p.value, right_vector=p.right_vector,
+                         left_vector=q.left_vector, residual=p.residual,
+                         corank=q.corank,
+                         multiplicity=max(p.multiplicity, q.multiplicity))
+
+
+def _near(values, q, tol):
+    """Rows of ``values`` within tol (1 + max|p|) of each row of ``q``, as a
+    len(q) x len(values) mask."""
+    gap = np.max(np.abs(values[None, :, :] - q[:, None, :]), axis=2)
+    return gap <= tol * (1.0 + np.max(np.abs(values), axis=1))
 
 
 def _union(approx: JointSpectrumResult,
            resid: JointSpectrumResult) -> JointSpectrumResult:
-    """Residual-spectrum points merged into the approximate spectrum."""
+    """Residual-spectrum points merged into the approximate spectrum.
+
+    Each residual point merges into the first approximate point near it;
+    one with none is compared with the residual points appended before it,
+    and is appended itself when none of those is near either.
+    """
     tol = approx.tol
     pts = list(approx.points)
-    for q in resid.points:
-        merged = False
-        for i, p in enumerate(pts):
-            if np.max(np.abs(p.value - q.value)) <= tol * (1.0 + np.max(np.abs(p.value))):
-                pts[i] = SpectrumPoint(
-                    value=p.value, right_vector=p.right_vector,
-                    left_vector=q.left_vector, residual=p.residual,
-                    corank=q.corank,
-                    multiplicity=max(p.multiplicity, q.multiplicity))
-                merged = True
-                break
-        if not merged:
+    m = len(pts)
+    near = (_near(approx.values(), resid.values(), tol) if m and resid.points
+            else np.zeros((len(resid.points), m), dtype=bool))
+    for q, row in zip(resid.points, near):
+        hits = np.flatnonzero(row)
+        if not hits.size and len(pts) > m:
+            extra = np.array([p.value for p in pts[m:]])
+            hits = m + np.flatnonzero(_near(extra, q.value[None], tol)[0])
+        if hits.size:
+            pts[hits[0]] = _merged(pts[hits[0]], q)
+        else:
             pts.append(q)
     return JointSpectrumResult(points=tuple(pts), tol=tol)
 
@@ -217,6 +281,20 @@ def joint_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
 
 @dataclass(frozen=True)
 class MappingRow:
+    """One joint point of a mapping check, or one (eigenvalue, point) pair
+    in part 3.  ``distance`` and ``threshold`` decide ``verdict``;
+    ``evidence`` is never judged, it records why the row is there:
+
+    - parts 1 and 4: ||(F - psi(lam)) x|| for a unit x from one
+      inverse-iteration step on the Schur factor of F = psi(A), an upper
+      bound on sigma_min(F - psi(lam) I); where it exceeds ``threshold``,
+      that singular value itself, from an SVD;
+    - part 2: ||F x - psi(lam) x|| for the common eigenvector x of lam;
+    - part 3: |<f, x>|, the pairing of the left vector f of lam with the
+      eigenvector x of F (rows with pairing <= tol are dropped);
+    - part 5: 0.0, the union is judged by distance alone.
+    """
+
     part: int
     source: tuple
     mapped: complex
@@ -305,6 +383,18 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                                             "partial derivative at -0",
                                      rows=())
 
+    def sigma_min(targets):
+        """sigma_min(F - t I) for each target t, bounded from above in
+        O(d^2) on the Schur factor of F; the SVD only where that bound
+        exceeds the row's threshold."""
+        S, U = schur(F, output="complex")
+        shifts = np.asarray(targets, dtype=complex)
+        X = U @ near_null(S, shifts)
+        bounds = np.linalg.norm(F @ X - X * shifts, axis=0)
+        return [float(b) if b <= tol * (1.0 + abs(t)) else
+                float(np.linalg.svd(F - t * np.eye(A.d), compute_uv=False)[-1])
+                for t, b in zip(targets, bounds)]
+
     def judge(lam_tuple, target, evidence):
         matched, dist = _nearest(evals, target)
         thr = tol * (1.0 + abs(target))
@@ -315,9 +405,8 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
 
     if part == 1:
         points = joint_residual_spectrum(A).points
-        for p, target in zip(points, _targets(psi, points)):
-            sigma = float(np.linalg.svd(target * np.eye(A.d) - F,
-                                        compute_uv=False)[-1])
+        targets = _targets(psi, points)
+        for p, target, sigma in zip(points, targets, sigma_min(targets)):
             rows.append(judge(p.value, target, sigma))
     elif part == 2:
         points = joint_point_spectrum(A).points
@@ -343,9 +432,8 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                     evidence=pairing,
                     verdict="pass" if dist <= thr else "fail"))
     elif part == 4:
-        for p, target in zip(approx.points, _targets(psi, approx.points)):
-            sigma = float(np.linalg.svd(F - target * np.eye(A.d),
-                                        compute_uv=False)[-1])
+        targets = _targets(psi, approx.points)
+        for p, target, sigma in zip(approx.points, targets, sigma_min(targets)):
             rows.append(judge(p.value, target, sigma))
     else:
         points = _union(approx, joint_residual_spectrum(A)).points

@@ -52,6 +52,28 @@ class TestConstruction:
             with pytest.raises(ValueError, match="does not reproduce"):
                 S.make_tuple([shifted], spectral=spec)
 
+    @pytest.mark.parametrize("build,most", [
+        (lambda: S.make_commuting_random(1, 48, seed=1), 0),
+        (lambda: S.make_jordan_polynomial(1, 16, seed=1), 0),
+        # one commutator residual, no generator norm
+        (lambda: S.make_commuting_random(2, 24, seed=1), 1),
+    ], ids=["spectral", "jordan", "pair"])
+    def test_norms_only_past_the_cheap_bound(self, build, most, monkeypatch):
+        calls = []
+        norm2 = S._norm2
+
+        def counted(X):
+            calls.append(1)
+            return norm2(X)
+
+        monkeypatch.setattr(S, "_norm2", counted)
+        A = build()
+        assert len(calls) == most
+        if A.n == 2:
+            # the residual stays the exact 2-norm of the commutator
+            G, H = A.generators
+            assert A.commutator_residual == norm2(G @ H - H @ G)
+
     def test_conditioning_cap(self):
         for seed in range(5):
             A = S.make_commuting_random(2, 8, seed=seed)

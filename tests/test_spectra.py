@@ -1,5 +1,6 @@
 """Joint spectra and the mapping theorem checks."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from bpcalc.calculus import (apply_psi, apply_psi_spectral,
 from bpcalc.semigroup import (SpectralData, fourier_translation_model,
                               make_commuting_random, make_jordan_polynomial,
                               make_tuple)
-from bpcalc.spectra import (joint_approximate_spectrum,
+from bpcalc.spectra import (JointSpectrumResult, SpectrumPoint, _union,
+                            joint_approximate_spectrum,
                             joint_point_spectrum, joint_residual_spectrum,
                             joint_spectrum, mapping_check, stacked_residual)
 
@@ -392,3 +394,207 @@ class TestMappingCheck:
         A = make_commuting_random(1, 3, seed=2)
         with pytest.raises(ValueError):
             mapping_check(poisson(), A, 6)
+
+
+def union_reference(approx, resid):
+    """The pairwise loop ``_union`` replaced, kept as its reference."""
+    tol = approx.tol
+    pts = list(approx.points)
+    for q in resid.points:
+        merged = False
+        for i, p in enumerate(pts):
+            if np.max(np.abs(p.value - q.value)) <= tol * (1.0 + np.max(np.abs(p.value))):
+                pts[i] = SpectrumPoint(
+                    value=p.value, right_vector=p.right_vector,
+                    left_vector=q.left_vector, residual=p.residual,
+                    corank=q.corank,
+                    multiplicity=max(p.multiplicity, q.multiplicity))
+                merged = True
+                break
+        if not merged:
+            pts.append(q)
+    return JointSpectrumResult(points=tuple(pts), tol=tol)
+
+
+def svd_min(M):
+    return float(np.linalg.svd(M, compute_uv=False)[-1])
+
+
+def adjoint_scale(A):
+    """max(1, ||C^*||_2) of the adjoint split, C = sum_j theta_j A_j."""
+    return max(1.0, np.linalg.norm(sum(t * G for t, G in zip(A.blocks.theta,
+                                                              A.generators)), 2))
+
+
+def lifted_poisson(n):
+    return poisson() if n == 1 else diagonal_lift(poisson(), [1.0, 0.5, 0.3][:n])
+
+
+CERTIFIED = {
+    **{"random-n%d-d%d" % (n, d): (lambda n=n, d=d: make_commuting_random(n, d, seed=n + d))
+       for n in (1, 2, 3) for d in (5, 32)},
+    **{"jordan-n%d-d%d" % (n, d): (lambda n=n, d=d: make_jordan_polynomial(n, d, seed=n + d))
+       for n in (1, 2) for d in (8, 32)},
+    "fourier": lambda: fourier_translation_model(2),
+}
+
+
+class TestCertificates:
+    """Every certificate is the residual of a returned unit vector, so it
+    bounds the smallest singular value from above; the SVD runs only where
+    that bound misses the scaled tolerance."""
+
+    @pytest.mark.parametrize("build", CERTIFIED.values(), ids=CERTIFIED.keys())
+    def test_bounds_the_singular_value(self, build):
+        A = build()
+        tol = 1e-8
+        eye = np.eye(A.d)
+        roundoff = 1e-14 * A.blocks.scale
+        approx = joint_approximate_spectrum(A, tol)
+        assert approx.points
+        for p in approx.points:
+            stack = np.vstack([G - l * eye for G, l in zip(A.generators, p.value)])
+            assert abs(np.linalg.norm(p.right_vector) - 1.0) <= 1e-12
+            # the residual of the returned vector, up to rounding
+            assert p.residual == pytest.approx(
+                np.linalg.norm(stack @ p.right_vector), abs=roundoff)
+            assert svd_min(stack) * (1 - 1e-12) <= p.residual <= tol * A.blocks.scale
+        resid = joint_residual_spectrum(A, tol)
+        assert resid.points
+        for p in resid.points:
+            stack = np.hstack([l * eye - G for G, l in zip(A.generators, p.value)])
+            f = p.left_vector
+            assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
+            assert p.corank == pytest.approx(np.linalg.norm(f.conj() @ stack),
+                                             abs=roundoff)
+            assert svd_min(stack) * (1 - 1e-12) <= p.corank <= tol * adjoint_scale(A)
+        psi = lifted_poisson(A.n)
+        F = apply_psi(psi, A)
+        for part in (1, 4):
+            rep = mapping_check(psi, A, part, operator=F)
+            assert rep.applicable and rep.passed and rep.rows
+            for r in rep.rows:
+                sigma = svd_min(F - r.mapped * eye)
+                assert sigma * (1 - 1e-12) <= r.evidence <= r.threshold
+
+    def test_cheap_bound_misses_on_colliding_combinations(self):
+        # two joint eigenvalues with one theta-combination: the Schur
+        # factor's near-kernel mixes their eigenvectors, so the exact value
+        # and its minimizer are returned
+        A = colliding_tuple(d=24, pairs=4)
+        split = A.blocks
+        missed = 0
+        for p in joint_approximate_spectrum(A).points:
+            x = split.near_null(p.value)
+            bound = np.linalg.norm([G @ x - l * x for G, l in zip(A.generators, p.value)])
+            if bound > 1e-8 * split.scale:
+                missed += 1
+                res, x = stacked_residual(A, p.value)
+                assert p.residual == res
+                assert np.array_equal(p.right_vector, x)
+        assert missed >= 4
+
+    def test_cheap_bound_misses_off_the_spectrum(self):
+        # an operator shifted off psi(A): the unit-vector bound exceeds the
+        # row's threshold, and the evidence is the exact singular value
+        A = make_commuting_random(1, 6, seed=4)
+        F = apply_psi(poisson(), A) + 1e-3 * np.eye(6)
+        for part in (1, 4):
+            rep = mapping_check(poisson(), A, part, operator=F)
+            for r in rep.rows:
+                assert r.verdict == "fail"
+                assert r.evidence == svd_min(F - r.mapped * np.eye(6))
+
+    def test_jordan_solves_raise_no_warning(self):
+        A = make_jordan_polynomial(2, 32, seed=11)
+        psi = lifted_poisson(2)
+        F = apply_psi(psi, A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = joint_spectrum(A)
+            reps = [mapping_check(psi, A, part, operator=F) for part in (1, 4, 5)]
+        assert len(res.points) == 1
+        assert all(rep.passed and len(rep.rows) == 1 for rep in reps)
+
+    @pytest.mark.parametrize("n,d", [(1, 32), (2, 24)])
+    def test_no_certificate_svd(self, n, d, monkeypatch):
+        A = make_commuting_random(n, d, seed=d, max_cond=4,
+                                  spectral_box=((-4.0, -0.5), (-3.0, 3.0)))
+        psi = lifted_poisson(n)
+        F = apply_psi(psi, A)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for part in (1, 4, 5):
+            rep = mapping_check(psi, A, part, operator=F)
+            assert rep.passed and len(rep.rows) == d
+        assert calls == []
+
+    @pytest.mark.parametrize("stripped", [False, True], ids=["spectral", "stripped"])
+    def test_large_norms_keep_every_point(self, stripped):
+        # |lambda| up to ~5e8: unscaled eigenvector tests at 1e-8 dropped
+        # every point, and part 2 passed with no rows
+        base = make_commuting_random(1, 8, seed=3)
+        joint = 1e8 * base.spectral.joint
+        spec = SpectralData(joint=joint, basis=base.spectral.basis)
+        G = 1e8 * base.generators[0]
+        A = make_tuple([G]) if stripped else make_tuple([G], spectral=spec)
+        for spectrum in (joint_point_spectrum, joint_residual_spectrum,
+                         joint_approximate_spectrum, joint_spectrum):
+            res = spectrum(A)
+            assert len(res.points) == 8
+            assert recovered(res, joint) <= 1e-8 * 5e8
+        rep = mapping_check(poisson(), A, 2)
+        assert rep.passed and len(rep.rows) == 8
+
+
+UNION_CASES = {
+    # resid points: two on one approx point, one near two approx points,
+    # one on none, one on that one
+    "mixed": ([[-1.0, -2.0], [-3.0, -1.0], [-1.0, -2.0 + 3.5e-8]],
+              [[-3.0, -1.0 + 1e-12], [-1.0, -2.0 + 1.75e-8], [-5.0, 0.0],
+               [-3.0, -1.0], [-5.0, 1e-12], [-7.0, -7.0]]),
+    # the third is near both appended points
+    "no-approx": ([], [[-1.0, -1.0], [-1.0, -1.0 + 3e-8], [-1.0, -1.0 + 1.5e-8],
+                       [-2.0, 0.0]]),
+    "no-resid": ([[-1.0, -2.0]], []),
+}
+
+
+@pytest.mark.parametrize("approx,resid", UNION_CASES.values(), ids=UNION_CASES.keys())
+def test_union_matches_the_loop(approx, resid):
+    def result(rows, right):
+        pts = tuple(SpectrumPoint(
+            value=np.array(v, dtype=complex), multiplicity=1 + k % 3,
+            right_vector=np.array([k, 1.0]) if right else None,
+            left_vector=None if right else np.array([1.0, k]),
+            residual=1e-12 * k if right else None,
+            corank=None if right else 1e-13 * k) for k, v in enumerate(rows))
+        return JointSpectrumResult(points=pts, tol=1e-8)
+
+    a, r = result(approx, True), result(resid, False)
+    got, want = _union(a, r), union_reference(a, r)
+    assert len(got.points) == len(want.points)
+    for p, q in zip(got.points, want.points):
+        assert np.array_equal(p.value, q.value)
+        assert p.right_vector is q.right_vector and p.left_vector is q.left_vector
+        assert (p.residual, p.corank, p.multiplicity) == (q.residual, q.corank,
+                                                          q.multiplicity)
+
+
+@pytest.mark.parametrize("build", [colliding_tuple, lambda: make_jordan_polynomial(2, 8, seed=3),
+                                   lambda: make_commuting_random(3, 5, seed=5)],
+                         ids=["colliding", "jordan", "random"])
+def test_union_matches_the_loop_on_spectra(build):
+    A = build()
+    approx, resid = joint_approximate_spectrum(A), joint_residual_spectrum(A)
+    got, want = _union(approx, resid), union_reference(approx, resid)
+    assert len(got.points) == len(want.points)
+    for p, q in zip(got.points, want.points):
+        assert np.array_equal(p.value, q.value)
+        assert p.left_vector is q.left_vector and p.corank == q.corank
