@@ -23,11 +23,17 @@ Seeds given with ``--traced-seeds`` are also run once per side with
 ``--trace 1``, and their per-layer metrics are stored as they are.  The
 machine record of the first run (nproc, Python, numpy, scipy, BLAS, thread
 variables) is stored too, and the file is written to the repository root.
+Under ``suite_csv`` each side's ``bpcalc run theorem_suite --format csv``
+is recorded at the config seed and at ``--seed 7``: the md5 and line count
+of the CSV and the exit code, with ``identical`` true where both sides
+wrote the same bytes.
 """
 
 import argparse
+import hashlib
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -54,6 +60,25 @@ def run_once(tree, workload, seed, seconds, trace):
             workload, tree, seed, proc.returncode, proc.stderr[-2000:]))
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def suite_csv(trees):
+    """md5, line count and exit code of the bundled suite's CSV on each
+    side, at the config seed and at --seed 7."""
+    out = {}
+    for key, extra in (("config_seed", []), ("seed_7", ["--seed", "7"])):
+        entry = {}
+        for name, tree in trees.items():
+            cmd = [sys.executable, "-m", "bpcalc.cli", "run", "theorem_suite",
+                   "--format", "csv", *extra]
+            proc = subprocess.run(cmd, cwd=tree, capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": str(tree / "src")})
+            entry[name] = {"md5": hashlib.md5(proc.stdout).hexdigest(),
+                           "lines": proc.stdout.count(b"\n"),
+                           "exit": proc.returncode}
+        entry["identical"] = entry["parent"]["md5"] == entry["change"]["md5"]
+        out[key] = entry
+    return out
 
 
 def summary(parent, change):
@@ -106,13 +131,18 @@ def main(argv=None):
                        "one run at a time, the parent first on odd seeds; "
                        "the parent from `git archive %s`, the change from "
                        "the working tree" % parent_rev,
-           "machine": None, "run_seconds": seconds,
+           "machine": None, "run_seconds": seconds, "suite_csv": None,
            "workloads": {}, "traced": {}, "notes": []}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(git("archive", parent_rev))) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"parent": Path(tmp), "change": ROOT}
+        out["suite_csv"] = suite_csv(trees)
+        for key, entry in out["suite_csv"].items():
+            out["notes"].append("theorem_suite csv at %s: %s (md5 %s -> %s)" % (
+                key, "identical" if entry["identical"] else "DIFFERS",
+                entry["parent"]["md5"], entry["change"]["md5"]))
 
         for workload, count in pairs.items():
             runs = {"parent": [], "change": []}

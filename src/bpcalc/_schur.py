@@ -6,9 +6,11 @@ generic combination C = sum_j theta_j A_j, its diagonal clustered, and each
 cluster moved to the front with ``ztrsen`` so that the leading Schur vectors
 span its invariant subspace.  Every A_j commutes with C and so leaves that
 subspace invariant (Corless, Gianni & Trager, ISSAC 1997).  ``Blocks`` is
-that split, computed once per tuple as ``OperatorTuple.blocks``.  It keeps
-the unreordered Schur pair too, on which ``near_null`` finds each joint
-eigenvector in O(d^2).
+that split, computed once per tuple as ``OperatorTuple.blocks``, and once
+for the reversed adjoint tuple as ``OperatorTuple.adjoint_blocks``, from
+which ``spectra`` reads the residual spectrum by the same route.  It keeps
+the matrices it split and the unreordered Schur pair, on which
+``near_null`` finds each joint eigenvector in O(d^2).
 """
 
 from functools import cached_property
@@ -80,19 +82,20 @@ def _largest(v):
 
 
 class Blocks:
-    """The split of commuting ``mats``: X = ``basis`` = [Q_1 ... Q_k], Q_i =
-    ``bases[i]`` an orthonormal basis of the invariant subspace of the i-th
-    eigenvalue cluster of C (single-linkage groups of the Schur diagonal at
-    radius 1e-6 max(1, ||C||_2), in order of first Schur position), and
-    ``compressions[i][j]`` = Q_i^* A_j Q_i.  ``theta`` holds the weights of
-    C, ``scale`` is max(1, ||C||_2), and (``T``, ``Z``) is the unreordered
-    Schur pair, C = Z T Z^*.  ``inverse`` and ``cond`` of X are formed on
-    first use.  Cost: one d x d Schur form and norm, then O(d^2) reordering
-    and O(n d^2 m_i) products per cluster of size m_i.  Raises LinAlgError
-    when ``ztrsen`` cannot reorder a cluster.
+    """The split of commuting ``mats`` (kept as ``mats``): X = ``basis`` =
+    [Q_1 ... Q_k], Q_i = ``bases[i]`` an orthonormal basis of the invariant
+    subspace of the i-th eigenvalue cluster of C (single-linkage groups of
+    the Schur diagonal at radius 1e-6 max(1, ||C||_2), in order of first
+    Schur position), and ``compressions[i][j]`` = Q_i^* A_j Q_i.  ``theta``
+    holds the weights of C, ``scale`` is max(1, ||C||_2), and (``T``,
+    ``Z``) is the unreordered Schur pair, C = Z T Z^*.  ``inverse`` and
+    ``cond`` of X are formed on first use.  Cost: one d x d Schur form and
+    norm, then O(d^2) reordering and O(n d^2 m_i) products per cluster of
+    size m_i.  Raises LinAlgError when ``ztrsen`` cannot reorder a cluster.
     """
 
     def __init__(self, mats):
+        self.mats = mats
         d = mats[0].shape[0]
         self.theta = np.resize(_THETA, len(mats))
         C = sum(t * G for t, G in zip(self.theta, mats))

@@ -129,6 +129,9 @@ def _fail(message: str, location: str):
 def _as_number(v, location: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail("expected a number", location)
+    # json reads 1e999, NaN and Infinity; a huge integer overflows float()
+    if not abs(v) <= sys.float_info.max:
+        _fail("expected a finite number", location)
     return float(v)
 
 
@@ -151,7 +154,7 @@ def _as_int(v, location: str, minimum: Optional[int] = None) -> int:
 def _as_complex_pair(v, location: str) -> list:
     # canonical form is [re, im]; bare reals are promoted
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return [float(v), 0.0]
+        return [_as_number(v, location), 0.0]
     return _as_list(v, location, "expected a number or an [re, im] pair",
                     _as_number, 2, 2)
 
@@ -807,10 +810,12 @@ def run(config: ScenarioConfig, seed: Optional[int] = None,
     Experiments run one after another in config order.  Operator
     construction failures become FAIL rows in each referencing experiment,
     module errors become ERROR rows, and partial results are always
-    retained.
+    retained.  A negative ``seed`` or a ``tol`` that is not a positive
+    finite number raises ConfigError, as in the config.
     """
-    run_seed = config.seed if seed is None else int(seed)
-    run_tol = config.tol if tol is None else float(tol)
+    run_seed = config.seed if seed is None else _as_int(int(seed), "seed",
+                                                        minimum=0)
+    run_tol = config.tol if tol is None else _as_number(float(tol), "tol")
     if run_tol <= 0:
         raise ConfigError("tolerances must be positive", "tol")
     start = time.perf_counter()

@@ -66,6 +66,18 @@ class OperatorTuple:
         return Blocks(self.generators)
 
     @cached_property
+    def adjoint_blocks(self) -> Blocks:
+        """The block split of the reversed adjoint generators rev A_j^* rev,
+        rev the reversal permutation, formed once, on first use."""
+        # the adjoint of an upper-triangular generator is lower triangular,
+        # where the eigensolver splits defective eigenvalues; reversal
+        # restores triangular form and costs nothing for other inputs (as
+        # products, not slices: they turn the -0.0 imaginary parts of the
+        # conjugates into +0.0, on which the Schur form's rounding depends)
+        rev = np.eye(self.d)[::-1]
+        return Blocks([rev @ G.conj().T @ rev for G in self.generators])
+
+    @cached_property
     def representation(self):
         """The integrand representation of ``calculus`` (its block profile),
         formed once, on first use."""

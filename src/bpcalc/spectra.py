@@ -6,20 +6,23 @@ eigenvectors, equivalently the point spectrum of the adjoint tuple), the
 approximate spectrum (smallest singular value of the stacked shifts, which
 collapses onto the point spectrum in finite dimension), and their union.
 
-Common eigenvectors come from the tuple's block split ``A.blocks``
-(``_schur``: one reordered Schur form per tuple, shared with ``calculus``):
-the joint eigenvalues are read inside each eigenvalue cluster's invariant
+Both sides of the duality take one route.  The point and approximate
+spectra read the tuple's block split ``A.blocks`` (``_schur``: one
+reordered Schur form per tuple, shared with ``calculus``); the residual
+spectrum reads the split of the reversed adjoint tuple, ``A.adjoint_blocks``,
+also formed once per tuple, and conjugates its points.  In a split, the
+joint eigenvalues are read inside each eigenvalue cluster's invariant
 subspace, directly for a simple eigenvalue and by a kernel solve on the
-m x m compressions of the A_j for a cluster of size m, O(d^3) in all for d
-distinct joint eigenvalues.  The residual spectrum splits the adjoint
-tuple.  Each certificate (the stacked singular value per approximate point,
-the corank per residual point) is the stacked residual of one unit vector,
-which bounds the smallest singular value of the stack from above: one
-inverse-iteration step on the split's triangular Schur factor gives that
-vector in O(n d^2) (Lui, SIMAX 1997).  Only where it misses the scaled
-tolerance does an SVD of the d x nd or nd x d stack give the exact value.
-Eigenvector tests and certificates are scaled by max(1, ||C||_2), so that a
-tuple of large norm keeps its points.
+m x m compressions for a cluster of size m, O(d^3) in all for d distinct
+joint eigenvalues.  Each certificate (the stacked singular value per
+approximate point, the corank per residual point) is the stacked residual
+of one unit vector, which bounds the smallest singular value of the stack
+from above: one inverse-iteration step on the split's triangular Schur
+factor gives that vector in O(n d^2) (Lui, SIMAX 1997).  Only where it
+misses the scaled tolerance does an SVD of the nd x d stack
+(``stacked_residual``) give the exact value.  Eigenvector tests and
+certificates are scaled by max(1, ||C||_2), so that a tuple of large norm
+keeps its points.
 """
 
 from dataclasses import dataclass
@@ -114,98 +117,67 @@ def _block_eigvecs(blocks, tol):
     return out
 
 
-def _common_eigvecs(split: Blocks, tol):
-    """All (lam, Q) with Q an orthonormal basis of the joint eigenspace,
-    from the block split ``split`` (``_schur.Blocks``).
+def _joint_points(split: Blocks, tol):
+    """(lam, x, m) for each joint eigenvalue lam of ``split.mats`` whose unit
+    common eigenvector x passes max_j ||(mats_j - lam_j) x|| <= tol
+    max(1, ||C||_2); m is the dimension of its joint eigenspace.
 
     A cluster of one eigenvalue gives lam_j = x^* A_j x, its 1 x 1
     compression; a larger one (a Jordan block, a repeated eigenvalue, or
     distinct joint eigenvalues whose theta-combinations coincide) is solved
     by ``_block_eigvecs`` on its m x m compressions, in O(m^3).
     """
-    out = []
+    found = []
     for Q, blocks in zip(split.bases, split.compressions):
-        if Q.shape[1] == 1:
-            out.append((np.array([B[0, 0] for B in blocks]), Q))
-        else:
-            out.extend((lam, Q @ K) for lam, K in _block_eigvecs(blocks, tol))
+        pairs = ([(np.array([B[0, 0] for B in blocks]), Q)] if Q.shape[1] == 1
+                 else [(lam, Q @ K) for lam, K in _block_eigvecs(blocks, tol)])
+        for lam, V in pairs:
+            x = V[:, 0] / np.linalg.norm(V[:, 0])
+            if max(np.linalg.norm(G @ x - l * x)
+                   for G, l in zip(split.mats, lam)) <= tol * split.scale:
+                found.append((lam, x, V.shape[1]))
+    return found
+
+
+def _certified(split: Blocks, tol):
+    """(lam, x, r, m) for each (lam, _, m) of ``_joint_points``: x the unit
+    vector from the split's Schur factor (``Blocks.near_null``) and r =
+    sqrt(sum_j ||(mats_j - lam_j) x||^2) its stacked residual, an upper
+    bound on the smallest singular value of the stack; where r exceeds tol
+    max(1, ||C||_2), that singular value and its minimizer, from an SVD."""
+    found = _joint_points(split, tol)
+    lams = np.reshape([lam for lam, _, _ in found], (-1, len(split.mats)))
+    X = split.near_null(lams)
+    bounds = np.sqrt(sum(np.sum(np.abs(G @ X - X * lams[:, j]) ** 2, axis=0)
+                         for j, G in enumerate(split.mats)))
+    out = []
+    for (lam, _, m), x, r in zip(found, X.T, bounds):
+        if r > tol * split.scale:
+            r, x = _smallest_singular(split.mats, lam)
+        out.append((lam, x, float(r), m))
     return out
 
 
-def _max_residual(mats, lam, x):
-    return max(float(np.linalg.norm(mats[j] @ x - lam[j] * x))
-               for j in range(len(mats)))
-
-
-def _stacked(mats, lams, X):
-    """sqrt(sum_j ||(mats_j - lam_j) x||^2) for each column x of ``X`` and
-    its row lam of ``lams``."""
-    return np.sqrt(sum(np.sum(np.abs(G @ X - X * lams[:, j]) ** 2, axis=0)
-                       for j, G in enumerate(mats)))
-
-
-def joint_point_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
-    """Tuples lam admitting a common eigenvector, certificates attached."""
-    split = A.blocks
-    pts = []
-    for lam, Q in _common_eigvecs(split, tol):
-        x = Q[:, 0]
-        x = x / np.linalg.norm(x)
-        if _max_residual(A.generators, lam, x) > tol * split.scale:
-            continue
-        pts.append(SpectrumPoint(value=lam, right_vector=x,
-                                 multiplicity=Q.shape[1]))
-    return JointSpectrumResult(points=tuple(pts), tol=tol)
-
-
-def joint_residual_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
-    """Adjoint duality: conjugated point spectrum of the adjoint tuple."""
-    star = [G.conj().T for G in A.generators]
-    # reversal similarity: the adjoint of an upper-triangular generator is
-    # lower triangular, where the eigensolver splits defective eigenvalues;
-    # flipping restores triangular form and costs nothing for other inputs
-    # (as products, not slices: they turn the -0.0 imaginary parts of the
-    # conjugates into +0.0, on which the Schur form's rounding depends)
-    rev = np.eye(A.d)[::-1]
-    split = Blocks([rev @ G @ rev for G in star])
-    limit = tol * split.scale
-    found = []
-    for mu, Q in _common_eigvecs(split, tol):
-        f = Q[::-1, 0]
-        f = f / np.linalg.norm(f)
-        if _max_residual(star, mu, f) <= limit:
-            found.append((mu, Q.shape[1]))
-    # the corank certificates: left vectors from the adjoint split's Schur
-    # factor, or the exact value where one misses
-    mus = np.reshape([mu for mu, _ in found], (-1, A.n))
-    left = split.near_null(mus)[::-1]
-    pts = []
-    for (mu, m), f, corank in zip(found, left.T, _stacked(star, mus, left)):
-        lam = np.conj(mu)
-        if corank > limit:
-            corank, f = _corank(A, lam)
-        pts.append(SpectrumPoint(value=lam, left_vector=f, corank=float(corank),
-                                 multiplicity=m))
-    return JointSpectrumResult(points=tuple(pts), tol=tol)
-
-
-def _corank(A: OperatorTuple, lam):
-    """min over unit f of sqrt(sum_j ||(A_j^* - conj(lam_j)) f||^2), the
-    smallest singular value of the horizontal stack of (lam_j I - A_j), with
-    minimizer."""
-    eye = np.eye(A.d)
-    stack = np.hstack([lam[j] * eye - A.generators[j] for j in range(A.n)])
-    U, s_vals, _ = np.linalg.svd(stack, full_matrices=False)
-    return float(s_vals[-1]), U[:, -1]
+def _smallest_singular(mats, lam):
+    """min over unit x of sqrt(sum_j ||(mats_j - lam_j)x||^2), the smallest
+    singular value of the vertical stack, with minimizer."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    eye = np.eye(mats[0].shape[0])
+    stack = np.vstack([G - l * eye for G, l in zip(mats, lam)])
+    _, s_vals, Vh = np.linalg.svd(stack)
+    return float(s_vals[-1]), Vh[-1].conj()
 
 
 def stacked_residual(A: OperatorTuple, lam):
     """min over unit x of sqrt(sum_j ||(A_j - lam_j)x||^2), with minimizer."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    eye = np.eye(A.d)
-    stack = np.vstack([A.generators[j] - lam[j] * eye for j in range(A.n)])
-    _, s_vals, Vh = np.linalg.svd(stack)
-    return float(s_vals[-1]), Vh[-1].conj()
+    return _smallest_singular(A.generators, lam)
+
+
+def joint_point_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
+    """Tuples lam admitting a common eigenvector, certificates attached."""
+    pts = tuple(SpectrumPoint(value=lam, right_vector=x, multiplicity=m)
+                for lam, x, m in _joint_points(A.blocks, tol))
+    return JointSpectrumResult(points=pts, tol=tol)
 
 
 def joint_approximate_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
@@ -215,18 +187,20 @@ def joint_approximate_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpec
     (unit-sphere compactness turns approximate eigenvectors into exact
     ones), so the value set is shared and only the certificate differs.
     """
-    split = A.blocks
-    base = joint_point_spectrum(A, tol)
-    lams = np.reshape(base.values(), (-1, A.n))
-    X = split.near_null(lams)
-    pts = []
-    for p, x, res in zip(base.points, X.T, _stacked(A.generators, lams, X)):
-        if res > tol * split.scale:
-            res, x = stacked_residual(A, p.value)
-        pts.append(SpectrumPoint(value=p.value, right_vector=x,
-                                 residual=float(res),
-                                 multiplicity=p.multiplicity))
-    return JointSpectrumResult(points=tuple(pts), tol=tol)
+    pts = tuple(SpectrumPoint(value=lam, right_vector=x, residual=r,
+                              multiplicity=m)
+                for lam, x, r, m in _certified(A.blocks, tol))
+    return JointSpectrumResult(points=pts, tol=tol)
+
+
+def joint_residual_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
+    """Adjoint duality: the conjugated approximate spectrum of the adjoint
+    tuple, read from its split ``A.adjoint_blocks`` of the rev A_j^* rev;
+    each vector, reversed back, is a left vector of the A_j."""
+    pts = tuple(SpectrumPoint(value=np.conj(mu), left_vector=f[::-1],
+                              corank=r, multiplicity=m)
+                for mu, f, r, m in _certified(A.adjoint_blocks, tol))
+    return JointSpectrumResult(points=pts, tol=tol)
 
 
 def _merged(p: SpectrumPoint, q: SpectrumPoint) -> SpectrumPoint:
@@ -417,11 +391,13 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
     elif part == 3:
         resid = joint_residual_spectrum(A).points
         targets = _targets(psi, resid)
+        # |L^* V|: row p pairs the left vector of point p with each
+        # eigenvector of F
+        L = np.reshape([p.left_vector for p in resid], (-1, A.d))
+        pairings = np.abs(L.conj() @ evecs)
         for i in range(len(evals)):
             alpha = complex(evals[i])
-            x = evecs[:, i]
-            for p, target in zip(resid, targets):
-                pairing = float(abs(p.left_vector.conj() @ x))
+            for p, target, pairing in zip(resid, targets, pairings[:, i].tolist()):
                 if pairing <= tol:
                     continue
                 dist = abs(alpha - target)

@@ -353,6 +353,20 @@ class TestParseConfig:
             parse_config(doc)
         assert err.value.location == location
 
+    @pytest.mark.parametrize("text, location", [
+        ('{"tol": 1e999}', "tol"),
+        ('{"tol": NaN}', "tol"),
+        ('{"tol": -Infinity}', "tol"),
+        ('{"operators": [{"id": "m", "matrices": [[[NaN]]]}]}',
+         "operators[0].matrices[0][0][0]"),
+        ('{"operators": [{"id": "m", "matrices": [[[%s]]]}]}' % ("9" * 400),
+         "operators[0].matrices[0][0][0]"),
+    ], ids=["overflow", "nan", "infinity", "matrix-nan", "huge-integer"])
+    def test_non_finite_number_rejected(self, text, location):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "expected a finite number (at %s)" % location
+
     def test_bundled_suite_parses(self):
         cfg = parse_config(_load_config_text("theorem_suite"))
         assert len(cfg.experiment_specs) == 16
@@ -452,6 +466,13 @@ class TestRun:
         assert bad[0].quantity == "tuple_validation"
         assert bad[0].verdict == "FAIL"
         assert report.exit_code == 1
+
+    @pytest.mark.parametrize("override", [
+        {"tol": float("inf")}, {"tol": float("nan")}, {"seed": -3}],
+        ids=["tol-inf", "tol-nan", "seed-negative"])
+    def test_bad_override_rejected(self, override):
+        with pytest.raises(ConfigError):
+            run(parse_config(small_doc()), **override)
 
     def test_seed_moves_trials_not_closed_form(self):
         cfg = parse_config(small_doc())
@@ -763,6 +784,20 @@ class TestMain:
              "parameters": {"alpha": 1.5}}]}))
         assert main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        (["--tol", "inf"], "expected a finite number (at tol)"),
+        (["--tol", "nan"], "expected a finite number (at tol)"),
+        (["--tol", "0"], "tolerances must be positive (at tol)"),
+        (["--seed", "-1"], "must be at least 0 (at seed)"),
+    ], ids=["tol-inf", "tol-nan", "tol-zero", "seed-negative"])
+    def test_bad_override_exit_two(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(small_doc()))
+        assert main(["run", str(cfg)] + override) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith("config error: %s\n" % message)
+        assert captured.out == ""
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

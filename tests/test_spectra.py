@@ -15,7 +15,8 @@ from bpcalc.calculus import (apply_psi, apply_psi_spectral,
 from bpcalc.semigroup import (SpectralData, fourier_translation_model,
                               make_commuting_random, make_jordan_polynomial,
                               make_tuple)
-from bpcalc.spectra import (JointSpectrumResult, SpectrumPoint, _union,
+from bpcalc.spectra import (JointSpectrumResult, SpectrumPoint, _block_eigvecs,
+                            _union,
                             joint_approximate_spectrum,
                             joint_point_spectrum, joint_residual_spectrum,
                             joint_spectrum, mapping_check, stacked_residual)
@@ -200,10 +201,14 @@ class TestBlockSplit:
         for part in (2, 4):
             assert mapping_check(psi, A, part).passed
         assert len(calls) == 1
-        # the adjoint tuple has its own split
+        # the adjoint tuple has its own split, also formed once
         joint_residual_spectrum(A)
         joint_residual_spectrum(A)
-        assert len(calls) == 3
+        joint_spectrum(A)
+        for part in (1, 3, 5):
+            mapping_check(psi, A, part)
+        assert len(calls) == 2
+        assert A.adjoint_blocks is A.adjoint_blocks
 
     @pytest.mark.parametrize("build", SPLIT_TUPLES + [
         lambda: make_commuting_random(2, 24, seed=7), colliding_tuple],
@@ -416,6 +421,38 @@ def union_reference(approx, resid):
     return JointSpectrumResult(points=tuple(pts), tol=tol)
 
 
+def residual_reference(A, tol=1e-8):
+    """The per-call route ``joint_residual_spectrum`` replaced, kept as its
+    reference: a fresh split of the reversed adjoint tuple, the eigenvector
+    test on the adjoint generators, and an SVD of the horizontal stack of
+    (lam_j I - A_j) where a corank misses."""
+    star = [G.conj().T for G in A.generators]
+    rev = np.eye(A.d)[::-1]
+    split = _schur.Blocks([rev @ G @ rev for G in star])
+    limit = tol * split.scale
+    found = []
+    for Q, blocks in zip(split.bases, split.compressions):
+        pairs = ([(np.array([B[0, 0] for B in blocks]), Q)] if Q.shape[1] == 1
+                 else [(mu, Q @ K) for mu, K in _block_eigvecs(blocks, tol)])
+        for mu, V in pairs:
+            f = V[::-1, 0] / np.linalg.norm(V[::-1, 0])
+            if max(np.linalg.norm(G @ f - m * f) for G, m in zip(star, mu)) <= limit:
+                found.append((mu, V.shape[1]))
+    mus = np.reshape([mu for mu, _ in found], (-1, A.n))
+    left = split.near_null(mus)[::-1]
+    pts = []
+    for (mu, m), f, mu_row in zip(found, left.T, mus):
+        corank = np.linalg.norm([G @ f - l * f for G, l in zip(star, mu_row)])
+        lam = np.conj(mu)
+        if corank > limit:
+            stack = np.hstack([l * np.eye(A.d) - G for G, l in zip(A.generators, lam)])
+            U, s_vals, _ = np.linalg.svd(stack, full_matrices=False)
+            corank, f = s_vals[-1], U[:, -1]
+        pts.append(SpectrumPoint(value=lam, left_vector=f, corank=float(corank),
+                                 multiplicity=m))
+    return JointSpectrumResult(points=tuple(pts), tol=tol)
+
+
 def svd_min(M):
     return float(np.linalg.svd(M, compute_uv=False)[-1])
 
@@ -551,6 +588,63 @@ class TestCertificates:
             assert recovered(res, joint) <= 1e-8 * 5e8
         rep = mapping_check(poisson(), A, 2)
         assert rep.passed and len(rep.rows) == 8
+
+
+def scaled_tuple():
+    """make_commuting_random(1, 8) scaled by 1e8, stripped of its
+    spectral data."""
+    return make_tuple([1e8 * make_commuting_random(1, 8, seed=3).generators[0]])
+
+
+RESIDUAL_CASES = {**CERTIFIED, "colliding": colliding_tuple, "scaled": scaled_tuple}
+
+
+@pytest.mark.parametrize("build", RESIDUAL_CASES.values(), ids=RESIDUAL_CASES.keys())
+def test_residual_spectrum_matches_the_reference(build):
+    A = build()
+    got, want = joint_residual_spectrum(A), residual_reference(A)
+    assert len(got.points) == len(want.points) > 0
+    for p, q in zip(got.points, want.points):
+        assert np.array_equal(p.value, q.value)
+        assert p.multiplicity == q.multiplicity
+        phase = np.vdot(p.left_vector, q.left_vector)
+        phase /= abs(phase)
+        assert np.linalg.norm(q.left_vector - phase * p.left_vector) <= 1e-12
+        assert abs(p.corank - q.corank) <= 1e-14 * adjoint_scale(A)
+
+
+def part3_reference(psi, A, F, tol=1e-6):
+    """(source, mapped, matched, pairing) of each part 3 row, from the
+    per-pair loop that the one product |L^* V| replaced."""
+    evals, evecs = np.linalg.eig(F)
+    resid = joint_residual_spectrum(A).points
+    targets = eval_psi(psi, np.array([p.value for p in resid])).tolist()
+    rows = []
+    for i in range(len(evals)):
+        for p, target in zip(resid, targets):
+            pairing = float(abs(p.left_vector.conj() @ evecs[:, i]))
+            if pairing > tol:
+                rows.append((tuple(p.value), complex(evals[i]), target, pairing))
+    return rows
+
+
+PART3_CASES = {key: CERTIFIED[key] for key in ("random-n2-d32", "random-n3-d5",
+                                               "fourier")}
+PART3_CASES["colliding"] = lambda: colliding_tuple(d=24, pairs=4)
+
+
+@pytest.mark.parametrize("build", PART3_CASES.values(), ids=PART3_CASES.keys())
+def test_part_three_matches_the_loop(build):
+    A = build()
+    psi = lifted_poisson(A.n)
+    F = apply_psi(psi, A)
+    rows = mapping_check(psi, A, 3, operator=F).rows
+    want = part3_reference(psi, A, F)
+    assert rows and len(rows) == len(want)
+    for r, (source, mapped, matched, pairing) in zip(rows, want):
+        assert (r.source, r.mapped, r.matched) == (source, mapped, matched)
+        # one product sums in another order than the loop's dot products
+        assert abs(r.evidence - pairing) <= A.d * np.finfo(float).eps
 
 
 UNION_CASES = {
