@@ -27,6 +27,10 @@ Under ``suite_csv`` each side's ``bpcalc run theorem_suite --format csv``
 is recorded at the config seed and at ``--seed 7``: the md5 and line count
 of the CSV and the exit code, with ``identical`` true where both sides
 wrote the same bytes.
+Under ``suite_walls`` each side's per-experiment walls of the bundled suite
+are recorded: the median of 5 in-process ``cli.run`` calls at the config
+seed, in one subprocess per side.  Each ``moment-*`` experiment gets a
+note, so that the file shows which experiment a ``suite`` change moved.
 """
 
 import argparse
@@ -81,6 +85,32 @@ def suite_csv(trees):
     return out
 
 
+SUITE_WALLS = """
+import json, statistics
+from importlib import resources
+from bpcalc import cli
+text = (resources.files("bpcalc") / "scenarios" / "theorem_suite.json").read_text()
+cfg = cli.parse_config(text)
+walls = {}
+for _ in range(5):
+    for e in cli.run(cfg).experiments:
+        walls.setdefault(e.name, []).append(e.wall)
+print(json.dumps({k: statistics.median(v) for k, v in walls.items()}))
+"""
+
+
+def suite_walls(trees):
+    """Median wall in seconds of each experiment of the bundled suite over 5
+    in-process ``cli.run`` calls at the config seed, one subprocess a side."""
+    out = {}
+    for name, tree in trees.items():
+        proc = subprocess.run([sys.executable, "-c", SUITE_WALLS], cwd=tree,
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(tree / "src")})
+        out[name] = {k: round(v, 5) for k, v in json.loads(proc.stdout).items()}
+    return out
+
+
 def summary(parent, change):
     """Medians, quartiles and pairwise wins of one metric over the pairs."""
     def side(runs):
@@ -132,6 +162,7 @@ def main(argv=None):
                        "the parent from `git archive %s`, the change from "
                        "the working tree" % parent_rev,
            "machine": None, "run_seconds": seconds, "suite_csv": None,
+           "suite_walls": None,
            "workloads": {}, "traced": {}, "notes": []}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -143,6 +174,13 @@ def main(argv=None):
             out["notes"].append("theorem_suite csv at %s: %s (md5 %s -> %s)" % (
                 key, "identical" if entry["identical"] else "DIFFERS",
                 entry["parent"]["md5"], entry["change"]["md5"]))
+        out["suite_walls"] = walls = suite_walls(trees)
+        for exp in sorted(walls["parent"]):
+            if exp.startswith("moment-") and exp in walls["change"]:
+                p, c = walls["parent"][exp], walls["change"][exp]
+                out["notes"].append(
+                    "suite wall of %s (median of 5 runs): %.4g -> %.4g s "
+                    "(%+.1f%%)" % (exp, p, c, 100.0 * (c / p - 1.0)))
 
         for workload, count in pairs.items():
             runs = {"parent": [], "change": []}

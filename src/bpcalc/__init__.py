@@ -16,7 +16,7 @@ from .bernstein import (
 from .analysis import (
     HolomorphyReport, MomentReport, boundedness_experiment,
     convergence_experiment, holomorphy_criterion, k_constant, moment_check,
-    step_bound_check,
+    moment_checks, step_bound_check,
 )
 from .calculus import (
     CatalogGapError, apply_psi, apply_psi_spectral, factorization_check,
@@ -24,9 +24,11 @@ from .calculus import (
     w_operator, w_operator_bound,
 )
 from .semigroup import (
-    DiagonalRayModel, OperatorTuple, SpectralData, adjoint, estimate_bound,
+    DiagonalRayModel, OperatorTuple, SpectralData, TupleStack, adjoint,
+    estimate_bound,
     fourier_translation_model, holomorphy_defect_ray, make_commuting_random,
-    make_jordan_polynomial, make_tuple, semigroup_apply,
+    make_commuting_random_stack, make_jordan_polynomial, make_tuple,
+    semigroup_apply,
 )
 from .spectra import (
     JointSpectrumResult, MappingReport, MappingRow, SpectrumPoint,
@@ -39,7 +41,8 @@ __all__ = [
     "HolomorphyReport", "JointSpectrumResult", "LevyMeasure", "MappingReport",
     "MappingRow", "MomentReport", "OperatorTuple",
     "QuadratureError", "RadialDensity", "SpectralData", "SpectrumPoint",
-    "SubordinatorFamily", "adjoint", "apply_psi", "apply_psi_spectral",
+    "SubordinatorFamily", "TupleStack", "adjoint", "apply_psi",
+    "apply_psi_spectral",
     "boundedness_experiment", "catalog_ids", "check_absolute_monotonicity",
     "cone_combine", "convergence_experiment", "diagonal_lift", "direct_sum",
     "estimate_bound", "eval_psi", "eval_via_levy", "factorization_check",
@@ -48,8 +51,8 @@ __all__ = [
     "joint_approximate_spectrum", "joint_point_spectrum",
     "joint_residual_spectrum", "joint_spectrum", "k_constant",
     "laplace_identity_error", "linear", "log1m", "make_commuting_random",
-    "make_jordan_polynomial", "make_tuple", "mapping_check", "moment_check",
-    "poisson", "semigroup_apply", "stacked_residual", "step_bound_check",
+    "make_commuting_random_stack", "make_jordan_polynomial", "make_tuple",
+    "mapping_check", "moment_check", "moment_checks", "poisson", "semigroup_apply", "stacked_residual", "step_bound_check",
     "subordinated", "v_operator", "w_operator",
     "w_operator_bound",
 ]

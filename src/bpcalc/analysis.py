@@ -18,6 +18,7 @@ from .semigroup import (DiagonalRayModel, OperatorTuple, fourier_modes,
 
 __all__ = [
     "HolomorphyReport", "MomentReport", "k_constant", "moment_check",
+    "moment_checks",
     "step_bound_check", "holomorphy_criterion", "boundedness_experiment",
     "convergence_experiment",
 ]
@@ -53,30 +54,64 @@ def k_constant(M: float) -> float:
 
 
 def moment_check(psi: BernsteinFunction, A: OperatorTuple, x) -> MomentReport:
-    """Pointwise bound ||psi(A)x|| <= -n K_M M^{n-1} psi(-||A_j x||/(n||x||)) ||x||."""
-    x = np.asarray(x, dtype=complex)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
+    """Pointwise bound ||psi(A)x|| <= -n K_M M^{n-1} psi(-||A_j x||/(n||x||)) ||x||.
+
+    The one-vector case of moment_checks.
+    """
+    return moment_checks(psi, A, [np.ravel(x)])[0]
+
+
+def moment_checks(psi: BernsteinFunction, A, xs) -> tuple:
+    """moment_check at every row x_t of ``xs``, as stacked arithmetic.
+
+    ``A`` is one OperatorTuple, whose psi(A) is formed once for all rows,
+    or a TupleStack (make_commuting_random_stack) whose tuple t goes with
+    row t.  A stack's psi(A) comes from one eval_psi over all its joint
+    spectra, and all arguments -||A_j x_t||/(n||x_t||) go through one
+    eval_psi as well.  The products A_j x_t and psi(A) x_t run as
+    (T, d, d) @ (T, d, 1) stacks; the norms are taken per row, as
+    moment_check takes them, so each report equals moment_check's bit for
+    bit.
+    """
+    X = np.asarray(xs, dtype=complex)
+    nxs = [float(np.linalg.norm(x)) for x in X]
+    if 0.0 in nxs:
         raise ValueError("x must be nonzero")
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
-    M = float(max(A.bounds))
-    K = k_constant(M)
-    norms = np.array([float(np.linalg.norm(A.generators[j] @ x))
-                      for j in range(A.n)])
+    n = psi.n
+    if isinstance(A, OperatorTuple):
+        F = _psi_matrix(psi, A)
+        Ms = [float(max(A.bounds))] * len(X)
+    else:
+        if len(A) != len(X):
+            raise ValueError("give one vector per tuple of the stack")
+        vals = eval_psi(psi, A.joint.reshape(-1, n)).reshape(A.joint.shape[:2])
+        F = (A.basis * vals[:, None, :]) @ A.inverse
+        Ms = [A.bound(t) for t in range(len(X))]
+    V = X[:, :, None]
+    AV = [g @ V for g in A.generators]
+    norms = np.array([[float(np.linalg.norm(Ax[t, :, 0])) for Ax in AV]
+                      for t in range(len(X))])
     # A_j x = 0 pins the argument to the face s_j = 0; catalog functions are
     # continuous up to that face, so direct evaluation is the extension
-    zero_face = bool(np.any(norms == 0.0))
-    arg = -norms / (A.n * nx)
-    psi_val = float(np.real(eval_psi(psi, arg)))
-    lhs = float(np.linalg.norm(_psi_matrix(psi, A) @ x))
-    rhs = -A.n * K * M ** (A.n - 1) * psi_val * nx
-    if rhs > 0.0:
-        ratio = lhs / rhs
-    else:
-        ratio = 0.0 if lhs == 0.0 else float("inf")
-    return MomentReport(M=M, k_m=K, n=A.n, lhs=lhs, rhs=rhs,
-                        slack=rhs - lhs, ratio=ratio, zero_face=zero_face)
+    zero_face = (norms == 0.0).any(axis=1)
+    arg = -norms / (n * np.array(nxs)[:, None])
+    psi_vals = np.real(eval_psi(psi, arg))
+    FV = F @ V
+    reports = []
+    for t, (M, nx) in enumerate(zip(Ms, nxs)):
+        K = k_constant(M)
+        lhs = float(np.linalg.norm(FV[t, :, 0]))
+        rhs = -n * K * M ** (n - 1) * float(psi_vals[t]) * nx
+        if rhs > 0.0:
+            ratio = lhs / rhs
+        else:
+            ratio = 0.0 if lhs == 0.0 else float("inf")
+        reports.append(MomentReport(
+            M=M, k_m=K, n=n, lhs=lhs, rhs=rhs, slack=rhs - lhs, ratio=ratio,
+            zero_face=bool(zero_face[t])))
+    return tuple(reports)
 
 
 def step_bound_check(A: OperatorTuple, x, u) -> float:

@@ -26,13 +26,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .analysis import (boundedness_experiment, convergence_experiment,
-                       holomorphy_criterion, moment_check)
+                       holomorphy_criterion, moment_checks)
 from .bernstein import CATALOG, QuadratureError, build_catalog
 from .calculus import (CatalogGapError, apply_psi, apply_psi_spectral,
                        factorization_check, generator_limit_check,
                        laplace_identity_error, subordinated)
 from .semigroup import (DiagonalRayModel, fourier_translation_model,
-                        make_commuting_random, make_tuple)
+                        make_commuting_random, make_commuting_random_stack,
+                        make_tuple)
 from .spectra import mapping_check
 
 class ConfigError(ValueError):
@@ -512,16 +513,19 @@ def _build_operator(spec: dict):
         return make_tuple(mats)
     if "random" in spec:
         rec = spec["random"]
-        box = rec.get("box")
-        kwargs = {}
-        if box is not None:
-            kwargs["spectral_box"] = (tuple(box[0]), tuple(box[1]))
         return make_commuting_random(rec["n"], rec["d"], seed=rec["seed"],
-                                     **kwargs)
+                                     **_box_kwargs(rec))
     if "fourier" in spec:
         return fourier_translation_model(spec["fourier"]["K"],
                                          n=spec["fourier"]["n"])
     return DiagonalRayModel(theta=spec["ray"]["theta"])
+
+
+def _box_kwargs(rec: dict) -> dict:
+    """The spectral_box keyword of a random recipe, when it gives one."""
+    box = rec.get("box")
+    return {} if box is None else {"spectral_box": (tuple(box[0]),
+                                                    tuple(box[1]))}
 
 
 def _operator_for(ops: dict, ref: str):
@@ -671,20 +675,37 @@ def _run_holomorphy(name, spec, cfg, ops, seed, tol, idx):
     return rows, notes
 
 
+# matrix entries per stack of drawn tuples (1 MB a complex stack), so that a
+# sweep's memory stays bounded however many trials it runs
+_STACK_ENTRIES = 1 << 16
+
+
 def _run_moment(name, spec, cfg, ops, seed, tol, idx):
+    """One row per trial and the worst-slack row.
+
+    A random recipe draws a fresh tuple per trial, as stacks of trials;
+    any other operator is shared, its psi(A) formed once.  The trials are
+    checked as stacks (analysis.moment_checks)."""
     psi = cfg.functions[spec["function"]]
     A = _operator_for(ops, spec["operator"])  # surfaces build failures once
-    # a random recipe draws a fresh tuple per trial
+    trials = range(spec["trials"])
+    xs = [np.random.default_rng([seed, idx, trial]).standard_normal(A.d)
+          for trial in trials]
     rec = cfg.operator_spec(spec["operator"]).get("random")
+    if rec is None:
+        reports = moment_checks(psi, A, xs)
+    else:
+        step = max(1, _STACK_ENTRIES // A.d ** 2)
+        reports = []
+        for start in range(0, len(trials), step):
+            stack = make_commuting_random_stack(
+                rec["n"], rec["d"], [[rec["seed"], seed, trial]
+                                     for trial in trials[start:start + step]],
+                **_box_kwargs(rec))
+            reports += moment_checks(psi, stack, xs[start:start + step])
     rows = []
     worst = None
-    for trial in range(spec["trials"]):
-        if rec is not None:
-            A = _build_operator(
-                {"random": dict(rec, seed=[rec["seed"], seed, trial])})
-        rng = np.random.default_rng([seed, idx, trial])
-        x = rng.standard_normal(A.d)
-        rep = moment_check(psi, A, x)
+    for trial, rep in zip(trials, reports):
         scale = max(1.0, rep.lhs, rep.rhs)
         bound = -(tol * 1e-3) * scale
         rows.append(Row(name, "trial%d" % trial, "slack", rep.slack, bound,

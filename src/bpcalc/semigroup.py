@@ -4,6 +4,13 @@ Tuples come in two constructive families: jointly diagonalizable (shared
 eigenbasis with controlled conditioning) and polynomials in one nilpotent
 block (exactly commuting, non-diagonalizable).  A lazy diagonal ray model
 covers the spectra that no finite matrix can host.
+
+Random tuples are drawn as stacks: make_commuting_random_stack draws one
+tuple per seed, each from its own generator, and runs the SVDs, inverses,
+products and make_tuple's checks once on the (seeds, d, d) stacks.  A
+stacked LAPACK or BLAS call rounds each matrix as the unstacked call does,
+so tuple t is bit for bit the one make_commuting_random(n, d, seeds[t])
+returns; make_commuting_random is the one-seed stack.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +23,9 @@ from scipy.linalg import expm
 from ._schur import Blocks
 
 __all__ = [
-    "SpectralData", "OperatorTuple", "DiagonalRayModel",
-    "make_tuple", "make_commuting_random", "make_jordan_polynomial",
+    "SpectralData", "OperatorTuple", "TupleStack", "DiagonalRayModel",
+    "make_tuple", "make_commuting_random", "make_commuting_random_stack",
+    "make_jordan_polynomial",
     "adjoint", "semigroup_apply", "estimate_bound", "log_norm", "BOUND_KINDS",
     "fourier_modes", "fourier_translation_model", "holomorphy_defect_ray",
 ]
@@ -44,6 +52,16 @@ class SpectralData:
     def __post_init__(self):
         object.__setattr__(self, "inverse", np.linalg.inv(self.basis))
         object.__setattr__(self, "cond", float(np.linalg.cond(self.basis)))
+
+    @classmethod
+    def _derived(cls, joint, basis, inverse, cond) -> "SpectralData":
+        """The SpectralData of ``basis`` whose inverse and cond were derived
+        already, as one matrix of a stacked draw."""
+        spec = object.__new__(cls)
+        for name, value in (("joint", joint), ("basis", basis),
+                            ("inverse", inverse), ("cond", float(cond))):
+            object.__setattr__(spec, name, value)
+        return spec
 
     def apply(self, values) -> np.ndarray:
         """P diag(values) P^{-1}: eigenvector k is scaled by values[k]."""
@@ -85,6 +103,50 @@ class OperatorTuple:
         return _representation(self)
 
 
+@dataclass(frozen=True, eq=False)
+class TupleStack:
+    """T jointly diagonalizable tuples of one size as (T, ...) stacks, the
+    output of make_commuting_random_stack: tuple t has the generators
+    generators[j][t] and the spectral data joint[t], basis[t], inverse[t]
+    and cond[t].  ``stack[t]`` is tuple t as an OperatorTuple."""
+
+    generators: tuple          # n read-only (T, d, d) stacks
+    joint: np.ndarray          # (T, d, n)
+    basis: np.ndarray          # (T, d, d)
+    inverse: np.ndarray        # (T, d, d)
+    cond: np.ndarray           # (T,) cond(P) of each basis
+    commutator_residual: np.ndarray   # (T,)
+
+    @property
+    def n(self) -> int:
+        return len(self.generators)
+
+    @property
+    def d(self) -> int:
+        return self.basis.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.cond)
+
+    def bound(self, t: int) -> float:
+        """M_j of tuple t, the same for every j (see estimate_bound)."""
+        return _bound(None, self._spectral(t))[0]
+
+    def _spectral(self, t: int) -> "SpectralData":
+        return SpectralData._derived(self.joint[t], self.basis[t],
+                                     self.inverse[t], self.cond[t])
+
+    def __getitem__(self, t: int) -> OperatorTuple:
+        spec = self._spectral(t)
+        bound, kind = _bound(None, spec)
+        return OperatorTuple(
+            n=self.n, d=self.d,
+            generators=tuple(_frozen(G[t].copy()) for G in self.generators),
+            bounds=(bound,) * self.n, bound_kinds=(kind,) * self.n,
+            commutator_residual=float(self.commutator_residual[t]),
+            spectral=spec)
+
+
 def _frozen(g) -> np.ndarray:
     """``g``, marked read-only, so that make_tuple shares it uncopied."""
     g.flags.writeable = False
@@ -104,10 +166,65 @@ def _as_matrices(generators) -> tuple:
     return mats
 
 
-def _norm2(X) -> float:
+def _norm2(X):
     """||X||_2, the value np.linalg.norm(X, 2) returns, without its axis
-    handling."""
-    return float(np.linalg.svd(X, compute_uv=False)[0])
+    handling; one per matrix of a (T, d, d) stack."""
+    return np.linalg.svd(X, compute_uv=False)[..., 0]
+
+
+def _check_stack(gens, spectral=None) -> np.ndarray:
+    """make_tuple's checks on T tuples at once; their commutator residuals.
+
+    ``gens`` holds the n generator stacks, each (T, d, d), and ``spectral``
+    the stacks (joint (T, d, n), basis, inverse (T, d, d)) of the tuples'
+    spectral data, or None.  The first tuple in stack order that fails a
+    check is rejected with make_tuple's error.
+    """
+    n, d = len(gens), gens[0].shape[-1]
+    # ||g||_F / sqrt(d) <= ||g||_2 (shrunk past rounding) decides every check
+    # that reads the norms wherever it can; the SVDs only where it cannot
+    lower = (np.stack([np.linalg.norm(g, axis=(-2, -1)) for g in gens])
+             / np.sqrt(d) * (1.0 - 1e-12))
+
+    def norm(j, t):
+        return max(float(_norm2(gens[j][t])), 1e-300)
+
+    residual = np.zeros(len(gens[0]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            residual = np.maximum(
+                residual, _norm2(gens[i] @ gens[j] - gens[j] @ gens[i]))
+    suspect = residual > _COMMUTE_REL * lower.max(axis=0) ** 2
+    frobenius = []
+    if spectral is not None:
+        joint, basis, inverse = spectral
+
+        def error(j, t=slice(None)):
+            # E_j = P diag(joint[:, j]) P^{-1} - A_j of tuple(s) t
+            return (basis[t] * joint[t, None, :, j]) @ inverse[t] - gens[j][t]
+
+        for j in range(n):
+            frobenius.append(np.linalg.norm(error(j), axis=(-2, -1)))
+            # ||E||_2 <= ||E||_F: the SVDs only decide past the cheap bounds
+            suspect |= frobenius[j] > _SPECTRAL_REL * lower[j] + 1e-13
+        suspect |= (joint.real > _RE_TOL).any(axis=(1, 2))
+
+    # the tuples the cheap bounds leave open, in make_tuple's order of checks
+    for t in np.flatnonzero(suspect):
+        if residual[t] > _COMMUTE_REL * lower[:, t].max() ** 2:
+            limit = _COMMUTE_REL * max(norm(j, t) for j in range(n)) ** 2
+            if residual[t] > limit:
+                raise ValueError("tuple is not commuting: residual %.3g exceeds "
+                                 "%.3g" % (residual[t], limit))
+        for j, frob in enumerate(frobenius):
+            if frob[t] > _SPECTRAL_REL * lower[j, t] + 1e-13:
+                cap = _SPECTRAL_REL * norm(j, t) + 1e-13
+                if frob[t] > cap and _norm2(error(j, t)) > cap:
+                    raise ValueError("spectral data does not reproduce "
+                                     "generator %d" % j)
+        if spectral is not None and np.any(spectral[0][t].real > _RE_TOL):
+            raise ValueError("joint spectrum leaves the closed left half-plane")
+    return residual
 
 
 def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
@@ -124,37 +241,15 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
     """
     mats = _as_matrices(generators)
     n, d = len(mats), mats[0].shape[0]
-
-    # ||g||_F / sqrt(d) <= ||g||_2 (shrunk past rounding) decides both checks
-    # that read the norms wherever it can; the SVD only where it cannot
-    lower = [np.linalg.norm(g) / np.sqrt(d) * (1.0 - 1e-12) for g in mats]
-
-    def norm(j):
-        return max(_norm2(mats[j]), 1e-300)
-
-    residual = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = max(residual, _norm2(mats[i] @ mats[j] - mats[j] @ mats[i]))
-    if residual > _COMMUTE_REL * max(lower) ** 2:
-        limit = _COMMUTE_REL * max(norm(j) for j in range(n)) ** 2
-        if residual > limit:
-            raise ValueError("tuple is not commuting: residual %.3g exceeds %.3g"
-                             % (residual, limit))
+    # the checks of a stack of one tuple
+    residual = float(_check_stack(
+        [g[None] for g in mats],
+        None if spectral is None else (spectral.joint[None],
+                                       spectral.basis[None],
+                                       spectral.inverse[None]))[0])
 
     omegas = [None] * n
-    if spectral is not None:
-        for j in range(n):
-            error = spectral.apply(spectral.joint[:, j]) - mats[j]
-            frobenius = np.linalg.norm(error)
-            # ||E||_2 <= ||E||_F: the SVDs only decide past the cheap bounds
-            if frobenius > _SPECTRAL_REL * lower[j] + 1e-13:
-                cap = _SPECTRAL_REL * norm(j) + 1e-13
-                if frobenius > cap and _norm2(error) > cap:
-                    raise ValueError("spectral data does not reproduce generator %d" % j)
-        if np.any(spectral.joint.real > _RE_TOL):
-            raise ValueError("joint spectrum leaves the closed left half-plane")
-    else:
+    if spectral is None:
         omegas = [log_norm(g) for g in mats]
         for j in range(n):
             # the spectrum lies in the numerical range, so omega <= 0 already
@@ -185,29 +280,106 @@ def make_commuting_random(n: int, d: int, seed,
     """Jointly diagonalizable tuple A_j = P D_j P^{-1} with cond(P) <= max_cond.
 
     ``spectral_box`` is ((re_lo, re_hi), (im_lo, im_hi)) inside Re <= 0; the
-    joint eigenvalues are drawn uniformly from it.
+    joint eigenvalues are drawn uniformly from it.  This is the one-seed
+    case of make_commuting_random_stack.
     """
+    return make_commuting_random_stack(n, d, [seed], spectral_box, max_cond)[0]
+
+
+def make_commuting_random_stack(n: int, d: int, seeds: Sequence,
+                                spectral_box=((-4.0, -0.05), (-3.0, 3.0)),
+                                max_cond: float = 20.0) -> TupleStack:
+    """make_commuting_random(n, d, seed, spectral_box, max_cond) for each
+    seed of ``seeds``, drawn and checked as (len(seeds), d, d) stacks.
+
+    Each seed keeps its own random generator, which draws the raw basis,
+    the conditioning target (d > 1 only) and the joint spectrum, in this
+    order.  The basis SVDs, P = U diag(sigma) V^*, the inverses, the cond
+    SVDs, the generators P diag(D_j) P^{-1} and make_tuple's checks then run
+    once per stack.  A seed whose cond(P) passes max_cond draws again, up to
+    ten draws in all.  Arguments are checked before anything is drawn.
+    """
+    for name, v in (("n", n), ("d", d)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError("%s must be a positive integer, got %r" % (name, v))
+    if not 1.0 <= max_cond < np.inf:
+        raise ValueError("max_cond must be finite and at least 1, got %r"
+                         % (max_cond,))
+    if not np.isfinite(np.asarray(spectral_box, dtype=float)).all():
+        raise ValueError("spectral box must be finite")
     (re_lo, re_hi), (im_lo, im_hi) = spectral_box
     if re_hi > 0:
         raise ValueError("spectral box must lie in the closed left half-plane")
-    rng = np.random.default_rng(seed)
-    for _ in range(10):
-        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        U, _, Vh = np.linalg.svd(raw)
-        # prescribe the singular values so the conditioning is exact
-        target = rng.uniform(1.0, max_cond) if d > 1 else 1.0
-        sigma = np.geomspace(1.0, 1.0 / target, d)
-        P = (U * sigma) @ Vh
-        joint = (rng.uniform(re_lo, re_hi, (d, n))
-                 + 1j * rng.uniform(im_lo, im_hi, (d, n)))
-        spec = SpectralData(joint=joint, basis=P)
-        if spec.cond <= max_cond * (1.0 + 1e-9):
-            break
-    else:
+    if re_lo > re_hi or im_lo > im_hi:
+        raise ValueError("spectral box ranges must run from low to high")
+    if len(seeds) == 0:
+        raise ValueError("give at least one seed")
+    P, inverse, cond, joint, todo = _draw_bases(n, d, seeds, spectral_box,
+                                                max_cond)
+    # a seed that never meets max_cond raises only after the seeds before it
+    # pass their checks, so that the first failing seed names the error
+    T = int(todo[0]) if len(todo) else len(seeds)
+    P, inverse, joint = P[:T], inverse[:T], joint[:T]
+    gens = [_sandwich(P, joint[:, :, j], inverse) for j in range(n)]
+    residual = _check_stack(gens, (joint, P, inverse))
+    if len(todo):
         raise RuntimeError("could not draw a basis with bounded conditioning")
 
-    gens = [_frozen(P @ np.diag(joint[:, j]) @ spec.inverse) for j in range(n)]
-    return make_tuple(gens, spectral=spec)
+    return TupleStack(generators=tuple(_frozen(G) for G in gens),
+                      joint=joint, basis=P, inverse=inverse, cond=cond,
+                      commutator_residual=residual)
+
+
+def _draw_bases(n, d, seeds, spectral_box, max_cond):
+    """The stacks (P, P^{-1}, cond(P), joint) of make_commuting_random_stack
+    and the seeds still past max_cond after ten draws."""
+    (re_lo, re_hi), (im_lo, im_hi) = spectral_box
+    rngs = [np.random.default_rng(s) for s in seeds]
+
+    def draw(trials):
+        # each seed's numbers in its own order, into one row of the stacks
+        normal = np.empty((len(trials), 2, d, d))
+        target = np.ones(len(trials))
+        re, im = np.empty((2, len(trials), d, n))
+        for k, t in enumerate(trials):
+            rng = rngs[t]
+            rng.standard_normal(out=normal[k])
+            if d > 1:
+                target[k] = rng.uniform(1.0, max_cond)
+            re[k] = rng.uniform(re_lo, re_hi, (d, n))
+            im[k] = rng.uniform(im_lo, im_hi, (d, n))
+        raw = normal[:, 0] + 1j * normal[:, 1]
+        del normal   # the SVD's stacks below are the draw's peak memory
+        P = _prescribed(raw, target)
+        return P, np.linalg.inv(P), np.linalg.cond(P), re + 1j * im
+
+    limit = max_cond * (1.0 + 1e-9)
+    P, inverse, cond, joint = draw(range(len(rngs)))
+    todo = np.flatnonzero(cond > limit)
+    for _ in range(9):
+        if not len(todo):
+            break
+        P[todo], inverse[todo], cond[todo], joint[todo] = draw(todo)
+        todo = todo[cond[todo] > limit]
+    return P, inverse, cond, joint, todo
+
+
+def _prescribed(raw: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """U diag(sigma) V^* for each raw = U S V^* of a (T, d, d) stack, with
+    sigma geometric from 1 to 1 / target: the singular values are
+    prescribed, so cond is target up to rounding."""
+    U, _, Vh = np.linalg.svd(raw)
+    U *= np.geomspace(1.0, 1.0 / target, raw.shape[-1], axis=-1)[:, None, :]
+    return U @ Vh
+
+
+def _sandwich(P: np.ndarray, D: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """P diag(D) P^{-1} for each matrix of the stacks, with diag(D) formed:
+    the scaling (P * D) @ P^{-1} rounds differently and would move the bits
+    of every generator."""
+    diag = np.zeros(P.shape, dtype=complex)
+    diag[:, range(P.shape[-1]), range(P.shape[-1])] = D
+    return P @ diag @ inverse
 
 
 def make_jordan_polynomial(n: int, d: int, seed,
@@ -268,7 +440,7 @@ def _sampled_bound(g: np.ndarray) -> float:
     t_lo = 1e-3
     for _ in range(40):
         ts = np.geomspace(t_lo, 2.0 * t_lo, 8, endpoint=False)
-        octave = max(_norm2(expm(t * g)) for t in ts)
+        octave = max(float(_norm2(expm(t * g))) for t in ts)
         if octave > 1e6:
             raise ValueError("semigroup norms diverge; generator rejected")
         if octave <= sup * (1.0 + 1e-9):

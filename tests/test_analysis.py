@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from bpcalc import calculus, cli
 from bpcalc.analysis import (_reach, _resolve_source, boundedness_experiment,
                              convergence_experiment, holomorphy_criterion,
-                             k_constant, moment_check, step_bound_check)
+                             k_constant, moment_check, moment_checks,
+                             step_bound_check)
 from bpcalc.bernstein import (cone_combine, diagonal_lift, eval_psi,
                               fractional_power, linear, log1m, poisson)
+from bpcalc.calculus import _psi_matrix
 from bpcalc.semigroup import fourier_modes
 from bpcalc.semigroup import (DiagonalRayModel, make_commuting_random,
-                              make_tuple)
+                              make_commuting_random_stack, make_tuple)
 
 
 def scalar_tuple(value):
@@ -80,6 +83,131 @@ class TestMomentCheck:
     def test_tightness_not_vacuous(self):
         rep = moment_check(fractional_power(0.5), scalar_tuple(-1.0), [1.0])
         assert 0.2 < rep.ratio <= 1.0
+
+
+def moment_reference(psi, A, x):
+    """The one-vector check the stacked route replaced, kept as its
+    reference: psi(A) formed afresh and every norm taken for this x."""
+    x = np.asarray(x, dtype=complex)
+    nx = float(np.linalg.norm(x))
+    M = float(max(A.bounds))
+    K = k_constant(M)
+    norms = np.array([float(np.linalg.norm(A.generators[j] @ x))
+                      for j in range(A.n)])
+    psi_val = float(np.real(eval_psi(psi, -norms / (A.n * nx))))
+    lhs = float(np.linalg.norm(_psi_matrix(psi, A) @ x))
+    rhs = -A.n * K * M ** (A.n - 1) * psi_val * nx
+    return lhs, rhs, rhs - lhs, bool(np.any(norms == 0.0))
+
+
+def sweep_reference(cfg, spec, ops, seed, tol, idx):
+    """The per-trial loop of ``cli._run_moment`` the stacked sweep replaced,
+    kept as its reference: one tuple drawn and one check per trial."""
+    psi = cfg.functions[spec["function"]]
+    A = ops[spec["operator"]]
+    rec = cfg.operator_spec(spec["operator"]).get("random")
+    rows, worst = [], None
+    for trial in range(spec["trials"]):
+        if rec is not None:
+            A = cli._build_operator(
+                {"random": dict(rec, seed=[rec["seed"], seed, trial])})
+        x = np.random.default_rng([seed, idx, trial]).standard_normal(A.d)
+        lhs, rhs, slack, _ = moment_reference(psi, A, x)
+        bound = -(tol * 1e-3) * max(1.0, lhs, rhs)
+        rows.append(cli.Row(spec["id"], "trial%d" % trial, "slack", slack,
+                            bound, "PASS" if slack >= bound else "FAIL"))
+        if worst is None or slack < worst[1]:
+            worst = (trial, slack)
+    rows.append(cli.Row(spec["id"], "trial%d" % worst[0], "worst_slack",
+                        worst[1], -(tol * 1e-3),
+                        "PASS" if worst[1] >= -(tol * 1e-3) else "FAIL"))
+    return rows, ("worst slack %.12g at trial%d" % (worst[1], worst[0]),)
+
+
+def bits(result):
+    """rows and notes of a sweep as text: repr tells -0.0 from 0.0"""
+    rows, notes = result
+    return [repr(r) for r in rows], notes
+
+
+def suite_sweeps():
+    cfg = cli.parse_config(cli._load_config_text("theorem_suite"))
+    ops = {s["id"]: cli._build_operator(s) for s in cfg.operator_specs
+           if "ray" not in s}
+    return cfg, ops, [(i, s) for i, s in enumerate(cfg.experiment_specs)
+                      if s["kind"] == "moment_sweep"]
+
+
+class TestStackedMomentChecks:
+    """moment_checks and the sweep runner against the per-trial loop."""
+
+    @pytest.mark.parametrize("seed", [None, 7], ids=["config-seed", "seed-7"])
+    def test_suite_sweeps_match_loop(self, seed):
+        cfg, ops, sweeps = suite_sweeps()
+        seed = cfg.seed if seed is None else seed
+        assert [s["id"] for _, s in sweeps] == ["moment-poisson", "moment-direct"]
+        for idx, spec in sweeps:
+            got = cli._run_moment(spec["id"], spec, cfg, ops, seed, cfg.tol,
+                                  idx)
+            assert bits(got) == bits(sweep_reference(cfg, spec, ops, seed,
+                                                     cfg.tol, idx))
+
+    def test_sweep_in_chunks_matches_loop(self, monkeypatch):
+        # a stack limit of 7 tuples splits each 200-trial sweep into 29 stacks
+        cfg, ops, sweeps = suite_sweeps()
+        for idx, spec in sweeps:
+            d = ops[spec["operator"]].d
+            monkeypatch.setattr(cli, "_STACK_ENTRIES", 7 * d * d + d)
+            got = cli._run_moment(spec["id"], spec, cfg, ops, 7, cfg.tol, idx)
+            assert bits(got) == bits(sweep_reference(cfg, spec, ops, 7,
+                                                     cfg.tol, idx))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reports_match_per_vector_loop(self, n):
+        psi = poisson() if n == 1 else diagonal_lift(log1m(), [1.0, 0.5, 0.3][:n])
+        stack = make_commuting_random_stack(n, 5, [[9, t] for t in range(15)])
+        tuples = [stack[t] for t in range(15)]
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((15, 5)) + 1j * rng.standard_normal((15, 5))
+        for A, x, rep in zip(tuples, xs, moment_checks(psi, stack, xs)):
+            assert (rep.lhs, rep.rhs, rep.slack, rep.zero_face) \
+                == moment_reference(psi, A, x)
+            assert rep == moment_check(psi, A, x)
+        # one shared tuple for every vector
+        for x, rep in zip(xs, moment_checks(psi, tuples[0], xs)):
+            assert (rep.lhs, rep.rhs, rep.slack, rep.zero_face) \
+                == moment_reference(psi, tuples[0], x)
+
+    def test_fixed_operator_gets_psi_once(self, monkeypatch):
+        # a 3 x 3 Jordan block: psi(A) is a full apply_psi quadrature
+        J = -np.eye(3) + np.diag([1.0, 1.0], 1)
+        doc = {"functions": [{"id": "fp", "catalog": "fractional_power",
+                              "parameters": {"alpha": 0.5}}],
+               "operators": [{"id": "j", "matrices": [
+                   [[[v, 0.0] for v in row] for row in J]]}],
+               "experiments": [{"kind": "moment_sweep", "id": "m",
+                                "function": "fp", "operator": "j",
+                                "trials": 20}]}
+        cfg = cli.parse_config(doc)
+        spec = cfg.experiment_specs[0]
+        ops = {"j": cli._build_operator(cfg.operator_specs[0])}
+        want = sweep_reference(cfg, spec, ops, cfg.seed, cfg.tol, 0)
+        calls = []
+        real = calculus.apply_psi
+        monkeypatch.setattr(calculus, "apply_psi",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        got = cli._run_moment("m", spec, cfg, ops, cfg.seed, cfg.tol, 0)
+        assert len(calls) == 1
+        assert bits(got) == bits(want)
+
+    def test_one_vector_per_tuple(self):
+        stack = make_commuting_random_stack(1, 3, [1, 2])
+        with pytest.raises(ValueError, match="one vector per tuple"):
+            moment_checks(poisson(), stack, np.ones((3, 3)))
+        with pytest.raises(ValueError, match="nonzero"):
+            moment_checks(poisson(), stack, [[1.0, 0.0, 0.0], [0.0] * 3])
+        with pytest.raises(ValueError, match="arity"):
+            moment_checks(linear([1.0, 1.0]), stack, np.ones((2, 3)))
 
 
 class TestStepBound:

@@ -168,6 +168,161 @@ class TestSpectralConditioning:
         assert len(calls) == 1 and A.bounds == (A.spectral.cond,) * 2
 
 
+def looped_random(n, d, seed, spectral_box=((-4.0, -0.05), (-3.0, 3.0)),
+                  max_cond=20.0):
+    """The one-tuple draw the stacked draw replaced, kept as its reference:
+    a retry loop on one basis, then make_tuple."""
+    (re_lo, re_hi), (im_lo, im_hi) = spectral_box
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        U, _, Vh = np.linalg.svd(raw)
+        target = rng.uniform(1.0, max_cond) if d > 1 else 1.0
+        sigma = np.geomspace(1.0, 1.0 / target, d)
+        P = (U * sigma) @ Vh
+        joint = (rng.uniform(re_lo, re_hi, (d, n))
+                 + 1j * rng.uniform(im_lo, im_hi, (d, n)))
+        spec = S.SpectralData(joint=joint, basis=P)
+        if spec.cond <= max_cond * (1.0 + 1e-9):
+            break
+    else:
+        raise RuntimeError("could not draw a basis with bounded conditioning")
+    gens = [P @ np.diag(joint[:, j]) @ spec.inverse for j in range(n)]
+    return S.make_tuple(gens, spectral=spec)
+
+
+def assert_same_tuple(A, B):
+    assert (A.n, A.d) == (B.n, B.d)
+    for G, H in zip(A.generators, B.generators, strict=True):
+        assert np.array_equal(G, H)
+    for part in ("basis", "inverse", "joint"):
+        assert np.array_equal(getattr(A.spectral, part),
+                              getattr(B.spectral, part))
+    assert A.spectral.cond == B.spectral.cond
+    assert A.bounds == B.bounds and A.bound_kinds == B.bound_kinds
+    assert A.commutator_residual == B.commutator_residual
+
+
+def poison_first_draw(monkeypatch, victims):
+    """Make np.linalg.cond report inf for the bases in ``victims``, the first
+    draws of their seeds, so that those seeds draw again."""
+    real = np.linalg.cond
+
+    def cond(P, *args, **kwargs):
+        out = np.array(real(P, *args, **kwargs))
+        for idx in np.ndindex(P.shape[:-2]):
+            if any(np.array_equal(P[idx], V) for V in victims):
+                out[idx] = np.inf
+        return out if out.ndim else float(out)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+
+
+class TestStackedDraw:
+    """make_commuting_random_stack against the looped one-tuple draw."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 5, 48])
+    def test_one_seed_matches_loop(self, n, d):
+        for seed in (0, 3, [11, 4, 2], [12, 7, 199]):
+            assert_same_tuple(S.make_commuting_random(n, d, seed=seed),
+                              looped_random(n, d, seed))
+
+    @pytest.mark.parametrize("n,d", [(1, 6), (2, 5), (3, 1), (2, 48)])
+    def test_stack_matches_loop(self, n, d):
+        seeds = [[11, 7, t] for t in range(12)]
+        box = ((-2.0, -0.5), (-1.0, 1.0))
+        stack = S.make_commuting_random_stack(n, d, seeds, box, 8.0)
+        assert (len(stack), stack.n, stack.d) == (len(seeds), n, d)
+        for G in stack.generators:
+            assert G.shape == (len(seeds), d, d) and not G.flags.writeable
+        for t, seed in enumerate(seeds):
+            A = stack[t]
+            assert_same_tuple(A, looped_random(n, d, seed, box, 8.0))
+            assert stack.bound(t) == A.bounds[0]
+            for G in A.generators:
+                assert not G.flags.writeable and G.base is None
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            S.make_commuting_random_stack(2, 3, [])
+
+    def test_cond_retry_matches_loop(self, monkeypatch):
+        seeds = [[5, 1, t] for t in range(6)]
+        plain = S.make_commuting_random_stack(2, 4, seeds)
+        victims = [plain[1].spectral.basis, plain[4].spectral.basis]
+        poison_first_draw(monkeypatch, victims)
+        stack = S.make_commuting_random_stack(2, 4, seeds)
+        for t, seed in enumerate(seeds):
+            A = stack[t]
+            assert_same_tuple(A, looped_random(2, 4, seed))
+            # the retried seeds drew a second basis, the others kept theirs
+            redrawn = not np.array_equal(A.spectral.basis, plain[t].spectral.basis)
+            assert redrawn == (t in (1, 4))
+
+    def test_cond_retries_run_out(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda P: np.full(np.shape(P)[:-2], np.inf))
+        with pytest.raises(RuntimeError, match="bounded conditioning"):
+            S.make_commuting_random_stack(1, 3, [1, 2])
+
+    def test_first_failing_tuple_is_reported(self):
+        # tuple 1 misses its spectral data, tuple 2 does not commute: the
+        # loop would have stopped at tuple 1, so its error is the one raised
+        X = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        D = [np.diag([-1.0, -2.0]).astype(complex),
+             np.diag([-3.0, -4.0]).astype(complex)]
+        gens = [np.stack([D[0], D[0] - 0.5 * np.eye(2), X - 2 * np.eye(2)]),
+                np.stack([D[1], D[1], X.T - 2 * np.eye(2)])]
+        joint = np.stack([np.array([[-1.0, -3.0], [-2.0, -4.0]], dtype=complex)] * 3)
+        eye = np.stack([np.eye(2, dtype=complex)] * 3)
+        with pytest.raises(ValueError, match="does not reproduce generator 0"):
+            S._check_stack(gens, (joint, eye, eye))
+        residual = S._check_stack([g[:1] for g in gens],
+                                  (joint[:1], eye[:1], eye[:1]))
+        assert residual.tolist() == [0.0]
+        with pytest.raises(ValueError, match="not commuting"):
+            S._check_stack([g[2:] for g in gens], (joint[2:], eye[2:], eye[2:]))
+
+    def test_checks_run_once_per_stack(self, monkeypatch):
+        real = S._check_stack
+        calls = []
+
+        def counted(gens, spectral=None):
+            calls.append(gens[0].shape[0])
+            return real(gens, spectral)
+
+        monkeypatch.setattr(S, "_check_stack", counted)
+        S.make_commuting_random_stack(2, 4, [1, 2, 3])
+        assert calls == [3]
+
+
+class TestRandomArguments:
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(d=0), "d must be a positive integer"),
+        (dict(n=0), "n must be a positive integer"),
+        (dict(d=2.0), "d must be a positive integer"),
+        (dict(max_cond=0.5), "max_cond"),
+        (dict(max_cond=float("nan")), "max_cond"),
+        (dict(max_cond=float("inf")), "max_cond"),
+        (dict(spectral_box=((float("nan"), -1.0), (0.0, 1.0))), "finite"),
+        (dict(spectral_box=((-1.0, -0.5), (0.0, float("inf")))), "finite"),
+        (dict(spectral_box=((-1.0, -2.0), (0.0, 1.0))), "low to high"),
+        (dict(spectral_box=((-2.0, -1.0), (1.0, 0.0))), "low to high"),
+        (dict(spectral_box=((-1.0, 0.5), (0.0, 0.0))), "left half-plane"),
+    ], ids=["d0", "n0", "d-float", "cond-half", "cond-nan", "cond-inf",
+            "box-nan", "box-inf", "re-reversed", "im-reversed", "re-positive"])
+    def test_typed_error_before_drawing(self, kwargs, match, monkeypatch):
+        def no_draws(*args, **kw):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        args = dict(n=2, d=3, seed=1)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            S.make_commuting_random(**args)
+
+
 class TestSemigroupEvaluation:
     def test_zero_parameter_is_identity(self):
         A = S.make_commuting_random(2, 4, seed=1)
