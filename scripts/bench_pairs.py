@@ -31,6 +31,13 @@ Under ``suite_walls`` each side's per-experiment walls of the bundled suite
 are recorded: the median of 5 in-process ``cli.run`` calls at the config
 seed, in one subprocess per side.  Each ``moment-*`` experiment gets a
 note, so that the file shows which experiment a ``suite`` change moved.
+Under ``spectra_walls`` each side's walls of ``joint_approximate_spectrum``
+and of the five ``mapping_check`` parts are recorded on a stripped
+``make_commuting_random(1, d, seed=0)`` at d = 96 and 192, with psi(A) of
+``log1m`` precomputed and the tuple's splits formed by a first call: the
+median of 3 calls, in one subprocess per side with one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``).  No workload runs the mapping checks above
+d = 32, so this is the record of how they scale with d.
 """
 
 import argparse
@@ -111,6 +118,48 @@ def suite_walls(trees):
     return out
 
 
+SPECTRA_WALLS = """
+import json, statistics, time
+from bpcalc.bernstein import log1m
+from bpcalc.calculus import apply_psi
+from bpcalc.semigroup import make_commuting_random, make_tuple
+from bpcalc.spectra import joint_approximate_spectrum, mapping_check
+psi = log1m()
+out = {}
+for d in (96, 192):
+    A = make_tuple(make_commuting_random(1, d, seed=0).generators)
+    F = apply_psi(psi, A)
+    ops = {"joint_approximate_spectrum": lambda: joint_approximate_spectrum(A)}
+    for part in range(1, 6):
+        ops["mapping_part%d" % part] = (
+            lambda part=part: mapping_check(psi, A, part, operator=F))
+    for name, op in ops.items():
+        op()
+        walls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            op()
+            walls.append(time.perf_counter() - start)
+        out.setdefault(name, {})["d%d" % d] = statistics.median(walls)
+print(json.dumps(out))
+"""
+
+
+def spectra_walls(trees):
+    """Median wall in seconds of the joint approximate spectrum and of each
+    mapping part over 3 calls at d = 96 and 192, one subprocess a side with
+    one BLAS thread."""
+    out = {}
+    for name, tree in trees.items():
+        proc = subprocess.run([sys.executable, "-c", SPECTRA_WALLS], cwd=tree,
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                   "PYTHONPATH": str(tree / "src")})
+        out[name] = {op: {d: round(v, 5) for d, v in walls.items()}
+                     for op, walls in json.loads(proc.stdout).items()}
+    return out
+
+
 def summary(parent, change):
     """Medians, quartiles and pairwise wins of one metric over the pairs."""
     def side(runs):
@@ -162,7 +211,7 @@ def main(argv=None):
                        "the parent from `git archive %s`, the change from "
                        "the working tree" % parent_rev,
            "machine": None, "run_seconds": seconds, "suite_csv": None,
-           "suite_walls": None,
+           "suite_walls": None, "spectra_walls": None,
            "workloads": {}, "traced": {}, "notes": []}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -181,6 +230,14 @@ def main(argv=None):
                 out["notes"].append(
                     "suite wall of %s (median of 5 runs): %.4g -> %.4g s "
                     "(%+.1f%%)" % (exp, p, c, 100.0 * (c / p - 1.0)))
+        out["spectra_walls"] = walls = spectra_walls(trees)
+        for op, by_d in walls["parent"].items():
+            for d, p in by_d.items():
+                c = walls["change"][op][d]
+                out["notes"].append(
+                    "spectra wall of %s at %s (median of 3, one BLAS thread): "
+                    "%.4g -> %.4g s (%+.1f%%)" % (op, d, p, c,
+                                                 100.0 * (c / p - 1.0)))
 
         for workload, count in pairs.items():
             runs = {"parent": [], "change": []}

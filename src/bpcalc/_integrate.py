@@ -338,8 +338,11 @@ def integrate_measure(base, measure, part_setup, tol):
     The atoms of one direction add mass * f(radius) in order, starting from
     0.0, and their sum is lifted once; atoms come before density parts.
     Each part gets ``tol / len(parts)``; QuadratureError is raised when the
-    summed error estimate exceeds 4 * tol.
+    summed error estimate exceeds 4 * tol, ValueError when tol is not a
+    finite positive number.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     setups, sums = {}, {}
 
     def setup(w):

@@ -9,15 +9,14 @@ subspace invariant (Corless, Gianni & Trager, ISSAC 1997).  ``Blocks`` is
 that split, computed once per tuple as ``OperatorTuple.blocks``, and once
 for the reversed adjoint tuple as ``OperatorTuple.adjoint_blocks``, from
 which ``spectra`` reads the residual spectrum by the same route.  It keeps
-the matrices it split and the unreordered Schur pair, on which
-``near_null`` finds each joint eigenvector in O(d^2).
+the matrices it split, on which ``spectra`` checks each joint eigenvector.
 """
 
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtrs
+from scipy.linalg.lapack import ztrsen
 
 # weights of the combination C = sum_j theta_j A_j: 1 and fractional parts of
 # square roots of primes, linearly independent over the rationals, so that
@@ -43,53 +42,14 @@ def _clusters(vals, radius):
     return [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
 
-def near_null(T, shifts):
-    """Unit columns y_k with ||(T - s_k I) y_k|| near sigma_min(T - s_k I),
-    one per shift s_k, for an upper-triangular T: one step of inverse
-    iteration on (T - s_k I)^* (T - s_k I) from the vector of ones, two
-    triangular solves in O(d^2) each.
-
-    A pivot below eps max|T_ik| is floored at that value.  ``ztrtrs``
-    solves without scaling; where that overflows (on a defective cluster of
-    size m the solution grows like (eps ||T||)^-m), ``ztrsyl`` solves the
-    same two systems as Sylvester equations with a zero 1 x 1 right factor,
-    rescaling the right-hand side so that no entry overflows.
-    """
-    d = T.shape[0]
-    M = np.array(T, order="F")
-    floor = max(np.finfo(float).eps * np.max(np.abs(T), initial=0.0),
-                np.finfo(float).tiny)
-    pivots = np.diag(T)[:, None] - np.asarray(shifts)[None, :]
-    pivots[np.abs(pivots) < floor] = floor
-    ones = np.ones((d, 1), dtype=complex)
-    Y = np.empty(pivots.shape, dtype=complex)
-    for k in range(pivots.shape[1]):
-        np.fill_diagonal(M, pivots[:, k])
-        w = ztrtrs(M, ones, trans=2)[0]
-        y = ztrtrs(M, w / _largest(w))[0] if np.isfinite(w).all() else w
-        if not np.isfinite(y).all():
-            zero = np.zeros((1, 1), dtype=complex)
-            w = ztrsyl(M, zero, ones, trana="C", tranb="C")[0]
-            y = ztrsyl(M, zero, w / _largest(w))[0]
-        Y[:, k] = y[:, 0] / _largest(y)
-    return Y / np.linalg.norm(Y, axis=0)
-
-
-def _largest(v):
-    """The largest real or imaginary part of ``v`` in modulus, which, unlike
-    max |v_i|, cannot overflow."""
-    return np.max(np.abs(v.view(float)))
-
-
 class Blocks:
     """The split of commuting ``mats`` (kept as ``mats``): X = ``basis`` =
     [Q_1 ... Q_k], Q_i = ``bases[i]`` an orthonormal basis of the invariant
     subspace of the i-th eigenvalue cluster of C (single-linkage groups of
     the Schur diagonal at radius 1e-6 max(1, ||C||_2), in order of first
     Schur position), and ``compressions[i][j]`` = Q_i^* A_j Q_i.  ``theta``
-    holds the weights of C, ``scale`` is max(1, ||C||_2), and (``T``,
-    ``Z``) is the unreordered Schur pair, C = Z T Z^*.  ``inverse`` and
-    ``cond`` of X are formed on first use.  Cost: one d x d Schur form and
+    holds the weights of C and ``scale`` is max(1, ||C||_2).  ``inverse``
+    and ``cond`` of X are formed on first use.  Cost: one d x d Schur form and
     norm, then O(d^2) reordering and O(n d^2 m_i) products per cluster of
     size m_i.  Raises LinAlgError when ``ztrsen`` cannot reorder a cluster.
     """
@@ -99,13 +59,13 @@ class Blocks:
         d = mats[0].shape[0]
         self.theta = np.resize(_THETA, len(mats))
         C = sum(t * G for t, G in zip(self.theta, mats))
-        self.T, self.Z = schur(C, output="complex")
+        T, Z = schur(C, output="complex")
         self.scale = max(1.0, float(np.linalg.norm(C, 2)))
         leading = []
-        for member in _clusters(np.diag(self.T), 1e-6 * self.scale):
+        for member in _clusters(np.diag(T), 1e-6 * self.scale):
             select = np.zeros(d, dtype=np.int32)
             select[member] = 1
-            _, Q, _, _, _, _, info = ztrsen(select, self.T, self.Z, job="N")
+            _, Q, _, _, _, _, info = ztrsen(select, T, Z, job="N")
             if info != 0:
                 raise np.linalg.LinAlgError(
                     "Schur reordering failed for an eigenvalue cluster")
@@ -116,14 +76,6 @@ class Blocks:
         self.bases = [self.basis[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
         self.compressions = [[Q.conj().T @ G @ Q for G in mats]
                              for Q in self.bases]
-
-    def near_null(self, lams):
-        """Unit columns x_k = Z y_k, y = ``near_null(T, lams @ theta)``, for
-        joint eigenvalues ``lams`` (one per row).  Where theta . lam is a
-        simple eigenvalue of C, x is the common eigenvector of lam; on a
-        cluster it is some vector of its near-kernel of C - theta . lam."""
-        shifts = np.reshape(lams, (-1, len(self.theta))) @ self.theta
-        return self.Z @ near_null(self.T, shifts)
 
     @cached_property
     def inverse(self):

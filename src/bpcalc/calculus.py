@@ -600,8 +600,8 @@ def subordinated(psi: BernsteinFunction, A: OperatorTuple, t: float,
 
     Raises CatalogGapError for a function without a closed-form nu_t.
     """
-    if t < 0:
-        raise ValueError("subordination time must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError("subordination time must be finite and nonnegative")
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
     if t == 0:
@@ -618,8 +618,8 @@ def laplace_identity_error(psi: BernsteinFunction, t: float, s_grid,
     The measure side is g_t on the diagonal tuple diag(s) of the whole grid,
     one profile on the route subordinated takes for a spectral tuple.
     """
-    if t < 0:
-        raise ValueError("subordination time must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError("subordination time must be finite and nonnegative")
     fam = _family(psi)
     S = np.asarray(s_grid, dtype=float).reshape(len(s_grid), -1)
     target = np.exp(t * eval_psi(psi, S))

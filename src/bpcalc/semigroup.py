@@ -159,10 +159,14 @@ def _as_matrices(generators) -> tuple:
     mats = tuple(g if isinstance(g, np.ndarray) and g.dtype == complex
                  and not g.flags.writeable and g.base is None
                  else _frozen(np.array(g, dtype=complex)) for g in generators)
+    if not mats:
+        raise ValueError("give at least one generator")
     d = mats[0].shape[0]
     for g in mats:
         if g.shape != (d, d):
             raise ValueError("generators must be square matrices of equal size")
+        if not np.isfinite(g).all():
+            raise ValueError("generator entries must be finite")
     return mats
 
 
@@ -297,7 +301,8 @@ def make_commuting_random_stack(n: int, d: int, seeds: Sequence,
     order.  The basis SVDs, P = U diag(sigma) V^*, the inverses, the cond
     SVDs, the generators P diag(D_j) P^{-1} and make_tuple's checks then run
     once per stack.  A seed whose cond(P) passes max_cond draws again, up to
-    ten draws in all.  Arguments are checked before anything is drawn.
+    ten draws in all; LinAlgError is raised for a seed that never meets it.
+    Arguments are checked before anything is drawn.
     """
     for name, v in (("n", n), ("d", d)):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
@@ -323,7 +328,8 @@ def make_commuting_random_stack(n: int, d: int, seeds: Sequence,
     gens = [_sandwich(P, joint[:, :, j], inverse) for j in range(n)]
     residual = _check_stack(gens, (joint, P, inverse))
     if len(todo):
-        raise RuntimeError("could not draw a basis with bounded conditioning")
+        raise np.linalg.LinAlgError(
+            "could not draw a basis with bounded conditioning")
 
     return TupleStack(generators=tuple(_frozen(G) for G in gens),
                       joint=joint, basis=P, inverse=inverse, cond=cond,
@@ -421,6 +427,8 @@ def semigroup_apply(A: OperatorTuple, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if len(u) != A.n:
         raise ValueError("parameter u must have one component per generator")
+    if not np.isfinite(u).all():
+        raise ValueError("semigroup parameters must be finite")
     if np.any(u < 0):
         raise ValueError("semigroup parameters must be nonnegative")
     if not np.any(u > 0):

@@ -16,10 +16,9 @@ subspace, directly for a simple eigenvalue and by a kernel solve on the
 m x m compressions for a cluster of size m, O(d^3) in all for d distinct
 joint eigenvalues.  Each certificate (the stacked singular value per
 approximate point, the corank per residual point) is the stacked residual
-of one unit vector, which bounds the smallest singular value of the stack
-from above: one inverse-iteration step on the split's triangular Schur
-factor gives that vector in O(n d^2) (Lui, SIMAX 1997).  Only where it
-misses the scaled tolerance does an SVD of the nd x d stack
+of the unit eigenvector that admitted the point, an upper bound on the
+smallest singular value of the stack (Trefethen & Embree 2005); only where
+it misses the scaled tolerance does an SVD of the nd x d stack
 (``stacked_residual``) give the exact value.  Eigenvector tests and
 certificates are scaled by max(1, ||C||_2), so that a tuple of large norm
 keeps its points.
@@ -29,9 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import schur
 
-from ._schur import Blocks, _clusters, near_null
+from ._schur import Blocks, _clusters
 from .bernstein import BernsteinFunction, eval_psi
 from .calculus import apply_psi
 from .semigroup import OperatorTuple
@@ -48,11 +46,12 @@ __all__ = [
 class SpectrumPoint:
     """One joint spectrum point with whichever certificates were computed.
 
-    ``right_vector``: unit x with max_j ||A_j x - lam_j x|| <= tol s, s =
-    max(1, ||C||_2) the scale of the tuple's split; on an approximate-
-    spectrum point, the x that ``residual`` is read from.
-    ``left_vector``: unit f with max_j ||A_j^* f - conj(lam_j) f|| <= tol s'
-    (s' the scale of the adjoint split), the f that ``corank`` is read from.
+    ``right_vector``: the unit common eigenvector x that admitted the
+    point, max_j ||A_j x - lam_j x|| <= tol s, s = max(1, ||C||_2) the
+    scale of the tuple's split; ``residual`` is read from it.
+    ``left_vector``: the unit common left eigenvector f that admitted the
+    point, max_j ||A_j^* f - conj(lam_j) f|| <= tol s' (s' the scale of the
+    adjoint split); ``corank`` is read from it.
     ``residual``: sqrt(sum_j ||(A_j - lam_j) x||^2) for the returned x, an
     upper bound on the smallest singular value of the vertical stack of
     (A_j - lam_j I), the approximate-spectrum certificate; where it exceeds
@@ -118,43 +117,43 @@ def _block_eigvecs(blocks, tol):
 
 
 def _joint_points(split: Blocks, tol):
-    """(lam, x, m) for each joint eigenvalue lam of ``split.mats`` whose unit
-    common eigenvector x passes max_j ||(mats_j - lam_j) x|| <= tol
-    max(1, ||C||_2); m is the dimension of its joint eigenspace.
+    """(lam, x, r, m) for each joint eigenvalue lam of ``split.mats`` whose
+    unit common eigenvector x passes max_j ||(mats_j - lam_j) x|| <= tol
+    max(1, ||C||_2); r = sqrt(sum_j ||(mats_j - lam_j) x||^2) is the stacked
+    residual of x and m the dimension of its joint eigenspace.
 
     A cluster of one eigenvalue gives lam_j = x^* A_j x, its 1 x 1
     compression; a larger one (a Jordan block, a repeated eigenvalue, or
     distinct joint eigenvalues whose theta-combinations coincide) is solved
     by ``_block_eigvecs`` on its m x m compressions, in O(m^3).
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     found = []
     for Q, blocks in zip(split.bases, split.compressions):
         pairs = ([(np.array([B[0, 0] for B in blocks]), Q)] if Q.shape[1] == 1
                  else [(lam, Q @ K) for lam, K in _block_eigvecs(blocks, tol)])
-        for lam, V in pairs:
-            x = V[:, 0] / np.linalg.norm(V[:, 0])
-            if max(np.linalg.norm(G @ x - l * x)
-                   for G, l in zip(split.mats, lam)) <= tol * split.scale:
-                found.append((lam, x, V.shape[1]))
-    return found
+        found += [(lam, V[:, 0] / np.linalg.norm(V[:, 0]), V.shape[1])
+                  for lam, V in pairs]
+    lams = np.reshape([lam for lam, _, _ in found], (-1, len(split.mats)))
+    X = np.reshape([x for _, x, _ in found], (-1, split.mats[0].shape[0])).T
+    norms = np.array([np.linalg.norm(G @ X - X * lams[:, j], axis=0)
+                      for j, G in enumerate(split.mats)])
+    stacked = np.sqrt(np.sum(norms ** 2, axis=0))
+    return [(lam, x, float(r), m)
+            for (lam, x, m), worst, r in zip(found, np.max(norms, axis=0), stacked)
+            if worst <= tol * split.scale]
 
 
 def _certified(split: Blocks, tol):
-    """(lam, x, r, m) for each (lam, _, m) of ``_joint_points``: x the unit
-    vector from the split's Schur factor (``Blocks.near_null``) and r =
-    sqrt(sum_j ||(mats_j - lam_j) x||^2) its stacked residual, an upper
-    bound on the smallest singular value of the stack; where r exceeds tol
-    max(1, ||C||_2), that singular value and its minimizer, from an SVD."""
-    found = _joint_points(split, tol)
-    lams = np.reshape([lam for lam, _, _ in found], (-1, len(split.mats)))
-    X = split.near_null(lams)
-    bounds = np.sqrt(sum(np.sum(np.abs(G @ X - X * lams[:, j]) ** 2, axis=0)
-                         for j, G in enumerate(split.mats)))
+    """``_joint_points``, each stacked residual r that exceeds tol max(1,
+    ||C||_2) replaced by the smallest singular value of the stack and x by
+    its minimizer, from an SVD."""
     out = []
-    for (lam, _, m), x, r in zip(found, X.T, bounds):
+    for lam, x, r, m in _joint_points(split, tol):
         if r > tol * split.scale:
             r, x = _smallest_singular(split.mats, lam)
-        out.append((lam, x, float(r), m))
+        out.append((lam, x, r, m))
     return out
 
 
@@ -176,7 +175,7 @@ def stacked_residual(A: OperatorTuple, lam):
 def joint_point_spectrum(A: OperatorTuple, tol: float = 1e-8) -> JointSpectrumResult:
     """Tuples lam admitting a common eigenvector, certificates attached."""
     pts = tuple(SpectrumPoint(value=lam, right_vector=x, multiplicity=m)
-                for lam, x, m in _joint_points(A.blocks, tol))
+                for lam, x, _, m in _joint_points(A.blocks, tol))
     return JointSpectrumResult(points=pts, tol=tol)
 
 
@@ -259,10 +258,11 @@ class MappingRow:
     in part 3.  ``distance`` and ``threshold`` decide ``verdict``;
     ``evidence`` is never judged, it records why the row is there:
 
-    - parts 1 and 4: ||(F - psi(lam)) x|| for a unit x from one
-      inverse-iteration step on the Schur factor of F = psi(A), an upper
-      bound on sigma_min(F - psi(lam) I); where it exceeds ``threshold``,
-      that singular value itself, from an SVD;
+    - parts 1 and 4: ||f^* (F - psi(lam))|| for the left vector f of a
+      residual point (part 1), ||(F - psi(lam)) x|| for the right vector x
+      of an approximate point (part 4), F = psi(A), an upper bound on
+      sigma_min(F - psi(lam) I); where it exceeds ``threshold``, that
+      singular value itself, from an SVD;
     - part 2: ||F x - psi(lam) x|| for the common eigenvector x of lam;
     - part 3: |<f, x>|, the pairing of the left vector f of lam with the
       eigenvector x of F (rows with pairing <= tol are dropped);
@@ -335,6 +335,8 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
     """
     if part not in (1, 2, 3, 4, 5):
         raise ValueError("part must be 1..5")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     if psi.n != A.n:
         raise ValueError("function arity and tuple size differ")
     F = apply_psi(psi, A) if operator is None else operator
@@ -357,14 +359,16 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                                             "partial derivative at -0",
                                      rows=())
 
-    def sigma_min(targets):
-        """sigma_min(F - t I) for each target t, bounded from above in
-        O(d^2) on the Schur factor of F; the SVD only where that bound
-        exceeds the row's threshold."""
-        S, U = schur(F, output="complex")
-        shifts = np.asarray(targets, dtype=complex)
-        X = U @ near_null(S, shifts)
-        bounds = np.linalg.norm(F @ X - X * shifts, axis=0)
+    def sigma_min(vectors, targets, left):
+        """sigma_min(F - t I) for each target t, bounded from above by the
+        residual of its point's unit vector, ||f^* (F - t)|| for a left
+        vector f and ||(F - t) x|| for a right one; the SVD of F - t I only
+        where that bound exceeds the row's threshold."""
+        # one row w per point: w = f^* against F, or w = x^T against F^T
+        W = np.reshape(vectors, (-1, A.d))
+        W, M = (W.conj(), F) if left else (W, F.T)
+        shifts = np.asarray(targets, dtype=complex)[:, None]
+        bounds = np.linalg.norm(W @ M - shifts * W, axis=1)
         return [float(b) if b <= tol * (1.0 + abs(t)) else
                 float(np.linalg.svd(F - t * np.eye(A.d), compute_uv=False)[-1])
                 for t, b in zip(targets, bounds)]
@@ -380,7 +384,8 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
     if part == 1:
         points = joint_residual_spectrum(A).points
         targets = _targets(psi, points)
-        for p, target, sigma in zip(points, targets, sigma_min(targets)):
+        sigmas = sigma_min([p.left_vector for p in points], targets, True)
+        for p, target, sigma in zip(points, targets, sigmas):
             rows.append(judge(p.value, target, sigma))
     elif part == 2:
         points = joint_point_spectrum(A).points
@@ -409,7 +414,9 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
                     verdict="pass" if dist <= thr else "fail"))
     elif part == 4:
         targets = _targets(psi, approx.points)
-        for p, target, sigma in zip(approx.points, targets, sigma_min(targets)):
+        sigmas = sigma_min([p.right_vector for p in approx.points], targets,
+                           False)
+        for p, target, sigma in zip(approx.points, targets, sigmas):
             rows.append(judge(p.value, target, sigma))
     else:
         points = _union(approx, joint_residual_spectrum(A)).points

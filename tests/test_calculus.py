@@ -906,3 +906,38 @@ class TestDenseBlocks:
         psi = fractional_power(0.5)
         assert rel_gap(apply_psi(psi, A), -sqrtm(-J)) <= 1e-8
         assert rel_gap(subordinated(psi, A, 0.5), expm(-0.5 * sqrtm(-J))) <= 1e-8
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # a NaN or infinite tolerance ended the quadrature at once and returned
+    # a wrong value (-0.2194 for log(1/2)), and joint spectra kept no point
+    from bpcalc.spectra import joint_spectrum, mapping_check
+    A = make_tuple([[[-1.0]]])
+    calls = [lambda: apply_psi(log1m(), A, tol=tol),
+             lambda: subordinated(log1m(), A, 0.5, tol=tol),
+             lambda: eval_via_levy(log1m(), [-1.0], tol=tol),
+             lambda: joint_spectrum(A, tol=tol),
+             lambda: mapping_check(log1m(), A, 2, tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: make_tuple([[[-np.inf]]]), "entries must be finite"),
+    (lambda: make_tuple([[[np.nan, 0.0], [0.0, -1.0]]]), "entries must be finite"),
+    (lambda: make_tuple([]), "at least one generator"),
+    (lambda: semigroup_apply(scalar_tuple(-1.0), [np.nan]), "must be finite"),
+    (lambda: semigroup_apply(scalar_tuple(-1.0), [np.inf]), "must be finite"),
+    (lambda: subordinated(log1m(), scalar_tuple(-1.0), np.nan), "must be finite"),
+    (lambda: subordinated(log1m(), scalar_tuple(-1.0), np.inf), "must be finite"),
+    (lambda: laplace_identity_error(log1m(), np.nan, [-1.0]), "must be finite"),
+], ids=["tuple-inf", "tuple-nan", "tuple-empty", "semigroup-nan",
+        "semigroup-inf", "subordinated-nan", "subordinated-inf", "laplace-nan"])
+def test_non_finite_arguments_rejected(call, message):
+    # each was accepted: a tuple with an infinite entry, the identity for
+    # T(nan), a NaN matrix for g_nan(A); an empty list raised IndexError
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -467,6 +467,26 @@ class TestRun:
         assert bad[0].verdict == "FAIL"
         assert report.exit_code == 1
 
+    def test_unconditioned_basis_fails_validation(self, monkeypatch, tmp_path,
+                                                  capsys):
+        # no basis meets max_cond: the draw's LinAlgError becomes the
+        # tuple_validation FAIL row; as a RuntimeError it escaped run()
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda P: np.full(np.shape(P)[:-2], np.inf))
+        doc = small_doc()
+        doc["experiments"][1]["trials"] = 3
+        report = run(parse_config(doc))
+        for name in ("oracle", "moment"):
+            rows = rows_for(report, name)
+            assert [(r.quantity, r.verdict) for r in rows] == [
+                ("tuple_validation", "FAIL")]
+        assert "bounded conditioning" in report.experiments[1].notes[0]
+        assert report.exit_code == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--format", "csv"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [
         {"tol": float("inf")}, {"tol": float("nan")}, {"seed": -3}],
         ids=["tol-inf", "tol-nan", "seed-negative"])

@@ -186,7 +186,8 @@ def looped_random(n, d, seed, spectral_box=((-4.0, -0.05), (-3.0, 3.0)),
         if spec.cond <= max_cond * (1.0 + 1e-9):
             break
     else:
-        raise RuntimeError("could not draw a basis with bounded conditioning")
+        raise np.linalg.LinAlgError(
+            "could not draw a basis with bounded conditioning")
     gens = [P @ np.diag(joint[:, j]) @ spec.inverse for j in range(n)]
     return S.make_tuple(gens, spectral=spec)
 
@@ -263,7 +264,7 @@ class TestStackedDraw:
     def test_cond_retries_run_out(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "cond",
                             lambda P: np.full(np.shape(P)[:-2], np.inf))
-        with pytest.raises(RuntimeError, match="bounded conditioning"):
+        with pytest.raises(np.linalg.LinAlgError, match="bounded conditioning"):
             S.make_commuting_random_stack(1, 3, [1, 2])
 
     def test_first_failing_tuple_is_reported(self):

@@ -1,12 +1,14 @@
 """Joint spectra and the mapping theorem checks."""
 
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bpcalc import _schur
+from bpcalc import _schur, spectra
 from bpcalc._schur import _THETA
 from bpcalc.bernstein import (diagonal_lift, eval_psi, fractional_power,
                               linear, log1m, poisson)
@@ -209,6 +211,17 @@ class TestBlockSplit:
             mapping_check(psi, A, part)
         assert len(calls) == 2
         assert A.adjoint_blocks is A.adjoint_blocks
+        # with every schur that spectra can reach counted, the five mapping
+        # parts on a shared operator add none
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("bpcalc") and hasattr(m, "schur")]:
+            monkeypatch.setattr(module, "schur", counted)
+        F = apply_psi(psi, A)
+        before = len(calls)
+        for part in (1, 2, 3, 4, 5):
+            mapping_check(psi, A, part, operator=F)
+        assert len(calls) == before
 
     @pytest.mark.parametrize("build", SPLIT_TUPLES + [
         lambda: make_commuting_random(2, 24, seed=7), colliding_tuple],
@@ -425,7 +438,8 @@ def residual_reference(A, tol=1e-8):
     """The per-call route ``joint_residual_spectrum`` replaced, kept as its
     reference: a fresh split of the reversed adjoint tuple, the eigenvector
     test on the adjoint generators, and an SVD of the horizontal stack of
-    (lam_j I - A_j) where a corank misses."""
+    (lam_j I - A_j) where a corank misses.  Each corank is read from the
+    found eigenvector itself."""
     star = [G.conj().T for G in A.generators]
     rev = np.eye(A.d)[::-1]
     split = _schur.Blocks([rev @ G @ rev for G in star])
@@ -437,12 +451,10 @@ def residual_reference(A, tol=1e-8):
         for mu, V in pairs:
             f = V[::-1, 0] / np.linalg.norm(V[::-1, 0])
             if max(np.linalg.norm(G @ f - m * f) for G, m in zip(star, mu)) <= limit:
-                found.append((mu, V.shape[1]))
-    mus = np.reshape([mu for mu, _ in found], (-1, A.n))
-    left = split.near_null(mus)[::-1]
+                found.append((mu, f, V.shape[1]))
     pts = []
-    for (mu, m), f, mu_row in zip(found, left.T, mus):
-        corank = np.linalg.norm([G @ f - l * f for G, l in zip(star, mu_row)])
+    for mu, f, m in found:
+        corank = np.linalg.norm([G @ f - l * f for G, l in zip(star, mu)])
         lam = np.conj(mu)
         if corank > limit:
             stack = np.hstack([l * np.eye(A.d) - G for G, l in zip(A.generators, lam)])
@@ -514,22 +526,62 @@ class TestCertificates:
                 sigma = svd_min(F - r.mapped * eye)
                 assert sigma * (1 - 1e-12) <= r.evidence <= r.threshold
 
-    def test_cheap_bound_misses_on_colliding_combinations(self):
-        # two joint eigenvalues with one theta-combination: the Schur
-        # factor's near-kernel mixes their eigenvectors, so the exact value
-        # and its minimizer are returned
+    def test_no_svd_on_colliding_combinations(self, monkeypatch):
+        # two joint eigenvalues with one theta-combination share a cluster;
+        # the cluster solve's eigenvector of each is its own, so every
+        # certificate is the residual of that vector and none needs an SVD
         A = colliding_tuple(d=24, pairs=4)
-        split = A.blocks
-        missed = 0
-        for p in joint_approximate_spectrum(A).points:
-            x = split.near_null(p.value)
-            bound = np.linalg.norm([G @ x - l * x for G, l in zip(A.generators, p.value)])
-            if bound > 1e-8 * split.scale:
-                missed += 1
-                res, x = stacked_residual(A, p.value)
-                assert p.residual == res
-                assert np.array_equal(p.right_vector, x)
-        assert missed >= 4
+        calls = []
+        smallest = spectra._smallest_singular
+
+        def counted(*args):
+            calls.append(1)
+            return smallest(*args)
+
+        monkeypatch.setattr(spectra, "_smallest_singular", counted)
+        approx, resid = joint_approximate_spectrum(A), joint_residual_spectrum(A)
+        assert calls == []
+        assert len(approx.points) == len(resid.points) == 24
+        roundoff = 1e-14 * A.blocks.scale
+        eye = np.eye(A.d)
+        for p in approx.points:
+            stack = np.vstack([G - l * eye for G, l in zip(A.generators, p.value)])
+            assert p.residual == pytest.approx(
+                np.linalg.norm(stack @ p.right_vector), abs=roundoff)
+        for p in resid.points:
+            stack = np.hstack([l * eye - G for G, l in zip(A.generators, p.value)])
+            assert p.corank == pytest.approx(
+                np.linalg.norm(p.left_vector.conj() @ stack), abs=roundoff)
+
+    def test_svd_where_the_vector_misses(self, monkeypatch):
+        # a vector whose stacked residual passes the limit is replaced by
+        # the SVD's minimizer, and its residual by the singular value
+        A = make_commuting_random(2, 6, seed=9)
+        joint_points = spectra._joint_points
+
+        def missing(split, tol):
+            x = np.ones(A.d) / np.sqrt(A.d)
+            out = []
+            for lam, _, _, m in joint_points(split, tol):
+                r = np.linalg.norm([G @ x - l * x for G, l in zip(split.mats, lam)])
+                assert r > tol * split.scale
+                out.append((lam, x, r, m))
+            return out
+
+        monkeypatch.setattr(spectra, "_joint_points", missing)
+        approx, resid = joint_approximate_spectrum(A), joint_residual_spectrum(A)
+        assert len(approx.points) == len(resid.points) == 6
+        for p in approx.points:
+            res, x = stacked_residual(A, p.value)
+            assert p.residual == res
+            assert np.array_equal(p.right_vector, x)
+        # the adjoint counterpart: the same SVD on the split's reversed
+        # adjoint generators, its minimizer reversed back
+        for p in resid.points:
+            corank, f = spectra._smallest_singular(A.adjoint_blocks.mats,
+                                                   np.conj(p.value))
+            assert p.corank == corank
+            assert np.array_equal(p.left_vector, f[::-1])
 
     def test_cheap_bound_misses_off_the_spectrum(self):
         # an operator shifted off psi(A): the unit-vector bound exceeds the
