@@ -38,6 +38,13 @@ and of the five ``mapping_check`` parts are recorded on a stripped
 median of 3 calls, in one subprocess per side with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``).  No workload runs the mapping checks above
 d = 32, so this is the record of how they scale with d.
+Under ``bound_walls`` each side's ``make_tuple`` is timed on every
+generator with a positive logarithmic norm (so a sampled bound) of the
+``generator`` workload's stripped tuples at seeds 1-5: the sum over the
+generators of the median of 3 calls, the number of ``expm`` calls of one
+pass over them, and the bounds, in one subprocess per side with one BLAS
+thread.  ``max_bound_change_rel`` is the largest relative change of a
+bound M_j between the sides.
 """
 
 import argparse
@@ -160,6 +167,54 @@ def spectra_walls(trees):
     return out
 
 
+BOUND_WALLS = """
+import json, statistics, sys, time
+sys.path.insert(0, "perfbench")
+from workloads import (INSTANCES, SPECTRAL_BOX, SPECTRAL_MAX_COND,
+                       STRIPPED_TUPLES)
+from bpcalc import semigroup
+gens = [g for seed in range(1, 6) for i in range(INSTANCES["generator"])
+        for k, (_, n, d) in enumerate(STRIPPED_TUPLES)
+        for g in semigroup.make_commuting_random(
+            n, d, seed=[seed, i, 100 + k], spectral_box=SPECTRAL_BOX,
+            max_cond=SPECTRAL_MAX_COND).generators
+        if semigroup.log_norm(g) > 0.0]
+calls = []
+real = semigroup.expm
+semigroup.expm = lambda *a, **kw: calls.append(1) or real(*a, **kw)
+bounds = [semigroup.make_tuple([g]).bounds[0] for g in gens]
+expm_calls = len(calls)
+wall = 0.0
+for g in gens:
+    walls = []
+    for _ in range(3):
+        start = time.perf_counter()
+        semigroup.make_tuple([g])
+        walls.append(time.perf_counter() - start)
+    wall += statistics.median(walls)
+print(json.dumps({"generators": len(gens), "wall_s": wall,
+                  "expm_calls": expm_calls, "bounds": bounds}))
+"""
+
+
+def bound_walls(trees):
+    """Wall, expm calls and bounds of make_tuple on the sampled stripped
+    generators of the generator workload, one subprocess a side with one
+    BLAS thread."""
+    out = {}
+    for name, tree in trees.items():
+        proc = subprocess.run([sys.executable, "-c", BOUND_WALLS], cwd=tree,
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                   "PYTHONPATH": str(tree / "src")})
+        out[name] = json.loads(proc.stdout)
+        out[name]["wall_s"] = round(out[name]["wall_s"], 5)
+    out["max_bound_change_rel"] = max(
+        abs(c / p - 1.0) for p, c in zip(out["parent"]["bounds"],
+                                          out["change"]["bounds"]))
+    return out
+
+
 def summary(parent, change):
     """Medians, quartiles and pairwise wins of one metric over the pairs."""
     def side(runs):
@@ -211,7 +266,7 @@ def main(argv=None):
                        "the parent from `git archive %s`, the change from "
                        "the working tree" % parent_rev,
            "machine": None, "run_seconds": seconds, "suite_csv": None,
-           "suite_walls": None, "spectra_walls": None,
+           "suite_walls": None, "spectra_walls": None, "bound_walls": None,
            "workloads": {}, "traced": {}, "notes": []}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -238,6 +293,16 @@ def main(argv=None):
                     "spectra wall of %s at %s (median of 3, one BLAS thread): "
                     "%.4g -> %.4g s (%+.1f%%)" % (op, d, p, c,
                                                  100.0 * (c / p - 1.0)))
+        out["bound_walls"] = walls = bound_walls(trees)
+        p, c = walls["parent"], walls["change"]
+        out["notes"].append(
+            "make_tuple on the %d sampled stripped generators of generator, "
+            "seeds 1-5 (median of 3 each, one BLAS thread): %.4g -> %.4g s "
+            "(%+.1f%%), expm calls %d -> %d, largest relative change of M_j "
+            "%.3g" % (c["generators"], p["wall_s"], c["wall_s"],
+                      100.0 * (c["wall_s"] / p["wall_s"] - 1.0),
+                      p["expm_calls"], c["expm_calls"],
+                      walls["max_bound_change_rel"]))
 
         for workload, count in pairs.items():
             runs = {"parent": [], "change": []}

@@ -399,6 +399,24 @@ class TestBoundCertificates:
         with pytest.raises(ValueError):
             S.make_tuple([np.array([[0.5]])])
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.5],
+                             ids=["nan", "inf", "below-one"])
+    def test_bad_given_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            S.make_tuple([-np.eye(2)], bounds=[bound])
+
+    def test_estimate_reads_the_stored_bound(self, monkeypatch):
+        J = np.array([[-1.0, 4.0], [0.0, -1.0]])
+        A, given = S.make_tuple([J]), S.make_tuple([J], bounds=[3.0])
+        assert A.bound_kinds == ("sampled",)
+        no_expm(monkeypatch)
+        assert S.estimate_bound(A, 0) == A.bounds[0]
+        # a given bound is compared with an estimate from the generator
+        with pytest.raises(AssertionError, match="expm called"):
+            S.estimate_bound(given, 0)
+        monkeypatch.undo()
+        assert S.estimate_bound(given, 0) == A.bounds[0] != given.bounds[0]
+
 
 def no_expm(monkeypatch):
     def refuse(_):
@@ -456,15 +474,16 @@ class TestLogNormRoute:
 
     @pytest.mark.parametrize("build,expected", [
         (lambda: S.make_tuple([np.array([[-1.0, 4.0], [0.0, -1.0]])]),
-         ("0x1.95e07566f50f0p+0",)),
+         ("0x1.95e07566f50efp+0",)),
         (lambda: S.make_jordan_polynomial(2, 16, seed=[13, 5]),
-         ("0x1.05e378c9846aap+0", "0x1.0000000000000p+0")),
+         ("0x1.05e378c9846abp+0", "0x1.0000000000000p+0")),
         (lambda: S.make_tuple(S.make_commuting_random(1, 8, seed=2).generators),
-         ("0x1.024bd0f1b7486p+2",)),
+         ("0x1.024bd0f1b7485p+2",)),
     ], ids=["jordan-block", "jordan-poly", "stripped"])
     def test_sampled_values_unchanged(self, build, expected):
-        # bounds of tuples with a sampled generator, as the sampling-only
-        # estimate gave them before the log-norm route existed
+        # bounds of tuples with a sampled generator, as the squared octaves
+        # give them; the per-sample loop (sampled_reference) gave each one
+        # a last bit higher
         assert build().bounds == tuple(float.fromhex(h) for h in expected)
 
     def test_bound_kinds(self):
@@ -544,6 +563,117 @@ class TestLogNormRoute:
             F = apply_psi(fractional_power(0.5), A)
         ref = -sqrtm(-A.generators[0])
         assert np.linalg.norm(F - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
+
+
+def sampled_reference(g):
+    """The per-sample loop the squared octaves replaced, kept as their
+    reference: one expm and one 2-norm per node, each octave's nodes from
+    their own geomspace."""
+    sup, flat = 1.0, 0
+    t_lo = 1e-3
+    for _ in range(40):
+        ts = np.geomspace(t_lo, 2.0 * t_lo, 8, endpoint=False)
+        octave = max(float(np.linalg.norm(expm(t * g), 2)) for t in ts)
+        if octave > 1e6:
+            raise ValueError("semigroup norms diverge; generator rejected")
+        if octave <= sup * (1.0 + 1e-9):
+            flat += 1
+            if flat >= 3 and octave < 0.5 * sup:
+                break
+        else:
+            sup, flat = octave, 0
+        t_lo *= 2.0
+    return 1.0 if sup <= 1.0 + 1e-9 else 1.01 * sup
+
+
+def sampled_generators(source):
+    """The generators with a positive log-norm, so a sampled bound, of one
+    source: the generator-only sweep, the stripped tuples of the benchmark's
+    generator workload at seeds 1-5, or the Jordan tuples of
+    test_jordan_default_box_builds."""
+    if source == "sweep":
+        gens = generator_only_sweep()
+    elif source == "stripped":
+        gens = [g for seed in range(1, 6) for i in range(3)
+                for k, (n, d) in enumerate([(1, 8), (1, 16), (1, 24), (1, 32),
+                                            (2, 8)])
+                for g in S.make_commuting_random(
+                    n, d, seed=[seed, i, 100 + k],
+                    spectral_box=((-4.0, -0.5), (-3.0, 3.0)),
+                    max_cond=4.0).generators]
+    else:
+        gens = [g for d in (16, 30, 40) for seed in [[13, 5]] + list(range(10))
+                for g in S.make_jordan_polynomial(2, d, seed=seed).generators]
+    return [g for g in gens if S.log_norm(g) > 0.0]
+
+
+def count_expm(monkeypatch):
+    calls = []
+    real = S.expm
+    monkeypatch.setattr(S, "expm",
+                        lambda M: calls.append(M.shape) or real(M))
+    return calls
+
+
+class TestSquaredSampling:
+    @pytest.mark.parametrize("source", ["sweep", "stripped", "jordan"])
+    def test_matches_the_reference(self, source):
+        gens = sampled_generators(source)
+        assert len(gens) >= 6
+        for g in gens:
+            ref = sampled_reference(g)
+            assert ref > 1.0
+            assert abs(S._sampled_bound(g) - ref) <= 1e-13 * ref
+
+    def test_forty_octaves_of_squaring(self, monkeypatch):
+        # the sup creeps up as e^{1e-9 t} through all 40 octaves; the chain
+        # is formed afresh at t = 0.512 (||g||_1 = 2), and the last 30
+        # octaves are its squares
+        g = np.array([[1e-9, 1.0], [0.0, -1.0]])
+        ref = sampled_reference(g)
+        calls = count_expm(monkeypatch)
+        assert abs(S._sampled_bound(g) - ref) <= 1e-6 * ref
+        assert calls == [(8, 2, 2)] * 2
+
+    @pytest.mark.parametrize("source", ["sweep", "stripped", "jordan"])
+    def test_two_expm_per_sampled_generator(self, source, monkeypatch):
+        gens = sampled_generators(source)
+        calls = count_expm(monkeypatch)
+        for g in gens:
+            del calls[:]
+            assert S.make_tuple([g]).bound_kinds == ("sampled",)
+            assert 1 <= len(calls) <= 2
+            assert all(shape == (8,) + g.shape for shape in calls)
+        del calls[:]
+        assert S.make_tuple(jordan(16)).bound_kinds == ("lognorm", "lognorm")
+        assert calls == []
+
+    def test_same_generators_rejected(self):
+        # Jordan blocks b0 I + a1 N + a2 N^2 with Re b0 up to -0.3: the cap
+        # of 1e6 rejects some of them
+        N = np.diag(np.ones(31), 1)
+        outcomes = {"kept": 0, "rejected": 0}
+        for seed in range(32):
+            rng = np.random.default_rng(seed)
+            b0 = rng.uniform(-3.0, -0.3) + 1j * rng.uniform(-1.0, 1.0)
+            g = b0 * np.eye(32) + rng.uniform(0.3, 1.0) * N \
+                + rng.uniform(0.0, 0.5) * N @ N
+            if S.log_norm(g) <= 0.0:
+                continue
+            try:
+                ref = sampled_reference(g)
+            except ValueError:
+                outcomes["rejected"] += 1
+                with pytest.raises(ValueError, match="norms diverge"):
+                    S._sampled_bound(g)
+            else:
+                outcomes["kept"] += 1
+                assert abs(S._sampled_bound(g) - ref) <= 1e-13 * ref
+        assert min(outcomes.values()) >= 2, outcomes
+
+    def test_nilpotent_generator_still_diverges(self):
+        with pytest.raises(ValueError, match="semigroup norms diverge"):
+            S.make_tuple([[[0, 1], [0, 0]]])
 
 
 class TestFourierModel:
