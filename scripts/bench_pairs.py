@@ -43,8 +43,10 @@ generator with a positive logarithmic norm (so a sampled bound) of the
 ``generator`` workload's stripped tuples at seeds 1-5: the sum over the
 generators of the median of 3 calls, the number of ``expm`` calls of one
 pass over them, and the bounds, in one subprocess per side with one BLAS
-thread.  ``max_bound_change_rel`` is the largest relative change of a
-bound M_j between the sides.
+thread.  A generator that ``make_tuple`` rejects gets the bound null and
+adds no wall.  ``max_bound_change_rel`` is the largest relative change of
+a bound M_j kept by both sides, and ``rejected_by_one_side`` counts the
+generators that only one side rejects.
 """
 
 import argparse
@@ -99,6 +101,17 @@ def suite_csv(trees):
     return out
 
 
+def _child(tree, script, one_thread):
+    """The JSON that ``script`` prints, run by ``python -c`` in ``tree``
+    against its own ``src``, with one BLAS thread if ``one_thread``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    if one_thread:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tree, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 SUITE_WALLS = """
 import json, statistics
 from importlib import resources
@@ -116,13 +129,9 @@ print(json.dumps({k: statistics.median(v) for k, v in walls.items()}))
 def suite_walls(trees):
     """Median wall in seconds of each experiment of the bundled suite over 5
     in-process ``cli.run`` calls at the config seed, one subprocess a side."""
-    out = {}
-    for name, tree in trees.items():
-        proc = subprocess.run([sys.executable, "-c", SUITE_WALLS], cwd=tree,
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": str(tree / "src")})
-        out[name] = {k: round(v, 5) for k, v in json.loads(proc.stdout).items()}
-    return out
+    return {name: {k: round(v, 5)
+                   for k, v in _child(tree, SUITE_WALLS, False).items()}
+            for name, tree in trees.items()}
 
 
 SPECTRA_WALLS = """
@@ -156,15 +165,9 @@ def spectra_walls(trees):
     """Median wall in seconds of the joint approximate spectrum and of each
     mapping part over 3 calls at d = 96 and 192, one subprocess a side with
     one BLAS thread."""
-    out = {}
-    for name, tree in trees.items():
-        proc = subprocess.run([sys.executable, "-c", SPECTRA_WALLS], cwd=tree,
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
-                                   "PYTHONPATH": str(tree / "src")})
-        out[name] = {op: {d: round(v, 5) for d, v in walls.items()}
-                     for op, walls in json.loads(proc.stdout).items()}
-    return out
+    return {name: {op: {d: round(v, 5) for d, v in walls.items()}
+                   for op, walls in _child(tree, SPECTRA_WALLS, True).items()}
+            for name, tree in trees.items()}
 
 
 BOUND_WALLS = """
@@ -182,10 +185,17 @@ gens = [g for seed in range(1, 6) for i in range(INSTANCES["generator"])
 calls = []
 real = semigroup.expm
 semigroup.expm = lambda *a, **kw: calls.append(1) or real(*a, **kw)
-bounds = [semigroup.make_tuple([g]).bounds[0] for g in gens]
+bounds = []
+for g in gens:
+    try:
+        bounds.append(semigroup.make_tuple([g]).bounds[0])
+    except ValueError:
+        bounds.append(None)
 expm_calls = len(calls)
 wall = 0.0
-for g in gens:
+for g, b in zip(gens, bounds):
+    if b is None:
+        continue
     walls = []
     for _ in range(3):
         start = time.perf_counter()
@@ -200,18 +210,18 @@ print(json.dumps({"generators": len(gens), "wall_s": wall,
 def bound_walls(trees):
     """Wall, expm calls and bounds of make_tuple on the sampled stripped
     generators of the generator workload, one subprocess a side with one
-    BLAS thread."""
-    out = {}
-    for name, tree in trees.items():
-        proc = subprocess.run([sys.executable, "-c", BOUND_WALLS], cwd=tree,
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
-                                   "PYTHONPATH": str(tree / "src")})
-        out[name] = json.loads(proc.stdout)
-        out[name]["wall_s"] = round(out[name]["wall_s"], 5)
+    BLAS thread.  A generator that make_tuple rejects has bound None and
+    adds no wall."""
+    out = {name: _child(tree, BOUND_WALLS, True)
+           for name, tree in trees.items()}
+    for side in out.values():
+        side["wall_s"] = round(side["wall_s"], 5)
+    pairs = list(zip(out["parent"]["bounds"], out["change"]["bounds"]))
+    out["rejected_by_one_side"] = sum((p is None) != (c is None)
+                                      for p, c in pairs)
     out["max_bound_change_rel"] = max(
-        abs(c / p - 1.0) for p, c in zip(out["parent"]["bounds"],
-                                          out["change"]["bounds"]))
+        [abs(c / p - 1.0) for p, c in pairs
+         if p is not None and c is not None], default=0.0)
     return out
 
 
@@ -299,10 +309,11 @@ def main(argv=None):
             "make_tuple on the %d sampled stripped generators of generator, "
             "seeds 1-5 (median of 3 each, one BLAS thread): %.4g -> %.4g s "
             "(%+.1f%%), expm calls %d -> %d, largest relative change of M_j "
-            "%.3g" % (c["generators"], p["wall_s"], c["wall_s"],
-                      100.0 * (c["wall_s"] / p["wall_s"] - 1.0),
-                      p["expm_calls"], c["expm_calls"],
-                      walls["max_bound_change_rel"]))
+            "%.3g, rejected by one side only %d"
+            % (c["generators"], p["wall_s"], c["wall_s"],
+               100.0 * (c["wall_s"] / p["wall_s"] - 1.0),
+               p["expm_calls"], c["expm_calls"],
+               walls["max_bound_change_rel"], walls["rejected_by_one_side"]))
 
         for workload, count in pairs.items():
             runs = {"parent": [], "change": []}

@@ -447,18 +447,22 @@ def _sampled_bound(g: np.ndarray) -> float:
     # Octave k samples the 8 nodes of [1e-3, 2e-3) times 2^k, so its
     # exponentials are the squares of octave k-1's (the squaring half of
     # scaling and squaring): one stacked expm starts the chain and one
-    # stacked product gives each later octave.  Squaring doubles the
-    # rounding of a near-identity start once per octave, so the chain is
-    # formed afresh, by one more expm, at the first octave with
-    # t ||g||_1 >= 1
+    # stacked product gives each later octave.  Each squaring doubles the
+    # relative rounding error the chain started with, so the chain is formed
+    # afresh by one more stacked expm at the first octave with
+    # t ||g||_1 >= 1, and again after 20 squarings with no expm.  The first
+    # rule leaves few squarings to a generator whose sup settles soon after
+    # t ||g||_1 = 1.  The second caps the growth at 2^20 where ||g||_1 is no
+    # guide: a stiff generator's fast part can make t ||g||_1 >= 1 from the
+    # start while a slow part is still near the identity
     ts = np.geomspace(1e-3, 2e-3, 8, endpoint=False)
     norm1 = float(np.abs(g).sum(axis=0).max())
     E = expm(ts[:, None, None] * g)
-    fresh = ts[0] * norm1 >= 1.0
+    fresh, squared = ts[0] * norm1 >= 1.0, 0
     sup, flat = 1.0, 0
     for _ in range(40):
-        if not fresh and ts[0] * norm1 >= 1.0:
-            E, fresh = expm(ts[:, None, None] * g), True
+        if squared >= 20 or (not fresh and ts[0] * norm1 >= 1.0):
+            E, fresh, squared = expm(ts[:, None, None] * g), True, 0
         octave = float(_norm2(E).max())
         if octave > 1e6:
             raise ValueError("semigroup norms diverge; generator rejected")
@@ -468,7 +472,7 @@ def _sampled_bound(g: np.ndarray) -> float:
                 break
         else:
             sup, flat = octave, 0
-        ts, E = 2.0 * ts, E @ E
+        ts, E, squared = 2.0 * ts, E @ E, squared + 1
     # a sampled sup of at most 1 returns exactly 1; only an overshoot gets
     # the 1.01 safety factor.  Neither is certified: a peak between grid
     # nodes goes unseen
@@ -505,15 +509,12 @@ def estimate_bound(A: OperatorTuple, j: int) -> float:
     certifies it too, with no matrix exponential.  Otherwise it is the sup
     of ||exp(t A_j)||_2 sampled on a doubling grid of t, which is not
     certified.  make_tuple records which of the three applied in
-    OperatorTuple.bound_kinds and stores the value, which is returned here.
-    Where the bound was passed to make_tuple (kind "given"), the estimate is
-    made afresh from the generator, as above: it is the estimate to compare
-    the given bound with.
+    OperatorTuple.bound_kinds.  The estimate is made from the generator
+    each call, also for a bound passed to make_tuple (kind "given"), so it
+    is the estimate to compare a given bound with.
     """
     if not (0 <= j < A.n):
         raise IndexError("generator index out of range")
-    if A.bound_kinds[j] != "given":
-        return A.bounds[j]
     return _bound(A.generators[j], A.spectral)[0]
 
 
