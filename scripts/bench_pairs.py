@@ -28,9 +28,11 @@ is recorded at the config seed and at ``--seed 7``: the md5 and line count
 of the CSV and the exit code, with ``identical`` true where both sides
 wrote the same bytes.
 Under ``suite_walls`` each side's per-experiment walls of the bundled suite
-are recorded: the median of 5 in-process ``cli.run`` calls at the config
-seed, in one subprocess per side.  Each ``moment-*`` experiment gets a
-note, so that the file shows which experiment a ``suite`` change moved.
+are recorded: the median of 15 in-process ``cli.run`` calls at the config
+seed, in one subprocess per side with one BLAS thread, since at two threads
+the walls of identical code swing by tens of percent.  Each ``moment-*``
+experiment and ``factorization-direct`` gets a note, so that the file shows
+which experiment a ``suite`` change moved.
 Under ``spectra_walls`` each side's walls of ``joint_approximate_spectrum``
 and of the five ``mapping_check`` parts are recorded on a stripped
 ``make_commuting_random(1, d, seed=0)`` at d = 96 and 192, with psi(A) of
@@ -119,7 +121,7 @@ from bpcalc import cli
 text = (resources.files("bpcalc") / "scenarios" / "theorem_suite.json").read_text()
 cfg = cli.parse_config(text)
 walls = {}
-for _ in range(5):
+for _ in range(15):
     for e in cli.run(cfg).experiments:
         walls.setdefault(e.name, []).append(e.wall)
 print(json.dumps({k: statistics.median(v) for k, v in walls.items()}))
@@ -127,10 +129,11 @@ print(json.dumps({k: statistics.median(v) for k, v in walls.items()}))
 
 
 def suite_walls(trees):
-    """Median wall in seconds of each experiment of the bundled suite over 5
-    in-process ``cli.run`` calls at the config seed, one subprocess a side."""
+    """Median wall in seconds of each experiment of the bundled suite over 15
+    in-process ``cli.run`` calls at the config seed, one subprocess a side
+    with one BLAS thread."""
     return {name: {k: round(v, 5)
-                   for k, v in _child(tree, SUITE_WALLS, False).items()}
+                   for k, v in _child(tree, SUITE_WALLS, True).items()}
             for name, tree in trees.items()}
 
 
@@ -290,10 +293,12 @@ def main(argv=None):
                 entry["parent"]["md5"], entry["change"]["md5"]))
         out["suite_walls"] = walls = suite_walls(trees)
         for exp in sorted(walls["parent"]):
-            if exp.startswith("moment-") and exp in walls["change"]:
+            if (exp.startswith("moment-") or exp == "factorization-direct") \
+                    and exp in walls["change"]:
                 p, c = walls["parent"][exp], walls["change"][exp]
                 out["notes"].append(
-                    "suite wall of %s (median of 5 runs): %.4g -> %.4g s "
+                    "suite wall of %s (median of 15 runs, one BLAS thread): "
+                    "%.4g -> %.4g s "
                     "(%+.1f%%)" % (exp, p, c, 100.0 * (c / p - 1.0)))
         out["spectra_walls"] = walls = spectra_walls(trees)
         for op, by_d in walls["parent"].items():

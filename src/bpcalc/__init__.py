@@ -20,8 +20,8 @@ from .analysis import (
 )
 from .calculus import (
     CatalogGapError, apply_psi, apply_psi_spectral, factorization_check,
-    generator_limit_check, laplace_identity_error, subordinated, v_operator,
-    w_operator, w_operator_bound,
+    factorization_checks, generator_limit_check, laplace_identity_error,
+    subordinated, v_operator, w_operator, w_operator_bound,
 )
 from .semigroup import (
     DiagonalRayModel, OperatorTuple, SpectralData, TupleStack, adjoint,
@@ -46,6 +46,7 @@ __all__ = [
     "boundedness_experiment", "catalog_ids", "check_absolute_monotonicity",
     "cone_combine", "convergence_experiment", "diagonal_lift", "direct_sum",
     "estimate_bound", "eval_psi", "eval_via_levy", "factorization_check",
+    "factorization_checks",
     "fourier_translation_model", "fractional_power", "generator_limit_check",
     "holomorphy_criterion", "holomorphy_defect_ray",
     "joint_approximate_spectrum", "joint_point_spectrum",

@@ -40,6 +40,7 @@ __all__ = [
     "CatalogGapError", "apply_psi", "apply_psi_spectral", "subordinated",
     "laplace_identity_error", "generator_limit_check",
     "v_operator", "w_operator", "w_operator_bound", "factorization_check",
+    "factorization_checks",
 ]
 
 _TINY_R = 1e-250
@@ -68,7 +69,8 @@ def _over_r(F, limit):
 
 def _peak(log_c, k, rho):
     """max_e c_e sup_r r^k_e e^{-rho_e r} = c_e (k_e/rho_e)^k_e e^{-k_e},
-    from log c_e, in log space; 0 for no entry."""
+    from log c_e, in log space; 0 for no entry.  rho may hold one row of
+    rates per lam of a stack, along which log c and k broadcast."""
     if len(k) == 0:
         return 0.0
     return float(np.max(np.exp(log_c + xlogy(k, k / rho) - k)))
@@ -387,9 +389,20 @@ class _Profiles:
                          @ right[span].reshape(m, m)).ravel()
         return out
 
-    def w_integrand(self, lam, j):
+    def w_integrand(self, lams, j):
         """(make, budget divisor): make(w) -> (F, bounds, lift) for the
-        profile of V_j(r w_j) U_j(r w), bounds the integrate_radial keywords.
+        profiles of V_j(r w_j) U_j(r w) at every row lam of the (K, n) stack
+        ``lams`` (one row for a single (n,) lam), bounds the
+        integrate_radial keywords.
+
+        The profile holds K copies of one lam's entries, lam-major, so the
+        quadrature shares its panels among the whole stack while the
+        max-norm keeps each copy to the budget of a single lam.  Every node
+        makes one ``_v_diag`` call over all heads, one ``_v_jets`` call with
+        lam_j given per row, and per dense block one ``_van_loan`` per lam
+        after the lam-free U_j factor; the bounds are the largest sup,
+        Lipschitz and envelope coefficients and the smallest rate over the
+        stack, and ``lift`` returns one row of coefficients per lam.
 
         On a jet block i, V_j(t) = sum_k c_k(t) N_ij^k, c_k(t) = int_0^t
         e^{(t-s) lam_j} e^{s z_ij} s^k / k! ds (``_v_jets``, c_0 also
@@ -410,10 +423,18 @@ class _Profiles:
         w_l B_il} e^{r <w, lam>_{>j}}; with the Schur envelopes (rho_l, far_l)
         of its B_il, ||V_j(t)|| <= far_j t e^{t max(Re lam_j, rho_j)}.
         """
+        lams = np.atleast_2d(lams)
+        stack = len(lams)
+        lam = lams[:, j]
         zj, re = self.joint[:, j], self.joint.real
-        gap = zj - lam[j]
+        # lam_j against every head: a (K, 1) column, or for one lam the
+        # scalar itself, which numpy broadcasts at less cost per node
+        lam_h = lam[:, None] if stack > 1 else lam[0]
+        gap = zj - lam_h
         count = len(zj)
-        mu = -np.maximum(lam[j].real, re[:, j])
+        mu = -np.maximum(lam.real[:, None], re[:, j])
+        # the largest Re lam_j and the smallest |lam_j| of the stack
+        top, low = float(lam.real.max()), float(np.abs(lam).min())
         blocks = [(i, N) + _powers(N[j], len(N[0])) for i, N in self.jets]
         # the most pairs of a block: k < len(V), and p < m_i if N_U can be
         # nonzero, else p = 0
@@ -421,7 +442,8 @@ class _Profiles:
                                for k in range(len(V))) for _, N, V, _ in blocks]
                     + [len(N[0]) for _, N in self.dense])
         rows = np.array([i for i, _ in self.jets], dtype=int)
-        z_jet = zj[rows]
+        # z_ij and lam_j of every jet row of the stack, lam-major
+        z_jet, lam_jet = np.tile(zj[rows], stack), lam.repeat(len(rows))
         order = max((len(V) for _, _, V, _ in blocks), default=1)
         # each dense block, the rates rho_l of its envelopes and prod far_l
         envs = [np.array([_schur_envelope(G, self.bound) for G in B[:j + 1]])
@@ -431,64 +453,84 @@ class _Profiles:
         def make(w):
             w = np.asarray(w, dtype=float)
             pre = self.joint[:, :j] @ w[:j]
-            post = complex(np.dot(w[j + 1:], lam[j + 1:]))
-            post_re = float(np.dot(w[j + 1:], lam[j + 1:].real))
-            gamma = w[j] * mu - re[:, :j] @ w[:j] - post_re
+            post = lams[:, j + 1:] @ w[j + 1:]
+            post_re = post.real
+            gamma = w[j] * mu - re[:, :j] @ w[:j] - post_re[:, None]
             size, full, (at, block, k, p, log_nu), lift = self._products(count, [
                 (i, V, log_v) + _powers(np.tensordot(w[:j], N[:j], axes=1), len(N[0]))
                 for i, N, V, log_v in blocks])
+            # the jet row of each product, in the (stack, rows) grid
             row = np.searchsorted(rows, block)
-            shift = pre + post
-            pre_jet = shift[block]
+            shift = pre + post[:, None]
+            pre_jet = shift[:, block]
+            # e^{r shift} = 1 on every head (n = 1, or an axis ray of the
+            # last j) is not formed
+            shifts = bool(shift.any())
+            shift = shift.reshape(gap.shape)
             log_e = log_nu - gammaln(p + 1.0)
 
-            def dense_value(B, r):
-                out = _van_loan(B[j], lam[j], r * w[j])
+            def dense_values(B, r):
+                # the factor U_j is the same for every lam: one expm each
+                out = np.array([_van_loan(B[j], l, r * w[j]) for l in lam])
                 for l in range(j):
                     if w[l] > 0:
                         out = out @ expm(r * w[l] * B[l])
-                return (complex(np.exp(r * post)) * out).ravel()
+                return (np.exp(r * post)[:, None, None] * out).reshape(stack, -1)
 
             def F(r):
                 t = r * w[j]
-                out = _v_diag(t, lam[j], zj, gap) * np.exp(r * shift)
+                out = _v_diag(t, lam_h, zj, gap)
+                if shifts:
+                    out = out * np.exp(r * shift)
+                if blocks or dense:
+                    out = out.reshape(stack, count)
                 if blocks:
-                    out = _pad(out, size)
-                    out[at] = _v_jets(t, lam[j], z_jet, order)[row, k] \
+                    out = np.concatenate(
+                        (out, np.zeros((stack, size - count), dtype=complex)), axis=1)
+                    c = _v_jets(t, lam_jet, z_jet, order).reshape(stack, len(rows), order)
+                    out[:, at] = c[:, row, k] \
                         * np.exp(r * pre_jet + (xlogy(p, r) + log_e))
                 if dense:
-                    out = np.concatenate([out] + [dense_value(B, r) for B, _, _ in dense])
-                return out
+                    out = np.concatenate([out] + [dense_values(B, r) for B, _, _ in dense],
+                                         axis=1)
+                return out.ravel()
 
             still = (zj == 0) & (pre == 0) & (not np.any(w[j + 1:]))
-            moving = ~still
-            log_c_head = np.full(np.count_nonzero(moving), xlogy(1.0, w[j]))
+            # rates and peaks as (K, entries) grids, the coefficients and
+            # powers, which lam leaves alone, broadcast along them
+            moving = gamma[:, ~still]
+            log_c_head = np.full(moving.shape[1], xlogy(1.0, w[j]))
             jet = k + p > 0     # c_0(t) <= t e^{-t mu} on the heads
             ktot = (k + p + 1)[jet]
             log_c = (log_e - gammaln(k + 2.0) + xlogy(k + 1.0, w[j]))[jet]
-            g = gamma[block][jet]
-            # the rate of each dense block and the coefficient of r e^{-rate r}
-            tails = [(-w[j] * max(lam[j].real, rho[j]) - rho[:j] @ w[:j] - post_re,
+            g = gamma[:, block[jet]]
+            # the rate of each dense block at every lam and the coefficient
+            # of r e^{-rate r}
+            tails = [(-w[j] * np.maximum(lam.real, rho[j]) - rho[:j] @ w[:j] - post_re,
                       w[j] * far) for _, rho, far in dense]
-            kw = dict(f_zero=np.zeros(full, dtype=complex),
-                      f_over_r=_over_r(F, w[j] * self._eye(size)),
+            kw = dict(f_zero=np.zeros(stack * full, dtype=complex),
+                      f_over_r=_over_r(F, np.tile(w[j] * self._eye(size), stack)),
                       f_lipschitz=max(w[j] * self.bound, _peak(log_c, ktot - 1, g)),
-                      f_sup=max(self.bound / -lam[j].real, _peak(log_c, ktot, g)))
+                      f_sup=max(self.bound / -top, _peak(log_c, ktot, g)))
             settles = bool(np.any(still))
-            rate = min([np.min(gamma[moving], initial=np.inf),
+            rate = min([np.min(moving, initial=np.inf),
                         np.min(g, initial=np.inf),
-                        -w[j] * lam[j].real if settles else np.inf]
-                       + [g_d for g_d, _ in tails])
+                        -w[j] * top if settles else np.inf]
+                       + [np.min(g_d) for g_d, _ in tails])
             if rate > 1e-12:
                 # r e^{-rate r} <= (2 / (e rate)) e^{-rate r / 2}
-                far = max([_peak(log_c_head, np.ones(len(log_c_head)),
-                                 0.5 * gamma[moving]),
+                far = max([_peak(log_c_head, np.ones(len(log_c_head)), 0.5 * moving),
                            _peak(log_c, ktot, 0.5 * g),
-                           1.0 / abs(lam[j]) if settles else 0.0]
-                          + [c * 2.0 / (np.e * g_d) for g_d, c in tails])
-                kw.update(f_settle=_pad(np.where(still, -1.0 / lam[j], 0.0), full),
-                          f_decay=0.5 * rate, f_far_coeff=far)
-            return F, kw, lift
+                           1.0 / low if settles else 0.0]
+                          + [np.max(c * 2.0 / (np.e * g_d)) for g_d, c in tails])
+                settle = np.zeros((stack, full), dtype=complex)
+                settle[:, :count] = np.where(still, -1.0 / lam_h, 0.0)
+                kw.update(f_settle=settle.ravel(), f_decay=0.5 * rate, f_far_coeff=far)
+
+            def lift_rows(e):
+                return np.array([lift(part) for part in e.reshape(stack, full)])
+
+            return F, kw, lift_rows
 
         return make, self.scale * pairs
 
@@ -687,7 +729,7 @@ def v_operator(lam: complex, A: OperatorTuple, j: int, u: float):
 
 def _v_jets(t, lam, z, order):
     """c_k(t) = int_0^t e^{(t-s) lam} e^{sz} s^k / k! ds for k < ``order``,
-    one row per entry of z.
+    one row per entry of z, with its own entry of lam.
 
     c_k = d_{k+1} with d_p = t^p e^{tz} phi_p(x), x = t (lam - z), and
     d_0 = e^{t lam}.  Order p comes from the upward recurrence
@@ -705,7 +747,7 @@ def _v_jets(t, lam, z, order):
     out = np.empty((len(z), order), dtype=complex)
     up = np.flatnonzero(size >= 1.0)
     if len(up):
-        d = np.full(len(up), np.exp(t * lam), dtype=complex)
+        d = np.exp(t * lam[up])
         for p in range(1, order + 1):
             d = (d - g[up, p - 1]) / gap[up]
             out[up, p - 1] = d
@@ -732,23 +774,45 @@ def _v_jets(t, lam, z, order):
     return out
 
 
+def _lambdas(psi: BernsteinFunction, A: OperatorTuple, lam):
+    """``lam`` as a complex array, checked whole before any quadrature: one
+    point of shape (n,) or a nonempty (K, n) stack of them, every entry
+    finite, every Re lambda_j < 0."""
+    lam = np.asarray(lam, dtype=complex).reshape(np.shape(lam) or 1)
+    if psi.n != A.n or lam.ndim > 2 or lam.shape[-1] != A.n or lam.size == 0:
+        raise ValueError("lambda must have one component per generator, "
+                         "as one point or a stack of points")
+    if not np.isfinite(lam).all():
+        raise ValueError("lambda must be finite")
+    if (lam.real >= 0).any():
+        raise ValueError("w_operator requires Re lambda_j < 0")
+    return lam
+
+
 def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
                tol: float = 1e-9):
-    """W_j^lambda = c1^j I + int V_j(u_j) U_j(u) dmu(u), Re lambda_j < 0."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if len(lam) != A.n or psi.n != A.n:
-        raise ValueError("lambda must have one component per generator")
-    if np.any(lam.real >= 0):
-        raise ValueError("w_operator requires Re lambda_j < 0")
-    return _w_integral(psi, A.representation, lam, j, tol)
+    """W_j^lambda = c1^j I + int V_j(u_j) U_j(u) dmu(u), Re lambda_j < 0.
+
+    ``lam`` is one point of shape (n,), which gives the d x d W_j, or a
+    (K, n) stack, which gives the (K, d, d) stack of the W_j of its rows
+    from one quadrature (``_w_integral``).  The whole stack is checked
+    first: a non-finite entry or Re lambda_j >= 0 raises ValueError.
+    """
+    return _w_integral(psi, A.representation, _lambdas(psi, A, lam), j, tol)
 
 
 def _w_integral(psi: BernsteinFunction, rep, lam, j: int, tol: float):
-    """W_j on the representation ``rep``."""
-    make, cond = rep.w_integrand(lam, j)
-    return rep.finish(integrate_measure(
-        psi.c1[j] * rep.one, psi.measure,
-        lambda w: None if w[j] == 0.0 else make(w), tol / cond))
+    """W_j on the representation ``rep`` at every row of the (K, n) stack
+    ``lam``, (K, d, d), or at one (n,) point, d x d: one integrate_measure
+    call, whose profile ``w_integrand`` holds every row."""
+    lams = np.atleast_2d(lam)
+    make, cond = rep.w_integrand(lams, j)
+    value = integrate_measure(
+        (psi.c1[j] * rep.one)[None].repeat(len(lams), 0), psi.measure,
+        lambda w: None if w[j] == 0.0 else make(w), tol / cond)
+    if np.ndim(lam) == 1:
+        return rep.finish(value[0])
+    return np.array([rep.finish(v) for v in value])
 
 
 def w_operator_bound(psi: BernsteinFunction, A: OperatorTuple, lam, j: int) -> float:
@@ -770,19 +834,33 @@ def factorization_check(psi: BernsteinFunction, A: OperatorTuple, lam,
                         tol: float = 1e-9, operator=None) -> float:
     """Relative residual of (psi(lam) I - psi(A)) = sum_j W_j (lam_j I - A_j).
 
-    ``operator`` lets callers reuse a precomputed psi(A), as in
-    ``mapping_check``; by default it is apply_psi at ``tol``.
+    The one-point case of factorization_checks.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if np.any(lam.real >= 0):
-        raise ValueError("factorization requires Re lambda_j < 0")
+    return float(factorization_checks(psi, A, lam[None], tol, operator)[0])
+
+
+def factorization_checks(psi: BernsteinFunction, A: OperatorTuple, lams,
+                         tol: float = 1e-9, operator=None) -> np.ndarray:
+    """factorization_check at every row of the (K, n) stack ``lams``: the K
+    relative residuals.
+
+    Each W_j is one ``w_operator`` call over the whole stack, so one W
+    quadrature per j whatever K is; the products and norms run as (K, d,
+    d) stacks.  ``operator`` lets callers reuse a precomputed psi(A), as in
+    ``mapping_check``; by default it is apply_psi at ``tol``.
+    """
+    lams = _lambdas(psi, A, lams)
+    if lams.ndim == 1:
+        lams = lams[None]
     eye = np.eye(A.d, dtype=complex)
     F = apply_psi(psi, A, tol) if operator is None else operator
-    lhs = complex(eval_psi(psi, lam)) * eye - F
-    rhs = np.zeros_like(lhs)
-    scale = max(1.0, float(np.linalg.norm(lhs, 2)))
-    for j in range(A.n):
-        term = w_operator(psi, A, lam, j, tol) @ (lam[j] * eye - A.generators[j])
-        rhs = rhs + term
-        scale = max(scale, float(np.linalg.norm(term, 2)))
-    return float(np.linalg.norm(lhs - rhs, 2)) / scale
+    lhs = eval_psi(psi, lams)[:, None, None] * eye - F
+    terms = [w_operator(psi, A, lams, j, tol) @ (lams[:, j, None, None] * eye
+                                                 - A.generators[j])
+             for j in range(A.n)]
+    rhs = sum(terms)
+    # every 2-norm of the check in one call: ||lhs||, each ||term_j||, and
+    # the residual's
+    norms = np.linalg.norm(np.stack([lhs, *terms, lhs - rhs]), 2, axis=(2, 3))
+    return norms[-1] / np.maximum(1.0, norms[:-1].max(axis=0))

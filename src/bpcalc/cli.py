@@ -29,7 +29,7 @@ from .analysis import (boundedness_experiment, convergence_experiment,
                        holomorphy_criterion, moment_checks)
 from .bernstein import CATALOG, QuadratureError, build_catalog
 from .calculus import (CatalogGapError, apply_psi, apply_psi_spectral,
-                       factorization_check, generator_limit_check,
+                       factorization_checks, generator_limit_check,
                        laplace_identity_error, subordinated)
 from .semigroup import (DiagonalRayModel, fourier_translation_model,
                         make_commuting_random, make_commuting_random_stack,
@@ -630,7 +630,16 @@ def _run_mapping(name, spec, cfg, ops, seed, tol, idx):
     return rows, tuple(notes)
 
 
+# matrix entries per stack (1 MB a complex stack): d x d per drawn tuple of a
+# moment sweep, and per lambda of a factorization experiment (each W_j and
+# residual term; its quadrature profile holds at most d^2 + d entries a
+# lambda), so that memory stays bounded however many trials an experiment runs
+_STACK_ENTRIES = 1 << 16
+
+
 def _run_factorization(name, spec, cfg, ops, seed, tol, idx):
+    """One row per lambda; the lambdas are checked as stacks
+    (calculus.factorization_checks), one W quadrature per stack and j."""
     psi = cfg.functions[spec["function"]]
     A = _operator_for(ops, spec["operator"])
     if "lambdas" in spec:
@@ -642,13 +651,15 @@ def _run_factorization(name, spec, cfg, ops, seed, tol, idx):
             rng = np.random.default_rng([seed, idx, k])
             lams.append(rng.uniform(-3.0, -0.3, A.n)
                         + 1j * rng.uniform(-2.0, 2.0, A.n))
-    rows = []
     qtol = _quad_tol(tol)
     F = apply_psi(psi, A, tol=qtol)
-    for k, lam in enumerate(lams):
-        r = factorization_check(psi, A, lam, tol=qtol, operator=F)
-        rows.append(Row(name, "lambda%d" % k, "relative_residual", float(r),
-                        tol, _verdict(r <= tol)))
+    step = max(1, _STACK_ENTRIES // A.d ** 2)
+    residuals = []
+    for start in range(0, len(lams), step):
+        residuals += list(factorization_checks(psi, A, lams[start:start + step],
+                                               tol=qtol, operator=F))
+    rows = [Row(name, "lambda%d" % k, "relative_residual", float(r), tol,
+                _verdict(r <= tol)) for k, r in enumerate(residuals)]
     return rows, ()
 
 
@@ -673,11 +684,6 @@ def _run_holomorphy(name, spec, cfg, ops, seed, tol, idx):
                         rep.measured_limsup, cap,
                         _verdict(rep.measured_limsup <= cap)))
     return rows, notes
-
-
-# matrix entries per stack of drawn tuples (1 MB a complex stack), so that a
-# sweep's memory stays bounded however many trials it runs
-_STACK_ENTRIES = 1 << 16
 
 
 def _run_moment(name, spec, cfg, ops, seed, tol, idx):

@@ -13,7 +13,7 @@ so tuple t is bit for bit the one make_commuting_random(n, d, seeds[t])
 returns; make_commuting_random is the one-seed stack.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -232,15 +232,14 @@ def _check_stack(gens, spectral=None) -> np.ndarray:
 
 
 def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
-               bounds: Optional[Sequence[float]] = None,
-               bound_kinds: Optional[Sequence[str]] = None) -> OperatorTuple:
+               bounds: Optional[Sequence[float]] = None) -> OperatorTuple:
     """Validate and assemble an OperatorTuple.
 
     Rejects tuples whose commutators exceed round-off scale, generators with
     spectrum reaching into the open right half-plane, and spectral data that
     does not reproduce the generators.  Without ``bounds`` each M_j comes
-    from estimate_bound; ``bound_kinds`` records how passed-in bounds were
-    obtained (default "given").  The generators are kept read-only: a
+    from estimate_bound; passed-in bounds are recorded as "given", since
+    nothing here certifies them.  The generators are kept read-only: a
     read-only array that owns its data is shared, any other is copied.
     """
     mats = _as_matrices(generators)
@@ -268,11 +267,9 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
         bounds = tuple(float(b) for b in bounds)
         if not all(1.0 <= b < np.inf for b in bounds):
             raise ValueError("semigroup bounds must be finite and >= 1")
-        bound_kinds = ("given",) * n if bound_kinds is None else tuple(bound_kinds)
-        if len(bounds) != n or len(bound_kinds) != n \
-                or not set(bound_kinds) <= set(BOUND_KINDS):
-            raise ValueError("give one bound and one of %s per generator"
-                             % (BOUND_KINDS,))
+        if len(bounds) != n:
+            raise ValueError("give one bound per generator")
+        bound_kinds = ("given",) * n
     return OperatorTuple(n=n, d=d, generators=mats, bounds=bounds,
                          bound_kinds=bound_kinds, commutator_residual=residual,
                          spectral=spectral)
@@ -418,8 +415,9 @@ def adjoint(A: OperatorTuple) -> OperatorTuple:
     if A.spectral is not None:
         spec = SpectralData(joint=A.spectral.joint.conj(),
                             basis=A.spectral.inverse.conj().T)
-    return make_tuple(gens, spectral=spec, bounds=A.bounds,
-                      bound_kinds=A.bound_kinds)
+    # the bounds are A's, so the kinds are too
+    return replace(make_tuple(gens, spectral=spec, bounds=A.bounds),
+                   bound_kinds=A.bound_kinds)
 
 
 def semigroup_apply(A: OperatorTuple, u) -> np.ndarray:

@@ -13,9 +13,9 @@ from bpcalc.bernstein import (cone_combine, diagonal_lift, direct_sum, eval_psi,
                               poisson)
 from bpcalc.calculus import (CatalogGapError, _Profiles, apply_psi,
                              apply_psi_spectral, factorization_check,
-                             generator_limit_check, laplace_identity_error,
-                             subordinated, v_operator, w_operator,
-                             w_operator_bound)
+                             factorization_checks, generator_limit_check,
+                             laplace_identity_error, subordinated,
+                             v_operator, w_operator, w_operator_bound)
 from bpcalc._schur import _THETA
 from bpcalc.semigroup import (SpectralData, make_commuting_random,
                               make_jordan_polynomial, make_tuple,
@@ -906,6 +906,159 @@ class TestDenseBlocks:
         psi = fractional_power(0.5)
         assert rel_gap(apply_psi(psi, A), -sqrtm(-J)) <= 1e-8
         assert rel_gap(subordinated(psi, A, 0.5), expm(-0.5 * sqrtm(-J))) <= 1e-8
+
+
+STACK_CASES = {
+    "spectral1-frac05": (lambda: fractional_power(0.5),
+                         lambda: make_commuting_random(1, 5, seed=61)),
+    "spectral2-lift": (lambda: diagonal_lift(fractional_power(0.5), [1.0, 0.6]),
+                       lambda: make_commuting_random(2, 5, seed=62)),
+    "spectral2-dsum": (lambda: direct_sum(poisson(), log1m()),
+                       lambda: make_commuting_random(2, 5, seed=63)),
+    "jordan1-log1m": (log1m, lambda: make_jordan_polynomial(1, 8, seed=64)),
+    "jordan2-lift": (lambda: diagonal_lift(log1m(), [1.0, 0.5]),
+                     lambda: make_jordan_polynomial(2, 8, seed=65)),
+    "dense-theta": (lambda: direct_sum(fractional_power(0.5), log1m()),
+                    lambda: TestNonNilpotentFallback.pair()[1]),
+    "dense-similar": (lambda: fractional_power(0.5),
+                      lambda: make_tuple([similar_jordan_block()])),
+    "stripped-poisson": (poisson,
+                         lambda: stripped(make_commuting_random(1, 6, seed=66))),
+}
+
+
+def lambda_stack(n, size, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-2.5, -0.3, (size, n))
+            + 1j * rng.uniform(-1.0, 1.0, (size, n)))
+
+
+class TestStackedW:
+    """w_operator over a (K, n) stack of lambda integrates every row in one
+    quadrature, whose panels the rows share; factorization_checks makes
+    one such quadrature per j.  Each row keeps its own error budget, so it
+    matches the one-lambda call to the quadrature tolerance, not bit for
+    bit."""
+
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_stack_matches_loop(self, case):
+        build, tup = STACK_CASES[case]
+        psi, A = build(), tup()
+        lams = lambda_stack(A.n, 4, zlib.crc32(case.encode()))
+        for j in range(A.n):
+            W = w_operator(psi, A, lams, j)
+            assert W.shape == (4, A.d, A.d)
+            for Wk, lam in zip(W, lams):
+                ref = w_operator(psi, A, lam, j)
+                assert opnorm(Wk - ref) <= 1e-9 * opnorm(ref)
+        residuals = factorization_checks(psi, A, lams)
+        loop = [factorization_check(psi, A, lam) for lam in lams]
+        assert residuals.shape == (4,) and max(residuals) <= 1e-8
+        assert np.allclose(residuals, loop, rtol=0.0, atol=1e-13)
+
+    def test_one_lambda_shapes(self):
+        psi, A = fractional_power(0.5), make_commuting_random(2, 4, seed=67)
+        psi = diagonal_lift(psi, [1.0, 0.6])
+        lam = LAM[:2]
+        assert w_operator(psi, A, lam, 1).shape == (4, 4)
+        assert w_operator(psi, A, lam[None], 1).shape == (1, 4, 4)
+        assert np.array_equal(w_operator(psi, A, lam[None], 1)[0],
+                              w_operator(psi, A, lam, 1))
+        assert w_operator(poisson(), scalar_tuple(-1.0), -1.0, 0).shape == (1, 1)
+        assert isinstance(factorization_check(psi, A, lam), float)
+        residuals = factorization_checks(psi, A, lam[None])
+        assert residuals.shape == (1,)
+        assert residuals[0] == factorization_check(psi, A, lam)
+
+    @pytest.mark.parametrize("lam", [np.nan, complex(-1.0, np.nan),
+                                     complex(-1.0, np.inf), -np.inf],
+                             ids=["nan", "re-nan", "im-inf", "minus-inf"])
+    def test_non_finite_lambda_rejected(self, lam):
+        # NaN and an infinite imaginary part raised QuadratureError from
+        # inside the quadrature, after RuntimeWarnings; -inf returned a zero
+        # matrix
+        A = make_commuting_random(1, 4, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                w_operator(fractional_power(0.5), A, [lam], 0)
+            with pytest.raises(ValueError, match="finite"):
+                factorization_check(fractional_power(0.5), A, [lam])
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, -np.inf],
+                             ids=["nan", "right-half-plane", "minus-inf"])
+    def test_one_bad_row_rejects_the_stack(self, bad, monkeypatch):
+        A = make_commuting_random(1, 4, seed=1)
+        calls = []
+        real = calculus.integrate_measure
+        monkeypatch.setattr(calculus, "integrate_measure",
+                            lambda *a: calls.append(1) or real(*a))
+        lams = [[-1.0], [-0.5 + 0.2j], [bad], [-2.0]]
+        with pytest.raises(ValueError):
+            w_operator(fractional_power(0.5), A, lams, 0)
+        with pytest.raises(ValueError):
+            factorization_checks(fractional_power(0.5), A, lams)
+        assert calls == []
+
+    @pytest.mark.parametrize("lams", [np.zeros((0, 1)), -np.ones((2, 2)),
+                                      -np.ones((2, 1, 1))],
+                             ids=["empty", "arity", "three-d"])
+    def test_bad_stack_shape_rejected(self, lams):
+        A = make_commuting_random(1, 4, seed=1)
+        with pytest.raises(ValueError, match="one component per generator"):
+            w_operator(fractional_power(0.5), A, lams, 0)
+
+
+class TestStackedFactorizationRuns:
+    """The factorization runner checks its lambdas as stacks of at most
+    cli._STACK_ENTRIES matrix entries."""
+
+    @staticmethod
+    def suite_experiment(name):
+        import json
+        from bpcalc.cli import _load_config_text, parse_config
+        doc = json.loads(_load_config_text("theorem_suite"))
+        doc["experiments"] = [e for e in doc["experiments"] if e["id"] == name]
+        return parse_config(doc)
+
+    def test_one_radial_quadrature_per_stack_and_j(self, monkeypatch):
+        # factorization-direct: ds2 (a Poisson atom on e_1, the 1/2-power
+        # density on e_2) on a 5 x 5 pair, 5 lambdas.  psi(A) integrates
+        # the density once, and W_2 once for all 5 lambdas, where each
+        # lambda had its own; W_1 integrates only the atom
+        from bpcalc import _integrate, cli
+        cfg = self.suite_experiment("factorization-direct")
+        radial, stacks = [], []
+        real_radial, real_w = _integrate.integrate_radial, calculus.w_operator
+        monkeypatch.setattr(_integrate, "integrate_radial",
+                            lambda *a, **kw: radial.append(1) or real_radial(*a, **kw))
+        monkeypatch.setattr(calculus, "w_operator", lambda psi, A, lam, j, tol:
+                            stacks.append((np.shape(lam), j)) or real_w(psi, A, lam, j, tol))
+        report = cli.run(cfg)
+        assert report.verdict == "PASS"
+        assert len(report.experiments[0].rows) == 5
+        assert stacks == [((5, 2), 0), ((5, 2), 1)]
+        assert len(radial) == 2
+
+    def test_chunked_stack_equals_unchunked(self, monkeypatch):
+        from bpcalc import cli
+        doc = {"functions": [{"id": "fp", "catalog": "fractional_power",
+                              "parameters": {"alpha": 0.5}}],
+               "operators": [{"id": "a", "random": {"n": 1, "d": 4, "seed": 5}}],
+               "experiments": [{"kind": "factorization", "id": "fac",
+                                "function": "fp", "operator": "a",
+                                "trials": 5}]}
+        cfg = cli.parse_config(doc)
+        whole = [r.value for r in cli.run(cfg).experiments[0].rows]
+        sizes = []
+        real = cli.factorization_checks
+        monkeypatch.setattr(cli, "factorization_checks", lambda psi, A, lams, **kw:
+                            sizes.append(len(lams)) or real(psi, A, lams, **kw))
+        monkeypatch.setattr(cli, "_STACK_ENTRIES", 2 * 4 * 4 + 3)
+        chunked = [r.value for r in cli.run(cfg).experiments[0].rows]
+        assert sizes == [2, 2, 1]
+        assert np.allclose(chunked, whole, rtol=0.0, atol=1e-13)
+        assert max(whole) <= 1e-8
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0],

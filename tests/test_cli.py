@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bpcalc.bernstein import CATALOG, catalog_ids
-from bpcalc.calculus import apply_psi, factorization_check
+from bpcalc.calculus import (apply_psi, factorization_check,
+                             factorization_checks)
 from bpcalc.cli import (_EXPERIMENT_KINDS, _EXPERIMENTS, ConfigError,
                         ExperimentResult, Row, _build_operator,
                         config_document, emit_report, _load_config_text, main,
@@ -610,9 +611,14 @@ class TestRun:
             ("lambda1", "relative_residual", "PASS")]
         A, psi = _build_operator(cfg.operator_spec("a")), cfg.functions["lg"]
         F = apply_psi(psi, A, tol=1e-9)
-        for r, lam in zip(rows, ([-0.8 + 0.3j], [-1.5 - 0.2j])):
-            assert r.value == factorization_check(psi, A, lam, tol=1e-9,
-                                                  operator=F)
+        # the rows are the residuals of one stack of both lambdas; each one
+        # checked alone has its own quadrature panels
+        lams = [[-0.8 + 0.3j], [-1.5 - 0.2j]]
+        assert [r.value for r in rows] == list(factorization_checks(
+            psi, A, lams, tol=1e-9, operator=F))
+        for r, lam in zip(rows, lams):
+            assert abs(r.value - factorization_check(
+                psi, A, lam, tol=1e-9, operator=F)) <= 1e-14
 
     def test_explicit_similar_jordan_block(self):
         # S J S^-1 with cond(S) = 10: its Schur diagonal splits into six
@@ -677,7 +683,7 @@ class TestRun:
         import bpcalc.calculus
         import bpcalc.cli
         import bpcalc.spectra
-        from bpcalc.calculus import factorization_check
+        from bpcalc.calculus import factorization_checks
         from bpcalc.cli import _build_operator
         from bpcalc.spectra import mapping_check
         apply_psi = bpcalc.calculus.apply_psi
@@ -714,8 +720,8 @@ class TestRun:
             rng = np.random.default_rng([1, 1, k])
             lams.append(rng.uniform(-3.0, -0.3, 1) + 1j * rng.uniform(-2.0, 2.0, 1))
         qtol = min(1e-9, cfg.tol / 10.0)
-        assert [r.value for r in rows_for(report, "fac")] == [
-            factorization_check(psi, A, lam, tol=qtol) for lam in lams]
+        assert [r.value for r in rows_for(report, "fac")] == list(
+            factorization_checks(psi, A, lams, tol=qtol))
 
 
 class TestEmit:

@@ -490,8 +490,24 @@ class TestLogNormRoute:
             assert S.adjoint(A).bounds == A.bounds
 
     def test_bad_bound_kind_rejected(self):
-        with pytest.raises(ValueError, match="per generator"):
+        # a caller cannot name the kind of a passed bound, so no kind can be
+        # wrong; a bound count that is wrong is still rejected
+        with pytest.raises(TypeError, match="bound_kinds"):
             S.make_tuple([-np.eye(2)], bounds=[1.0], bound_kinds=["guessed"])
+        with pytest.raises(ValueError, match="per generator"):
+            S.make_tuple([-np.eye(2)], bounds=[1.0, 1.0])
+
+    def test_passed_bound_recorded_as_given(self):
+        # ||e^A||_2 = 1.558 here, so M = 1 is wrong; it was recorded as a
+        # certified-looking "lognorm" when the caller named that kind
+        with pytest.raises(TypeError, match="bound_kinds"):
+            S.make_tuple([[[-1, 4], [0, -1]]], bounds=[1.0],
+                         bound_kinds=["lognorm"])
+        A = S.make_tuple([[[-1, 4], [0, -1]]], bounds=[1.0])
+        assert A.bounds == (1.0,) and A.bound_kinds == ("given",)
+        assert S.adjoint(A).bound_kinds == ("given",)
+        assert np.linalg.norm(expm(A.generators[0]), 2) > 1.55
+        assert S.make_tuple(A.generators).bound_kinds == ("sampled",)
 
     @pytest.mark.parametrize("seed", [[13, 5]] + list(range(10)))
     @pytest.mark.parametrize("d", [16, 30, 40])
