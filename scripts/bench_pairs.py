@@ -37,8 +37,9 @@ Under ``spectra_walls`` each side's walls of ``joint_approximate_spectrum``
 and of the five ``mapping_check`` parts are recorded on a stripped
 ``make_commuting_random(1, d, seed=0)`` at d = 96 and 192, with psi(A) of
 ``log1m`` precomputed and the tuple's splits formed by a first call: the
-median of 3 calls, in one subprocess per side with one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``).  No workload runs the mapping checks above
+median of 15 calls, in one subprocess per side with one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``), since a median of 3 swung by tens of
+percent on identical code.  No workload runs the mapping checks above
 d = 32, so this is the record of how they scale with d.
 Under ``bound_walls`` each side's ``make_tuple`` is timed on every
 generator with a positive logarithmic norm (so a sampled bound) of the
@@ -155,7 +156,7 @@ for d in (96, 192):
     for name, op in ops.items():
         op()
         walls = []
-        for _ in range(3):
+        for _ in range(15):
             start = time.perf_counter()
             op()
             walls.append(time.perf_counter() - start)
@@ -166,7 +167,7 @@ print(json.dumps(out))
 
 def spectra_walls(trees):
     """Median wall in seconds of the joint approximate spectrum and of each
-    mapping part over 3 calls at d = 96 and 192, one subprocess a side with
+    mapping part over 15 calls at d = 96 and 192, one subprocess a side with
     one BLAS thread."""
     return {name: {op: {d: round(v, 5) for d, v in walls.items()}
                    for op, walls in _child(tree, SPECTRA_WALLS, True).items()}
@@ -305,7 +306,7 @@ def main(argv=None):
             for d, p in by_d.items():
                 c = walls["change"][op][d]
                 out["notes"].append(
-                    "spectra wall of %s at %s (median of 3, one BLAS thread): "
+                    "spectra wall of %s at %s (median of 15, one BLAS thread): "
                     "%.4g -> %.4g s (%+.1f%%)" % (op, d, p, c,
                                                  100.0 * (c / p - 1.0)))
         out["bound_walls"] = walls = bound_walls(trees)

@@ -9,9 +9,8 @@ verification experiments.
 
 from .bernstein import (
     Atom, BernsteinFunction, LevyMeasure, QuadratureError, RadialDensity,
-    SubordinatorFamily, catalog_ids, check_absolute_monotonicity,
-    cone_combine, diagonal_lift, direct_sum, eval_psi, eval_via_levy,
-    fractional_power, linear, log1m, poisson,
+    SubordinatorFamily, catalog_ids, cone_combine, diagonal_lift, direct_sum,
+    eval_psi, eval_via_levy, fractional_power, linear, log1m, poisson,
 )
 from .analysis import (
     HolomorphyReport, MomentReport, boundedness_experiment,
@@ -25,7 +24,6 @@ from .calculus import (
 )
 from .semigroup import (
     DiagonalRayModel, OperatorTuple, SpectralData, TupleStack, adjoint,
-    estimate_bound,
     fourier_translation_model, holomorphy_defect_ray, make_commuting_random,
     make_commuting_random_stack, make_jordan_polynomial, make_tuple,
     semigroup_apply,
@@ -43,9 +41,9 @@ __all__ = [
     "QuadratureError", "RadialDensity", "SpectralData", "SpectrumPoint",
     "SubordinatorFamily", "TupleStack", "adjoint", "apply_psi",
     "apply_psi_spectral",
-    "boundedness_experiment", "catalog_ids", "check_absolute_monotonicity",
+    "boundedness_experiment", "catalog_ids",
     "cone_combine", "convergence_experiment", "diagonal_lift", "direct_sum",
-    "estimate_bound", "eval_psi", "eval_via_levy", "factorization_check",
+    "eval_psi", "eval_via_levy", "factorization_check",
     "factorization_checks",
     "fourier_translation_model", "fractional_power", "generator_limit_check",
     "holomorphy_criterion", "holomorphy_defect_ray",

@@ -28,8 +28,8 @@ The caller supplies the analytic ingredients (Lipschitz coefficient at the
 origin, sup bound, decay rate, settle value); this module assembles them into
 a value plus a certified error estimate.  ``integrate_measure`` applies that
 to a whole measure, atoms plus parts, with one set-up per ray direction:
-psi(s), psi(A) and the factorization cofactors W_j against mu, g_t(A)
-against nu_t, and int min(|u|, 1) dmu all go through it.
+psi(s), psi(A) and the factorization cofactors W_j against mu, and g_t(A)
+against nu_t, all go through it.
 """
 
 from __future__ import annotations
@@ -192,7 +192,8 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
       f_settle      limit of f at infinity, or None if unknown;
       f_decay       gamma >= 0 with ||f(r) - settle|| <= f_far_coeff *
                     exp(-gamma*r) for r >= split (settle read as 0 if None);
-      f_far_coeff   coefficient of that decay bound (default f_sup + ||settle||);
+                    0 when no such bound is known;
+      f_far_coeff   coefficient of that decay bound, read when f_decay > 0;
       f_over_r      optional stable evaluation of f(r)/r; must return the
                     r -> 0 limit once r is subnormal-small (below ~1e-250),
                     where a literal quotient loses precision.  Paired with
@@ -212,9 +213,6 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
     m = part.density
     err_total = 0.0
     settle_norm = 0.0 if f_settle is None else _norm(f_settle)
-    far_given = f_far_coeff is not None
-    if f_far_coeff is None:
-        f_far_coeff = f_sup + settle_norm
 
     logm = getattr(part, "log_density", None)
     compensated = f_over_r is not None and logm is not None
@@ -291,7 +289,7 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
     flat_coeff = (f_sup + settle_norm) if settle_usable else f_sup
     # the decay bound speaks about f - settle, so it only certifies the tail
     # when the settle correction is actually applied (or settle is zero)
-    far_usable = (far_given or f_decay > 0.0) and (settle_usable or f_settle is None)
+    far_usable = f_decay > 0.0 and (settle_usable or f_settle is None)
 
     def tail_err(R):
         bounds = [flat_coeff * part.tail_mass(R)]
@@ -300,7 +298,7 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
         return min(bounds)
 
     R = max(split, *[2.0 * h for h in part.hints]) if part.hints else split
-    if far_usable and f_decay > 0.0:
+    if far_usable:
         # direct solve from the decay bound, then let the loop confirm
         need = f_far_coeff * max(tail_at_split, 1e-300) / max(budget, 1e-300)
         if need > 1.0:

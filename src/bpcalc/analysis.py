@@ -48,8 +48,8 @@ class MomentReport:
 
 def k_constant(M: float) -> float:
     """(M+1)/(1 - e^{-(M+1)/M}), the moment-inequality constant."""
-    if M < 1.0:
-        raise ValueError("K_M is defined for M >= 1")
+    if not 1.0 <= M < np.inf:
+        raise ValueError("K_M is defined for M finite and >= 1")
     return float((M + 1.0) / -np.expm1(-(M + 1.0) / M))
 
 
@@ -71,9 +71,14 @@ def moment_checks(psi: BernsteinFunction, A, xs) -> tuple:
     eval_psi as well.  The products A_j x_t and psi(A) x_t run as
     (T, d, d) @ (T, d, 1) stacks; the norms are taken per row, as
     moment_check takes them, so each report equals moment_check's bit for
-    bit.
+    bit.  ``xs`` that is not a nonempty, finite (T, d) array raises
+    ValueError.
     """
     X = np.asarray(xs, dtype=complex)
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != A.d:
+        raise ValueError("xs must be a nonempty (T, d) array, d = %d" % A.d)
+    if not np.isfinite(X).all():
+        raise ValueError("xs must be finite")
     nxs = [float(np.linalg.norm(x)) for x in X]
     if 0.0 in nxs:
         raise ValueError("x must be nonzero")
@@ -189,8 +194,8 @@ def holomorphy_criterion(models, bounds,
     n = len(models)
     if len(bounds) != n:
         raise ValueError("one bound per defect source")
-    if any(M < 1.0 for M in bounds):
-        raise ValueError("semigroup bounds are >= 1")
+    if not all(1.0 <= M < np.inf for M in bounds):
+        raise ValueError("semigroup bounds must be finite and >= 1")
     resolved = [_resolve_source(m) for m in models]
     defects = tuple(r[0] for r in resolved)
     if any(not 0.0 <= b <= 2.0 for b in defects):

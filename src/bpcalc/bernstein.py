@@ -20,8 +20,6 @@ sum or a lift pushes mu and every nu_t forward by one linear map.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -29,14 +27,14 @@ import numpy as np
 from scipy.special import (erf, erfc, exp1, gamma as gamma_fn, gammainc,
                            gammaincc, gammaln)
 
-from ._integrate import QuadratureError, integrate_measure
+from ._integrate import QuadratureError
 
 __all__ = [
     "Atom", "RadialDensity", "LevyMeasure",
-    "BernsteinFunction", "MonotonicityReport", "SubordinatorFamily",
+    "BernsteinFunction", "SubordinatorFamily",
     "fractional_power", "poisson", "log1m", "linear",
     "cone_combine", "direct_sum", "diagonal_lift",
-    "eval_psi", "eval_via_levy", "check_absolute_monotonicity",
+    "eval_psi", "eval_via_levy",
     "catalog_ids", "QuadratureError",
 ]
 
@@ -84,10 +82,10 @@ class RadialDensity:
     ``beta`` and ``sing_coeff`` certify
     m(r) <= sing_coeff * r**-beta for r <= split_radius with beta < 2;
     ``tail_mass`` bounds the mass beyond R (exact when ``tail_exact``);
-    ``mass_below`` is the exact partial mass when a closed form exists;
-    ``total_mass`` is None for infinite measures.  ``log_density`` maps
-    v = log r to log m(e**v); supplying it lets quadrature work below the
-    radius where density itself would overflow (beta close to 2).
+    ``mass_below`` is the exact partial mass when a closed form exists.
+    ``log_density`` maps v = log r to log m(e**v); supplying it lets
+    quadrature work below the radius where density itself would overflow
+    (beta close to 2).
     ``density`` and ``log_density`` act elementwise on an array of radii
     (of log radii): quadrature weighs the nodes of a panel in one call.
     """
@@ -100,7 +98,6 @@ class RadialDensity:
     tail_exact: bool = False
     mass_below: Optional[Callable[[float], float]] = None
     log_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    total_mass: Optional[float] = None
     hints: tuple = ()
 
     def __post_init__(self):
@@ -127,7 +124,6 @@ class RadialDensity:
             tail_mass=lambda R, _t=tail: a * _t(R),
             mass_below=None if below is None else (lambda r, _b=below: a * _b(r)),
             log_density=None if logm is None else (lambda v, _g=logm: np.log(a) + _g(v)),
-            total_mass=None if self.total_mass is None else a * self.total_mass,
         )
 
 
@@ -151,40 +147,6 @@ class LevyMeasure:
                                 % type(p).__name__)
             if len(p.direction) != self.n:
                 raise DimensionMismatchError("density part dimension mismatch")
-
-    def is_empty(self) -> bool:
-        return not self.atoms and not self.parts
-
-    def total_mass(self) -> Optional[float]:
-        """Total mass, or None when infinite."""
-        total = sum(a.mass for a in self.atoms)
-        for p in self.parts:
-            if p.total_mass is None:
-                return None
-            total += p.total_mass
-        return total
-
-    def min_integral(self, tol: float = 1e-9) -> float:
-        """int min(|u|, 1) dmu, the convergence functional of the triple."""
-        def part_setup(w):
-            wnorm = float(np.linalg.norm(w))
-            # min(w*r, 1) is exactly 1 past the split, so the settled
-            # remainder carries zero residual
-            return (lambda r: min(wnorm * r, 1.0),
-                    dict(f_zero=0.0, f_lipschitz=wnorm, f_sup=1.0,
-                         f_settle=1.0, f_decay=0.0, f_far_coeff=0.0),
-                    lambda v: v)
-
-        return float(np.real(integrate_measure(0.0, self, part_setup, tol)))
-
-    def mass_outside(self, delta: float) -> float:
-        """Upper bound on mu(|u| > delta); finite for every delta > 0."""
-        total = sum(a.mass for a in self.atoms
-                    if a.radius * float(np.linalg.norm(a.direction)) > delta)
-        for p in self.parts:
-            wnorm = float(np.linalg.norm(p.direction))
-            total += float(p.tail_mass(delta / wnorm))
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +225,6 @@ def _smirnov_measure(t: float) -> LevyMeasure:
         tail_exact=True,
         mass_below=lambda r: float(erfc(t / (2.0 * np.sqrt(r)))),
         log_density=lambda v: np.log(c) - 1.5 * v - 0.25 * t * t * np.exp(-v),
-        total_mass=1.0,
         hints=(t * t / 6.0, t * t),
     )])
 
@@ -279,7 +240,6 @@ def _gamma_measure(t: float) -> LevyMeasure:
         tail_exact=True,
         mass_below=lambda r: float(gammainc(t, r)),
         log_density=lambda v: (t - 1.0) * v - np.exp(v) - float(gammaln(t)),
-        total_mass=1.0,
         hints=(max(t - 1.0, 0.5 * t),),
     )])
 
@@ -437,7 +397,6 @@ def fractional_power(alpha: float) -> BernsteinFunction:
         tail_exact=True,
         mass_below=None,
         log_density=lambda v: np.log(coeff) - (1.0 + alpha) * v,
-        total_mass=None,
     )
     family = None
     if alpha == 0.5:
@@ -469,7 +428,6 @@ def log1m() -> BernsteinFunction:
         tail_exact=True,
         mass_below=None,
         log_density=lambda v: -np.exp(v) - v,
-        total_mass=None,
     )
     return BernsteinFunction(
         n=1, c0=0.0, c1=np.array([0.0]), measure=LevyMeasure(1, parts=[part]),
@@ -683,100 +641,3 @@ def build_catalog(catalog_id: str, params: dict,
     if len(children) != want:
         raise ValueError("%r takes exactly %d children" % (catalog_id, want))
     return entry.build(value, tuple(children))
-
-
-# ---------------------------------------------------------------------------
-# absolute monotonicity
-
-
-@dataclass
-class MonotonicityReport:
-    passed: bool
-    mode: str
-    order: int
-    step: float
-    min_difference: float
-    max_value: float
-    violations: list
-    differences_checked: int
-
-
-def check_absolute_monotonicity(f, lower, upper, *, points: int = 6,
-                                order: int = 4, step: Optional[float] = None,
-                                tol: float = 1e-7,
-                                mode: str = "bernstein") -> MonotonicityReport:
-    """Finite-difference certificate on a lattice strictly inside (-inf,0)^n.
-
-    mode "bernstein" checks the defining property of the class: f <= tol on
-    the lattice and every mixed forward difference of total order 1..order
-    is >= -tol (those differences approximate h^|k| times the mixed partials
-    of the first derivatives, which must be absolutely monotone).  mode
-    "absolutely_monotone" checks orders 0..order >= -tol, certifying that f
-    itself is absolutely monotone (used for subordination kernels g_t).
-    """
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    n = len(lower)
-    if mode not in ("bernstein", "absolutely_monotone"):
-        raise ValueError("unknown mode %r" % mode)
-    if np.any(upper <= lower):
-        raise ValueError("empty lattice box")
-    if step is None:
-        step = 1e-2 * max(1.0, float(np.max(np.abs(lower))))
-    if np.any(upper + order * step >= 0):
-        raise ValueError("grid touches the boundary s = 0 (shrink the box or the step)")
-
-    axes = [np.linspace(lower[j], upper[j], points) for j in range(n)]
-    base = list(itertools.product(*axes))
-
-    # cache f on every lattice shifted by i*step, i a multi-index <= order
-    shifted = {}
-
-    def values(offset):
-        if offset not in shifted:
-            arr = np.empty(len(base))
-            off = np.asarray(offset, dtype=float) * step
-            for idx, pt in enumerate(base):
-                arr[idx] = float(np.real(f(np.asarray(pt) + off)))
-            shifted[offset] = arr
-        return shifted[offset]
-
-    violations = []
-    min_diff = np.inf
-    max_val = -np.inf
-    checked = 0
-
-    f0 = values((0,) * n)
-    max_val = float(np.max(f0))
-    if mode == "bernstein" and max_val > tol:
-        idx = int(np.argmax(f0))
-        violations.append(("nonpositivity", (0,) * n, base[idx], float(f0[idx])))
-    if mode == "absolutely_monotone":
-        lowest = float(np.min(f0))
-        min_diff = min(min_diff, lowest)
-        checked += len(f0)
-        if lowest < -tol:
-            idx = int(np.argmin(f0))
-            violations.append(("difference", (0,) * n, base[idx], lowest))
-
-    lo_order = 1
-    for k in itertools.product(range(order + 1), repeat=n):
-        total = sum(k)
-        if total < lo_order or total > order:
-            continue
-        diff = np.zeros(len(base))
-        for i in itertools.product(*[range(kj + 1) for kj in k]):
-            sign = (-1) ** (total - sum(i))
-            coef = sign * math.prod(math.comb(kj, ij) for kj, ij in zip(k, i))
-            diff += coef * values(i)
-        checked += len(diff)
-        low = float(np.min(diff))
-        min_diff = min(min_diff, low)
-        if low < -tol:
-            idx = int(np.argmin(diff))
-            violations.append(("difference", k, base[idx], low))
-
-    return MonotonicityReport(
-        passed=not violations, mode=mode, order=order, step=float(step),
-        min_difference=float(min_diff), max_value=max_val,
-        violations=violations, differences_checked=checked)

@@ -719,9 +719,15 @@ def _van_loan(G, lam, u):
 
 
 def v_operator(lam: complex, A: OperatorTuple, j: int, u: float):
-    """V_j^lambda(u) = int_0^u e^{(u-s) lambda} T_j(s) ds, by ``_van_loan``."""
-    if u < 0:
-        raise ValueError("upper limit must be nonnegative")
+    """V_j^lambda(u) = int_0^u e^{(u-s) lambda} T_j(s) ds, by ``_van_loan``.
+
+    A non-finite lambda or u, or u < 0, raises ValueError.
+    """
+    lam, j = complex(lam), _index(A, j)
+    if not np.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    if not 0 <= u < np.inf:
+        raise ValueError("upper limit must be finite and nonnegative")
     if u == 0:
         return np.zeros((A.d, A.d), dtype=complex)
     return _van_loan(A.generators[j], lam, u)
@@ -774,6 +780,14 @@ def _v_jets(t, lam, z, order):
     return out
 
 
+def _index(A: OperatorTuple, j) -> int:
+    """``j`` as a generator index of A: IndexError unless it is an integer
+    in 0..n-1, since numpy would read j = -1 as the last generator."""
+    if not isinstance(j, (int, np.integer)) or not 0 <= j < A.n:
+        raise IndexError("generator index out of range")
+    return int(j)
+
+
 def _lambdas(psi: BernsteinFunction, A: OperatorTuple, lam):
     """``lam`` as a complex array, checked whole before any quadrature: one
     point of shape (n,) or a nonempty (K, n) stack of them, every entry
@@ -785,7 +799,7 @@ def _lambdas(psi: BernsteinFunction, A: OperatorTuple, lam):
     if not np.isfinite(lam).all():
         raise ValueError("lambda must be finite")
     if (lam.real >= 0).any():
-        raise ValueError("w_operator requires Re lambda_j < 0")
+        raise ValueError("W_j^lambda requires Re lambda_j < 0")
     return lam
 
 
@@ -798,7 +812,8 @@ def w_operator(psi: BernsteinFunction, A: OperatorTuple, lam, j: int,
     from one quadrature (``_w_integral``).  The whole stack is checked
     first: a non-finite entry or Re lambda_j >= 0 raises ValueError.
     """
-    return _w_integral(psi, A.representation, _lambdas(psi, A, lam), j, tol)
+    lam, j = _lambdas(psi, A, lam), _index(A, j)
+    return _w_integral(psi, A.representation, lam, j, tol)
 
 
 def _w_integral(psi: BernsteinFunction, rep, lam, j: int, tol: float):
@@ -817,11 +832,12 @@ def _w_integral(psi: BernsteinFunction, rep, lam, j: int, tol: float):
 
 def w_operator_bound(psi: BernsteinFunction, A: OperatorTuple, lam, j: int) -> float:
     """Analytic norm bound c1^j + (M^n / Re lambda_j) (psi(Re lambda_j e_j)
-    - c1^j Re lambda_j - psi(-0))."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    - c1^j Re lambda_j - psi(-0)), at one lambda of shape (n,), checked
+    as w_operator checks it."""
+    lam, j = _lambdas(psi, A, lam), _index(A, j)
+    if lam.ndim != 1:
+        raise ValueError("w_operator_bound takes one lambda of shape (n,)")
     rj = float(lam[j].real)
-    if rj >= 0:
-        raise ValueError("bound requires Re lambda_j < 0")
     M = max(A.bounds)
     s = np.zeros(A.n)
     s[j] = rj

@@ -26,16 +26,13 @@ __all__ = [
     "SpectralData", "OperatorTuple", "TupleStack", "DiagonalRayModel",
     "make_tuple", "make_commuting_random", "make_commuting_random_stack",
     "make_jordan_polynomial",
-    "adjoint", "semigroup_apply", "estimate_bound", "log_norm", "BOUND_KINDS",
+    "adjoint", "semigroup_apply", "log_norm",
     "fourier_modes", "fourier_translation_model", "holomorphy_defect_ray",
 ]
 
 _COMMUTE_REL = 1e-10
 _SPECTRAL_REL = 1e-10
 _RE_TOL = 1e-8
-# how each M_j was obtained: cond(P) of the spectral data, the logarithmic
-# norm (certified), a sampled sup (not certified), or passed in by the caller
-BOUND_KINDS = ("spectral", "lognorm", "sampled", "given")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +70,10 @@ class OperatorTuple:
     n: int
     d: int
     generators: tuple          # n read-only complex d x d arrays
-    bounds: tuple              # M_j >= 1, see estimate_bound
-    bound_kinds: tuple         # how each M_j was obtained, from BOUND_KINDS
+    bounds: tuple              # M_j >= 1, see _bound
+    # how each M_j was obtained: "spectral", "lognorm" or "sampled" (see
+    # _bound), or "given" when passed in by the caller
+    bound_kinds: tuple
     commutator_residual: float
     spectral: Optional[SpectralData] = None
 
@@ -129,8 +128,8 @@ class TupleStack:
         return len(self.cond)
 
     def bound(self, t: int) -> float:
-        """M_j of tuple t, the same for every j (see estimate_bound)."""
-        return _bound(None, self._spectral(t))[0]
+        """M_j of tuple t, the same for every j (see _bound)."""
+        return _bound(None, self._spectral(t), None)[0]
 
     def _spectral(self, t: int) -> "SpectralData":
         return SpectralData._derived(self.joint[t], self.basis[t],
@@ -138,7 +137,7 @@ class TupleStack:
 
     def __getitem__(self, t: int) -> OperatorTuple:
         spec = self._spectral(t)
-        bound, kind = _bound(None, spec)
+        bound, kind = _bound(None, spec, None)
         return OperatorTuple(
             n=self.n, d=self.d,
             generators=tuple(_frozen(G[t].copy()) for G in self.generators),
@@ -238,7 +237,7 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
     Rejects tuples whose commutators exceed round-off scale, generators with
     spectrum reaching into the open right half-plane, and spectral data that
     does not reproduce the generators.  Without ``bounds`` each M_j comes
-    from estimate_bound; passed-in bounds are recorded as "given", since
+    from _bound; passed-in bounds are recorded as "given", since
     nothing here certifies them.  The generators are kept read-only: a
     read-only array that owns its data is shared, any other is copied.
     """
@@ -487,33 +486,21 @@ def log_norm(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[-1])
 
 
-def _bound(g: np.ndarray, spectral: Optional[SpectralData],
-           omega: Optional[float] = None):
-    """(M, kind) for generator g, in the order estimate_bound describes."""
+def _bound(g: Optional[np.ndarray], spectral: Optional[SpectralData],
+           omega: Optional[float]):
+    """(M, kind) with M >= 1 meant to satisfy sup_t ||exp(t g)|| <= M.
+
+    With spectral data M is cond(P), which certifies the bound.  For a
+    generator-only tuple, ``omega`` is the logarithmic norm of g: omega <= 0
+    gives M = 1, which certifies it too, with no matrix exponential.
+    Otherwise M is the sup of ||exp(t g)||_2 sampled on a doubling grid of
+    t, which is not certified.  The kind names which of the three applied.
+    """
     if spectral is not None:
         return max(1.0, spectral.cond), "spectral"
-    if omega is None:
-        omega = log_norm(g)
     if omega <= 0.0:
         return 1.0, "lognorm"
     return _sampled_bound(g), "sampled"
-
-
-def estimate_bound(A: OperatorTuple, j: int) -> float:
-    """M_j >= 1 meant to satisfy sup_t ||exp(t A_j)|| <= M_j.
-
-    With spectral data it is cond(P), which certifies the bound.  For a
-    generator-only tuple with logarithmic norm omega_j <= 0 it is 1, which
-    certifies it too, with no matrix exponential.  Otherwise it is the sup
-    of ||exp(t A_j)||_2 sampled on a doubling grid of t, which is not
-    certified.  make_tuple records which of the three applied in
-    OperatorTuple.bound_kinds.  The estimate is made from the generator
-    each call, also for a bound passed to make_tuple (kind "given"), so it
-    is the estimate to compare a given bound with.
-    """
-    if not (0 <= j < A.n):
-        raise IndexError("generator index out of range")
-    return _bound(A.generators[j], A.spectral)[0]
 
 
 def fourier_modes(K: int, n: int = 1) -> np.ndarray:

@@ -37,6 +37,12 @@ class TestKConstant:
         with pytest.raises(ValueError):
             k_constant(0.5)
 
+    @pytest.mark.parametrize("M", [np.nan, np.inf])
+    def test_non_finite_bound_rejected(self, M):
+        # k_constant(nan) returned nan
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            k_constant(M)
+
 
 class TestMomentCheck:
     def test_scalar_fractional_half(self):
@@ -209,6 +215,16 @@ class TestStackedMomentChecks:
         with pytest.raises(ValueError, match="arity"):
             moment_checks(linear([1.0, 1.0]), stack, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("xs", [np.ones(3), np.ones((2, 4)), np.ones((0, 3)),
+                                    [[1.0, np.nan, 0.0]]],
+                             ids=["one-dim", "row-length", "empty", "nan"])
+    def test_vectors_must_be_finite_rows(self, xs):
+        # a 1-D xs raised numpy's IndexError and a wrong row length a matmul
+        # error
+        A = make_commuting_random(1, 3, seed=1)
+        with pytest.raises(ValueError, match="xs must be"):
+            moment_checks(poisson(), A, xs)
+
 
 class TestStepBound:
     def test_scalar_oracle(self):
@@ -279,6 +295,13 @@ class TestHolomorphyCriterion:
         # every ray defect is at least 1, so two rays reach the threshold
         rep = holomorphy_criterion([np.pi, 0.75 * np.pi], [1.0, 1.0])
         assert not rep.satisfied
+
+    @pytest.mark.parametrize("bounds", [[np.nan, 1.0], [np.nan], [np.inf]],
+                             ids=["nan-one", "nan", "inf"])
+    def test_non_finite_bounds_rejected(self, bounds):
+        # [nan, 1] gave weighted_sum nan, and [nan] alone was satisfied
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            holomorphy_criterion([np.pi] * len(bounds), bounds)
 
     def test_measured_limsup_two_generators(self):
         # one unbounded ray plus a finite point source keeps the sum below 2

