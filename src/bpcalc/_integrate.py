@@ -2,14 +2,17 @@
 
 Every measure density in this package is a 1-D profile m(r) dr pushed
 forward along a ray r -> r*w (axis supports are the special case w = e_j).
-Integrals of a scalar-, vector- or matrix-valued integrand f against such
-parts share one strategy:
+Integrals of a scalar- or profile-valued integrand f against such parts
+take one route per kind of part near the origin, and share the rest:
 
-  * below a cut ``eps`` the contribution is replaced by an analytic lump
-    (f(0) times an exact partial mass when one is known, otherwise zero for
-    integrands vanishing at the origin) with a certified error bound;
-  * on [eps, split] the variable is log-transformed, r = e^v, which turns the
-    origin singularity m(r) = O(r^-beta) into a decaying smooth integrand;
+  * a part with an exact partial mass (every nu_t) puts a lump, f(0) times
+    the mass below a cut ``eps``, with a certified error bound, and
+    integrates [eps, split] in v = log r, which turns the origin
+    singularity m(r) = O(r^-beta) into a decaying smooth integrand;
+  * a part without one (every mu) has an integrand vanishing at the origin:
+    below ``eps`` it drops out within the singularity bound, and [eps,
+    split] is integrated in tau = r^(2 - beta), against f(r)/r and the log
+    density, which stay finite however close beta is to 2;
   * on [split, R] the integrand is integrated in v = log r as well, with R
     chosen from tail-mass bounds and, when available, the exponential decay
     of f; the log scale puts few nodes where f*m is already negligible;
@@ -49,16 +52,10 @@ class QuadratureError(RuntimeError):
 
 
 def _norm(x) -> float:
-    # A 1-D value is a profile (of the scalar jets of a block basis, or of
-    # a point set), whose caller applies the basis, if any, once and bounds
-    # the result through the max-norm;
-    # a matrix is measured by its flattened 2-norm, which dominates the
-    # spectral norm, so absolute tolerances are conservative for matrices.
-    if np.ndim(x) == 0:
-        return float(abs(x))
-    if np.ndim(x) == 1:
-        return float(np.max(np.abs(x)))
-    return float(np.linalg.norm(np.ravel(x)))
+    # every value is a 0-d or 1-D profile (of the scalar jets of a block
+    # basis, or of a point set), whose caller applies the basis, if any,
+    # once and bounds the result through the max-norm
+    return float(np.max(np.abs(x)))
 
 
 def _interior_points(hints, lo, hi):
@@ -180,10 +177,17 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                      f_over_r=None, tol=1e-9):
     """Integrate f(r) * m(r) dr over (0, inf) for a 1-D radial profile.
 
-    ``part`` must expose: density(r), beta, sing_coeff (m(r) <= sing_coeff *
-    r**-beta for r <= split_radius), split_radius, tail_mass(R) (upper bound
-    on the mass beyond R; exact when tail_exact), mass_below(r) (exact
-    partial mass or None), hints.
+    ``part`` must expose: density(r), log_density(v) (log m(e**v)), beta,
+    sing_coeff (m(r) <= sing_coeff * r**-beta for r <= split_radius),
+    split_radius, tail_mass(R) (upper bound on the mass beyond R; exact when
+    tail_exact), mass_below(r) (exact partial mass or None), hints.
+
+    ``part.mass_below`` alone picks the route below split_radius.  A part
+    with an exact partial mass (every nu_t) takes a lump f_zero *
+    mass_below(eps) below a cut eps and integrates [eps, split] in
+    v = log r.  A part without one (every mu) needs f to vanish at 0 and
+    f_over_r to be given; [eps, split] is integrated in tau = r**(2 - beta),
+    with eps set by the singularity bound.
 
     f bounds, all valid on the stated ranges:
       f_zero        limit of f at 0+  (used with exact partial masses);
@@ -194,28 +198,26 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
                     exp(-gamma*r) for r >= split (settle read as 0 if None);
                     0 when no such bound is known;
       f_far_coeff   coefficient of that decay bound, read when f_decay > 0;
-      f_over_r      optional stable evaluation of f(r)/r; must return the
-                    r -> 0 limit once r is subnormal-small (below ~1e-250),
-                    where a literal quotient loses precision.  Paired with
-                    part.log_density it keeps the inner segment finite for
-                    beta close to 2, where density(r) itself overflows.
+      f_over_r      stable evaluation of f(r)/r, required without
+                    part.mass_below; it must return the r -> 0 limit once r
+                    is subnormal-small (below ~1e-250), where a literal
+                    quotient loses precision.  With part.log_density it keeps
+                    the inner segment finite for beta close to 2, where
+                    density(r) itself overflows.
 
-    Every bound and the error estimate use the max-norm for a 1-D (vector)
-    integrand and the flattened 2-norm for a matrix.  f and f_over_r are
-    called once per quadrature node with a 0-d radius; the change of
-    variables and the density weight of a panel's nodes are one array
-    call each, so part.density and part.log_density take arrays.
+    Every bound and the error estimate use the max-norm.  f and f_over_r
+    are called once per quadrature node with a 0-d radius; the change of
+    variables and the density weight of a panel's nodes are one array call
+    each, so part.density and part.log_density take arrays.
 
     Returns (value, error_estimate).
     """
     split = float(part.split_radius)
+    b_log = np.log(split)
     budget = tol / 4.0
     m = part.density
     err_total = 0.0
     settle_norm = 0.0 if f_settle is None else _norm(f_settle)
-
-    logm = getattr(part, "log_density", None)
-    compensated = f_over_r is not None and logm is not None
 
     def rows(fn, r, weight):
         # one call of fn per node, each with a 0-d r, times its weight
@@ -230,8 +232,9 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
     def log_hints(lo, hi):
         return _interior_points((np.log(h) for h in part.hints if h > 0), lo, hi)
 
-    # ----- inner lump below exp(log_eps) -----
+    # ----- inner segment, below split -----
     if part.mass_below is not None:
+        # a lump below eps, then [eps, split] in v = log r
         eps = split if f_lipschitz <= 0 else min(split, max(budget / f_lipschitz, 1e-300))
         lump_mass = float(part.mass_below(eps))
         # mass_below is exact by contract, so the lump's only error is the
@@ -240,46 +243,35 @@ def integrate_radial(f, part, *, f_zero, f_lipschitz, f_sup,
         if f_lipschitz > 0:
             err_total += f_lipschitz * eps * lump_mass
         log_eps = np.log(eps)
+        g, lo, hi, pts = g_log, log_eps, b_log, log_hints(log_eps, b_log)
     else:
+        if f_over_r is None:
+            raise ValueError("a part without an exact partial mass needs f_over_r")
         if _norm(f_zero) > 1e-300:
             raise ValueError("integrand must vanish at 0 when no exact partial mass is available")
-        beta = part.beta
+        p_exp = 2.0 - part.beta
         coeff = f_lipschitz * part.sing_coeff
-        if coeff <= 0:
-            log_eps = np.log(split)
-        else:
-            log_eps = np.log(budget * (2.0 - beta) / coeff) / (2.0 - beta)
-            if not compensated and part.sing_coeff > 0:
-                # without a log-space density the segment must stop where
-                # density(r) is still representable
-                log_eps = max(log_eps, np.log(part.sing_coeff * 1e-290) / beta)
-            log_eps = min(log_eps, np.log(split))
-            err_total += coeff * np.exp((2.0 - beta) * log_eps) / (2.0 - beta)
+        log_eps = b_log
+        if coeff > 0:
+            log_eps = min(np.log(budget * p_exp / coeff) / p_exp, b_log)
+            err_total += coeff * np.exp(p_exp * log_eps) / p_exp
         value = 0.0 * f_zero if np.ndim(f_zero) else 0.0
+        # substitute tau = r**(2 - beta): the image interval is short and
+        # the integrand f/r * m*r*r/tau stays bounded however close beta
+        # is to 2.  f_over_r must return the r -> 0 limit when r
+        # underflows to 0.0.
+        lo, hi = max(np.exp(p_exp * log_eps), 5e-324), np.exp(p_exp * b_log)
+        pts = _interior_points(
+            (np.exp(p_exp * np.log(h)) for h in part.hints if h > 0), lo, hi)
+        logm = part.log_density
 
-    # ----- transformed segment [exp(log_eps), split] -----
-    b_log = np.log(split)
+        def g(t):
+            v = np.log(t) / p_exp
+            return rows(f_over_r, np.exp(v),
+                        np.exp(logm(v) + 2.0 * v - np.log(t)) / p_exp)
+
     if log_eps < b_log - 1e-14:
-        if compensated:
-            # substitute tau = r**(2 - beta): the image interval is short and
-            # the integrand f/r * m*r*r/tau stays bounded however close beta
-            # is to 2.  f_over_r must return the r -> 0 limit when r
-            # underflows to 0.0.
-            p_exp = 2.0 - part.beta
-            t0 = max(np.exp(p_exp * log_eps), 5e-324)
-            t1 = np.exp(p_exp * b_log)
-            pts = _interior_points(
-                (np.exp(p_exp * np.log(h)) for h in part.hints if h > 0), t0, t1)
-
-            def g(t):
-                v = np.log(t) / p_exp
-                return rows(f_over_r, np.exp(v),
-                            np.exp(logm(v) + 2.0 * v - np.log(t)) / p_exp)
-
-            seg, err = _quad(g, t0, t1, tol, points=pts)
-        else:
-            seg, err = _quad(g_log, log_eps, b_log, tol,
-                             points=log_hints(log_eps, b_log))
+        seg, err = _quad(g, lo, hi, tol, points=pts)
         value = value + seg
         err_total += err
 

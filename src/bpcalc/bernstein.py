@@ -10,12 +10,15 @@ with c0 <= 0, c1 in R+^n, and a positive measure mu integrating min(|u|, 1).
 This module stores the triple (c0, c1, mu) structurally (atoms plus
 parametric ray/axis densities, never sampled arrays), evaluates psi either
 from a closed form or by quadrature of the representation, and builds new
-members by conic combination, direct sum, and diagonal lift.  Each
-constructor attaches the closed-form subordination family nu_t where one is
-known; ``CATALOG`` declares every member once for string-id construction.
-Each nu_t is a ``LevyMeasure`` as mu is, with atoms on rays (mass at the
-origin an atom of radius 0), or the convolution of child families; a direct
-sum or a lift pushes mu and every nu_t forward by one linear map.
+members from two rules: the conic combination sum_i a_i psi_i, and the
+pullback psi(L^T s) along a nonnegative matrix L, which pushes mu and every
+nu_t forward along u -> L u.  A diagonal lift is the pullback along one
+weight column; a direct sum is the cone, with weights 1, of its members'
+pullbacks along the coordinate embeddings.  Each constructor attaches the
+closed-form subordination family nu_t where one is known; ``CATALOG``
+declares every member once for string-id construction.  Each nu_t is a
+``LevyMeasure`` as mu is, with atoms on rays (mass at the origin an atom of
+radius 0), or the convolution of child families.
 """
 
 from __future__ import annotations
@@ -82,22 +85,22 @@ class RadialDensity:
     ``beta`` and ``sing_coeff`` certify
     m(r) <= sing_coeff * r**-beta for r <= split_radius with beta < 2;
     ``tail_mass`` bounds the mass beyond R (exact when ``tail_exact``);
-    ``mass_below`` is the exact partial mass when a closed form exists.
-    ``log_density`` maps v = log r to log m(e**v); supplying it lets
-    quadrature work below the radius where density itself would overflow
-    (beta close to 2).
+    ``mass_below`` is the exact partial mass when a closed form exists (every
+    nu_t has one, no mu does); it picks the quadrature route near the origin.
+    ``log_density`` maps v = log r to log m(e**v); it lets quadrature work
+    below the radius where density itself would overflow (beta close to 2).
     ``density`` and ``log_density`` act elementwise on an array of radii
     (of log radii): quadrature weighs the nodes of a panel in one call.
     """
 
     direction: np.ndarray
     density: Callable[[np.ndarray], np.ndarray]
+    log_density: Callable[[np.ndarray], np.ndarray]
     beta: float
     sing_coeff: float
     tail_mass: Callable[[float], float]
     tail_exact: bool = False
     mass_below: Optional[Callable[[float], float]] = None
-    log_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hints: tuple = ()
 
     def __post_init__(self):
@@ -123,7 +126,7 @@ class RadialDensity:
             sing_coeff=a * self.sing_coeff,
             tail_mass=lambda R, _t=tail: a * _t(R),
             mass_below=None if below is None else (lambda r, _b=below: a * _b(r)),
-            log_density=None if logm is None else (lambda v, _g=logm: np.log(a) + _g(v)),
+            log_density=lambda v, _g=logm: np.log(a) + _g(v),
         )
 
 
@@ -496,77 +499,58 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
         partials_finite=finite, bounded=bounded)
 
 
+def _pullback(psi: BernsteinFunction, L: np.ndarray) -> BernsteinFunction:
+    """psi(L^T s) for a nonnegative (n, psi.n) matrix L.
+
+    c1 maps to L c1, and mu and every nu_t push forward along u -> L u;
+    s_j has a finite partial when every variable it feeds does, and the
+    pullback is bounded when psi is.
+    """
+    closed = None
+    if psi.closed_form is not None:
+        f = psi.closed_form
+
+        def closed(s):
+            return f(np.array([_dot(col, s) for col in L.T]))
+
+    finite = None
+    if psi.partials_finite is not None:
+        finite = tuple(all(psi.partials_finite[i] for i in np.flatnonzero(row))
+                       for row in L)
+    family = None if psi.subordinator is None else _mapped(psi.subordinator, L)
+    return BernsteinFunction(
+        n=len(L), c0=psi.c0, c1=L @ psi.c1, measure=_mapped(psi.measure, L),
+        closed_form=closed, subordinator=family,
+        partials_finite=finite, bounded=psi.bounded)
+
+
 def direct_sum(psi1: BernsteinFunction, psi2: BernsteinFunction) -> BernsteinFunction:
     """psi(s) = psi1(s_1..s_m) + psi2(s_{m+1}..s_{m+k}).
 
-    The measure lives on the two coordinate subspaces: psi1's is embedded
-    with trailing zeros, psi2's with leading zeros.  So is each nu_t, whose
-    family is the convolution of the two embedded families.
+    The cone combination, with weights 1, of the pullbacks of psi1 and psi2
+    along the embeddings of their coordinate subspaces: psi1's measure gets
+    trailing zeros, psi2's leading zeros, and nu_t is the convolution of
+    the two embedded families.
     """
     m = psi1.n
-    n = m + psi2.n
-    embed = (np.eye(n)[:, :m], np.eye(n)[:, m:])
-    mu1, mu2 = (_mapped(p.measure, E) for p, E in zip((psi1, psi2), embed))
-
-    closed = None
-    if psi1.closed_form is not None and psi2.closed_form is not None:
-        f1, f2 = psi1.closed_form, psi2.closed_form
-
-        def closed(s):
-            return f1(s[:m]) + f2(s[m:])
-
-    finite = None
-    if psi1.partials_finite is not None and psi2.partials_finite is not None:
-        finite = psi1.partials_finite + psi2.partials_finite
-    bounded = None
-    if psi1.bounded is not None and psi2.bounded is not None:
-        bounded = psi1.bounded and psi2.bounded
-    family = None
-    if psi1.subordinator is not None and psi2.subordinator is not None:
-        family = SubordinatorFamily(
-            children=tuple(_mapped(p.subordinator, E)
-                           for p, E in zip((psi1, psi2), embed)),
-            weights=(1.0, 1.0))
-
-    return BernsteinFunction(
-        n=n, c0=psi1.c0 + psi2.c0, c1=np.concatenate([psi1.c1, psi2.c1]),
-        measure=LevyMeasure(n, atoms=mu1.atoms + mu2.atoms,
-                            parts=mu1.parts + mu2.parts),
-        closed_form=closed, subordinator=family,
-        partials_finite=finite, bounded=bounded)
+    eye = np.eye(m + psi2.n)
+    return cone_combine([(1.0, _pullback(psi1, eye[:, :m])),
+                         (1.0, _pullback(psi2, eye[:, m:]))])
 
 
 def diagonal_lift(phi: BernsteinFunction, w) -> BernsteinFunction:
     """psi(s) = phi(w . s) for a 1-variable phi and weight vector w >= 0.
 
-    The measure, and each nu_t, is the pushforward of phi's along u -> u w,
-    a genuine diagonal-ray measure when w has two or more positive entries.
+    The pullback of phi along w: the measure, and each nu_t, is the
+    pushforward of phi's along u -> u w, a genuine diagonal-ray measure
+    when w has two or more positive entries.
     """
     if phi.n != 1:
         raise DimensionMismatchError("diagonal_lift lifts one-variable functions")
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or np.any(w < 0) or not np.any(w > 0):
         raise ValueError("weight vector must be nonzero with nonnegative entries")
-    n = len(w)
-    L = w[:, None]
-
-    closed = None
-    if phi.closed_form is not None:
-        f = phi.closed_form
-
-        def closed(s):
-            return f(_dot(w, s)[None])
-
-    finite = None
-    if phi.partials_finite is not None:
-        finite = tuple(bool(w[j] == 0 or phi.partials_finite[0]) for j in range(n))
-
-    family = None if phi.subordinator is None else _mapped(phi.subordinator, L)
-
-    return BernsteinFunction(
-        n=n, c0=phi.c0, c1=phi.c1[0] * w, measure=_mapped(phi.measure, L),
-        closed_form=closed, subordinator=family,
-        partials_finite=finite, bounded=phi.bounded)
+    return _pullback(phi, w[:, None])
 
 
 @dataclass(frozen=True)

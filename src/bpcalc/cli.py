@@ -449,7 +449,11 @@ def parse_config(document) -> ScenarioConfig:
     offending field location; defaults are tol 1e-6, seed 0, format text.
     """
     if isinstance(document, bytes):
-        document = document.decode("utf-8")
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config is not UTF-8 text: %s" % exc.reason,
+                              "byte %d" % exc.start)
     if isinstance(document, str):
         try:
             raw = json.loads(document)
@@ -907,9 +911,12 @@ def _emit_text(report: RunReport) -> bytes:
             notes.append("  %s: %s" % (res.name, note))
         bad = [r for r in res.rows if r.verdict in ("FAIL", "ERROR")]
         for r in bad[:5]:
-            notes.append("  %s: %s %s %s exceeds %s [%s]"
-                         % (res.name, r.case_id, r.quantity, _fmt_num(r.value),
-                            _fmt_num(r.bound), r.verdict))
+            # a row without a value (an ERROR, a failed validation) has no
+            # comparison to show
+            excess = "" if r.value is None else " %s exceeds %s" % (
+                _fmt_num(r.value), _fmt_num(r.bound))
+            notes.append("  %s: %s %s%s [%s]"
+                         % (res.name, r.case_id, r.quantity, excess, r.verdict))
     if notes:
         out.append("")
         out.append("notes:")
@@ -936,14 +943,17 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
 # entry point
 
 
-def _load_config_text(path: str) -> str:
+def _load_config_text(path: str) -> bytes:
+    """The undecoded text of a config file, or of a bundled scenario by
+    name; ``parse_config`` decodes it, so a file that is not UTF-8 is a
+    config error."""
     p = Path(path)
     if p.is_file():
-        return p.read_text(encoding="utf-8")
+        return p.read_bytes()
     name = path if path.endswith(".json") else path + ".json"
     bundled = resources.files("bpcalc") / "scenarios" / name
     if bundled.is_file():
-        return bundled.read_text(encoding="utf-8")
+        return bundled.read_bytes()
     raise FileNotFoundError(path)
 
 
@@ -978,7 +988,7 @@ def main(argv=None) -> int:
 
     try:
         text = _load_config_text(args.config)
-    except (FileNotFoundError, OSError):
+    except OSError:
         print("config error: cannot read %r" % args.config, file=sys.stderr)
         return 2
     try:
@@ -990,7 +1000,12 @@ def main(argv=None) -> int:
         return 2
     data = emit_report(report, args.format or cfg.fmt)
     if args.out:
-        Path(args.out).write_bytes(data)
+        try:
+            Path(args.out).write_bytes(data)
+        except OSError as exc:
+            print("cannot write %r: %s" % (args.out, exc.strerror or exc),
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(data.decode("utf-8"))
     return report.exit_code

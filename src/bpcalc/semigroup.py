@@ -566,10 +566,11 @@ def holomorphy_defect_ray(theta: float) -> float:
 
     Dense scan of (0, rho_max] on 20000 nodes, then four rescans of the two
     grid steps around the best node, each on a 201-point grid (a hundredfold
-    finer per round).
+    finer per round).  theta is read modulo 2 pi, as every ray angle is.
     """
+    theta = theta % (2 * np.pi)
     if not (np.pi / 2 - 1e-12 <= theta <= 3 * np.pi / 2 + 1e-12):
-        raise ValueError("theta must lie in [pi/2, 3pi/2]")
+        raise ValueError("theta must lie in [pi/2, 3pi/2] modulo 2 pi")
     c, s = min(np.cos(theta), 0.0), np.sin(theta)
     # the modulus is at most 1 + e^{c rho}: past the first period 2 pi / |s|
     # nothing beats its value at rho = pi / |s|, and past 21 / |c| it is

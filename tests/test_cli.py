@@ -75,6 +75,17 @@ ORACLE = {"kind": "oracle_equivalence", "function": "ps", "operator": "a"}
 HOLO = {"kind": "holomorphy", "models": [np.pi], "bounds": [1.0]}
 
 
+# the Levy integral of fractional_power(0.5) on a purely imaginary spectrum
+# has no resolvable tail: an ERROR row
+QUADRATURE_ERROR_DOC = {
+    "functions": [{"id": "fp", "catalog": "fractional_power",
+                   "parameters": {"alpha": 0.5}}],
+    "operators": [{"id": "f", "fourier": {"K": 5}}],
+    "experiments": [{"kind": "oracle_equivalence", "id": "x",
+                     "function": "fp", "operator": "f"}],
+}
+
+
 def with_(base, **kw):
     return dict(base, **kw)
 
@@ -314,6 +325,11 @@ class TestParseConfig:
             parse_config("{nope")
         assert "line" in err.value.location
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(ConfigError, match="not UTF-8") as err:
+            parse_config(b'{"tol": "\xe9"}')
+        assert err.value.location == "byte 9"
+
     def test_bare_reals_promoted_to_pairs(self):
         doc = {"operators": [{"id": "m",
                               "matrices": [[[-1.0, 0.0], [0.0, -2.0]]]}]}
@@ -506,14 +522,7 @@ class TestRun:
         assert s1 != s2
 
     def test_quadrature_failure_is_error_exit(self):
-        doc = {
-            "functions": [{"id": "fp", "catalog": "fractional_power",
-                           "parameters": {"alpha": 0.5}}],
-            "operators": [{"id": "f", "fourier": {"K": 5}}],
-            "experiments": [{"kind": "oracle_equivalence", "id": "x",
-                             "function": "fp", "operator": "f"}],
-        }
-        report = run(parse_config(doc))
+        report = run(parse_config(QUADRATURE_ERROR_DOC))
         assert rows_for(report, "x")[0].verdict == "ERROR"
         assert report.exit_code == 3
 
@@ -771,6 +780,11 @@ class TestEmit:
             emit_report(report, "text").decode()
         assert b"sampled" not in emit_report(report, "csv")
 
+    def test_error_row_note_has_no_comparison(self):
+        text = emit_report(run(parse_config(QUADRATURE_ERROR_DOC)), "text").decode()
+        assert "  x: error QuadratureError [ERROR]\n" in text
+        assert "exceeds" not in text
+
     def test_unknown_format_rejected(self):
         report = run(parse_config({}))
         with pytest.raises(ValueError, match="format"):
@@ -824,6 +838,30 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.endswith("config error: %s\n" % message)
         assert captured.out == ""
+
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(json.dumps(small_doc()).encode()[:-1] + b', "\xe9": 1}')
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: config is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(small_doc()))
+        out = tmp_path / "missing" / "report.txt"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "cannot write %r" % str(out) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ray_angle_read_modulo_two_pi(self, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "functions": [{"id": "lg", "catalog": "log1m"}],
+            "experiments": [dict(HOLO, id="hol", models=[-np.pi],
+                                 function="lg")]}))
+        assert main(["run", str(cfg)]) == 0
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

@@ -30,10 +30,6 @@ def _at(f):
     return lambda x: f(np.array([x]))[0]
 
 
-def _scipy_norm(value):
-    return "max" if np.ndim(value) == 1 else "2"
-
-
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 @pytest.mark.parametrize("points", [None, [0.7, 2.5]])
 @pytest.mark.parametrize("tol", [1e-6, 1e-11])
@@ -41,7 +37,7 @@ def test_driver_agrees_with_quad_vec(name, points, tol):
     f, a, b = INTEGRANDS[name]
     value, err = _quad(f, a, b, tol, points=points)
     ref, ref_err = quad_vec(_at(f), a, b, epsabs=0.25 * tol, epsrel=1e-12,
-                            norm=_scipy_norm(_at(f)(a)), points=points, limit=6000)
+                            norm="max", points=points, limit=6000)
     assert np.shape(value) == np.shape(ref)
     assert np.max(np.abs(np.asarray(value) - np.asarray(ref))) <= err + ref_err
     assert err <= tol
@@ -94,11 +90,32 @@ def test_panel_matches_per_node_reference(name):
         assert (err, rnd) == (ref_err, ref_rnd)
 
 
+_LOG1M_BOUNDS = dict(f_zero=0.0, f_lipschitz=1.0, f_sup=2.0,
+                     f_settle=-1.0, f_decay=1.0, f_far_coeff=1.0)
+
+
 def _log1m_setup(f):
-    # e^{-r} - 1 against the log1m density, with its exact settle term
-    return lambda w: (f, dict(f_zero=0.0, f_lipschitz=1.0, f_sup=2.0,
-                              f_settle=-1.0, f_decay=1.0, f_far_coeff=1.0),
-                      lambda v: v)
+    # e^{-r} - 1 against the log1m density, with its exact settle term;
+    # f(r)/r tends to -1 at 0 for every f these tests pass
+    def f_over_r(r):
+        return f(r) / r if r > 1e-250 else -1.0
+
+    return lambda w: (f, dict(_LOG1M_BOUNDS, f_over_r=f_over_r), lambda v: v)
+
+
+def test_part_without_partial_mass_needs_f_over_r():
+    # a mu part has no exact partial mass, so its only route below the
+    # split radius is the tau segment, which reads f_over_r
+    seen = []
+
+    def f(r):
+        seen.append(r)
+        return float(np.expm1(-r))
+
+    with pytest.raises(ValueError, match="f_over_r"):
+        integ.integrate_radial(f, log1m().measure.parts[0], tol=1e-10,
+                               **_LOG1M_BOUNDS)
+    assert seen == []
 
 
 def test_measure_value_matches_closed_form():

@@ -738,6 +738,14 @@ class TestRayDefect:
         with pytest.raises(ValueError):
             S.holomorphy_defect_ray(0.3)
 
+    @pytest.mark.parametrize("theta, same", [
+        (-np.pi, np.pi), (-np.pi / 2, 3 * np.pi / 2),
+        (5 * np.pi / 4 + 2 * np.pi, 5 * np.pi / 4)],
+        ids=["minus-pi", "minus-half-pi", "plus-two-pi"])
+    def test_angle_read_modulo_two_pi(self, theta, same):
+        assert S.holomorphy_defect_ray(theta) == pytest.approx(
+            S.holomorphy_defect_ray(same), rel=1e-12)
+
     def test_ray_model_defect_is_t_independent(self):
         model = S.DiagonalRayModel(theta=2.5)
         assert model.defect(0.01) == pytest.approx(model.defect(10.0), abs=1e-12)
