@@ -29,18 +29,23 @@ of the CSV and the exit code, with ``identical`` true where both sides
 wrote the same bytes.
 Under ``suite_walls`` each side's per-experiment walls of the bundled suite
 are recorded: the median of 15 in-process ``cli.run`` calls at the config
-seed, in one subprocess per side with one BLAS thread, since at two threads
-the walls of identical code swing by tens of percent.  Each ``moment-*``
-experiment and ``factorization-direct`` gets a note, so that the file shows
-which experiment a ``suite`` change moved.
+seed, with one BLAS thread, since at two threads the walls of identical
+code swing by tens of percent.  Each ``moment-*`` experiment and
+``factorization-direct`` gets a note, so that the file shows which
+experiment a ``suite`` change moved.
 Under ``spectra_walls`` each side's walls of ``joint_approximate_spectrum``
 and of the five ``mapping_check`` parts are recorded on a stripped
 ``make_commuting_random(1, d, seed=0)`` at d = 96 and 192, with psi(A) of
 ``log1m`` precomputed and the tuple's splits formed by a first call: the
-median of 15 calls, in one subprocess per side with one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``), since a median of 3 swung by tens of
-percent on identical code.  No workload runs the mapping checks above
-d = 32, so this is the record of how they scale with d.
+median of 15 calls, with one BLAS thread (``OPENBLAS_NUM_THREADS=1``),
+since a median of 3 swung by tens of percent on identical code.  No
+workload runs the mapping checks above d = 32, so this is the record of how
+they scale with d.
+Both sets of walls come from WALL_RUNS subprocesses per side, the sides
+alternating as the pairs do (the parent first in odd runs), since one
+subprocess per side read identical code +73% and -36% apart.  Each wall
+is stored as the median and quartiles of its side's subprocesses, with the
+runs themselves; the notes compare the medians.
 Under ``bound_walls`` each side's ``make_tuple`` is timed on every
 generator with a positive logarithmic norm (so a sampled bound) of the
 ``generator`` workload's stripped tuples at seeds 1-5: the sum over the
@@ -66,6 +71,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("pass_s", "setup_s", "peak_rss_mb")  # all "lower is better"
+WALL_RUNS = 5   # subprocesses per side for suite_walls and spectra_walls
 
 
 def git(*args):
@@ -129,13 +135,23 @@ print(json.dumps({k: statistics.median(v) for k, v in walls.items()}))
 """
 
 
+def _alternating(trees, script):
+    """The JSON of ``script`` from WALL_RUNS subprocesses per side, each with
+    one BLAS thread, the sides alternating: the parent first in odd runs."""
+    runs = {"parent": [], "change": []}
+    for k in range(1, WALL_RUNS + 1):
+        for name in (("parent", "change") if k % 2 else ("change", "parent")):
+            runs[name].append(_child(trees[name], script, True))
+    return runs
+
+
 def suite_walls(trees):
-    """Median wall in seconds of each experiment of the bundled suite over 15
-    in-process ``cli.run`` calls at the config seed, one subprocess a side
-    with one BLAS thread."""
-    return {name: {k: round(v, 5)
-                   for k, v in _child(tree, SUITE_WALLS, True).items()}
-            for name, tree in trees.items()}
+    """Wall in seconds of each experiment of the bundled suite: in each
+    subprocess the median of 15 in-process ``cli.run`` calls at the config
+    seed, and per side the median and quartiles of its subprocesses."""
+    return {name: {exp: _quartiles([run[exp] for run in runs], 5)
+                   for exp in runs[0]}
+            for name, runs in _alternating(trees, SUITE_WALLS).items()}
 
 
 SPECTRA_WALLS = """
@@ -166,12 +182,13 @@ print(json.dumps(out))
 
 
 def spectra_walls(trees):
-    """Median wall in seconds of the joint approximate spectrum and of each
-    mapping part over 15 calls at d = 96 and 192, one subprocess a side with
-    one BLAS thread."""
-    return {name: {op: {d: round(v, 5) for d, v in walls.items()}
-                   for op, walls in _child(tree, SPECTRA_WALLS, True).items()}
-            for name, tree in trees.items()}
+    """Wall in seconds of the joint approximate spectrum and of each mapping
+    part at d = 96 and 192: in each subprocess the median of 15 calls, and
+    per side the median and quartiles of its subprocesses."""
+    return {name: {op: {d: _quartiles([run[op][d] for run in runs], 5)
+                        for d in by_d}
+                   for op, by_d in runs[0].items()}
+            for name, runs in _alternating(trees, SPECTRA_WALLS).items()}
 
 
 BOUND_WALLS = """
@@ -229,14 +246,17 @@ def bound_walls(trees):
     return out
 
 
+def _quartiles(runs, digits):
+    """Median, quartiles and the runs themselves, rounded to ``digits``."""
+    q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(med, digits), "q1": round(q1, digits),
+            "q3": round(q3, digits), "runs": [round(v, digits) for v in runs]}
+
+
 def summary(parent, change):
     """Medians, quartiles and pairwise wins of one metric over the pairs."""
-    def side(runs):
-        q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-        return {"median": round(med, 4), "q1": round(q1, 4),
-                "q3": round(q3, 4), "runs": [round(v, 4) for v in runs]}
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    return {"parent": side(parent), "change": side(change),
+    return {"parent": _quartiles(parent, 4), "change": _quartiles(change, 4),
             "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(parent),
             "median_change_rel": round(c_med / p_med - 1.0, 4)}
@@ -296,19 +316,22 @@ def main(argv=None):
         for exp in sorted(walls["parent"]):
             if (exp.startswith("moment-") or exp == "factorization-direct") \
                     and exp in walls["change"]:
-                p, c = walls["parent"][exp], walls["change"][exp]
+                p = walls["parent"][exp]["median"]
+                c = walls["change"][exp]["median"]
                 out["notes"].append(
-                    "suite wall of %s (median of 15 runs, one BLAS thread): "
-                    "%.4g -> %.4g s "
-                    "(%+.1f%%)" % (exp, p, c, 100.0 * (c / p - 1.0)))
+                    "suite wall of %s (median over %d subprocesses of the "
+                    "median of 15 runs, one BLAS thread): %.4g -> %.4g s "
+                    "(%+.1f%%)" % (exp, WALL_RUNS, p, c,
+                                   100.0 * (c / p - 1.0)))
         out["spectra_walls"] = walls = spectra_walls(trees)
         for op, by_d in walls["parent"].items():
             for d, p in by_d.items():
-                c = walls["change"][op][d]
+                p, c = p["median"], walls["change"][op][d]["median"]
                 out["notes"].append(
-                    "spectra wall of %s at %s (median of 15, one BLAS thread): "
-                    "%.4g -> %.4g s (%+.1f%%)" % (op, d, p, c,
-                                                 100.0 * (c / p - 1.0)))
+                    "spectra wall of %s at %s (median over %d subprocesses of "
+                    "the median of 15, one BLAS thread): %.4g -> %.4g s "
+                    "(%+.1f%%)" % (op, d, WALL_RUNS, p, c,
+                                   100.0 * (c / p - 1.0)))
         out["bound_walls"] = walls = bound_walls(trees)
         p, c = walls["parent"], walls["change"]
         out["notes"].append(

@@ -23,7 +23,7 @@ from .calculus import (
     subordinated, v_operator, w_operator, w_operator_bound,
 )
 from .semigroup import (
-    DiagonalRayModel, OperatorTuple, SpectralData, TupleStack, adjoint,
+    OperatorTuple, SpectralData, TupleStack, adjoint,
     fourier_translation_model, holomorphy_defect_ray, make_commuting_random,
     make_commuting_random_stack, make_jordan_polynomial, make_tuple,
     semigroup_apply,
@@ -35,7 +35,7 @@ from .spectra import (
 )
 
 __all__ = [
-    "Atom", "BernsteinFunction", "CatalogGapError", "DiagonalRayModel",
+    "Atom", "BernsteinFunction", "CatalogGapError",
     "HolomorphyReport", "JointSpectrumResult", "LevyMeasure", "MappingReport",
     "MappingRow", "MomentReport", "OperatorTuple",
     "QuadratureError", "RadialDensity", "SpectralData", "SpectrumPoint",

@@ -13,8 +13,8 @@ import numpy as np
 
 from .bernstein import BernsteinFunction, eval_psi
 from .calculus import _psi_matrix
-from .semigroup import (DiagonalRayModel, OperatorTuple, fourier_modes,
-                        semigroup_apply)
+from .semigroup import (OperatorTuple, _ray_direction, fourier_modes,
+                        holomorphy_defect_ray, semigroup_apply)
 
 __all__ = [
     "HolomorphyReport", "MomentReport", "k_constant", "moment_check",
@@ -139,30 +139,16 @@ def step_bound_check(A: OperatorTuple, x, u) -> float:
 
 
 def _resolve_source(m):
-    """(defect b_j, sampler(t, reach) -> spectrum sample points)."""
+    """(b_j, M_j, ray direction or None, spectrum points or None) of a
+    holomorphy model: a ray angle or a one-generator tuple."""
     if isinstance(m, (float, int)) and not isinstance(m, bool):
-        m = DiagonalRayModel(theta=float(m))
-    if isinstance(m, DiagonalRayModel):
-        if m.theta is not None:
-            theta = m.theta
-
-            def sampler(t, reach, _th=theta):
-                return np.geomspace(1e-6, reach, 160) * np.exp(1j * _th)
-
-            return float(m.defect(1.0)), sampler, theta
-        pts = np.array(m.points)
-        return 0.0, (lambda t, reach, _p=pts: _p), None
-    if isinstance(m, OperatorTuple):
-        if m.n != 1:
-            raise TypeError("per-generator sources must be single-parameter")
-        vals = (m.spectral.joint[:, 0] if m.spectral is not None
-                else np.linalg.eigvals(m.generators[0]))
-        return 0.0, (lambda t, reach, _v=vals: _v), None
-    m = np.asarray(m)
-    if m.ndim == 2 and m.shape[0] == m.shape[1]:
-        vals = np.linalg.eigvals(m)
-        return 0.0, (lambda t, reach, _v=vals: _v), None
-    raise TypeError("unknown defect source %r" % type(m))
+        return holomorphy_defect_ray(m), 1.0, _ray_direction(m), None
+    if isinstance(m, OperatorTuple) and m.n == 1:
+        points = (m.spectral.joint[:, 0] if m.spectral is not None
+                  else np.linalg.eigvals(m.generators[0]))
+        return 0.0, m.bounds[0], None, points
+    raise TypeError("a holomorphy model is a ray angle or a one-generator "
+                    "tuple, not %r" % type(m))
 
 
 def _modulus(z):
@@ -171,36 +157,40 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _reach(psi: BernsteinFunction, j: int, theta: float, t: float) -> float:
+def _reach(psi: BernsteinFunction, j: int, direction: complex,
+           t: float) -> float:
     # extend the ray until the subordination exponent saturates, so the
     # sampled sup actually sees the far end where the defect lives: the
     # first of R = 4^k, k < 50, with |t psi(R e^{i theta})| >= 20, else 4^50
     radii = 4.0 ** np.arange(50)
     probes = np.zeros((len(radii), psi.n), dtype=complex)
-    probes[:, j] = radii * np.exp(1j * theta)
+    probes[:, j] = radii * direction
     hit = _modulus(t * eval_psi(psi, probes)) >= 20.0
     return float(radii[hit.argmax()]) if hit.any() else 4.0 ** 50
 
 
-def holomorphy_criterion(models, bounds,
+def holomorphy_criterion(models,
                          psi: Optional[BernsteinFunction] = None) -> HolomorphyReport:
     """Weighted-defect test sum_j C_j b_j < 2, C_j = prod_{k<j} M_k.
+
+    Each model is one generator's b_j and M_j.  A ray angle theta is the
+    diagonal model with spectrum on e^{i theta}[0, inf): b_j is
+    holomorphy_defect_ray(theta) and M_j = 1.  A one-generator
+    OperatorTuple has b_j = 0 and M_j = its own bounds[0].
 
     When the criterion holds and ``psi`` is given, ||I - g_t(A)|| is also
     measured on the dyadic grid t = 2^{-k}, k = 0..40, over the joint
     diagonal model, and the limsup estimate (max of the last 10 grid points)
-    is reported.
+    is reported: a ray is sampled at 160 radii out to _reach, a tuple at its
+    eigenvalues.
     """
     n = len(models)
-    if len(bounds) != n:
-        raise ValueError("one bound per defect source")
-    if not all(1.0 <= M < np.inf for M in bounds):
-        raise ValueError("semigroup bounds must be finite and >= 1")
     resolved = [_resolve_source(m) for m in models]
     defects = tuple(r[0] for r in resolved)
     if any(not 0.0 <= b <= 2.0 for b in defects):
         raise ValueError("defects must lie in [0, 2]")
-    weights = tuple(float(np.prod([1.0] + list(bounds[:j]))) for j in range(n))
+    weights = tuple(float(np.prod([1.0] + [r[1] for r in resolved[:j]]))
+                    for j in range(n))
     total = float(sum(C * b for C, b in zip(weights, defects)))
     satisfied = total < 2.0
     if psi is None or not satisfied:
@@ -214,9 +204,10 @@ def holomorphy_criterion(models, bounds,
     for k in range(41):
         t = 2.0 ** -k
         axes = []
-        for j, (_, sampler, theta) in enumerate(resolved):
-            reach = _reach(psi, j, theta, t) if theta is not None else 1.0
-            pts = np.asarray(sampler(t, reach))
+        for j, (_, _, direction, pts) in enumerate(resolved):
+            if direction is not None:
+                pts = (np.geomspace(1e-6, _reach(psi, j, direction, t), 160)
+                       * direction)
             if len(pts) > per_model:
                 idx = np.unique(np.linspace(0, len(pts) - 1, per_model).astype(int))
                 pts = pts[idx]

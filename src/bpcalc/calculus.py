@@ -97,6 +97,15 @@ def _powers(N, m):
 _Ray = namedtuple("_Ray", "T delta ratio lip sup rho far settled one lift")
 
 
+def _frobenius(G) -> float:
+    """||G||_F past the float range of its squares: G is scaled by the power
+    of two at or below its largest entry, so where np.linalg.norm(G) neither
+    overflows nor underflows the two agree bit for bit."""
+    _, e = np.frexp(np.abs(G).max())
+    scale = np.ldexp(1.0, int(e) - 1)
+    return scale * float(np.linalg.norm(G / scale))
+
+
 def _pad(head, size):
     """A profile with ``head`` on the heads and 0 on every jet."""
     return np.concatenate((head, np.zeros(size - len(head), dtype=head.dtype)))
@@ -212,7 +221,7 @@ class _Profiles:
         if not split.cond <= _COND_MAX:
             return cls.one_block(A)
         # parts of a computed block below these sizes are round-off
-        tiny = [_ROUND * split.cond * max(1.0, float(np.linalg.norm(G)))
+        tiny = [_ROUND * split.cond * max(1.0, _frobenius(G))
                 for G in A.generators]
         rows, jets, dense = [], [], []
         for compressed in split.compressions:

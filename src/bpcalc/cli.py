@@ -1,11 +1,10 @@
 """Scenario runner: JSON configs in, verdict tables or CSV out.
 
 A scenario names Bernstein functions from the catalog, operator sources
-(explicit matrices, random commuting recipes, Fourier models, spectral
-rays), and a list of experiments wiring them together.  ``run`` executes
-every experiment, collects one row per assertion, and ``emit_report``
-renders the result as a per-experiment text table or as RFC-4180 CSV with
-one row per assertion.
+(explicit matrices, random commuting recipes, Fourier models), and a list
+of experiments wiring them together.  ``run`` executes every experiment,
+collects one row per assertion, and ``emit_report`` renders the result as
+a per-experiment text table or as RFC-4180 CSV with one row per assertion.
 
 Exit codes: 0 every row PASS or INAPPLICABLE, 1 at least one assertion
 failed, 2 config error, 3 numeric failure inside an experiment.
@@ -31,7 +30,7 @@ from .bernstein import CATALOG, QuadratureError, build_catalog
 from .calculus import (CatalogGapError, apply_psi, apply_psi_spectral,
                        factorization_checks, generator_limit_check,
                        laplace_identity_error, subordinated)
-from .semigroup import (DiagonalRayModel, fourier_translation_model,
+from .semigroup import (_ray_direction, fourier_translation_model,
                         make_commuting_random, make_commuting_random_stack,
                         make_tuple)
 from .spectra import mapping_check
@@ -108,7 +107,6 @@ class ScenarioConfig:
     seed: int
     fmt: str
     functions: dict
-    function_specs: tuple
     operator_specs: tuple
     experiment_specs: tuple
 
@@ -139,8 +137,10 @@ def _as_number(v, location: str) -> float:
 def _as_ray_angle(v, location: str) -> float:
     # the ray e^{i theta} [0, inf) of a holomorphy model
     theta = _as_number(v, location)
-    if np.cos(theta) > 1e-15:
-        _fail("ray must lie in the closed left half-plane", location)
+    try:
+        _ray_direction(theta)
+    except ValueError as exc:
+        _fail(str(exc), location)
     return theta
 
 
@@ -196,8 +196,8 @@ def _as_object(v, location: str, keys) -> dict:
     return v
 
 
-def _parse_function(raw, loc: str, known: dict) -> dict:
-    """Build one catalog function into ``known``; returns its spec."""
+def _parse_function(raw, loc: str, known: dict):
+    """Build one catalog function into ``known``."""
     _as_object(raw, loc, ("id", "catalog", "parameters", "children"))
     fid = _as_id(raw.get("id"), loc + ".id")
     if fid in known:
@@ -232,8 +232,6 @@ def _parse_function(raw, loc: str, known: dict) -> dict:
     except ValueError as exc:
         _fail(str(exc), ploc)
     known[fid] = fn
-    return {"id": fid, "catalog": catalog, "parameters": norm_params,
-            "children": kids}
 
 
 def _parse_matrices(mats, loc: str) -> list:
@@ -261,15 +259,14 @@ def _parse_matrices(mats, loc: str) -> list:
 
 
 def _parse_operator(raw, loc: str, seen: dict) -> dict:
-    """Record one operator source's arity in ``seen`` (None for a ray model);
-    returns its spec."""
-    _as_object(raw, loc, ("id", "matrices", "random", "fourier", "ray"))
+    """Record one operator source's arity in ``seen``; returns its spec."""
+    _as_object(raw, loc, ("id", "matrices", "random", "fourier"))
     oid = _as_id(raw.get("id"), loc + ".id")
     if oid in seen:
         _fail("duplicate operator id %r" % oid, loc + ".id")
-    kinds = [k for k in ("matrices", "random", "fourier", "ray") if k in raw]
+    kinds = [k for k in ("matrices", "random", "fourier") if k in raw]
     if len(kinds) != 1:
-        _fail("specify exactly one of matrices, random, fourier, ray", loc)
+        _fail("specify exactly one of matrices, random, fourier", loc)
     kind = kinds[0]
     at = "%s.%s" % (loc, kind)
     spec = {"id": oid}
@@ -296,16 +293,12 @@ def _parse_operator(raw, loc: str, seen: dict) -> dict:
             rec["box"] = [[re_lo, re_hi], [im_lo, im_hi]]
         spec["random"] = rec
         arity = n
-    elif kind == "fourier":
+    else:
         sub = _as_object(raw["fourier"], at, ("K", "n"))
         K = _as_int(sub.get("K"), at + ".K", minimum=1)
         n = _as_int(sub.get("n", 1), at + ".n", minimum=1)
         spec["fourier"] = {"K": K, "n": n}
         arity = n
-    else:
-        sub = _as_object(raw["ray"], at, ("theta",))
-        spec["ray"] = {"theta": _as_ray_angle(sub.get("theta"), at + ".theta")}
-        arity = None  # not an operator tuple
     seen[oid] = arity
     return spec
 
@@ -350,12 +343,12 @@ def _factorization_fields(raw, loc, n, *_):
 
 
 def _as_model(m, location: str, op_arity: dict):
-    # a ray angle, or the id of a ray model or a one-generator tuple
+    # a ray angle, or the id of a one-generator tuple
     if not isinstance(m, str):
         return _as_ray_angle(m, location)
     ref = _as_ref(m, location, op_arity, "operator")
-    if op_arity[ref] not in (None, 1):
-        _fail("holomorphy model must be a ray or a one-generator tuple",
+    if op_arity[ref] != 1:
+        _fail("holomorphy model must be a ray angle or a one-generator tuple",
               location)
     return ref
 
@@ -364,12 +357,7 @@ def _holomorphy_fields(raw, loc, _n, functions, op_arity):
     models = _as_list(raw.get("models"), loc + ".models",
                       "expected a nonempty list of models",
                       lambda m, at: _as_model(m, at, op_arity))
-    bounds = _as_list(raw.get("bounds"), loc + ".bounds",
-                      "bounds must list one M_j per model", _as_number,
-                      len(models), len(models))
-    if any(b < 1.0 for b in bounds):
-        _fail("semigroup bounds are at least 1", loc + ".bounds")
-    out = {"models": models, "bounds": bounds}
+    out = {"models": models}
     if "function" in raw:
         at = loc + ".function"
         ref = out["function"] = _as_ref(raw["function"], at, functions,
@@ -431,8 +419,6 @@ def _parse_experiment(raw, loc: str, functions: dict, op_arity: dict):
         at = loc + ".operator"
         ref = spec["operator"] = _as_ref(raw.get("operator"), at, op_arity,
                                          "operator")
-        if op_arity[ref] is None:
-            _fail("experiment needs an operator tuple, not a ray model", at)
         if op_arity[ref] != n:
             _fail("function arity %d does not match operator size %d"
                   % (n, op_arity[ref]), at)
@@ -475,9 +461,9 @@ def parse_config(document) -> ScenarioConfig:
         _fail("format must be text or csv", "format")
 
     functions: dict = {}
-    function_specs = _as_list(
-        raw.get("functions", []), "functions", "expected a list of functions",
-        lambda f, at: _parse_function(f, at, functions), min_len=0)
+    _as_list(raw.get("functions", []), "functions",
+             "expected a list of functions",
+             lambda f, at: _parse_function(f, at, functions), min_len=0)
     op_arity: dict = {}
     operator_specs = _as_list(
         raw.get("operators", []), "operators", "expected a list of operators",
@@ -489,17 +475,8 @@ def parse_config(document) -> ScenarioConfig:
         min_len=0)
 
     return ScenarioConfig(tol=tol, seed=seed, fmt=fmt, functions=functions,
-                          function_specs=tuple(function_specs),
                           operator_specs=tuple(operator_specs),
                           experiment_specs=tuple(experiment_specs))
-
-
-def config_document(config: ScenarioConfig) -> dict:
-    """Normalized document; parse(config_document(parse(doc))) is idempotent."""
-    return {"tol": config.tol, "seed": config.seed, "format": config.fmt,
-            "functions": [dict(s) for s in config.function_specs],
-            "operators": [dict(s) for s in config.operator_specs],
-            "experiments": [dict(s) for s in config.experiment_specs]}
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +496,8 @@ def _build_operator(spec: dict):
         rec = spec["random"]
         return make_commuting_random(rec["n"], rec["d"], seed=rec["seed"],
                                      **_box_kwargs(rec))
-    if "fourier" in spec:
-        return fourier_translation_model(spec["fourier"]["K"],
-                                         n=spec["fourier"]["n"])
-    return DiagonalRayModel(theta=spec["ray"]["theta"])
+    return fourier_translation_model(spec["fourier"]["K"],
+                                     n=spec["fourier"]["n"])
 
 
 def _box_kwargs(rec: dict) -> dict:
@@ -671,7 +646,7 @@ def _run_holomorphy(name, spec, cfg, ops, seed, tol, idx):
     models = [m if isinstance(m, float) else _operator_for(ops, m)
               for m in spec["models"]]
     psi = cfg.functions[spec["function"]] if "function" in spec else None
-    rep = holomorphy_criterion(models, spec["bounds"], psi=psi)
+    rep = holomorphy_criterion(models, psi=psi)
     rows = []
     for j, b in enumerate(rep.defects):
         rows.append(Row(name, "model%d" % j, "defect", float(b), 2.0,
@@ -792,7 +767,7 @@ _EXPERIMENTS = {
     "factorization": _Experiment(_run_factorization, ("function", "operator"),
                                  ("lambdas", "trials"), _factorization_fields),
     "holomorphy": _Experiment(_run_holomorphy, (),
-                              ("models", "bounds", "function"),
+                              ("models", "function"),
                               _holomorphy_fields),
     "moment_sweep": _Experiment(_run_moment, ("function", "operator"),
                                 ("trials",), _moment_fields),
@@ -824,14 +799,19 @@ def _run_experiment(cfg, spec, idx, ops, seed, tol) -> ExperimentResult:
 
 
 def _sampled_bound_notes(spec, ops) -> tuple:
-    """A note naming the operator's M_j that were sampled, not certified."""
-    ref = spec.get("operator")
-    kinds = getattr(ops.get(ref), "bound_kinds", ())
-    sampled = [str(j) for j, kind in enumerate(kinds) if kind == "sampled"]
-    if not sampled:
-        return ()
-    return ("operator %s: semigroup bound M_j for j = %s sampled on a grid "
-            "of t, not certified" % (ref, ", ".join(sampled)),)
+    """A note for each operator of the experiment (its operator or its tuple
+    models) naming the M_j that were sampled, not certified."""
+    refs = [spec["operator"]] if "operator" in spec else [
+        m for m in spec.get("models", ()) if isinstance(m, str)]
+    notes = []
+    for ref in dict.fromkeys(refs):
+        kinds = getattr(ops[ref], "bound_kinds", ())
+        sampled = [str(j) for j, kind in enumerate(kinds) if kind == "sampled"]
+        if sampled:
+            notes.append("operator %s: semigroup bound M_j for j = %s sampled "
+                         "on a grid of t, not certified"
+                         % (ref, ", ".join(sampled)))
+    return tuple(notes)
 
 
 def run(config: ScenarioConfig, seed: Optional[int] = None,

@@ -2,8 +2,10 @@
 
 Tuples come in two constructive families: jointly diagonalizable (shared
 eigenbasis with controlled conditioning) and polynomials in one nilpotent
-block (exactly commuting, non-diagonalizable).  A lazy diagonal ray model
-covers the spectra that no finite matrix can host.
+block (exactly commuting, non-diagonalizable).  A ray of spectrum
+e^{i theta}[0, inf), which no finite matrix can host, is its angle theta
+alone: holomorphy_defect_ray gives its defect, and _ray_direction is the one
+rule that reads the angle.
 
 Random tuples are drawn as stacks: make_commuting_random_stack draws one
 tuple per seed, each from its own generator, and runs the SVDs, inverses,
@@ -23,7 +25,7 @@ from scipy.linalg import expm
 from ._schur import Blocks
 
 __all__ = [
-    "SpectralData", "OperatorTuple", "TupleStack", "DiagonalRayModel",
+    "SpectralData", "OperatorTuple", "TupleStack",
     "make_tuple", "make_commuting_random", "make_commuting_random_stack",
     "make_jordan_polynomial",
     "adjoint", "semigroup_apply", "log_norm",
@@ -523,42 +525,18 @@ def fourier_translation_model(K: int, n: int = 1) -> OperatorTuple:
     return make_tuple(gens, spectral=spec)
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalRayModel:
-    """Diagonal operator with spectrum on the ray r*e^{i theta}, r > 0, or a
-    prescribed countable set in Re <= 0.
+def _ray_direction(theta: float) -> complex:
+    """e^{i theta}, the direction of the ray e^{i theta}[0, inf).
 
-    ||I - T(t)|| is a supremum over the spectrum, evaluated analytically;
-    matrix truncation would underestimate it.
+    theta is read modulo 2 pi and must point into the closed left
+    half-plane, cos theta <= 1e-15, else ValueError.  A ray within that of
+    the imaginary axis is the vertical ray: its cos is taken as 0.
     """
-
-    theta: Optional[float] = None
-    points: Optional[tuple] = None
-
-    def __post_init__(self):
-        if (self.theta is None) == (self.points is None):
-            raise ValueError("specify exactly one of theta or points")
-        if self.theta is not None:
-            if np.cos(self.theta) > 1e-15:
-                raise ValueError("ray must lie in the closed left half-plane")
-        else:
-            pts = tuple(complex(z) for z in self.points)
-            if any(z.real > 1e-15 for z in pts):
-                raise ValueError("spectrum must lie in the closed left half-plane")
-            object.__setattr__(self, "points", pts)
-
-    def defect(self, t: float) -> float:
-        """||I - T(t)|| = sup over the spectrum of |1 - e^{t z}|."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        if t == 0:
-            return 0.0
-        if self.theta is not None:
-            # substitution rho = t*r makes the ray supremum t-independent
-            return holomorphy_defect_ray(self.theta)
-        g = 1.0 - np.exp(t * np.array(self.points))
-        # hypot, not np.abs: the per-point rounding of abs(complex)
-        return float(np.hypot(g.real, g.imag).max())
+    theta = float(theta) % (2 * np.pi)
+    c, s = np.cos(theta), np.sin(theta)
+    if not c <= 1e-15:
+        raise ValueError("ray must lie in the closed left half-plane")
+    return complex(0.0 if abs(c) <= 1e-15 else c, s)
 
 
 def holomorphy_defect_ray(theta: float) -> float:
@@ -566,12 +544,12 @@ def holomorphy_defect_ray(theta: float) -> float:
 
     Dense scan of (0, rho_max] on 20000 nodes, then four rescans of the two
     grid steps around the best node, each on a 201-point grid (a hundredfold
-    finer per round).  theta is read modulo 2 pi, as every ray angle is.
+    finer per round).  theta is read by _ray_direction: modulo 2 pi, in the
+    closed left half-plane, and a ray within 1e-15 of the imaginary axis is
+    the vertical ray, whose defect is 2.
     """
-    theta = theta % (2 * np.pi)
-    if not (np.pi / 2 - 1e-12 <= theta <= 3 * np.pi / 2 + 1e-12):
-        raise ValueError("theta must lie in [pi/2, 3pi/2] modulo 2 pi")
-    c, s = min(np.cos(theta), 0.0), np.sin(theta)
+    direction = _ray_direction(theta)
+    c, s = direction.real, direction.imag
     # the modulus is at most 1 + e^{c rho}: past the first period 2 pi / |s|
     # nothing beats its value at rho = pi / |s|, and past 21 / |c| it is
     # within e^-21 of 1
@@ -580,7 +558,7 @@ def holomorphy_defect_ray(theta: float) -> float:
     grid = np.linspace(0.0, rho_max, 20001)[1:]
     best = 0.0
     for _ in range(5):
-        vals = np.abs(1.0 - np.exp(grid * (c + 1j * s)))
+        vals = np.abs(1.0 - np.exp(grid * direction))
         k = int(np.argmax(vals))
         best = max(best, float(vals[k]))
         grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 201)

@@ -10,14 +10,13 @@ import time
 import numpy as np
 from scipy.linalg import expm
 
-from bpcalc import (DiagonalRayModel, apply_psi, apply_psi_spectral,
-                    boundedness_experiment, cone_combine,
-                    convergence_experiment, diagonal_lift, direct_sum,
-                    eval_psi, eval_via_levy, factorization_check,
+from bpcalc import (apply_psi, apply_psi_spectral, boundedness_experiment,
+                    cone_combine, convergence_experiment, diagonal_lift,
+                    direct_sum, eval_psi, eval_via_levy, factorization_check,
                     fractional_power, generator_limit_check,
                     holomorphy_criterion, holomorphy_defect_ray,
                     laplace_identity_error, linear, log1m,
-                    make_commuting_random, make_jordan_polynomial,
+                    make_commuting_random, make_jordan_polynomial, make_tuple,
                     mapping_check, moment_check, poisson, semigroup_apply,
                     step_bound_check, subordinated, v_operator, w_operator,
                     w_operator_bound)
@@ -210,15 +209,16 @@ def test_criterion_07_holomorphy():
     grid = np.linspace(np.pi / 2, np.pi, 50)
     values = np.array([holomorphy_defect_ray(t) for t in grid])
     nonincreasing = bool(np.all(np.diff(values) <= 1e-12))
+    # a finite spectrum is the diagonal tuple that holds it, with M = 1
+    points = make_tuple([np.diag([-2.0 + 1.0j, -0.3])])
     configs = [
-        ([np.pi], [1.0], LG),
-        ([3 * np.pi / 4], [2.0], FP05),
-        ([np.pi, DiagonalRayModel(points=(-2.0 + 1.0j, -0.3))], [1.0, 1.0],
-         LIFT2_LG),
+        ([np.pi], LG),
+        ([3 * np.pi / 4], FP05),
+        ([np.pi, points], LIFT2_LG),
     ]
     measured_ok = True
-    for models, bounds, psi in configs:
-        rep = holomorphy_criterion(models, bounds, psi=psi)
+    for models, psi in configs:
+        rep = holomorphy_criterion(models, psi=psi)
         assert rep.satisfied and rep.measured_limsup is not None
         measured_ok = measured_ok and (
             rep.measured_limsup <= rep.weighted_sum + 0.05)

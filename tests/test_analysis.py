@@ -12,12 +12,19 @@ from bpcalc.bernstein import (cone_combine, diagonal_lift, eval_psi,
                               fractional_power, linear, log1m, poisson)
 from bpcalc.calculus import _psi_matrix
 from bpcalc.semigroup import fourier_modes
-from bpcalc.semigroup import (DiagonalRayModel, make_commuting_random,
+from bpcalc.semigroup import (_ray_direction, holomorphy_defect_ray,
+                              make_commuting_random,
                               make_commuting_random_stack, make_tuple)
 
 
 def scalar_tuple(value):
     return make_tuple([np.array([[value]], dtype=complex)], bounds=(1.0,))
+
+
+def point_model(points):
+    """The holomorphy model with spectrum ``points``: a diagonal tuple,
+    whose log-norm max Re z <= 0 gives M = 1."""
+    return make_tuple([np.diag(np.asarray(points, dtype=complex))])
 
 
 class TestKConstant:
@@ -138,8 +145,7 @@ def bits(result):
 
 def suite_sweeps():
     cfg = cli.parse_config(cli._load_config_text("theorem_suite"))
-    ops = {s["id"]: cli._build_operator(s) for s in cfg.operator_specs
-           if "ray" not in s}
+    ops = {s["id"]: cli._build_operator(s) for s in cfg.operator_specs}
     return cfg, ops, [(i, s) for i, s in enumerate(cfg.experiment_specs)
                       if s["kind"] == "moment_sweep"]
 
@@ -262,30 +268,65 @@ class TestStepBound:
 class TestHolomorphyCriterion:
     def test_matrix_tuples_trivial(self):
         blocks = [make_commuting_random(1, 3, seed=s) for s in (1, 2)]
-        rep = holomorphy_criterion(blocks, [1.0, 1.0])
+        rep = holomorphy_criterion(blocks)
         assert rep.weighted_sum == 0.0
         assert rep.satisfied
+        # the weights are the tuples' own bounds M_j = cond(P_j)
+        assert rep.weights == (1.0, blocks[0].bounds[0])
 
     def test_single_ray_pi(self):
-        rep = holomorphy_criterion([np.pi], [1.0])
+        rep = holomorphy_criterion([np.pi])
         assert abs(rep.defects[0] - 1.0) <= 1e-6
         assert rep.weighted_sum < 2.0 and rep.satisfied
+        # -pi is the ray of pi, to the bit
+        for theta in (np.pi, -np.pi):
+            assert holomorphy_criterion([theta]).defects == (0.999999999241744,)
 
     def test_two_rays_with_weight(self):
+        # a tuple of bound M > 1 ahead of two rays weighs both by M
+        A = make_commuting_random(1, 3, seed=9)
+        M = A.bounds[0]
+        assert M > 1.0
         theta = 0.6 * np.pi
-        rep = holomorphy_criterion([theta, theta], [2.0, 1.0])
-        b = rep.defects[0]
-        assert abs(rep.weighted_sum - (b + 2.0 * b)) <= 1e-12
+        rep = holomorphy_criterion([A, theta, theta])
+        b = rep.defects[1]
+        assert rep.weights == (1.0, M, M)
+        assert abs(rep.weighted_sum - 2.0 * M * b) <= 1e-12
         assert rep.satisfied == (rep.weighted_sum < 2.0)
+
+    def test_tuple_bound_weights_ray(self):
+        # M_j comes from the model: a tuple of bound M > 1 weighs the ray
+        # after it by M (its sampled points still fall in the criterion)
+        A = make_tuple([[[-1.0]]], bounds=[1.5])
+        rep = holomorphy_criterion([A, np.pi], psi=diagonal_lift(
+            log1m(), [1.0, 0.5]))
+        b = holomorphy_defect_ray(np.pi)
+        assert rep.defects == (0.0, b)
+        assert rep.weights == (1.0, 1.5)
+        assert rep.weighted_sum == 1.5 * b and rep.satisfied
+        assert rep.measured_limsup <= rep.weighted_sum + 0.05
+        assert not holomorphy_criterion([make_tuple([[[-1.0]]], bounds=[2.5]),
+                                         np.pi]).satisfied
 
     def test_vertical_ray_fails_criterion(self):
         # b(pi/2) = 2 saturates the threshold on its own
-        rep = holomorphy_criterion([np.pi / 2], [1.0])
+        rep = holomorphy_criterion([np.pi / 2])
         assert not rep.satisfied
         assert rep.measured_limsup is None
 
+    @pytest.mark.parametrize("theta", [np.pi / 2, -np.pi / 2, 3 * np.pi / 2,
+                                       np.pi / 2 + 2e-16],
+                             ids=["half-pi", "minus-half-pi",
+                                  "three-half-pi", "within-1e-15"])
+    def test_vertical_rays_alike(self, theta):
+        # one angle rule: a ray within 1e-15 of the imaginary axis is the
+        # vertical ray, so its defect is 2 and the criterion inapplicable
+        rep = holomorphy_criterion([theta], psi=log1m())
+        assert rep.defects == (2.0,)
+        assert not rep.satisfied and rep.measured_limsup is None
+
     def test_measured_limsup_under_weighted_sum(self):
-        rep = holomorphy_criterion([np.pi], [1.0], psi=fractional_power(0.5))
+        rep = holomorphy_criterion([np.pi], psi=fractional_power(0.5))
         assert rep.measured_limsup is not None
         assert rep.measured_limsup <= rep.weighted_sum + 0.05
         # unbounded psi on an unbounded ray: the defect is actually attained
@@ -293,46 +334,56 @@ class TestHolomorphyCriterion:
 
     def test_two_rays_never_satisfy(self):
         # every ray defect is at least 1, so two rays reach the threshold
-        rep = holomorphy_criterion([np.pi, 0.75 * np.pi], [1.0, 1.0])
+        rep = holomorphy_criterion([np.pi, 0.75 * np.pi])
         assert not rep.satisfied
 
     @pytest.mark.parametrize("bounds", [[np.nan, 1.0], [np.nan], [np.inf]],
                              ids=["nan-one", "nan", "inf"])
     def test_non_finite_bounds_rejected(self, bounds):
-        # [nan, 1] gave weighted_sum nan, and [nan] alone was satisfied
+        # a bound reaches the criterion only on its tuple, which refuses a
+        # non-finite one
         with pytest.raises(ValueError, match="finite and >= 1"):
-            holomorphy_criterion([np.pi] * len(bounds), bounds)
+            holomorphy_criterion([make_tuple([[[-1.0]]], bounds=[M])
+                                  for M in bounds])
 
     def test_measured_limsup_two_generators(self):
         # one unbounded ray plus a finite point source keeps the sum below 2
         psi = diagonal_lift(log1m(), [1.0, 0.5])
-        model = DiagonalRayModel(points=(-2.0 + 1.0j, -0.3))
-        rep = holomorphy_criterion([np.pi, model], [1.0, 1.0], psi=psi)
+        model = point_model((-2.0 + 1.0j, -0.3))
+        rep = holomorphy_criterion([np.pi, model], psi=psi)
         assert rep.satisfied
         assert rep.measured_limsup <= rep.weighted_sum + 0.05
 
     def test_point_model_and_matrix_mix(self):
-        model = DiagonalRayModel(points=(-1.0 + 2.0j, -0.5))
+        model = point_model((-1.0 + 2.0j, -0.5))
         A = make_commuting_random(1, 3, seed=9)
-        rep = holomorphy_criterion([model, A], [1.0, 1.5])
+        rep = holomorphy_criterion([model, A])
         assert rep.defects == (0.0, 0.0)
+        assert rep.weights == (1.0, 1.0)
         assert rep.satisfied
 
     def test_unknown_source_rejected(self):
         with pytest.raises(TypeError):
-            holomorphy_criterion(["ray"], [1.0])
+            holomorphy_criterion(["ray"])
+
+    @pytest.mark.parametrize("model", [
+        True, np.eye(2), make_commuting_random(2, 3, seed=1)],
+        ids=["bool", "matrix", "two-generators"])
+    def test_only_angles_and_one_generator_tuples(self, model):
+        with pytest.raises(TypeError):
+            holomorphy_criterion([model])
 
     def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            holomorphy_criterion([np.pi], [0.5])
+        # M_j is the model's own bound, which its tuple validates
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            holomorphy_criterion([make_tuple([[[-1.0]]], bounds=[0.5])])
 
 
 # The per-point loops that the point-set evaluation replaced, kept as the
 # reference it must reproduce exactly.
 
-def _reach_per_point(psi, j, theta, t):
+def _reach_per_point(psi, j, e, t):
     R = 1.0
-    e = np.exp(1j * theta)
     probe = np.zeros(psi.n, dtype=complex)
     while R < 1e30:
         probe[j] = R * e
@@ -350,9 +401,10 @@ def _samples_per_point(models, psi, k_max=40):
     for k in range(k_max + 1):
         t = 2.0 ** -k
         axes = []
-        for j, (_, sampler, theta) in enumerate(resolved):
-            reach = _reach_per_point(psi, j, theta, t) if theta is not None else 1.0
-            pts = np.asarray(sampler(t, reach))
+        for j, (_, _, e, pts) in enumerate(resolved):
+            if e is not None:
+                reach = _reach_per_point(psi, j, e, t)
+                pts = np.geomspace(1e-6, reach, 160) * e
             if len(pts) > per_model:
                 idx = np.unique(np.linspace(0, len(pts) - 1, per_model).astype(int))
                 pts = pts[idx]
@@ -369,44 +421,46 @@ def _samples_per_point(models, psi, k_max=40):
 
 POINTS = (-2.0 + 1.0j, -0.3)
 CRITERION_CONFIGS = [
-    ([np.pi], [1.0], log1m()),
-    ([3 * np.pi / 4], [2.0], fractional_power(0.5)),
-    ([np.pi, DiagonalRayModel(points=POINTS)], [1.0, 1.0],
-     diagonal_lift(log1m(), [1.0, 0.5])),
+    ([np.pi], log1m()),
+    ([3 * np.pi / 4], fractional_power(0.5)),
+    ([np.pi, point_model(POINTS)], diagonal_lift(log1m(), [1.0, 0.5])),
 ]
 
 
 class TestPointSetRewrite:
     @pytest.mark.parametrize("config", range(len(CRITERION_CONFIGS)))
     def test_samples_match_per_point_loop(self, config):
-        models, bounds, psi = CRITERION_CONFIGS[config]
-        rep = holomorphy_criterion(models, bounds, psi=psi)
+        models, psi = CRITERION_CONFIGS[config]
+        rep = holomorphy_criterion(models, psi=psi)
         assert rep.samples == _samples_per_point(models, psi)
 
     @pytest.mark.parametrize("config", range(len(CRITERION_CONFIGS)))
     def test_reach_matches_per_point_loop(self, config):
-        models, _, psi = CRITERION_CONFIGS[config]
+        models, psi = CRITERION_CONFIGS[config]
         for j, model in enumerate(models):
             if not isinstance(model, float):
                 continue
+            e = _ray_direction(model)
             for k in range(41):
                 t = 2.0 ** -k
-                assert _reach(psi, j, model, t) == _reach_per_point(psi, j, model, t)
+                assert _reach(psi, j, e, t) == _reach_per_point(psi, j, e, t)
 
     def test_reach_last_probe_and_cap(self):
         # |psi| <= 2 never saturates; the drift saturates first at R = 4^49
+        e = _ray_direction(np.pi)
         for psi, R in ((poisson(), 4.0 ** 50), (linear([30.0 / 4.0 ** 49]), 4.0 ** 49)):
-            assert _reach(psi, 0, np.pi, 1.0) == _reach_per_point(psi, 0, np.pi, 1.0)
-            assert _reach(psi, 0, np.pi, 1.0) == R
+            assert _reach(psi, 0, e, 1.0) == _reach_per_point(psi, 0, e, 1.0)
+            assert _reach(psi, 0, e, 1.0) == R
 
     def test_point_model_defect_matches_per_point(self):
+        # a diagonal tuple model is sampled at exactly its points, with M = 1
         rng = np.random.default_rng(5)
         extra = -np.abs(rng.standard_normal(40)) + 3j * rng.standard_normal(40)
         for pts in (POINTS, tuple(extra)):
-            model = DiagonalRayModel(points=pts)
-            for t in (1e-3, 0.3, 1.0, 7.5):
-                assert model.defect(t) == max(abs(1.0 - np.exp(t * complex(z)))
-                                              for z in pts)
+            b, M, e, sampled = _resolve_source(point_model(pts))
+            assert (b, M, e) == (0.0, 1.0, None)
+            assert sorted(sampled, key=lambda z: (z.real, z.imag)) == \
+                sorted(pts, key=lambda z: (z.real, z.imag))
 
     def test_boundedness_matches_per_point(self):
         for psi in (poisson(), fractional_power(0.5),

@@ -539,6 +539,25 @@ class TestSemisimpleZero:
             assert max(r.distance for r in report.rows) <= 1e-9
 
 
+class TestHugeEntries:
+    """Generator entries past about 1.34e154, where the squares in a
+    Frobenius norm overflow: the round-off cut of the block profile stays
+    finite, so no eigenvalue is zeroed as round-off."""
+
+    def test_apply_psi_of_huge_imaginary_eigenvalue(self):
+        A = make_tuple([[[1e200j]]])
+        assert A.representation.joint.tolist() == [[1e200j]]
+        exact = complex(eval_psi(poisson(), np.array([[1e200j]]))[0])
+        assert abs(exact - (-0.2349 - 0.6440j)) <= 1e-4
+        assert abs(complex(apply_psi(poisson(), A)[0, 0]) - exact) <= 1e-9
+
+    def test_joint_rows_keep_huge_eigenvalue(self):
+        # exp(t A) = e^{2e154 i t} (I + t N) grows like t, so no sampled
+        # bound exists; the bound is given only to build the tuple
+        A = make_tuple([[[2e154j, 1], [0, 2e154j]]], bounds=[1.0])
+        assert 2e154j in A.representation.joint[:, 0]
+
+
 class TestSubordinated:
     def test_time_zero_is_identity(self):
         A = make_commuting_random(1, 3, seed=4)

@@ -8,8 +8,8 @@ from bpcalc.calculus import (apply_psi, factorization_check,
                              factorization_checks)
 from bpcalc.cli import (_EXPERIMENT_KINDS, _EXPERIMENTS, ConfigError,
                         ExperimentResult, Row, _build_operator,
-                        config_document, emit_report, _load_config_text, main,
-                        parse_config, run)
+                        emit_report, _load_config_text, main, parse_config,
+                        run)
 from bpcalc.semigroup import make_commuting_random
 
 
@@ -35,9 +35,8 @@ def rows_for(report, name):
 
 
 def corpus_doc(operator=None, experiment=None):
-    """Valid functions ps, fp (n = 1) and ds (n = 2), operators a (n = 1),
-    b (n = 2) and ray; the case under test is operators[3] or
-    experiments[0]."""
+    """Valid functions ps, fp (n = 1) and ds (n = 2), operators a (n = 1)
+    and b (n = 2); the case under test is operators[2] or experiments[0]."""
     doc = {
         "functions": [
             {"id": "ps", "catalog": "poisson"},
@@ -46,8 +45,7 @@ def corpus_doc(operator=None, experiment=None):
             {"id": "ds", "catalog": "direct_sum", "children": ["ps", "fp"]},
         ],
         "operators": [{"id": "a", "random": {"n": 1, "d": 3}},
-                      {"id": "b", "random": {"n": 2, "d": 3}},
-                      {"id": "ray", "ray": {"theta": np.pi}}],
+                      {"id": "b", "random": {"n": 2, "d": 3}}],
     }
     if operator is not None:
         doc["operators"].append(operator)
@@ -58,7 +56,7 @@ def corpus_doc(operator=None, experiment=None):
 
 def op_case(case_id, operator, message, location):
     return pytest.param(corpus_doc(operator=operator), message,
-                        "operators[3]" + location, id="operator-" + case_id)
+                        "operators[2]" + location, id="operator-" + case_id)
 
 
 def exp_case(case_id, experiment, message, location):
@@ -72,7 +70,7 @@ def rand(**kw):
 
 
 ORACLE = {"kind": "oracle_equivalence", "function": "ps", "operator": "a"}
-HOLO = {"kind": "holomorphy", "models": [np.pi], "bounds": [1.0]}
+HOLO = {"kind": "holomorphy", "models": [np.pi]}
 
 
 # the Levy integral of fractional_power(0.5) on a purely imaginary spectrum
@@ -96,17 +94,17 @@ def kind(name, **kw):
 
 ERROR_CORPUS = [
     op_case("not-object", 5, "expected an object", ""),
-    op_case("unknown-key", {"id": "m", "ray": {"theta": np.pi}, "x": 1},
+    op_case("unknown-key", {"id": "m", "fourier": {"K": 2}, "x": 1},
             "unknown key 'x'", ".x"),
-    op_case("no-id", {"ray": {"theta": np.pi}},
+    op_case("no-id", {"fourier": {"K": 2}},
             "expected a nonempty string id", ".id"),
-    op_case("duplicate", {"id": "a", "ray": {"theta": np.pi}},
+    op_case("duplicate", {"id": "a", "fourier": {"K": 2}},
             "duplicate operator id 'a'", ".id"),
     op_case("no-source", {"id": "m"},
-            "specify exactly one of matrices, random, fourier, ray", ""),
-    op_case("two-sources", {"id": "m", "ray": {"theta": np.pi},
+            "specify exactly one of matrices, random, fourier", ""),
+    op_case("two-sources", {"id": "m", "random": {"n": 1, "d": 2},
                             "fourier": {"K": 2}},
-            "specify exactly one of matrices, random, fourier, ray", ""),
+            "specify exactly one of matrices, random, fourier", ""),
     op_case("matrices-empty", {"id": "m", "matrices": []},
             "expected a nonempty list of matrices", ".matrices"),
     op_case("matrix-not-list", {"id": "m", "matrices": [5]},
@@ -144,12 +142,9 @@ ERROR_CORPUS = [
             "expected an integer", ".fourier.n"),
     op_case("fourier-unknown-key", {"id": "m", "fourier": {"K": 2, "m": 1}},
             "unknown key 'm'", ".fourier.m"),
-    op_case("ray-theta", {"id": "m", "ray": {}}, "expected a number",
-            ".ray.theta"),
-    op_case("ray-half-plane", {"id": "m", "ray": {"theta": 0.0}},
-            "ray must lie in the closed left half-plane", ".ray.theta"),
-    op_case("ray-unknown-key", {"id": "m", "ray": {"theta": np.pi, "r": 1}},
-            "unknown key 'r'", ".ray.r"),
+    # a ray is a holomorphy model's angle, not an operator
+    op_case("ray-unknown-key", {"id": "m", "ray": {"theta": np.pi}},
+            "unknown key 'ray'", ".ray"),
 
     exp_case("not-object", 5, "expected an object", ""),
     exp_case("unknown-kind", {"kind": "nope"},
@@ -166,8 +161,7 @@ ERROR_CORPUS = [
     exp_case("operator-unresolved", with_(ORACLE, operator="zz"),
              "unresolved operator reference 'zz'", ".operator"),
     exp_case("operator-ray", with_(ORACLE, operator="ray"),
-             "experiment needs an operator tuple, not a ray model",
-             ".operator"),
+             "unresolved operator reference 'ray'", ".operator"),
     exp_case("operator-arity", with_(ORACLE, operator="b"),
              "function arity 1 does not match operator size 2", ".operator"),
     exp_case("unknown-key", with_(ORACLE, tolerance=1e-3),
@@ -203,23 +197,27 @@ ERROR_CORPUS = [
              "expected an integer", ".trials"),
     exp_case("moment-times", kind("moment_sweep", times=[1.0]),
              "unknown key 'times'", ".times"),
-    exp_case("models-missing", {"kind": "holomorphy", "bounds": [1.0]},
+    exp_case("models-missing", {"kind": "holomorphy"},
              "expected a nonempty list of models", ".models"),
     exp_case("model-unresolved", with_(HOLO, models=["zz"]),
              "unresolved operator reference 'zz'", ".models[0]"),
     exp_case("model-arity", with_(HOLO, models=["b"]),
-             "holomorphy model must be a ray or a one-generator tuple",
+             "holomorphy model must be a ray angle or a one-generator tuple",
              ".models[0]"),
     exp_case("model-entry", with_(HOLO, models=[True]), "expected a number",
              ".models[0]"),
-    exp_case("model-angle", with_(HOLO, models=[np.pi, 0.0], bounds=[1, 1]),
+    exp_case("model-angle", with_(HOLO, models=[np.pi, 0.0]),
              "ray must lie in the closed left half-plane", ".models[1]"),
+    # cos(1000000000000008.9) = -0.011, but modulo 2 pi its cos is 0.028
+    exp_case("model-angle-modulo", with_(HOLO, models=[1000000000000008.9]),
+             "ray must lie in the closed left half-plane", ".models[0]"),
+    # M_j is read from each model: a bounds key is refused, whatever it holds
     exp_case("bounds-length", with_(HOLO, bounds=[1.0, 1.0]),
-             "bounds must list one M_j per model", ".bounds"),
-    exp_case("bounds-entry", with_(HOLO, bounds=["x"]), "expected a number",
-             ".bounds[0]"),
+             "unknown key 'bounds'", ".bounds"),
+    exp_case("bounds-entry", with_(HOLO, bounds=["x"]),
+             "unknown key 'bounds'", ".bounds"),
     exp_case("bounds-value", with_(HOLO, bounds=[0.5]),
-             "semigroup bounds are at least 1", ".bounds"),
+             "unknown key 'bounds'", ".bounds"),
     exp_case("holomorphy-function", with_(HOLO, function="zz"),
              "unresolved function reference 'zz'", ".function"),
     exp_case("holomorphy-arity", with_(HOLO, function="ds"),
@@ -338,16 +336,12 @@ class TestParseConfig:
         assert entry == [-1.0, 0.0]
 
     def test_ray_rejected_where_tuple_needed(self):
+        # no operator is a ray: a ray is a holomorphy model's angle
         doc = small_doc()
         doc["operators"].append({"id": "ray", "ray": {"theta": np.pi}})
         doc["experiments"][0]["operator"] = "ray"
-        with pytest.raises(ConfigError, match="ray model"):
+        with pytest.raises(ConfigError, match="unknown key 'ray'"):
             parse_config(doc)
-
-    def test_roundtrip_idempotent(self):
-        first = config_document(parse_config(small_doc()))
-        second = config_document(parse_config(json.dumps(first)))
-        assert first == second
 
     @pytest.mark.parametrize("doc, message, location", ERROR_CORPUS)
     def test_error_corpus(self, doc, message, location):
@@ -361,8 +355,8 @@ class TestParseConfig:
         ({"operators": "ab"}, "operators"),
         ({"experiments": {"kind": "boundedness"}}, "experiments"),
         (corpus_doc(rand(box=[[-1, -0.5], [1]])),
-         "operators[3].random.box[1]"),
-        (corpus_doc(rand(box=[[-1, -0.5], 5])), "operators[3].random.box[1]"),
+         "operators[2].random.box[1]"),
+        (corpus_doc(rand(box=[[-1, -0.5], 5])), "operators[2].random.box[1]"),
     ], ids=["functions", "operators", "experiments", "box-pair-short",
             "box-pair-number"])
     def test_malformed_list_rejected(self, doc, location):
@@ -431,9 +425,11 @@ class TestConfigSchema:
                                           trials=3)),
                corpus_doc(experiment={"kind": "boundedness", "function": "ps",
                                       "operator": "a"}),
-               corpus_doc(operator={"id": "m", "ray": {"theta": np.pi},
+               corpus_doc(operator={"id": "m", "random": {"n": 1, "d": 2},
                                     "fourier": {"K": 2}}),
-               corpus_doc(operator={"id": "m"})]
+               corpus_doc(operator={"id": "m"}),
+               corpus_doc(operator={"id": "m", "ray": {"theta": np.pi}}),
+               corpus_doc(experiment=with_(HOLO, bounds=[1.0]))]
         jsonschema.validate(corpus_doc(experiment=ORACLE), schema)
         for doc in bad:
             with pytest.raises(jsonschema.ValidationError):
@@ -559,8 +555,7 @@ class TestRun:
             "functions": [{"id": "lg", "catalog": "log1m"}],
             "operators": [],
             "experiments": [{"kind": "holomorphy", "id": "hol",
-                             "models": [np.pi], "bounds": [1.0],
-                             "function": "lg"}],
+                             "models": [np.pi], "function": "lg"}],
         }
         report = run(parse_config(doc))
         rows = {r.quantity: r for r in rows_for(report, "hol")}
@@ -780,6 +775,24 @@ class TestEmit:
             emit_report(report, "text").decode()
         assert b"sampled" not in emit_report(report, "csv")
 
+    def test_sampled_bound_of_tuple_model_noted(self):
+        # a tuple model's M_j is its own bound, here sampled; it weighs the
+        # ray after it, and the run says that it is not certified
+        doc = {
+            "operators": [
+                {"id": "samp", "matrices": [[[-1.0, 4.0], [0.0, -1.0]]]}],
+            "experiments": [{"kind": "holomorphy", "id": "hol",
+                             "models": ["samp", np.pi, "samp"]}],
+        }
+        cfg = parse_config(doc)
+        (res,) = run(cfg).experiments
+        assert res.notes == ("operator samp: semigroup bound M_j for j = 0 "
+                             "sampled on a grid of t, not certified",)
+        M = _build_operator(cfg.operator_specs[0]).bounds[0]
+        values = {(r.case_id, r.quantity): r.value for r in res.rows}
+        assert values["criterion", "weighted_sum"] == \
+            M * values["model1", "defect"]
+
     def test_error_row_note_has_no_comparison(self):
         text = emit_report(run(parse_config(QUADRATURE_ERROR_DOC)), "text").decode()
         assert "  x: error QuadratureError [ERROR]\n" in text
@@ -862,6 +875,30 @@ class TestMain:
             "experiments": [dict(HOLO, id="hol", models=[-np.pi],
                                  function="lg")]}))
         assert main(["run", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, -np.pi / 2, 3 * np.pi / 2],
+                             ids=["half-pi", "minus-half-pi", "three-half-pi"])
+    def test_vertical_rays_run_alike(self, tmp_path, capsys, theta):
+        # a ray within 1e-15 of the imaginary axis is the vertical ray
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "functions": [{"id": "lg", "catalog": "log1m"}],
+            "experiments": [dict(HOLO, id="hol", models=[theta],
+                                 function="lg")]}))
+        assert main(["run", str(cfg), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            '"hol","model0","defect",2,2,"PASS"',
+            '"hol","criterion","weighted_sum",2,2,"INAPPLICABLE"']
+
+    @pytest.mark.parametrize("doc", [
+        {"experiments": [dict(HOLO, bounds=[1.0])]},
+        {"operators": [{"id": "r", "ray": {"theta": np.pi}}]}],
+        ids=["bounds", "ray-operator"])
+    def test_bounds_and_ray_operator_exit_two(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

@@ -746,16 +746,19 @@ class TestRayDefect:
         assert S.holomorphy_defect_ray(theta) == pytest.approx(
             S.holomorphy_defect_ray(same), rel=1e-12)
 
-    def test_ray_model_defect_is_t_independent(self):
-        model = S.DiagonalRayModel(theta=2.5)
-        assert model.defect(0.01) == pytest.approx(model.defect(10.0), abs=1e-12)
-
     def test_point_model_defect(self):
-        model = S.DiagonalRayModel(points=(-1.0, -2.0 + 1.0j))
+        # a finite spectrum is the diagonal tuple that holds it: its log-norm
+        # gives M = 1 and ||I - T(t)|| is the sup over the points
+        pts = (-1.0, -2.0 + 1.0j)
+        model = S.make_tuple([np.diag(pts)])
+        assert (model.bounds, model.bound_kinds) == ((1.0,), ("lognorm",))
+        assert sorted(np.linalg.eigvals(model.generators[0]).tolist(),
+                      key=abs) == list(pts)
         t = 0.3
-        expected = max(abs(1 - np.exp(t * z)) for z in (-1.0, -2.0 + 1.0j))
-        assert model.defect(t) == pytest.approx(expected, rel=1e-12)
-        assert model.defect(0.0) == 0.0
+        expected = max(abs(1 - np.exp(t * z)) for z in pts)
+        defect = np.linalg.norm(np.eye(2) - S.semigroup_apply(model, [t]), 2)
+        assert defect == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(np.eye(2) - S.semigroup_apply(model, [0.0])) == 0.0
 
     def test_matches_dense_reference(self):
         # sup over (0, rho_max] of |1 - e^{rho e^{i theta}}| by a scan twenty
@@ -796,8 +799,24 @@ class TestRayDefect:
 
     def test_model_requires_left_half_plane(self):
         with pytest.raises(ValueError):
-            S.DiagonalRayModel(points=(0.5,))
-        with pytest.raises(ValueError):
-            S.DiagonalRayModel(theta=0.1)
-        with pytest.raises(ValueError):
-            S.DiagonalRayModel()
+            S.make_tuple([np.diag([0.5])])
+        with pytest.raises(ValueError, match="closed left half-plane"):
+            S._ray_direction(0.1)
+
+    @pytest.mark.parametrize("theta, direction", [
+        (np.pi, complex(-1.0, np.sin(np.pi))),
+        (-np.pi, complex(-1.0, np.sin(np.pi))),
+        (np.pi / 2, 1j), (-np.pi / 2, -1j), (3 * np.pi / 2, -1j),
+        (np.pi / 2 + 5e-16, 1j)],
+        ids=["pi", "minus-pi", "half-pi", "minus-half-pi", "three-half-pi",
+             "near-vertical"])
+    def test_ray_direction(self, theta, direction):
+        # read modulo 2 pi, and within 1e-15 of the imaginary axis vertical
+        assert S._ray_direction(theta) == direction
+
+    @pytest.mark.parametrize("theta", [1000000000000008.9, np.nan, np.inf],
+                             ids=["huge", "nan", "inf"])
+    def test_angle_rule_reads_modulo_two_pi(self, theta):
+        # cos(1000000000000008.9) < 0, but modulo 2 pi its cos is > 0
+        with pytest.raises(ValueError, match="closed left half-plane"):
+            S.holomorphy_defect_ray(theta)
