@@ -8,17 +8,20 @@ Every such function has the representation
 
 with c0 <= 0, c1 in R+^n, and a positive measure mu integrating min(|u|, 1).
 This module stores the triple (c0, c1, mu) structurally (atoms plus
-parametric ray/axis densities, never sampled arrays), evaluates psi either
-from a closed form or by quadrature of the representation, and builds new
-members from two rules: the conic combination sum_i a_i psi_i, and the
-pullback psi(L^T s) along a nonnegative matrix L, which pushes mu and every
-nu_t forward along u -> L u.  A diagonal lift is the pullback along one
-weight column; a direct sum is the cone, with weights 1, of its members'
-pullbacks along the coordinate embeddings.  Each constructor attaches the
-closed-form subordination family nu_t where one is known; ``CATALOG``
-declares every member once for string-id construction.  Each nu_t is a
-``LevyMeasure`` as mu is, with atoms on rays (mass at the origin an atom of
-radius 0), or the convolution of child families.
+parametric ray/axis densities, never sampled arrays) together with the
+facts every member states: its closed form, which partials stay finite at
+-0, and whether it is bounded.  ``eval_psi`` evaluates the closed form;
+``eval_via_levy``, quadrature of the representation, is the independent
+route the tests compare it with.  New members come from two rules: the
+conic combination sum_i a_i psi_i, and the pullback psi(L^T s) along a
+nonnegative matrix L, which pushes mu and every nu_t forward along
+u -> L u.  A diagonal lift is the pullback along one weight column; a
+direct sum is the cone, with weights 1, of its members' pullbacks along the
+coordinate embeddings.  Each constructor attaches the closed-form
+subordination family nu_t where one is known; ``CATALOG`` declares every
+member once for string-id construction.  Each nu_t is a ``LevyMeasure`` as
+mu is, with atoms on rays (mass at the origin an atom of radius 0), or the
+convolution of child families.
 """
 
 from __future__ import annotations
@@ -253,7 +256,7 @@ def _gamma_measure(t: float) -> LevyMeasure:
 
 @dataclass(frozen=True, eq=False)
 class BernsteinFunction:
-    """Levy triple (c0, c1, mu) with an optional closed-form evaluator.
+    """Levy triple (c0, c1, mu) with the facts every member states.
 
     ``closed_form`` evaluates psi(s) for Re s <= 0 (continuous up to the
     boundary).  It takes the points coordinate-first: an array whose row j
@@ -261,25 +264,31 @@ class BernsteinFunction:
     shape (m,) or anything that broadcasts to it.  It must act elementwise
     over the trailing axes, so that one point and a set give the same bits;
     ``eval_psi`` always calls it this way, a single point as m = 1.
-    ``subordinator`` is the closed-form family of measures nu_t with
-    Laplace transform e^{t psi}, or None where none is known.
     ``partials_finite[j]`` states whether d psi / d s_j remains finite as
-    s -> -0 (None when unknown); ``bounded`` states whether psi is bounded
-    on (-inf, 0)^n.
+    s -> -0, and ``bounded`` whether psi is bounded on (-inf, 0)^n.  These
+    three are required: every catalog member knows them, and the cone and
+    the pullback keep them.  ``subordinator`` is the closed-form family of
+    measures nu_t with Laplace transform e^{t psi}, or None where none is
+    known.
     """
 
     n: int
     c0: float
     c1: np.ndarray
     measure: LevyMeasure
-    closed_form: Optional[Callable] = None
+    closed_form: Callable
+    partials_finite: tuple
+    bounded: bool
     subordinator: Optional[SubordinatorFamily] = None
-    partials_finite: Optional[tuple] = None
-    bounded: Optional[bool] = None
 
     def __post_init__(self):
         c1 = np.asarray(self.c1, dtype=float)
         object.__setattr__(self, "c1", c1)
+        if not callable(self.closed_form):
+            raise TypeError("closed_form must be callable")
+        if len(self.partials_finite) != self.n:
+            raise DimensionMismatchError(
+                "partials_finite must have one entry per variable")
         if self.c0 > _RE_TOL:
             raise ValueError("c0 must be <= 0")
         if c1.shape != (self.n,):
@@ -317,19 +326,15 @@ def _maybe_real(value: complex, s: np.ndarray):
 
 
 def eval_psi(psi: BernsteinFunction, s):
-    """Evaluate psi at s (Re s_j <= 0), preferring the closed form.
+    """Evaluate psi at s (Re s_j <= 0) by its closed form.
 
     ``s`` is one point of shape (n,), which gives a float (real s) or a
     complex, or a point set of shape (m, n), which gives a complex array of
-    length m.  The closed form runs once on the whole set; without one,
-    each row goes through ``eval_via_levy``.
+    length m.  The closed form runs once on the whole set.
     """
     S, single = _points(psi, s)
-    if psi.closed_form is not None:
-        vals = np.empty(len(S), dtype=complex)
-        vals[...] = psi.closed_form(S.T)
-    else:
-        vals = np.array([eval_via_levy(psi, z) for z in S], dtype=complex)
+    vals = np.empty(len(S), dtype=complex)
+    vals[...] = psi.closed_form(S.T)
     if single:
         return _maybe_real(vals[0], S[0])
     return vals
@@ -472,19 +477,11 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
              for a, p in live for at in p.measure.atoms]
     parts = [pt.scaled(a) for a, p in live for pt in p.measure.parts]
 
-    closed = None
-    if all(p.closed_form is not None for _, p in live):
-        forms = [(a, p.closed_form) for a, p in live]
+    forms = tuple((a, p.closed_form) for a, p in live)
 
-        def closed(s, _forms=tuple(forms)):
-            return sum(a * f(s) for a, f in _forms)
+    def closed(s):
+        return sum(a * f(s) for a, f in forms)
 
-    finite = None
-    if all(p.partials_finite is not None for _, p in live):
-        finite = tuple(all(p.partials_finite[j] for _, p in live) for j in range(n))
-    bounded = None
-    if all(p.bounded is not None for _, p in live):
-        bounded = all(p.bounded for _, p in live)
     family = None
     if all(p.subordinator is not None for _, p in live):
         # e^{t sum a_i psi_i} = prod e^{(a_i t) psi_i}: convolve the children
@@ -495,8 +492,10 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
     return BernsteinFunction(
         n=n, c0=float(c0), c1=np.asarray(c1, dtype=float),
         measure=LevyMeasure(n, atoms=atoms, parts=parts),
-        closed_form=closed, subordinator=family,
-        partials_finite=finite, bounded=bounded)
+        closed_form=closed,
+        partials_finite=tuple(all(p.partials_finite[j] for _, p in live)
+                              for j in range(n)),
+        bounded=all(p.bounded for _, p in live), subordinator=family)
 
 
 def _pullback(psi: BernsteinFunction, L: np.ndarray) -> BernsteinFunction:
@@ -506,22 +505,18 @@ def _pullback(psi: BernsteinFunction, L: np.ndarray) -> BernsteinFunction:
     s_j has a finite partial when every variable it feeds does, and the
     pullback is bounded when psi is.
     """
-    closed = None
-    if psi.closed_form is not None:
-        f = psi.closed_form
+    f = psi.closed_form
 
-        def closed(s):
-            return f(np.array([_dot(col, s) for col in L.T]))
+    def closed(s):
+        return f(np.array([_dot(col, s) for col in L.T]))
 
-    finite = None
-    if psi.partials_finite is not None:
-        finite = tuple(all(psi.partials_finite[i] for i in np.flatnonzero(row))
-                       for row in L)
     family = None if psi.subordinator is None else _mapped(psi.subordinator, L)
     return BernsteinFunction(
         n=len(L), c0=psi.c0, c1=L @ psi.c1, measure=_mapped(psi.measure, L),
-        closed_form=closed, subordinator=family,
-        partials_finite=finite, bounded=psi.bounded)
+        closed_form=closed,
+        partials_finite=tuple(all(psi.partials_finite[i]
+                                  for i in np.flatnonzero(row)) for row in L),
+        bounded=psi.bounded, subordinator=family)
 
 
 def direct_sum(psi1: BernsteinFunction, psi2: BernsteinFunction) -> BernsteinFunction:

@@ -34,7 +34,7 @@ from scipy.special import gammaln, xlogy
 
 from ._integrate import integrate_measure
 from .bernstein import BernsteinFunction, SubordinatorFamily, eval_psi
-from .semigroup import OperatorTuple
+from .semigroup import OperatorTuple, _frobenius
 
 __all__ = [
     "CatalogGapError", "apply_psi", "apply_psi_spectral", "subordinated",
@@ -95,15 +95,6 @@ def _powers(N, m):
 # settle|| <= far e^{rho r} (rho <= 0; T stays 1 where ``settled``), T(0),
 # and the lift of a value of the ray to a value of the representation
 _Ray = namedtuple("_Ray", "T delta ratio lip sup rho far settled one lift")
-
-
-def _frobenius(G) -> float:
-    """||G||_F past the float range of its squares: G is scaled by the power
-    of two at or below its largest entry, so where np.linalg.norm(G) neither
-    overflows nor underflows the two agree bit for bit."""
-    _, e = np.frexp(np.abs(G).max())
-    scale = np.ldexp(1.0, int(e) - 1)
-    return scale * float(np.linalg.norm(G / scale))
 
 
 def _pad(head, size):
@@ -221,8 +212,8 @@ class _Profiles:
         if not split.cond <= _COND_MAX:
             return cls.one_block(A)
         # parts of a computed block below these sizes are round-off
-        tiny = [_ROUND * split.cond * max(1.0, _frobenius(G))
-                for G in A.generators]
+        tiny = _ROUND * split.cond * np.maximum(1.0, _frobenius(
+            np.array(A.generators)))
         rows, jets, dense = [], [], []
         for compressed in split.compressions:
             m = len(compressed[0])
@@ -666,16 +657,16 @@ def laplace_identity_error(psi: BernsteinFunction, t: float, s_grid,
                            tol: float = 1e-9) -> float:
     """max_s |int e^{s.u} dnu_t - e^{t psi(s)}| over the grid.
 
+    ``s_grid`` holds points s, real or complex; ``eval_psi`` checks them.
     The measure side is g_t on the diagonal tuple diag(s) of the whole grid,
     one profile on the route subordinated takes for a spectral tuple.
     """
     if not 0 <= t < np.inf:
         raise ValueError("subordination time must be finite and nonnegative")
     fam = _family(psi)
-    S = np.asarray(s_grid, dtype=float).reshape(len(s_grid), -1)
+    S = np.asarray(s_grid, dtype=complex).reshape(len(s_grid), -1)
     target = np.exp(t * eval_psi(psi, S))
-    g = 1.0 if t == 0 else _subordinated_family(
-        fam, _Profiles(S.astype(complex)), t, tol)
+    g = 1.0 if t == 0 else _subordinated_family(fam, _Profiles(S), t, tol)
     return float(np.max(np.abs(g - target)))
 
 

@@ -177,6 +177,16 @@ def _norm2(X):
     return np.linalg.svd(X, compute_uv=False)[..., 0]
 
 
+def _frobenius(G) -> np.ndarray:
+    """||G||_F of each matrix of a (..., d, d) stack, past the float range
+    of its squares: each matrix is scaled by the power of two at or below
+    its largest entry, so where np.linalg.norm(G, axis=(-2, -1)) neither
+    overflows nor underflows the two agree bit for bit."""
+    _, e = np.frexp(np.abs(G).max(axis=(-2, -1)))
+    scale = np.ldexp(1.0, e - 1)
+    return scale * np.linalg.norm(G / scale[..., None, None], axis=(-2, -1))
+
+
 def _check_stack(gens, spectral=None) -> np.ndarray:
     """make_tuple's checks on T tuples at once; their commutator residuals.
 
@@ -187,9 +197,12 @@ def _check_stack(gens, spectral=None) -> np.ndarray:
     """
     n, d = len(gens), gens[0].shape[-1]
     # ||g||_F / sqrt(d) <= ||g||_2 (shrunk past rounding) decides every check
-    # that reads the norms wherever it can; the SVDs only where it cannot
-    lower = (np.stack([np.linalg.norm(g, axis=(-2, -1)) for g in gens])
+    # that reads the norms wherever it can; the SVDs only where it cannot.
+    # The commutator bound residual <= _COMMUTE_REL ||g||^2 is compared in
+    # square roots, so no norm is squared past the float range
+    lower = (np.stack([_frobenius(g) for g in gens])
              / np.sqrt(d) * (1.0 - 1e-12))
+    root = np.sqrt(_COMMUTE_REL)
 
     def norm(j, t):
         return max(float(_norm2(gens[j][t])), 1e-300)
@@ -199,7 +212,7 @@ def _check_stack(gens, spectral=None) -> np.ndarray:
         for j in range(i + 1, n):
             residual = np.maximum(
                 residual, _norm2(gens[i] @ gens[j] - gens[j] @ gens[i]))
-    suspect = residual > _COMMUTE_REL * lower.max(axis=0) ** 2
+    suspect = np.sqrt(residual) > root * lower.max(axis=0)
     frobenius = []
     if spectral is not None:
         joint, basis, inverse = spectral
@@ -209,18 +222,18 @@ def _check_stack(gens, spectral=None) -> np.ndarray:
             return (basis[t] * joint[t, None, :, j]) @ inverse[t] - gens[j][t]
 
         for j in range(n):
-            frobenius.append(np.linalg.norm(error(j), axis=(-2, -1)))
+            frobenius.append(_frobenius(error(j)))
             # ||E||_2 <= ||E||_F: the SVDs only decide past the cheap bounds
             suspect |= frobenius[j] > _SPECTRAL_REL * lower[j] + 1e-13
         suspect |= (joint.real > _RE_TOL).any(axis=(1, 2))
 
     # the tuples the cheap bounds leave open, in make_tuple's order of checks
     for t in np.flatnonzero(suspect):
-        if residual[t] > _COMMUTE_REL * lower[:, t].max() ** 2:
-            limit = _COMMUTE_REL * max(norm(j, t) for j in range(n)) ** 2
-            if residual[t] > limit:
+        if np.sqrt(residual[t]) > root * lower[:, t].max():
+            top = max(norm(j, t) for j in range(n))
+            if np.sqrt(residual[t]) > root * top:
                 raise ValueError("tuple is not commuting: residual %.3g exceeds "
-                                 "%.3g" % (residual[t], limit))
+                                 "%.3g" % (residual[t], _COMMUTE_REL * top * top))
         for j, frob in enumerate(frobenius):
             if frob[t] > _SPECTRAL_REL * lower[j, t] + 1e-13:
                 cap = _SPECTRAL_REL * norm(j, t) + 1e-13
@@ -462,7 +475,8 @@ def _sampled_bound(g: np.ndarray) -> float:
     for _ in range(40):
         if squared >= 20 or (not fresh and ts[0] * norm1 >= 1.0):
             E, fresh, squared = expm(ts[:, None, None] * g), True, 0
-        octave = float(_norm2(E).max())
+        # expm of huge entries gives non-finite ones, which LAPACK refuses
+        octave = float(_norm2(E).max()) if np.isfinite(E).all() else np.inf
         if octave > 1e6:
             raise ValueError("semigroup norms diverge; generator rejected")
         if octave <= sup * (1.0 + 1e-9):

@@ -291,22 +291,6 @@ class MappingReport:
         return all(r.verdict == "pass" for r in self.rows)
 
 
-def _partial_hypothesis(psi: BernsteinFunction):
-    """(all partials finite at -0, how that was decided)."""
-    if psi.partials_finite is not None:
-        return all(psi.partials_finite), "catalog"
-    # heuristic slope-growth probe toward the origin: a finite one-sided
-    # derivative gives difference quotients that stop growing
-    finite = []
-    for j in range(psi.n):
-        e = np.zeros(psi.n)
-        e[j] = 1.0
-        d1 = (eval_psi(psi, -1e-6 * e) - eval_psi(psi, -2e-6 * e)) / 1e-6
-        d2 = (eval_psi(psi, -1e-8 * e) - eval_psi(psi, -2e-8 * e)) / 1e-8
-        finite.append(abs(d2) <= 3.0 * (abs(d1) + 1e-12))
-    return all(finite), "heuristic"
-
-
 def _targets(psi: BernsteinFunction, points):
     """psi at each joint spectral point (Python complex), in one call on the
     point set."""
@@ -349,15 +333,13 @@ def mapping_check(psi: BernsteinFunction, A: OperatorTuple, part: int,
         approx = joint_approximate_spectrum(A)
         if all(np.all(p.value.real < 0) for p in approx.points) and approx.points:
             reason = "all approximate-spectrum points in the open left half-plane"
+        elif all(psi.partials_finite):
+            reason = "finite one-sided partial derivatives (catalog)"
         else:
-            finite, how = _partial_hypothesis(psi)
-            if finite:
-                reason = "finite one-sided partial derivatives (%s)" % how
-            else:
-                return MappingReport(part=part, applicable=False,
-                                     reason="boundary spectrum and infinite "
-                                            "partial derivative at -0",
-                                     rows=())
+            return MappingReport(part=part, applicable=False,
+                                 reason="boundary spectrum and infinite "
+                                        "partial derivative at -0",
+                                 rows=())
 
     def sigma_min(vectors, targets, left):
         """sigma_min(F - t I) for each target t, bounded from above by the

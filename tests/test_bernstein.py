@@ -232,7 +232,9 @@ class TestDomainValidation:
     def test_c0_sign_enforced(self):
         with pytest.raises(ValueError):
             B.BernsteinFunction(n=1, c0=0.5, c1=np.array([0.0]),
-                                measure=B.LevyMeasure(1))
+                                measure=B.LevyMeasure(1),
+                                closed_form=lambda s: 0.5,
+                                partials_finite=(True,), bounded=True)
 
     def test_c1_sign_enforced(self):
         with pytest.raises(ValueError):
@@ -270,6 +272,45 @@ def _left_points(rng, m, n):
     return S
 
 
+class TestStatedFacts:
+    """Closed form, partial finiteness and boundedness are required facts."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_member_states_its_facts(self, n):
+        for psi in _set_members()[n]:
+            assert callable(psi.closed_form)
+            assert len(psi.partials_finite) == n
+            assert all(type(f) is bool for f in psi.partials_finite)
+            assert type(psi.bounded) is bool
+
+    def test_composites_derive_facts(self):
+        fp, ps, lg = B.fractional_power, B.poisson(), B.log1m()
+        assert B.direct_sum(ps, fp(0.5)).partials_finite == (True, False)
+        assert B.diagonal_lift(fp(0.5), [1.0, 0.0]).partials_finite == (False, True)
+        assert B.cone_combine([(1.0, ps), (0.5, lg)]).bounded is False
+        assert B.cone_combine([(1.0, ps), (0.0, lg)]).bounded is True
+        assert B.direct_sum(ps, ps).bounded is True
+
+    def test_missing_fact_rejected(self):
+        facts = dict(closed_form=lambda s: 0.0 * s[0], partials_finite=(True,),
+                     bounded=True)
+        for name in facts:
+            kwargs = {k: v for k, v in facts.items() if k != name}
+            with pytest.raises(TypeError):
+                B.BernsteinFunction(n=1, c0=0.0, c1=np.zeros(1),
+                                    measure=B.LevyMeasure(1), **kwargs)
+
+    def test_fact_replaced_by_none_rejected(self):
+        with pytest.raises(TypeError, match="closed_form"):
+            replace(B.log1m(), closed_form=None)
+        with pytest.raises(TypeError):
+            replace(B.log1m(), partials_finite=None)
+
+    def test_partials_need_one_entry_per_variable(self):
+        with pytest.raises(B.DimensionMismatchError):
+            replace(B.linear([1.0, 2.0]), partials_finite=(True,))
+
+
 class TestPointSets:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_set_equals_per_point(self, n):
@@ -292,7 +333,8 @@ class TestPointSets:
         np.testing.assert_array_equal(B.eval_psi(zero, -np.ones((4, 1))), np.zeros(4))
         const = B.BernsteinFunction(n=2, c0=-0.5, c1=np.zeros(2),
                                     measure=B.LevyMeasure(2),
-                                    closed_form=lambda s: -0.5)
+                                    closed_form=lambda s: -0.5,
+                                    partials_finite=(True, True), bounded=True)
         vals = B.eval_psi(const, -np.ones((3, 2)))
         assert vals.shape == (3,) and np.all(vals == -0.5)
         assert B.eval_psi(const, [-1.0, -2.0]) == -0.5
@@ -307,6 +349,9 @@ class TestPointSets:
                     -np.ones((2, 2, 2))):
             with pytest.raises(B.DimensionMismatchError):
                 B.eval_psi(psi, bad)
+        # the quadrature oracle takes one point, never a set
+        with pytest.raises(B.DimensionMismatchError):
+            B.eval_via_levy(B.log1m(), np.array([[-1.0], [-0.5 + 2.0j]]))
 
     def test_bad_point_anywhere_in_set_rejected(self):
         psi = B.direct_sum(B.poisson(), B.fractional_power(0.5))
@@ -325,15 +370,6 @@ class TestPointSets:
             B.eval_psi(B.poisson(), [-1 + np.inf * 1j])
         with pytest.raises(ValueError):
             B.eval_via_levy(B.log1m(), [np.nan])
-
-    def test_levy_fallback_row_by_row(self):
-        psi = replace(B.log1m(), closed_form=None)
-        S = np.array([[-1.0], [-0.5 + 2.0j], [-3.0 - 1.0j]])
-        vals = B.eval_psi(psi, S)
-        np.testing.assert_array_equal(vals, [B.eval_via_levy(psi, z) for z in S])
-        np.testing.assert_allclose(vals, B.eval_psi(B.log1m(), S), atol=1e-8)
-        with pytest.raises(B.DimensionMismatchError):
-            B.eval_via_levy(psi, S)
 
 
 @dataclass

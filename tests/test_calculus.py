@@ -651,6 +651,21 @@ class TestSubordinated:
                 assert laplace_identity_error(psi, t, grid) <= 1e-6
 
     @pytest.mark.parametrize("build", [
+        poisson, log1m, lambda: fractional_power(0.5),
+    ], ids=["poisson", "log1m", "frac05"])
+    def test_laplace_identity_on_complex_grid(self, build):
+        # the grid is read as complex: a list of complex numbers and an
+        # array of them give the same error, and eval_psi checks the points
+        psi = build()
+        grid = [-1.0 + 2.0j, -0.5 - 3.0j, -3.0 + 0.5j, -2.0, -0.1 + 10.0j]
+        for t in (0.1, 1.0, 5.0):
+            err = laplace_identity_error(psi, t, grid)
+            assert err <= 6e-12
+            assert laplace_identity_error(psi, t, np.array(grid)) == err
+        with pytest.raises(ValueError, match="Re s_j"):
+            laplace_identity_error(psi, 1.0, [-1.0, 0.5 + 1.0j])
+
+    @pytest.mark.parametrize("build", [
         lambda: direct_sum(poisson(), fractional_power(0.5)),
         lambda: cone_combine([(0.5, direct_sum(poisson(), fractional_power(0.5))),
                               (1.2, diagonal_lift(log1m(), [1.0, 0.6]))]),

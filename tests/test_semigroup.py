@@ -52,6 +52,25 @@ class TestConstruction:
             with pytest.raises(ValueError, match="does not reproduce"):
                 S.make_tuple([shifted], spectral=spec)
 
+    def test_spectral_check_past_squared_float_range(self):
+        # entries past about 1.34e154, where the squares in a Frobenius norm
+        # overflow: the norms stay finite, so wrong spectral data is caught
+        spec = S.SpectralData(np.array([[-1.0], [-1.0]]), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spectral data does not "
+                                                 "reproduce generator 0"):
+                S.make_tuple([np.diag([-2e154, -3e154])], spectral=spec)
+
+    def test_frobenius_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        G = (rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))) \
+            * 10.0 ** rng.integers(-100, 100, size=(6, 1, 1))
+        np.testing.assert_array_equal(S._frobenius(G),
+                                      np.linalg.norm(G, axis=(-2, -1)))
+        huge = np.array([np.diag([3e200, 4e200]), np.diag([-3e-200, 4e-200j])])
+        np.testing.assert_allclose(S._frobenius(huge), [5e200, 5e-200], rtol=1e-15)
+
     @pytest.mark.parametrize("build,most", [
         (lambda: S.make_commuting_random(1, 48, seed=1), 0),
         (lambda: S.make_jordan_polynomial(1, 16, seed=1), 0),
@@ -688,6 +707,12 @@ class TestSquaredSampling:
                 outcomes["kept"] += 1
                 assert abs(S._sampled_bound(g) - ref) <= 1e-13 * ref
         assert min(outcomes.values()) >= 2, outcomes
+
+    def test_huge_entries_diverge(self):
+        # expm of t g at t ||g|| ~ 1e151 has non-finite entries, which the
+        # sampler takes for divergence instead of handing them to an SVD
+        with pytest.raises(ValueError, match="semigroup norms diverge"):
+            S.make_tuple([[[2e154j, 1], [0, 2e154j]]])
 
     def test_nilpotent_generator_still_diverges(self):
         with pytest.raises(ValueError, match="semigroup norms diverge"):

@@ -2,7 +2,6 @@
 
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,23 +375,16 @@ class TestMappingCheck:
         assert rep.rows == ()
         assert rep.passed
 
-    @pytest.mark.parametrize("build,applicable", [
-        (lambda: fractional_power(0.5), False),
-        (log1m, True),
-    ], ids=["frac05", "log1m"])
-    def test_heuristic_partials_on_boundary_spectrum(self, build, applicable):
-        # without catalog partials, the slope probe toward -0 decides part 4
-        psi = replace(build(), partials_finite=None)
+    def test_catalog_partials_on_boundary_spectrum(self):
+        # a spectral point at 0: the catalog's finite partials decide part 4
+        psi = log1m()
         joint = np.array([[0.0], [-1.0]], dtype=complex)
         spec = SpectralData(joint=joint, basis=np.eye(2, dtype=complex))
         A = make_tuple([np.diag(joint[:, 0])], spectral=spec)
         rep = mapping_check(psi, A, 4, operator=apply_psi_spectral(psi, A))
-        assert rep.applicable is applicable
-        if applicable:
-            assert rep.reason.endswith("(heuristic)")
-            assert rep.passed and len(rep.rows) == 2
-        else:
-            assert rep.rows == ()
+        assert rep.applicable
+        assert rep.reason.endswith("(catalog)")
+        assert rep.passed and len(rep.rows) == 2
 
     def test_left_half_plane_hypothesis_reason(self):
         A = make_commuting_random(1, 4, seed=77)
