@@ -27,6 +27,9 @@ Under ``suite_csv`` each side's ``bpcalc run theorem_suite --format csv``
 is recorded at the config seed and at ``--seed 7``: the md5 and line count
 of the CSV and the exit code, with ``identical`` true where both sides
 wrote the same bytes.
+Under ``src_lines`` each side's line count of every ``*.py`` under
+``src/bpcalc/`` is recorded, per file and in total, and a note gives the
+two totals, so that a change quotes its size from this file.
 Under ``suite_walls`` each side's per-experiment walls of the bundled suite
 are recorded: the median of 15 in-process ``cli.run`` calls at the config
 seed, with one BLAS thread, since at two threads the walls of identical
@@ -107,6 +110,17 @@ def suite_csv(trees):
                            "exit": proc.returncode}
         entry["identical"] = entry["parent"]["md5"] == entry["change"]["md5"]
         out[key] = entry
+    return out
+
+
+def src_lines(trees):
+    """Lines of each ``*.py`` under src/bpcalc on each side, and their sum."""
+    out = {}
+    for name, tree in trees.items():
+        pkg = tree / "src" / "bpcalc"
+        files = {str(p.relative_to(pkg)): p.read_bytes().count(b"\n")
+                 for p in sorted(pkg.rglob("*.py"))}
+        out[name] = {"total": sum(files.values()), "files": files}
     return out
 
 
@@ -299,7 +313,8 @@ def main(argv=None):
                        "one run at a time, the parent first on odd seeds; "
                        "the parent from `git archive %s`, the change from "
                        "the working tree" % parent_rev,
-           "machine": None, "run_seconds": seconds, "suite_csv": None,
+           "machine": None, "run_seconds": seconds, "src_lines": None,
+           "suite_csv": None,
            "suite_walls": None, "spectra_walls": None, "bound_walls": None,
            "workloads": {}, "traced": {}, "notes": []}
 
@@ -307,6 +322,9 @@ def main(argv=None):
         with tarfile.open(fileobj=io.BytesIO(git("archive", parent_rev))) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"parent": Path(tmp), "change": ROOT}
+        out["src_lines"] = lines = src_lines(trees)
+        out["notes"].append("Python under src/bpcalc: %d -> %d lines" % (
+            lines["parent"]["total"], lines["change"]["total"]))
         out["suite_csv"] = suite_csv(trees)
         for key, entry in out["suite_csv"].items():
             out["notes"].append("theorem_suite csv at %s: %s (md5 %s -> %s)" % (

@@ -19,9 +19,10 @@ u -> L u.  A diagonal lift is the pullback along one weight column; a
 direct sum is the cone, with weights 1, of its members' pullbacks along the
 coordinate embeddings.  Each constructor attaches the closed-form
 subordination family nu_t where one is known; ``CATALOG`` declares every
-member once for string-id construction.  Each nu_t is a ``LevyMeasure`` as
-mu is, with atoms on rays (mass at the origin an atom of radius 0), or the
-convolution of child families.
+member once for string-id construction.  A family is a flat list of factors
+(a, measure_at), and nu_t is the convolution of the measures measure_at(a t),
+each a ``LevyMeasure`` as mu is, with atoms on rays (mass at the origin an
+atom of radius 0).
 """
 
 from __future__ import annotations
@@ -164,29 +165,22 @@ class SubordinatorFamily:
     """Closed-form family of the measures nu_t with Laplace transform
     e^{t psi}, attached to a catalog member.
 
-    ``measure_at(t)`` returns nu_t as a ``LevyMeasure``.  A family without
-    it is the convolution of its ``children`` at times weights_i t: the
-    family of sum_i weights_i psi_i, since e^{t sum_i a_i psi_i} = prod_i
-    e^{(a_i t) psi_i}.
+    ``factors`` holds pairs (a, measure_at), each ``measure_at(t)`` a
+    ``LevyMeasure``, and nu_t is the convolution of the measures
+    measure_at(a t).  A catalog leaf is one factor with a = 1; the family of
+    sum_i a_i psi_i takes the factors of every psi_i with a scaled by a_i,
+    since e^{t sum_i a_i psi_i} = prod_i e^{(a_i t) psi_i}.
     """
 
-    measure_at: Optional[Callable] = None
-    children: tuple = ()
-    weights: tuple = ()
+    factors: tuple
 
 
-def _mapped(x, L: np.ndarray):
-    """The pushforward by u -> L u of a ``LevyMeasure``, or of every nu_t
-    of a ``SubordinatorFamily``: directions map, while radii, masses and
-    radial profiles stay."""
-    if isinstance(x, SubordinatorFamily):
-        if x.measure_at is None:
-            return SubordinatorFamily(
-                children=tuple(_mapped(c, L) for c in x.children), weights=x.weights)
-        return SubordinatorFamily(lambda t: _mapped(x.measure_at(t), L))
+def _mapped(mu: LevyMeasure, L: np.ndarray) -> LevyMeasure:
+    """The pushforward of mu by u -> L u: directions map, while radii,
+    masses and radial profiles stay."""
     return LevyMeasure(
-        len(L), atoms=[Atom(L @ a.direction, a.mass, a.radius) for a in x.atoms],
-        parts=[replace(p, direction=L @ p.direction) for p in x.parts])
+        len(L), atoms=[Atom(L @ a.direction, a.mass, a.radius) for a in mu.atoms],
+        parts=[replace(p, direction=L @ p.direction) for p in mu.parts])
 
 
 def _poisson_measure(t: float) -> LevyMeasure:
@@ -289,6 +283,10 @@ class BernsteinFunction:
         if len(self.partials_finite) != self.n:
             raise DimensionMismatchError(
                 "partials_finite must have one entry per variable")
+        if not all(isinstance(f, bool) for f in (self.bounded, *self.partials_finite)):
+            raise TypeError("bounded and each entry of partials_finite must be a bool")
+        if not (np.isfinite(self.c0) and np.isfinite(c1).all()):
+            raise ValueError("c0 and c1 must be finite")
         if self.c0 > _RE_TOL:
             raise ValueError("c0 must be <= 0")
         if c1.shape != (self.n,):
@@ -380,20 +378,12 @@ def fractional_power(alpha: float) -> BernsteinFunction:
     """psi(s) = -(-s)**alpha on one variable, 0 < alpha <= 1.
 
     For alpha < 1 the triple is pure jump with the stable density
-    alpha/Gamma(1-alpha) * u**(-1-alpha); alpha = 1 is the identity drift.
+    alpha/Gamma(1-alpha) * u**(-1-alpha); alpha = 1 is ``linear([1.0])``.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("fractional_power requires alpha in (0, 1]")
-
-    def closed(s):
-        return -np.power(-s[0], alpha)
-
     if alpha == 1.0:
-        # nu_t is the unit point mass at t
-        return BernsteinFunction(
-            n=1, c0=0.0, c1=np.array([1.0]), measure=LevyMeasure(1),
-            closed_form=closed, subordinator=linear([1.0]).subordinator,
-            partials_finite=(True,), bounded=False)
+        return linear([1.0])
 
     coeff = alpha / gamma_fn(1.0 - alpha)
     part = RadialDensity(
@@ -408,10 +398,10 @@ def fractional_power(alpha: float) -> BernsteinFunction:
     )
     family = None
     if alpha == 0.5:
-        family = SubordinatorFamily(_smirnov_measure)
+        family = SubordinatorFamily(((1.0, _smirnov_measure),))
     return BernsteinFunction(
         n=1, c0=0.0, c1=np.array([0.0]), measure=LevyMeasure(1, parts=[part]),
-        closed_form=closed, subordinator=family,
+        closed_form=lambda s: -np.power(-s[0], alpha), subordinator=family,
         partials_finite=(False,), bounded=False)
 
 
@@ -421,7 +411,7 @@ def poisson() -> BernsteinFunction:
         n=1, c0=0.0, c1=np.array([0.0]),
         measure=LevyMeasure(1, atoms=[Atom(np.array([1.0]), 1.0)]),
         closed_form=lambda s: np.exp(s[0]) - 1.0,
-        subordinator=SubordinatorFamily(_poisson_measure),
+        subordinator=SubordinatorFamily(((1.0, _poisson_measure),)),
         partials_finite=(True,), bounded=True)
 
 
@@ -440,7 +430,7 @@ def log1m() -> BernsteinFunction:
     return BernsteinFunction(
         n=1, c0=0.0, c1=np.array([0.0]), measure=LevyMeasure(1, parts=[part]),
         closed_form=lambda s: -np.log(1.0 - s[0]),
-        subordinator=SubordinatorFamily(_gamma_measure),
+        subordinator=SubordinatorFamily(((1.0, _gamma_measure),)),
         partials_finite=(True,), bounded=False)
 
 
@@ -452,8 +442,8 @@ def linear(c1) -> BernsteinFunction:
         n=n, c0=0.0, c1=c1, measure=LevyMeasure(n),
         closed_form=lambda s: _dot(c1, s),
         # nu_t is the unit point mass at t * c1, on the ray along c1
-        subordinator=SubordinatorFamily(lambda t: LevyMeasure(n, atoms=[
-            Atom(c1, 1.0, t) if c1.any() else Atom(np.ones(n), 1.0, 0.0)])),
+        subordinator=SubordinatorFamily(((1.0, lambda t: LevyMeasure(n, atoms=[
+            Atom(c1, 1.0, t) if c1.any() else Atom(np.ones(n), 1.0, 0.0)])),)),
         partials_finite=(True,) * n, bounded=bool(np.all(c1 == 0)))
 
 
@@ -462,8 +452,8 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
     terms = [(float(a), p) for a, p in terms]
     if not terms:
         raise ValueError("cone_combine needs at least one term")
-    if any(a < 0 for a, _ in terms):
-        raise ValueError("cone coefficients must be nonnegative")
+    if not all(0.0 <= a < np.inf for a, _ in terms):
+        raise ValueError("cone coefficients must be finite and nonnegative")
     n = terms[0][1].n
     if any(p.n != n for _, p in terms):
         raise DimensionMismatchError("cone_combine terms must share dimension")
@@ -484,10 +474,9 @@ def cone_combine(terms: Sequence) -> BernsteinFunction:
 
     family = None
     if all(p.subordinator is not None for _, p in live):
-        # e^{t sum a_i psi_i} = prod e^{(a_i t) psi_i}: convolve the children
-        family = SubordinatorFamily(
-            children=tuple(p.subordinator for _, p in live),
-            weights=tuple(a for a, _ in live))
+        # e^{t sum a_i psi_i} = prod e^{(a_i t) psi_i}: every term's factors
+        family = SubordinatorFamily(tuple(
+            (a * b, m) for a, p in live for b, m in p.subordinator.factors))
 
     return BernsteinFunction(
         n=n, c0=float(c0), c1=np.asarray(c1, dtype=float),
@@ -510,7 +499,8 @@ def _pullback(psi: BernsteinFunction, L: np.ndarray) -> BernsteinFunction:
     def closed(s):
         return f(np.array([_dot(col, s) for col in L.T]))
 
-    family = None if psi.subordinator is None else _mapped(psi.subordinator, L)
+    family = None if psi.subordinator is None else SubordinatorFamily(tuple(
+        (a, lambda t, _m=m: _mapped(_m(t), L)) for a, m in psi.subordinator.factors))
     return BernsteinFunction(
         n=len(L), c0=psi.c0, c1=L @ psi.c1, measure=_mapped(psi.measure, L),
         closed_form=closed,
@@ -543,8 +533,9 @@ def diagonal_lift(phi: BernsteinFunction, w) -> BernsteinFunction:
     if phi.n != 1:
         raise DimensionMismatchError("diagonal_lift lifts one-variable functions")
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("weight vector must be nonzero with nonnegative entries")
+    if w.ndim != 1 or not np.isfinite(w).all() or np.any(w < 0) or not np.any(w > 0):
+        raise ValueError("weight vector must be finite and nonzero with "
+                         "nonnegative entries")
     return _pullback(phi, w[:, None])
 
 

@@ -5,8 +5,8 @@ with the same certified-error quadrature used for scalar evaluation; the
 subordinated family g_t(A) integrates T(u) against the closed-form measures
 nu_t where the catalog has them.  mu and nu_t are both ``LevyMeasure``s, so
 psi(A), the cofactors W_j and g_t(A) walk them with the one
-``integrate_measure``; a family that is a convolution (a cone combination or
-a direct sum) composes the g_t of its children.
+``integrate_measure``; where nu_t is the convolution of several factors (a
+cone combination or a direct sum), g_t is the product of their integrals.
 
 Each tuple holds one integrand representation, a ``_Profiles`` in one block
 basis X (``OperatorTuple.representation``).  Along a ray w the quadrature
@@ -27,6 +27,7 @@ with their quadrature bounds and lift, and the ``make(w)`` of
 """
 
 from collections import namedtuple
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import block_diag, expm, schur
@@ -609,24 +610,22 @@ def _psi_matrix(psi: BernsteinFunction, A: OperatorTuple):
 
 
 def _subordinated_family(fam: SubordinatorFamily, rep, t: float, tol: float):
-    """int T(u) dnu_t(u) on the representation ``rep``, before ``finish``."""
-    if fam.measure_at is not None:
-        def part_setup(w):
-            ray = rep.ray(w)
-            kw = dict(f_zero=ray.one, f_lipschitz=max(ray.lip, 1e-300),
-                      f_sup=ray.sup)
-            if ray.rho < 0.0:
-                # T tends to 0, except where it stays at 1
-                kw.update(f_settle=np.where(ray.settled, ray.one, 0.0),
-                          f_decay=-ray.rho, f_far_coeff=ray.far)
-            return ray.T, kw, ray.lift
+    """int T(u) dnu_t(u) on the representation ``rep``, before ``finish``:
+    the product, in factor order, of the integrals against the measures
+    measure_at(a t) of the family's factors, each to tol / len(factors)."""
+    def part_setup(w):
+        ray = rep.ray(w)
+        kw = dict(f_zero=ray.one, f_lipschitz=max(ray.lip, 1e-300),
+                  f_sup=ray.sup)
+        if ray.rho < 0.0:
+            # T tends to 0, except where it stays at 1
+            kw.update(f_settle=np.where(ray.settled, ray.one, 0.0),
+                      f_decay=-ray.rho, f_far_coeff=ray.far)
+        return ray.T, kw, ray.lift
 
-        return integrate_measure(0.0, fam.measure_at(t), part_setup, tol)
-    out = rep.one
-    for a, child in zip(fam.weights, fam.children):
-        out = rep.compose(out, _subordinated_family(child, rep, a * t,
-                                                    tol / len(fam.weights)))
-    return out
+    return reduce(rep.compose, (
+        integrate_measure(0.0, measure_at(a * t), part_setup, tol / len(fam.factors))
+        for a, measure_at in fam.factors))
 
 
 def _family(psi: BernsteinFunction) -> SubordinatorFamily:

@@ -49,8 +49,16 @@ class SpectralData:
     cond: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "inverse", np.linalg.inv(self.basis))
-        object.__setattr__(self, "cond", float(np.linalg.cond(self.basis)))
+        joint = np.asarray(self.joint, dtype=complex)
+        basis = np.asarray(self.basis, dtype=complex)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+            raise ValueError("spectral basis must be a square matrix")
+        if joint.ndim != 2 or len(joint) != len(basis):
+            raise ValueError("joint spectrum needs one row per basis vector")
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "inverse", np.linalg.inv(basis))
+        object.__setattr__(self, "cond", float(np.linalg.cond(basis)))
 
     @classmethod
     def _derived(cls, joint, basis, inverse, cond) -> "SpectralData":
@@ -258,6 +266,9 @@ def make_tuple(generators: Sequence, spectral: Optional[SpectralData] = None,
     """
     mats = _as_matrices(generators)
     n, d = len(mats), mats[0].shape[0]
+    if spectral is not None and spectral.joint.shape != (d, n):
+        raise ValueError("joint spectrum must be %d x %d: one row per basis "
+                         "vector, one column per generator" % (d, n))
     # the checks of a stack of one tuple
     residual = float(_check_stack(
         [g[None] for g in mats],

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -201,6 +202,29 @@ class TestStructuralOperations:
         with pytest.raises(ValueError):
             B.diagonal_lift(B.linear([1.0, 1.0]), [1.0, 1.0])
 
+    def test_nested_cone_family_is_flat(self):
+        # nu_t of a cone of cones convolves the leaves' measures, each at
+        # the product of the coefficients on its path times t
+        inner = B.cone_combine([(1.0, B.poisson()), (2.0, B.log1m())])
+        psi = B.cone_combine([(0.5, inner), (1.5, B.fractional_power(0.5))])
+        factors = psi.subordinator.factors
+        assert [a for a, _ in factors] == [0.5, 1.0, 1.5]
+        leaves = [B.poisson(), B.log1m(), B.fractional_power(0.5)]
+        assert [m for _, m in factors] == [p.subordinator.factors[0][1]
+                                           for p in leaves]
+
+    def test_alpha_one_is_linear(self):
+        # the same closed form bit for bit, signed zeros included
+        rng = np.random.default_rng(5)
+        z = -np.abs(rng.standard_normal(500)) + 1j * rng.standard_normal(500)
+        S = np.concatenate([z, -np.abs(rng.standard_normal(500)), [0.0, -0.0]])
+        got = B.eval_psi(B.fractional_power(1.0), S[:, None])
+        ref = B.eval_psi(B.linear([1.0]), S[:, None])
+        assert got.tobytes() == ref.tobytes()
+        psi = B.fractional_power(1.0)
+        assert psi.c1.tolist() == [1.0] and not psi.measure.atoms
+        assert psi.partials_finite == (True,) and psi.bounded is False
+
     def test_nested_composites_keep_closed_form(self):
         inner = B.cone_combine([(0.5, B.poisson()), (1.0, B.log1m())])
         psi = B.direct_sum(inner, B.diagonal_lift(B.fractional_power(0.5), [2.0]))
@@ -239,6 +263,19 @@ class TestDomainValidation:
     def test_c1_sign_enforced(self):
         with pytest.raises(ValueError):
             B.linear([1.0, -2.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: B.linear([np.nan]),
+        lambda: B.diagonal_lift(B.poisson(), [np.nan, 1.0]),
+        lambda: B.diagonal_lift(B.poisson(), [np.inf]),
+        lambda: B.cone_combine([(np.nan, B.poisson())]),
+        lambda: B.cone_combine([(np.inf, B.poisson())]),
+    ], ids=["linear-nan", "lift-nan", "lift-inf", "cone-nan", "cone-inf"])
+    def test_non_finite_parameters_rejected(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                build()
 
 
 def _set_members():
@@ -305,6 +342,14 @@ class TestStatedFacts:
             replace(B.log1m(), closed_form=None)
         with pytest.raises(TypeError):
             replace(B.log1m(), partials_finite=None)
+
+    def test_facts_must_be_bools(self):
+        with pytest.raises(TypeError, match="bool"):
+            replace(B.poisson(), bounded=None)
+        with pytest.raises(TypeError, match="bool"):
+            replace(B.poisson(), partials_finite=("yes",))
+        with pytest.raises(TypeError, match="bool"):
+            replace(B.poisson(), bounded=np.True_)
 
     def test_partials_need_one_entry_per_variable(self):
         with pytest.raises(B.DimensionMismatchError):
@@ -579,7 +624,7 @@ def _catalog_parts():
                                                   [0.5, 1.0]).subordinator}
     for name, fam in families.items():
         for t in (0.3, 1.0, 4.0):
-            parts["%s-t%g" % (name, t)], = fam.measure_at(t).parts
+            parts["%s-t%g" % (name, t)], = fam.factors[0][1](t).parts
     return parts
 
 

@@ -450,7 +450,7 @@ class TestFarAtoms:
         for w in ([1.0, 0.5], [0.3, 0.7], [1.0 / 3.0, 1.0]):
             fam = diagonal_lift(poisson(), w).subordinator
             for t in (0.5, 5.0, 50.0):
-                assert len(fam.measure_at(t).atoms) > 10
+                assert len(fam.factors[0][1](t).atoms) > 10
                 calls.clear()
                 calculus._subordinated_family(fam, rep, t, 1e-9)
                 assert calls == [1], (w, t)
@@ -681,6 +681,98 @@ class TestSubordinated:
         for t in (0.3, 2.0):
             assert laplace_identity_error(psi, t, grid) <= 1e-9
         assert calls == []
+
+
+def nested_cone():
+    return cone_combine([(0.5, cone_combine([(1.0, poisson()), (2.0, log1m())])),
+                         (1.5, fractional_power(0.5))])
+
+
+def convolution_route(tree, rep, t, tol):
+    """g_t by nested convolutions: a family integrates its measures at t,
+    and a list of (a, subtree) composes, from the identity, its subtrees at
+    times a t, each to tol / len(list)."""
+    if not isinstance(tree, list):
+        return calculus._subordinated_family(tree, rep, t, tol)
+    out = rep.one
+    for a, sub in tree:
+        out = rep.compose(out, convolution_route(sub, rep, a * t, tol / len(tree)))
+    return out
+
+
+def _fam(psi):
+    return psi.subordinator
+
+
+W2 = [1.0, 0.5]
+# (name, psi, the tree of one-factor families it convolves, n)
+FLAT_FAMILIES = [
+    ("poisson", poisson(), _fam(poisson()), 1),
+    ("log1m", log1m(), _fam(log1m()), 1),
+    ("frac05", fractional_power(0.5), _fam(fractional_power(0.5)), 1),
+    ("drift", fractional_power(1.0), _fam(linear([1.0])), 1),
+    ("cone", cone_combine([(0.7, poisson()), (1.3, log1m()),
+                           (2.0, fractional_power(0.5))]),
+     [(0.7, _fam(poisson())), (1.3, _fam(log1m())),
+      (2.0, _fam(fractional_power(0.5)))], 1),
+    ("linear2", linear(W2), _fam(linear(W2)), 2),
+    ("lift", diagonal_lift(log1m(), W2), _fam(diagonal_lift(log1m(), W2)), 2),
+    ("dsum", direct_sum(poisson(), fractional_power(0.5)),
+     [(1.0, _fam(diagonal_lift(poisson(), [1.0, 0.0]))),
+      (1.0, _fam(diagonal_lift(fractional_power(0.5), [0.0, 1.0])))], 2),
+    ("lift_of_cone",
+     diagonal_lift(cone_combine([(1.0, poisson()), (0.5, log1m())]), W2),
+     [(1.0, _fam(diagonal_lift(poisson(), W2))),
+      (0.5, _fam(diagonal_lift(log1m(), W2)))], 2),
+    ("drift_cone",
+     cone_combine([(1.0, linear(W2)), (1.0, diagonal_lift(log1m(), W2))]),
+     [(1.0, _fam(linear(W2))), (1.0, _fam(diagonal_lift(log1m(), W2)))], 2),
+]
+
+
+def _flat_tuples(n):
+    A = make_commuting_random(n, 4, seed=19)
+    return {"spectral": A, "stripped": stripped(A),
+            "jordan": make_jordan_polynomial(n, 6, seed=5)}
+
+
+class TestFlatFamilies:
+    """nu_t is the convolution of a flat list of factors: g_t is the
+    product of their integrals, in factor order."""
+
+    @pytest.mark.parametrize("name,psi,tree,n", FLAT_FAMILIES,
+                             ids=[f[0] for f in FLAT_FAMILIES])
+    def test_bits_of_nested_convolutions(self, name, psi, tree, n):
+        # leaves, flat cones, direct sums and lifts: one level of
+        # convolution, so the product of the factors is the same bits
+        for A in _flat_tuples(n).values():
+            rep = A.representation
+            for t in (0.1, 1.0, 5.0):
+                ref = rep.finish(convolution_route(tree, rep, t, 1e-9 / rep.cond))
+                assert subordinated(psi, A, t).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["spectral", "jordan"])
+    def test_nested_cone(self, kind):
+        psi = nested_cone()
+        A = _flat_tuples(1)[kind]
+        tree = [(0.5, [(1.0, _fam(poisson())), (2.0, _fam(log1m()))]),
+                (1.5, _fam(fractional_power(0.5)))]
+        rep = A.representation
+        for t in (0.1, 1.0, 5.0):
+            got = subordinated(psi, A, t)
+            expected = expm(t * apply_psi(psi, A, tol=1e-11))
+            assert opnorm(got - expected) <= 1e-9 * max(1.0, opnorm(expected))
+            # times round as (a a_i) t, and the budget is split once
+            nested = rep.finish(convolution_route(tree, rep, t, 1e-9 / rep.cond))
+            assert opnorm(got - nested) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["spectral", "jordan"])
+    def test_alpha_one_is_the_semigroup(self, kind):
+        A = _flat_tuples(1)[kind]
+        for t in (0.1, 1.0, 5.0):
+            expected = expm(t * A.generators[0])
+            got = subordinated(fractional_power(1.0), A, t)
+            assert opnorm(got - expected) <= 1e-9 * max(1.0, opnorm(expected))
 
 
 class TestGeneratorLimit:

@@ -62,6 +62,24 @@ class TestConstruction:
                                                  "reproduce generator 0"):
                 S.make_tuple([np.diag([-2e154, -3e154])], spectral=spec)
 
+    @pytest.mark.parametrize("joint,basis,message", [
+        ([[-1], [-1]], np.eye(2), "does not reproduce generator 0"),
+        (-np.ones((3, 1)), np.eye(2), "one row per basis vector"),
+        (-np.ones((2, 2)), np.eye(2), "must be 2 x 1"),
+    ], ids=["list", "rows", "columns"])
+    def test_spectral_data_shape_checked(self, joint, basis, message):
+        with pytest.raises(ValueError, match=message):
+            S.make_tuple([np.diag([-2.0, -3.0])],
+                         spectral=S.SpectralData(joint, basis))
+
+    def test_spectral_data_read_as_arrays(self):
+        spec = S.SpectralData([[-2], [-3]], [[1, 0], [0, 1]])
+        assert spec.joint.dtype == spec.basis.dtype == complex
+        A = S.make_tuple([np.diag([-2.0, -3.0])], spectral=spec)
+        assert A.bounds == (1.0,) and A.spectral is spec
+        with pytest.raises(ValueError, match="square"):
+            S.SpectralData(-np.ones((2, 1)), np.ones((2, 3)))
+
     def test_frobenius_of_a_stack(self):
         rng = np.random.default_rng(3)
         G = (rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))) \
