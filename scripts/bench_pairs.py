@@ -58,6 +58,13 @@ thread.  A generator that ``make_tuple`` rejects gets the bound null and
 adds no wall.  ``max_bound_change_rel`` is the largest relative change of
 a bound M_j kept by both sides, and ``rejected_by_one_side`` counts the
 generators that only one side rejects.
+Under ``worker_cpu`` each side's CPU time spent outside the main thread is
+recorded for every workload of the run: one subprocess per workload and
+side sets the workload up at seed 1, runs 2 warm passes and then 5 timed
+ones at the default BLAS thread count, and keeps the median over the 5 of
+(``time.process_time()`` - ``time.thread_time()``) per pass.  The program
+runs in its main thread alone, so this is the CPU that BLAS worker threads
+burn, waking and spinning, beside the wall a pass takes.
 """
 
 import argparse
@@ -260,6 +267,36 @@ def bound_walls(trees):
     return out
 
 
+WORKER_CPU = """
+import json, statistics, sys, time
+sys.path.insert(0, "perfbench")
+import run
+wl = run.setup(%r, 1)
+for _ in range(2):
+    run.run_pass(wl)
+cpu = []
+for _ in range(5):
+    p0, t0 = time.process_time(), time.thread_time()
+    run.run_pass(wl)
+    cpu.append((time.process_time() - p0) - (time.thread_time() - t0))
+print(json.dumps({"median_s": statistics.median(cpu), "runs": cpu}))
+"""
+
+
+def worker_cpu(trees, workloads):
+    """CPU seconds per pass outside the main thread, for each workload and
+    side: the median of 5 passes after 2 warm ones, one subprocess each, at
+    the default BLAS thread count."""
+    out = {}
+    for workload in workloads:
+        for name, tree in trees.items():
+            side = _child(tree, WORKER_CPU % workload, False)
+            out.setdefault(workload, {})[name] = {
+                "median_s": round(side["median_s"], 4),
+                "runs": [round(v, 4) for v in side["runs"]]}
+    return out
+
+
 def _quartiles(runs, digits):
     """Median, quartiles and the runs themselves, rounded to ``digits``."""
     q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
@@ -316,6 +353,7 @@ def main(argv=None):
            "machine": None, "run_seconds": seconds, "src_lines": None,
            "suite_csv": None,
            "suite_walls": None, "spectra_walls": None, "bound_walls": None,
+           "worker_cpu": None,
            "workloads": {}, "traced": {}, "notes": []}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -361,6 +399,13 @@ def main(argv=None):
                100.0 * (c["wall_s"] / p["wall_s"] - 1.0),
                p["expm_calls"], c["expm_calls"],
                walls["max_bound_change_rel"], walls["rejected_by_one_side"]))
+        out["worker_cpu"] = cpu = worker_cpu(trees, pairs)
+        for workload, sides in cpu.items():
+            out["notes"].append(
+                "worker CPU per pass of %s at seed 1 (median of 5 passes "
+                "after 2 warm ones, default BLAS threads): %.3g -> %.3g s"
+                % (workload, sides["parent"]["median_s"],
+                   sides["change"]["median_s"]))
 
         for workload, count in pairs.items():
             runs = {"parent": [], "change": []}

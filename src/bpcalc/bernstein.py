@@ -74,12 +74,16 @@ class Atom:
     def __post_init__(self):
         w = np.asarray(self.direction, dtype=float)
         object.__setattr__(self, "direction", w)
+        if not np.isfinite(self.mass):
+            raise ValueError("atom mass must be finite")
         if self.mass <= 0:
             raise ValueError("atom mass must be positive")
+        if not np.isfinite(w).all():
+            raise ValueError("atom location must be finite")
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("atom location must lie in R+^n away from 0")
-        if not self.radius >= 0:
-            raise ValueError("atom radius must be nonnegative")
+        if not 0 <= self.radius < np.inf:
+            raise ValueError("atom radius must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +114,12 @@ class RadialDensity:
     def __post_init__(self):
         w = np.asarray(self.direction, dtype=float)
         object.__setattr__(self, "direction", w)
+        if not np.isfinite(w).all():
+            raise ValueError("direction entries must be finite")
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("direction must be nonzero with nonnegative entries")
+        if not (np.isfinite(self.beta) and np.isfinite(self.sing_coeff)):
+            raise ValueError("beta and sing_coeff must be finite")
         if self.beta >= 2:
             raise ValueError("origin singularity exponent must satisfy beta < 2")
 

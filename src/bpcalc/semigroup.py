@@ -13,6 +13,13 @@ products and make_tuple's checks once on the (seeds, d, d) stacks.  A
 stacked LAPACK or BLAS call rounds each matrix as the unstacked call does,
 so tuple t is bit for bit the one make_commuting_random(n, d, seeds[t])
 returns; make_commuting_random is the one-seed stack.
+
+The module owns its matrix exponential, expm, which the sampled bounds and
+semigroup_apply share: a scaling-and-squaring Pade kernel in numpy alone.
+scipy.linalg.expm solves its Pade system through the BLAS bundled with
+scipy, whose worker thread wakes even for 8 x 8 matrices and costs more
+than the exponential itself; numpy's stacked solve and products do not
+wake theirs at the sizes sampled here.
 """
 
 from dataclasses import dataclass, field, replace
@@ -20,7 +27,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._schur import Blocks
 
@@ -445,6 +451,79 @@ def adjoint(A: OperatorTuple) -> OperatorTuple:
                    bound_kinds=A.bound_kinds)
 
 
+# the coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and
+# theta_13, the largest 1-norm at which it is exact to double precision
+# (Higham, SIMAX 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(X) -> np.ndarray:
+    """exp of each matrix of a (..., d, d) stack, by scaling and squaring.
+
+    The stack is scaled by 2^-s, s the least with its largest 1-norm at
+    most theta_13, so one s serves every matrix; the [13/13] Pade
+    approximant r = (V - U)^{-1} (V + U) is solved for and squared s times
+    (Higham, SIMAX 2005).  For an upper-triangular stack the diagonal and
+    the first superdiagonal are set to their exact values before the first
+    squaring and after each (Al-Mohy & Higham, SIMAX 2009, Code Fragment
+    2.1), so a stiff diagonal is not worn down by the squarings.  An
+    exponential past the float range comes back with inf or nan entries,
+    as scipy's does, and so does non-finite input (a stack of nans), with
+    no error or warning.
+    """
+    X = np.asarray(X)
+    X = X.astype(np.result_type(X.dtype, float), copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(X).sum(axis=-2).max(initial=0.0))
+        if not norm < np.inf:
+            return np.full(X.shape, np.nan, X.dtype)
+        s = 0 if norm <= _THETA13 else int(np.ceil(np.log2(norm / _THETA13)))
+        A = X * 2.0 ** -s
+        b = _PADE13
+        k = np.arange(X.shape[-1])
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) \
+            + b[7] * A6 + b[5] * A4 + b[3] * A2
+        U[..., k, k] += b[1]
+        U = A @ U
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) \
+            + b[6] * A6 + b[4] * A4 + b[2] * A2
+        V[..., k, k] += b[0]
+        E = np.linalg.solve(V - U, V + U)
+        upper = not np.tril(X, -1).any()
+        if upper:
+            _exact_bands(E, X, 2.0 ** -s)
+        for i in range(s - 1, -1, -1):
+            E = E @ E
+            if upper:
+                _exact_bands(E, X, 2.0 ** -i)
+    return E
+
+
+def _exact_bands(E, X, c) -> None:
+    """Set the diagonal and first superdiagonal of E to those of exp(c X),
+    X an upper-triangular stack.  Entry (k, k+1) is c x_{k,k+1} times the
+    divided difference (e^b - e^a) / (b - a) of a = c x_kk, b = c x_{k+1,k+1},
+    taken as e^h expm1(w) / w, h the one of larger real part and w the
+    other less h, so that nothing overflows or cancels."""
+    lam = c * np.diagonal(X, axis1=-2, axis2=-1)
+    a, b = lam[..., :-1], lam[..., 1:]
+    first = a.real >= b.real
+    h = np.where(first, a, b)
+    w = np.where(first, b - a, a - b)
+    zero = w == 0
+    phi = np.where(zero, 1.0, np.expm1(w) / np.where(zero, 1.0, w))
+    k = np.arange(X.shape[-1])
+    E[..., k, k] = np.exp(lam)
+    E[..., k[:-1], k[1:]] = c * X[..., k[:-1], k[1:]] * np.exp(h) * phi
+
+
 def semigroup_apply(A: OperatorTuple, u) -> np.ndarray:
     """T(u) = prod_j exp(u_j A_j) for u in the closed positive orthant."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -486,7 +565,8 @@ def _sampled_bound(g: np.ndarray) -> float:
     for _ in range(40):
         if squared >= 20 or (not fresh and ts[0] * norm1 >= 1.0):
             E, fresh, squared = expm(ts[:, None, None] * g), True, 0
-        # expm of huge entries gives non-finite ones, which LAPACK refuses
+        # an exponential past the float range has inf or nan entries, on
+        # which the SVD would fail: they count as divergence
         octave = float(_norm2(E).max()) if np.isfinite(E).all() else np.inf
         if octave > 1e6:
             raise ValueError("semigroup norms diverge; generator rejected")

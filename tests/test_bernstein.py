@@ -253,6 +253,29 @@ class TestDomainValidation:
         with pytest.raises(TypeError):
             B.LevyMeasure(1, parts=[B.Atom(np.array([1.0]), 1.0)])
 
+    @pytest.mark.parametrize("direction,mass,radius", [
+        ([1.0], np.nan, 1.0), ([1.0], np.inf, 1.0),
+        ([np.nan, 1.0], 1.0, 1.0), ([np.inf, 1.0], 1.0, 1.0),
+        ([1.0], 1.0, np.inf), ([1.0], 1.0, np.nan),
+    ], ids=["mass-nan", "mass-inf", "direction-nan", "direction-inf",
+            "radius-inf", "radius-nan"])
+    def test_non_finite_atom_rejected(self, direction, mass, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                B.Atom(np.array(direction), mass, radius)
+
+    @pytest.mark.parametrize("changes", [
+        {"beta": np.nan}, {"beta": -np.inf}, {"sing_coeff": np.nan},
+        {"sing_coeff": np.inf}, {"direction": np.array([np.nan, 1.0])},
+    ], ids=["beta-nan", "beta-inf", "coeff-nan", "coeff-inf", "direction-nan"])
+    def test_non_finite_density_rejected(self, changes):
+        part = B.fractional_power(0.5).measure.parts[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                replace(part, **changes)
+
     def test_c0_sign_enforced(self):
         with pytest.raises(ValueError):
             B.BernsteinFunction(n=1, c0=0.5, c1=np.array([0.0]),
